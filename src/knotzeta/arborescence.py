@@ -7,8 +7,9 @@ out-degree Laplacian with the root rows and columns removed, which is the
 identity the rest of the library leans on, so this module keeps both sides
 independently computable.
 
-Works on arc graphs (edges carry T/S labels) and on plain weighted digraphs,
-which the randomized cross-checks use.
+Every function takes an `ArcGraph` plus a `WeightSpec` mapping its edge
+labels to weights.  Arc graphs of diagrams carry the T/S labels; the
+randomized cross-checks build arc graphs with one label per edge.
 """
 
 from __future__ import annotations
@@ -17,34 +18,20 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arc_graph import ArcGraph, build_arc_graph, laplacian, weighted_edges
+from .arc_graph import ArcGraph, GraphEdge, WeightSpec, alexander_spec, \
+    build_arc_graph, laplacian
 from .knot_model import DiagramError
-from .laurent import LaurentPoly, RingMatrix, det
+from .laurent import LaurentPoly, det
 from .verdict import Verdict
-
-
-@dataclass(frozen=True)
-class Digraph:
-    """A directed graph with explicit edge weights: (src, dst, LaurentPoly)."""
-
-    vertices: tuple
-    edges: tuple
-
-    def __post_init__(self):
-        vset = set(self.vertices)
-        if len(vset) != len(self.vertices):
-            raise ValueError("duplicate vertices")
-        for src, dst, _ in self.edges:
-            if src not in vset or dst not in vset:
-                raise ValueError(f"edge ({src!r}, {dst!r}) references unknown vertex")
 
 
 @dataclass(frozen=True)
 class Arborescence:
     """One chosen out-edge per non-root vertex, acyclic.
 
-    go_straight and jumps count T- and S-labeled edges when the underlying
-    graph is an arc graph; both are zero for plain digraphs.
+    Edges are (src, dst, weight, label) rows.  go_straight and jumps count
+    the chosen T- and S-labeled edges; both are zero on graphs with other
+    labels.
     """
 
     roots: tuple
@@ -53,21 +40,7 @@ class Arborescence:
     jumps: int
 
 
-def _normalize(g, spec):
-    """Vertices plus per-edge (src, dst, weight, label) rows for either graph kind."""
-    if isinstance(g, ArcGraph):
-        if spec is None:
-            raise ValueError("an ArcGraph needs a weight spec")
-        rows = [(e.src, e.dst, spec[e.label], e.label) for e in g.edges]
-        return g.vertices, rows, spec.modulus
-    if isinstance(g, Digraph):
-        modulus = g.edges[0][2].modulus if g.edges else None
-        rows = [(src, dst, w, "") for src, dst, w in g.edges]
-        return g.vertices, rows, modulus
-    raise TypeError(f"expected ArcGraph or Digraph, got {type(g).__name__}")
-
-
-def enumerate_arborescences(g, roots, spec=None, cap=10 ** 6):
+def enumerate_arborescences(g, roots, spec, cap=10 ** 6):
     """All arborescences of g with the given nonempty root set.
 
     Backtracking over out-edge choices in vertex order, with incremental
@@ -75,7 +48,7 @@ def enumerate_arborescences(g, roots, spec=None, cap=10 ** 6):
     Raises RuntimeError beyond `cap` results: enumeration is the exponential
     oracle side of matrix-tree, not the fast path.
     """
-    vertices, rows, _ = _normalize(g, spec)
+    vertices = g.vertices
     index = {v: i for i, v in enumerate(vertices)}
     roots = tuple(roots)
     if not roots:
@@ -86,9 +59,9 @@ def enumerate_arborescences(g, roots, spec=None, cap=10 ** 6):
     rootset = set(roots)
     nonroots = [v for v in vertices if v not in rootset]
     out = {v: [] for v in vertices}
-    for pos, (src, dst, w, label) in enumerate(rows):
-        if src not in rootset and src != dst:
-            out[src].append((index[dst], pos, (src, dst, w, label)))
+    for pos, e in enumerate(g.edges):
+        if e.src not in rootset and e.src != e.dst:
+            out[e.src].append((index[e.dst], pos, (e.src, e.dst, spec[e.label], e.label)))
     for v in out:
         out[v].sort(key=lambda item: (item[0], item[1]))
 
@@ -131,37 +104,17 @@ def arborescence_weight(arb, modulus=None):
     return w
 
 
-def tree_polynomial(g, roots, spec=None, cap=10 ** 6):
+def tree_polynomial(g, roots, spec, cap=10 ** 6):
     """Sum of edge-weight products over all arborescences, exact."""
-    _, _, modulus = _normalize(g, spec)
-    total = LaurentPoly.zero(modulus)
+    total = LaurentPoly.zero(spec.modulus)
     for arb in enumerate_arborescences(g, roots, spec, cap):
-        total = total + arborescence_weight(arb, modulus)
+        total = total + arborescence_weight(arb, spec.modulus)
     return total
 
 
-def _digraph_laplacian(dg, roots):
-    index = {v: i for i, v in enumerate(dg.vertices)}
-    modulus = dg.edges[0][2].modulus if dg.edges else None
-    n = len(dg.vertices)
-    zero = LaurentPoly.zero(modulus)
-    rows = [[zero] * n for _ in range(n)]
-    for src, dst, w in dg.edges:
-        i, j = index[src], index[dst]
-        rows[i][i] = rows[i][i] + w
-        rows[i][j] = rows[i][j] - w
-    full = RingMatrix(rows, modulus, cols=n)
-    drop = sorted(index[r] for r in roots)
-    return full.delete(rows=drop, cols=drop)
-
-
-def matrix_tree_check(g, roots, spec=None, cap=10 ** 6):
+def matrix_tree_check(g, roots, spec, cap=10 ** 6):
     """Compare det(Laplacian minor) against the enumerated tree polynomial."""
-    if isinstance(g, ArcGraph):
-        lap = laplacian(g, spec, roots)
-    else:
-        lap = _digraph_laplacian(g, roots)
-    det_side = det(lap)
+    det_side = det(laplacian(g, spec, roots))
     tree_side = tree_polynomial(g, roots, spec, cap)
     return Verdict(
         "matrix_tree",
@@ -174,7 +127,8 @@ def matrix_tree_check(g, roots, spec=None, cap=10 ** 6):
 def random_matrix_tree_check(count=200, seed=0, max_vertices=6):
     """Seeded random digraphs with rational weights, each checked exactly.
 
-    Edge density 1/2, no self-loops (they never enter an arborescence and
+    Each instance is an arc graph whose edges carry one label apiece, with
+    edge density 1/2, no self-loops (they never enter an arborescence and
     cancel out of the Laplacian), weights small random rationals, root sets
     random and nonempty.  Returns one Verdict over all instances.
     """
@@ -184,14 +138,18 @@ def random_matrix_tree_check(count=200, seed=0, max_vertices=6):
         n = rng.randint(1, max_vertices)
         vertices = tuple(f"v{j}" for j in range(n))
         edges = []
+        weights = {}
         for src in vertices:
             for dst in vertices:
                 if src != dst and rng.random() < 0.5:
                     w = Fraction(rng.randint(-6, 6), rng.randint(1, 6))
                     if w:
-                        edges.append((src, dst, LaurentPoly.constant(w)))
+                        label = f"e{len(edges)}"
+                        edges.append(GraphEdge(src, dst, label, len(edges)))
+                        weights[label] = LaurentPoly.constant(w)
         roots = tuple(sorted(rng.sample(vertices, rng.randint(1, n))))
-        verdict = matrix_tree_check(Digraph(vertices, tuple(edges)), roots)
+        g = ArcGraph(vertices, tuple(edges), (), ())
+        verdict = matrix_tree_check(g, roots, WeightSpec(weights, None))
         if not verdict.passed:
             failures.append({"instance": i, **verdict.detail})
     return Verdict("matrix_tree_random", not failures,
@@ -205,8 +163,6 @@ def determinant_via_trees(diagram, root_arc=1):
     the knot determinant.  The sign is left to the caller, matching the unit
     ambiguity of the Alexander polynomial.
     """
-    from .arc_graph import alexander_spec
-
     g = build_arc_graph(diagram)
     total = 0
     for arb in enumerate_arborescences(g, (root_arc,), alexander_spec()):

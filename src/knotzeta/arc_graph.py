@@ -76,11 +76,6 @@ class ArcGraph:
                     seen.append(v)
         return tuple(seen)
 
-    @property
-    def internal_vertices(self):
-        ends = set(self.endpoints)
-        return tuple(v for v in self.vertices if v not in ends)
-
     def to_json(self):
         return {"vertices": list(self.vertices),
                 "edges": [e.to_json() for e in self.edges]}
@@ -131,22 +126,21 @@ def build_arc_graph(source):
 
 @dataclass(frozen=True)
 class WeightSpec:
-    """Assignment of the four edge labels to Laurent polynomial weights."""
+    """Edge label -> Laurent polynomial weight, over one coefficient domain.
 
-    t1: LaurentPoly
-    t2: LaurentPoly
-    s1: LaurentPoly
-    s2: LaurentPoly
+    Arc graphs use the four labels T1, T2, S1, S2; any other graph may give
+    every edge its own label.  `modulus` is the domain of the weights (None
+    for the rationals).
+    """
+
+    weights: dict
+    modulus: int | None
 
     def __getitem__(self, label):
         try:
-            return getattr(self, label.lower())
-        except AttributeError:
+            return self.weights[label]
+        except KeyError:
             raise KeyError(f"unknown weight label {label!r}") from None
-
-    @property
-    def modulus(self):
-        return self.t1.modulus
 
 
 def alexander_spec(modulus=None):
@@ -158,13 +152,14 @@ def alexander_spec(modulus=None):
     t = LaurentPoly.t_power(1, modulus)
     t_inv = LaurentPoly.t_power(-1, modulus)
     one = LaurentPoly.one(modulus)
-    return WeightSpec(t, t_inv, one - t, one - t_inv)
+    return WeightSpec({"T1": t, "T2": t_inv, "S1": one - t, "S2": one - t_inv},
+                      modulus)
 
 
 def constant_spec(value=1, modulus=None):
     """All four labels mapped to one constant; weight 1 counts walks."""
     c = LaurentPoly.constant(value, modulus)
-    return WeightSpec(c, c, c, c)
+    return WeightSpec(dict.fromkeys(LABELS, c), modulus)
 
 
 def weighted_edges(g, spec):

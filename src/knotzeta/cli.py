@@ -3,8 +3,9 @@
 Subcommands compute single invariants (alexander, det, tree-poly, zeta,
 twisted) and print one canonical JSON document; `verify` runs named suites
 of consistency checks over the built-in corpus plus any supplied diagram
-files and emits one report per check, ordered by check id regardless of
-scheduling.  Exit codes: 0 success, 2 input error, 3 inconsistency.
+files and emits one report per check, ordered by check id.  Checks run one
+after another and each report carries its own time in `seconds`.  Exit
+codes: 0 success, 2 input error, 3 inconsistency.
 
 Diagram arguments are file paths or names of built-in corpus entries; the
 KNOTZETA_CORPUS environment variable points name lookups at a different
@@ -19,16 +20,15 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
 from .alexander import alexander_polynomial, knot_determinant
-from .arborescence import enumerate_arborescences, matrix_tree_check, \
-    random_matrix_tree_check, tree_polynomial
+from .arborescence import arborescence_weight, enumerate_arborescences, \
+    matrix_tree_check, random_matrix_tree_check, tree_polynomial
 from .arc_graph import alexander_spec, build_arc_graph, tangle_determinant
-from .knot_model import DiagramError, cut, parse_diagram, wirtinger_presentation
+from .knot_model import cut, parse_diagram, wirtinger_presentation
 from .laurent import LaurentPoly, canonicalize, divide_exact
 from .twisted import Representation, column_independence_check, dihedral_rep, \
     fox_colorings, trivial_reduction_check, trivial_representation, \
@@ -130,10 +130,9 @@ def cmd_tree_poly(ns):
     for r in roots:
         if r not in g.vertices:
             raise InputError(f"root {r!r} is not a vertex of the arc graph")
-    spec = alexander_spec()
-    poly = tree_polynomial(g, roots, spec)
-    count = len(enumerate_arborescences(g, roots, spec))
-    emit({"poly": poly.to_json(), "roots": [str(r) for r in roots], "count": count})
+    arbs = enumerate_arborescences(g, roots, alexander_spec())
+    poly = sum(map(arborescence_weight, arbs), LaurentPoly.zero())
+    emit({"poly": poly.to_json(), "roots": [str(r) for r in roots], "count": len(arbs)})
     return EXIT_OK
 
 
@@ -210,6 +209,20 @@ def _skip(check, reason, params=None):
             "params": params or {}}
 
 
+def _stamp(report, start):
+    """Record in the report the seconds elapsed since start."""
+    report["seconds"] = round(time.perf_counter() - start, 3)
+    return report
+
+
+def _timed(check, *args):
+    """A verify job that runs one check and returns its timed report."""
+    def job():
+        start = time.perf_counter()
+        return [_stamp(check(*args), start)]
+    return job
+
+
 def _check_matrix_tree(name, diagram):
     g = build_arc_graph(diagram)
     verdict = matrix_tree_check(g, (diagram.arcs[0],), alexander_spec())
@@ -282,69 +295,69 @@ def _check_twisted_trivial(name, diagram):
 
 
 def _twisted_dihedral_reports(name, diagram, p):
+    """The dihedral reports, each timed on its own; finding the coloring and
+    building the representation are charged to the :rep report."""
+    start = time.perf_counter()
     space = fox_colorings(diagram, p)
     coloring = space.nonconstant()
     base = f"twisted:dihedral:{name}"
     if coloring is None:
-        return [_skip(f"{base}:rep", f"no nonconstant {p}-coloring")]
+        return [_stamp(_skip(f"{base}:rep", f"no nonconstant {p}-coloring"), start)]
     rep = dihedral_rep(diagram, p, coloring)
     params = {"p": p, "field": rep.field, "coloring": list(coloring)}
-    reports = []
     v = verify_representation(wirtinger_presentation(diagram), rep)
-    reports.append(_report(f"{base}:rep", v, params,
-                           lhs="relator images", rhs="identity"))
-    v = twisted_block_identity_check(diagram, rep)
-    reports.append(_report(f"{base}:blocks", v, params,
-                           lhs="I - B", rhs="twisted Fox Jacobian"))
-    v = twisted_row_identity_check(diagram, rep)
-    reports.append(_report(f"{base}:rows", v, params,
-                           lhs="row sums against images", rhs="0"))
-    v = twisted_trace_check(diagram, rep)
-    reports.append(_report(f"{base}:trace", v, {**params, "max_power": 6},
-                           lhs="tr(B^m)", rhs="closed-walk block traces"))
-    v = column_independence_check(diagram, rep)
-    reports.append(_report(f"{base}:columns", v, params,
-                           lhs="cross-multiplied numerators",
-                           rhs="cross-multiplied denominators"))
+    reports = [_stamp(_report(f"{base}:rep", v, params,
+                              lhs="relator images", rhs="identity"), start)]
+    for suffix, check, extra, lhs, rhs in (
+            ("blocks", twisted_block_identity_check, {},
+             "I - B", "twisted Fox Jacobian"),
+            ("rows", twisted_row_identity_check, {},
+             "row sums against images", "0"),
+            ("trace", twisted_trace_check, {"max_power": 6},
+             "tr(B^m)", "closed-walk block traces"),
+            ("columns", column_independence_check, {},
+             "cross-multiplied numerators", "cross-multiplied denominators")):
+        start = time.perf_counter()
+        v = check(diagram, rep)
+        reports.append(_stamp(_report(f"{base}:{suffix}", v, {**params, **extra},
+                                      lhs=lhs, rhs=rhs), start))
     return reports
 
 
 def _suite_jobs(suites, diagrams, extras, ns):
-    """One callable per check; each returns a finished report dict."""
+    """One callable per check; each returns a list of timed report dicts."""
     jobs = []
     seed = ns.seed
     named = list(diagrams) + list(extras)
 
     if "matrix-tree" in suites:
         for name, d in named:
-            jobs.append(lambda n=name, g=d: _check_matrix_tree(n, g))
-        jobs.append(lambda: _check_matrix_tree_random(50, seed))
+            jobs.append(_timed(_check_matrix_tree, name, d))
+        jobs.append(_timed(_check_matrix_tree_random, 50, seed))
     if "triple" in suites:
         for name, d in named:
-            jobs.append(lambda n=name, g=d: _check_triple(n, g))
+            jobs.append(_timed(_check_triple, name, d))
     if "zeta" in suites:
         for name, d in named:
-            jobs.append(lambda n=name, g=d: _check_zeta(n, g))
+            jobs.append(_timed(_check_zeta, name, d))
     if "path-sum" in suites:
         for name, d in named:
             for arc in d.arcs:
-                jobs.append(lambda n=name, g=d, a=arc: _check_path_sum(n, g, a, seed))
+                jobs.append(_timed(_check_path_sum, name, d, arc, seed))
     if "composition" in suites:
         for i, (name1, d1) in enumerate(named):
             for name2, d2 in named[i:]:
-                jobs.append(lambda a=name1, x=d1, b=name2, y=d2:
-                            _check_composition(a, x, b, y))
+                jobs.append(_timed(_check_composition, name1, d1, name2, d2))
     if "cable" in suites:
         cable_named = [(n, d) for n, d in diagrams if n in CABLE_CORPUS] + list(extras)
         orders = (ns.n,) if ns.n else (2, 3)
         samples = (parse_rational(ns.t),) if ns.t else (Fraction(1, 2), Fraction(2, 3))
         for name, d in cable_named:
             for n_order in orders:
-                jobs.append(lambda n=name, g=d, k=n_order, s=samples:
-                            _check_cable(n, g, k, s))
+                jobs.append(_timed(_check_cable, name, d, n_order, samples))
     if "twisted" in suites:
         for name, d in named:
-            jobs.append(lambda n=name, g=d: _check_twisted_trivial(n, g))
+            jobs.append(_timed(_check_twisted_trivial, name, d))
         for name, d in named:
             p = DIHEDRAL_CASES.get(name)
             if p is not None:
@@ -359,19 +372,7 @@ def cmd_verify(ns):
     diagrams = [(name, load_corpus(name)) for name in corpus_names()]
     extras = [resolve_diagram(token) for token in ns.diagrams]
     jobs = _suite_jobs(suites, diagrams, extras, ns)
-
-    def run(job):
-        start = time.perf_counter()
-        out = job()
-        seconds = round(time.perf_counter() - start, 3)
-        reports = out if isinstance(out, list) else [out]
-        for r in reports:
-            r["seconds"] = seconds
-        return reports
-
-    with ThreadPoolExecutor(max_workers=min(8, os.cpu_count() or 1)) as pool:
-        results = [r for batch in pool.map(run, jobs) for r in batch]
-    results.sort(key=lambda r: r["check"])
+    results = sorted((r for job in jobs for r in job()), key=lambda r: r["check"])
 
     failures = sum(r["status"] == "fail" for r in results)
     if ns.json:
@@ -460,10 +461,9 @@ def main(argv=None):
     ns = parser.parse_args(argv)
     try:
         return HANDLERS[ns.command](ns)
-    except (InputError, DiagramError, OSError) as exc:
-        emit({"error": str(exc)})
-        return EXIT_INPUT
-    except ValueError as exc:
+    except (ValueError, OSError, ZeroDivisionError) as exc:
+        # InputError and DiagramError are ValueErrors; a ZeroDivisionError
+        # can only come from a sample point the user chose
         emit({"error": str(exc)})
         return EXIT_INPUT
 

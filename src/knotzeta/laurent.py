@@ -102,12 +102,6 @@ class LaurentPoly:
         z = Fraction(0) if self.modulus is None else 0
         return self._c.get(e, z)
 
-    def is_monomial(self):
-        return len(self._c) == 1
-
-    def exponent_span(self):
-        return 0 if not self._c else self.max_exp() - self.min_exp()
-
     # -- arithmetic --------------------------------------------------------
 
     def _check(self, other):
@@ -555,9 +549,6 @@ class RingMatrix:
     def minor_matrix(self, i, j):
         return self.delete(rows=(i,), cols=(j,))
 
-    def map_entries(self, f):
-        return RingMatrix([[f(a) for a in row] for row in self.entries], self.modulus, cols=self.cols)
-
     def evaluate(self, t0):
         """Entrywise exact evaluation at a rational point."""
         return [[a.evaluate(t0) for a in row] for row in self.entries]
@@ -627,19 +618,10 @@ def _det_bareiss(mat):
     return -d if sign < 0 else d
 
 
-def det(mat, method=None):
-    """Exact determinant; cofactor expansion below 5x5, Bareiss elimination above.
-
-    method forces one algorithm: "cofactor" or "bareiss".
-    """
+def det(mat):
+    """Exact determinant; cofactor expansion below 5x5, Bareiss elimination above."""
     if mat.rows != mat.cols:
         raise ValueError("determinant needs a square matrix")
-    if method == "cofactor":
-        return det_cofactor(mat)
-    if method == "bareiss":
-        return _det_bareiss(mat)
-    if method is not None:
-        raise ValueError(f"unknown determinant method {method!r}")
     if mat.rows < 5:
         return det_cofactor(mat)
     return _det_bareiss(mat)

@@ -436,6 +436,8 @@ def twisted_weight_graph(diagram, rep):
     components contribute zero rows.  Setting t = 1 and the representation
     trivial recovers the plain walk matrix.
     """
+    # validation only: rejects diagrams with two edges on one ordered pair,
+    # whose blocks would otherwise be summed silently below
     build_arc_graph(diagram)
     n = diagram.n_arcs
     m = rep.dim

@@ -169,6 +169,18 @@ def spectral_estimate(g, spec, t0, power=16):
     return norm ** (1.0 / power)
 
 
+def _warn_if_divergent(estimate, t0):
+    """Warn when the estimate predicts divergence.
+
+    Called directly from a public function, so stacklevel 3 names that
+    function's caller.
+    """
+    if estimate >= 1.0:
+        warnings.warn(
+            f"spectral estimate {estimate:.3f} at t={t0}: Euler product will not converge",
+            ConvergenceWarning, stacklevel=3)
+
+
 def zeta_partial_product(g, spec, t0, max_len, max_primes=10 ** 6, as_float=False):
     """The truncated Euler product over primes of length <= max_len at t = t0.
 
@@ -180,11 +192,12 @@ def zeta_partial_product(g, spec, t0, max_len, max_primes=10 ** 6, as_float=Fals
     defined.
     """
     t0 = Fraction(t0)
-    estimate = spectral_estimate(g, spec, t0)
-    if estimate >= 1.0:
-        warnings.warn(
-            f"spectral estimate {estimate:.3f} at t={t0}: Euler product will not converge",
-            ConvergenceWarning, stacklevel=2)
+    _warn_if_divergent(spectral_estimate(g, spec, t0), t0)
+    return _euler_product(g, spec, t0, max_len, max_primes, as_float)
+
+
+def _euler_product(g, spec, t0, max_len, max_primes, as_float):
+    """zeta_partial_product without the convergence estimate."""
     primes = prime_cycles(g, max_len, max_primes)
     # per-edge rational weights beat building each cycle's polynomial first
     label_weight = {label: spec[label].evaluate(t0) for label in
@@ -246,7 +259,8 @@ _T0_CANDIDATES = (Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(3, 4)
 
 
 def _plan_horizon(g, spec, tol, t0=None, max_len_cap=40, budget=4 * 10 ** 6):
-    """Pick (t0, max_len) so the estimated Euler tail drops below tol affordably.
+    """Pick (t0, max_len, estimate at t0) so the estimated Euler tail drops
+    below tol affordably.
 
     The tail of log zeta past length L is at most sum_{m>L} tr(|W|^m)/m,
     approximated through the power-norm estimate r by
@@ -264,7 +278,7 @@ def _plan_horizon(g, spec, tol, t0=None, max_len_cap=40, budget=4 * 10 ** 6):
             tail = n * r ** (horizon + 1) / ((horizon + 1) * (1 - r))
             if tail <= tol / 2:
                 if _walk_budget(g, horizon) <= budget:
-                    return t0, horizon
+                    return t0, horizon, r
                 break
     return None
 
@@ -283,18 +297,20 @@ def determinant_formula_check(g, spec, t0=None, max_len=None, tol=1e-6):
             return Verdict("determinant_formula", False,
                            {"reason": "no sample point with a convergent, affordable horizon",
                             "trace": trace_verdict.to_json()})
-        t0 = t0 if t0 is not None else plan[0]
-        max_len = max_len if max_len is not None else plan[1]
-    t0 = Fraction(t0)
+        t0, planned_len, estimate = plan
+        max_len = max_len if max_len is not None else planned_len
+    else:
+        t0 = Fraction(t0)
+        estimate = spectral_estimate(g, spec, t0)
     det_value = tangle_determinant(g, spec).evaluate(t0)
     if det_value == 0:
         raise ZeroDivisionError("det(I - W) vanishes at the sample point")
     target = 1 / det_value
-    estimate = spectral_estimate(g, spec, t0)
+    _warn_if_divergent(estimate, t0)
     # on a divergent product the exact rationals grow without bound, so the
     # truncation is evaluated in log space instead; it cannot pass anyway
     divergent = estimate >= 0.999
-    partial = zeta_partial_product(g, spec, t0, max_len, as_float=divergent)
+    partial = _euler_product(g, spec, t0, max_len, max_primes=10 ** 6, as_float=divergent)
     if divergent:
         gap = abs(partial - float(target))
     else:

@@ -5,10 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from knotzeta.arborescence import Arborescence, Digraph, \
-    arborescence_weight, determinant_via_trees, enumerate_arborescences, \
-    matrix_tree_check, random_matrix_tree_check, tree_polynomial
-from knotzeta.arc_graph import alexander_spec, build_arc_graph, laplacian
+from knotzeta.arborescence import Arborescence, arborescence_weight, \
+    determinant_via_trees, enumerate_arborescences, matrix_tree_check, \
+    random_matrix_tree_check, tree_polynomial
+from knotzeta.arc_graph import ArcGraph, GraphEdge, WeightSpec, \
+    alexander_spec, build_arc_graph, laplacian
 from knotzeta.knot_model import DiagramError
 from knotzeta.laurent import LaurentPoly, canonicalize, det
 
@@ -17,60 +18,76 @@ def C(v):
     return LaurentPoly({0: Fraction(v)})
 
 
+def weighted(vertices, edges):
+    """An arc graph with one label per (src, dst, weight) edge, and its spec."""
+    graph_edges = tuple(GraphEdge(s, d, f"e{k}", k) for k, (s, d, _) in enumerate(edges))
+    spec = WeightSpec({f"e{k}": C(w) for k, (_, _, w) in enumerate(edges)}, None)
+    return ArcGraph(tuple(vertices), graph_edges, (), ()), spec
+
+
 def triangle():
     # a -> b -> c -> a plus chords, all weight 1
-    edges = tuple((s, d, C(1)) for s, d in
-                  (("a", "b"), ("b", "c"), ("c", "a"), ("a", "c")))
-    return Digraph(("a", "b", "c"), edges)
+    return weighted(("a", "b", "c"), [(s, d, 1) for s, d in
+                                      (("a", "b"), ("b", "c"), ("c", "a"), ("a", "c"))])
 
 
 def test_unweighted_triangle_counts():
-    arbs = enumerate_arborescences(triangle(), ("a",))
-    # b must use b->c is false: b has one out-edge b->c; c-> a only; so
-    # a single arborescence remains
+    g, spec = triangle()
+    arbs = enumerate_arborescences(g, ("a",), spec)
+    # b has the one out-edge b->c and c only c->a, so a single
+    # arborescence remains
     assert len(arbs) == 1
     assert isinstance(arbs[0], Arborescence)
-    assert tree_polynomial(triangle(), ("a",)).coeffs == {0: 1}
+    assert tree_polynomial(g, ("a",), spec).coeffs == {0: 1}
 
 
 def test_every_nonroot_picks_one_edge():
-    for arb in enumerate_arborescences(triangle(), ("c",)):
+    g, spec = triangle()
+    for arb in enumerate_arborescences(g, ("c",), spec):
         sources = [e[0] for e in arb.edges]
         assert sorted(sources) == ["a", "b"]
 
 
 def test_roots_keep_no_out_edges():
-    arbs = enumerate_arborescences(triangle(), ("a", "b"))
+    g, spec = triangle()
+    arbs = enumerate_arborescences(g, ("a", "b"), spec)
     for arb in arbs:
         assert all(e[0] not in ("a", "b") for e in arb.edges)
 
 
 def test_unknown_root_rejected():
+    g, spec = triangle()
     with pytest.raises(DiagramError):
-        enumerate_arborescences(triangle(), ("z",))
+        enumerate_arborescences(g, ("z",), spec)
+    with pytest.raises(DiagramError):
+        matrix_tree_check(g, ("z",), spec)
     with pytest.raises(ValueError):
-        enumerate_arborescences(triangle(), ())
+        enumerate_arborescences(g, (), spec)
 
 
 def test_matrix_tree_on_triangle():
-    v = matrix_tree_check(triangle(), ("a",))
+    g, spec = triangle()
+    v = matrix_tree_check(g, ("a",), spec)
     assert v.passed
     assert v.detail["determinant"] == v.detail["tree_sum"]
 
 
 def test_weighted_two_vertex_graph():
     # two parallel routes: det of the 1x1 Laplacian is the sum of weights
-    g = Digraph(("r", "x"), (("x", "r", C(Fraction(2, 3))), ("r", "x", C(5))))
-    poly = tree_polynomial(g, ("r",))
+    g, spec = weighted(("r", "x"), [("x", "r", Fraction(2, 3)), ("r", "x", 5)])
+    poly = tree_polynomial(g, ("r",), spec)
     assert poly.coeffs == {0: Fraction(2, 3)}
-    assert matrix_tree_check(g, ("r",)).passed
+    assert matrix_tree_check(g, ("r",), spec).passed
 
 
 def test_self_loops_never_chosen():
-    g = Digraph(("r", "x"), (("x", "x", C(7)), ("x", "r", C(1))))
-    arbs = enumerate_arborescences(g, ("r",))
+    g, spec = weighted(("r", "x"), [("x", "x", 7), ("x", "r", 1)])
+    arbs = enumerate_arborescences(g, ("r",), spec)
     assert len(arbs) == 1
     assert arbs[0].edges[0][1] == "r"
+    # the loop's weight cancels out of the Laplacian as well
+    assert det(laplacian(g, spec, ("r",))).coeffs == {0: 1}
+    assert matrix_tree_check(g, ("r",), spec).passed
 
 
 def test_trefoil_arc_graph_arborescences(trefoil):
@@ -100,18 +117,17 @@ def test_matrix_tree_check_across_corpus_roots(corpus):
 
 
 def test_arborescence_weight_multiplies():
-    g = Digraph(("r", "x", "y"),
-                (("x", "r", C(2)), ("y", "x", C(Fraction(1, 2)))))
-    arbs = enumerate_arborescences(g, ("r",))
+    g, spec = weighted(("r", "x", "y"), [("x", "r", 2), ("y", "x", Fraction(1, 2))])
+    arbs = enumerate_arborescences(g, ("r",), spec)
     assert len(arbs) == 1
     assert arborescence_weight(arbs[0]).coeffs == {0: 1}
 
 
 def test_cap_guards_explosions():
     vs = tuple(range(6))
-    edges = tuple((i, j, C(1)) for i in vs for j in vs if i != j)
+    g, spec = weighted(vs, [(i, j, 1) for i in vs for j in vs if i != j])
     with pytest.raises(RuntimeError):
-        enumerate_arborescences(Digraph(vs, edges), (0,), cap=10)
+        enumerate_arborescences(g, (0,), spec, cap=10)
 
 
 def test_determinant_via_trees_matches_knot_determinant(corpus):

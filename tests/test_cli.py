@@ -2,15 +2,19 @@
 
 import io
 import json
+import re
 import subprocess
 import sys
+import time
 from contextlib import redirect_stdout
 from importlib import resources
+from pathlib import Path
 
 import pytest
 from jsonschema import Draft202012Validator
 from referencing import Registry, Resource
 
+from knotzeta import cli
 from knotzeta.cli import EXIT_INCONSISTENT, EXIT_INPUT, EXIT_OK, main
 from knotzeta.knot_model import render_diagram
 
@@ -192,6 +196,12 @@ def test_unparsable_file_is_input_error(tmp_path):
     assert obj["error"].startswith("line 1")
 
 
+def test_zero_sample_point_is_input_error(validators):
+    code, obj = run_json("zeta", "figure8", "--check", "euler", "--t", "0")
+    assert code == EXIT_INPUT
+    validators["error"].validate(obj)
+
+
 def test_diagram_file_path_resolution(tmp_path, trefoil):
     path = tmp_path / "local.knot"
     path.write_text(render_diagram(trefoil))
@@ -254,6 +264,40 @@ def test_verify_reports_deterministic_modulo_seconds():
             r.pop("seconds")
         return reports
     assert normalized() == normalized()
+
+
+def test_verify_seconds_are_per_check(monkeypatch):
+    trace_check = cli.twisted_trace_check
+
+    def slow_trace_check(*args, **kwargs):
+        time.sleep(0.2)
+        return trace_check(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "twisted_trace_check", slow_trace_check)
+    code, out = run("verify", "twisted", "--json")
+    assert code == EXIT_OK
+    seconds = {r["check"]: r["seconds"] for r in map(json.loads, out.splitlines())}
+    assert seconds["twisted:dihedral:trefoil:trace"] >= 0.2
+    assert seconds["twisted:dihedral:trefoil:rep"] < 0.2
+
+
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / \
+    "verify-seed0.jsonl"
+
+
+@pytest.mark.parametrize("suite", ["matrix-tree", "triple", "path-sum",
+                                   "composition", "cable", "twisted"])
+def test_verify_matches_reference_output(suite):
+    # zeta is left to acceptance criterion 10, which runs `verify all`
+    reference = {json.loads(line)["check"]: line
+                 for line in REFERENCE.read_text().splitlines()}
+    code, out = run("verify", suite, "--seed", "0", "--json")
+    assert code == EXIT_OK
+    lines = {json.loads(line)["check"]: re.sub(r',"seconds":[-+.0-9eE]+', "", line)
+             for line in out.splitlines()}
+    assert sorted(lines) == sorted(c for c in reference if c.startswith(suite + ":"))
+    for check, line in lines.items():
+        assert line == reference[check], check
 
 
 def test_module_entry_point():

@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 
 from knotzeta.laurent import CanonicalPoly, CoefficientError, LaurentPoly, \
-    PolyFraction, RingMatrix, canonicalize, det, div_exact, divide_exact, \
-    poly_divmod, poly_gcd, rational_det, rational_solve
+    PolyFraction, RingMatrix, _det_bareiss, canonicalize, det, det_cofactor, \
+    div_exact, divide_exact, poly_divmod, poly_gcd, rational_det, rational_solve
 
 
 def P(coeffs, modulus=None):
@@ -223,7 +223,7 @@ def test_det_methods_agree_on_random_rational_matrices():
         rows = [[P({0: Fraction(rng.randint(-5, 5), rng.randint(1, 4))})
                  for _ in range(n)] for _ in range(n)]
         m = RingMatrix(rows)
-        assert det(m, method="cofactor") == det(m, method="bareiss")
+        assert det_cofactor(m) == _det_bareiss(m)
 
 
 def test_det_methods_agree_on_random_laurent_matrices():
@@ -233,7 +233,7 @@ def test_det_methods_agree_on_random_laurent_matrices():
         rows = [[P({rng.randint(-2, 2): rng.randint(-3, 3)}) for _ in range(n)]
                 for _ in range(n)]
         m = RingMatrix(rows)
-        assert det(m, method="cofactor") == det(m, method="bareiss")
+        assert det_cofactor(m) == _det_bareiss(m)
 
 
 def test_det_matches_rational_det_after_evaluation():
@@ -245,11 +245,6 @@ def test_det_matches_rational_det_after_evaluation():
         m = RingMatrix(rows)
         t0 = Fraction(rng.randint(1, 9), rng.randint(1, 4))
         assert det(m).evaluate(t0) == rational_det(m.evaluate(t0))
-
-
-def test_det_unknown_method_rejected():
-    with pytest.raises(ValueError):
-        det(M([[1]]), method="laplace")
 
 
 def test_det_modular():

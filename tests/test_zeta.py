@@ -8,6 +8,7 @@ import pytest
 
 from knotzeta.arc_graph import alexander_spec, build_arc_graph, \
     tangle_determinant
+from knotzeta import zeta
 from knotzeta.knot_model import cut
 from knotzeta.zeta import ConvergenceWarning, cabling_check, closed_walks, \
     composition_check, cycle_weight, determinant_formula_check, path_sum_check, \
@@ -152,6 +153,36 @@ def test_determinant_formula_divergent_point_fails_honestly(fig8_cut):
                                       t0=Fraction(1, 10), max_len=6)
     assert not v.passed
     assert v.detail["spectral_estimate"] > 1
+
+
+def test_spectral_estimate_once_per_point(fig8_cut, monkeypatch):
+    calls = []
+    estimate = zeta.spectral_estimate
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return estimate(*args, **kwargs)
+
+    monkeypatch.setattr(zeta, "spectral_estimate", counted)
+    spec = alexander_spec()
+    # the planner tries 1/2 .. 9/10 and keeps the last; the check reuses it
+    assert determinant_formula_check(fig8_cut, spec).passed
+    assert len(calls) == 7 and len(set(calls)) == 7
+    calls.clear()
+    determinant_formula_check(fig8_cut, spec, t0=Fraction(9, 10), max_len=6)
+    assert calls == [Fraction(9, 10)]
+
+
+def test_convergence_warning_names_the_caller(fig8_cut):
+    spec = alexander_spec()
+    far = Fraction(1, 10)
+    for call in (lambda: determinant_formula_check(fig8_cut, spec, t0=far, max_len=6),
+                 lambda: zeta_partial_product(fig8_cut, spec, far, 6)):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            call()
+        [w] = [w for w in caught if w.category is ConvergenceWarning]
+        assert w.filename == __file__
 
 
 def test_sample_points_deterministic():
