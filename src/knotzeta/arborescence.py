@@ -40,13 +40,16 @@ class Arborescence:
     jumps: int
 
 
-def enumerate_arborescences(g, roots, spec, cap=10 ** 6):
+MAX_ARBORESCENCES = 10 ** 6
+
+
+def enumerate_arborescences(g, roots, spec):
     """All arborescences of g with the given nonempty root set.
 
     Backtracking over out-edge choices in vertex order, with incremental
     cycle rejection; output order is lexicographic in the chosen edges.
-    Raises RuntimeError beyond `cap` results: enumeration is the exponential
-    oracle side of matrix-tree, not the fast path.
+    Raises RuntimeError beyond MAX_ARBORESCENCES results: enumeration is the
+    exponential oracle side of matrix-tree, not the fast path.
     """
     vertices = g.vertices
     index = {v: i for i, v in enumerate(vertices)}
@@ -82,8 +85,8 @@ def enumerate_arborescences(g, roots, spec, cap=10 ** 6):
             alpha = sum(1 for e in picked if e[3].startswith("T"))
             beta = sum(1 for e in picked if e[3].startswith("S"))
             found.append(Arborescence(roots, picked, alpha, beta))
-            if len(found) > cap:
-                raise RuntimeError(f"more than {cap} arborescences; raise the cap")
+            if len(found) > MAX_ARBORESCENCES:
+                raise RuntimeError(f"more than {MAX_ARBORESCENCES} arborescences")
             return
         v = nonroots[i]
         for _, _, edge in out[v]:
@@ -104,18 +107,18 @@ def arborescence_weight(arb, modulus=None):
     return w
 
 
-def tree_polynomial(g, roots, spec, cap=10 ** 6):
+def tree_polynomial(g, roots, spec):
     """Sum of edge-weight products over all arborescences, exact."""
     total = LaurentPoly.zero(spec.modulus)
-    for arb in enumerate_arborescences(g, roots, spec, cap):
+    for arb in enumerate_arborescences(g, roots, spec):
         total = total + arborescence_weight(arb, spec.modulus)
     return total
 
 
-def matrix_tree_check(g, roots, spec, cap=10 ** 6):
+def matrix_tree_check(g, roots, spec):
     """Compare det(Laplacian minor) against the enumerated tree polynomial."""
     det_side = det(laplacian(g, spec, roots))
-    tree_side = tree_polynomial(g, roots, spec, cap)
+    tree_side = tree_polynomial(g, roots, spec)
     return Verdict(
         "matrix_tree",
         det_side == tree_side,

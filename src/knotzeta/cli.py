@@ -16,6 +16,7 @@ convergence reporting.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -30,12 +31,12 @@ from .arborescence import arborescence_weight, enumerate_arborescences, \
 from .arc_graph import alexander_spec, build_arc_graph, tangle_determinant
 from .knot_model import cut, parse_diagram, wirtinger_presentation
 from .laurent import LaurentPoly, canonicalize, divide_exact
-from .twisted import Representation, column_independence_check, dihedral_rep, \
-    fox_colorings, trivial_reduction_check, trivial_representation, \
+from .twisted import TRIVIAL_FIELD, Representation, column_independence_check, \
+    dihedral_rep, fox_colorings, trivial_reduction_check, trivial_representation, \
     twisted_alexander_polynomial, twisted_block_identity_check, \
     twisted_row_identity_check, twisted_trace_check, verify_representation
-from .zeta import cabling_check, composition_check, determinant_formula_check, \
-    path_sum_check, trace_identity_check
+from .zeta import CABLE_SAMPLES, cabling_check, composition_check, \
+    determinant_formula_check, path_sum_check, trace_identity_check
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -152,7 +153,7 @@ def cmd_zeta(ns):
     elif ns.check == "composition":
         verdict = composition_check(tangle, tangle)
     else:
-        samples = (t0,) if t0 is not None else (Fraction(1, 2), Fraction(2, 3))
+        samples = (t0,) if t0 is not None else CABLE_SAMPLES
         verdict = cabling_check(tangle, ns.n or 2, samples)
     emit(verdict.to_json())
     return EXIT_OK if verdict.passed else EXIT_INCONSISTENT
@@ -256,9 +257,9 @@ def _check_triple(name, diagram):
                         "walks": verdict.detail["walks"]})
 
 
-def _check_zeta(name, diagram, tol=1e-6):
+def _check_zeta(name, diagram):
     g = build_arc_graph(cut(diagram, [diagram.arcs[0]]))
-    verdict = determinant_formula_check(g, alexander_spec(), tol=tol)
+    verdict = determinant_formula_check(g, alexander_spec())
     params = {k: verdict.detail.get(k) for k in ("t0", "max_len", "tolerance")}
     return _report(f"zeta:{name}", verdict, params,
                    lhs=verdict.detail.get("partial_product"),
@@ -290,7 +291,7 @@ def _check_cable(name, diagram, n, samples):
 
 def _check_twisted_trivial(name, diagram):
     verdict = trivial_reduction_check(diagram)
-    return _report(f"twisted:trivial:{name}", verdict, {"field": 101},
+    return _report(f"twisted:trivial:{name}", verdict, {"field": TRIVIAL_FIELD},
                    lhs=verdict.detail["cross_lhs"], rhs=verdict.detail["cross_rhs"])
 
 
@@ -308,17 +309,18 @@ def _twisted_dihedral_reports(name, diagram, p):
     v = verify_representation(wirtinger_presentation(diagram), rep)
     reports = [_stamp(_report(f"{base}:rep", v, params,
                               lhs="relator images", rhs="identity"), start)]
-    for suffix, check, extra, lhs, rhs in (
-            ("blocks", twisted_block_identity_check, {},
+    for suffix, check, detail_keys, lhs, rhs in (
+            ("blocks", twisted_block_identity_check, (),
              "I - B", "twisted Fox Jacobian"),
-            ("rows", twisted_row_identity_check, {},
+            ("rows", twisted_row_identity_check, (),
              "row sums against images", "0"),
-            ("trace", twisted_trace_check, {"max_power": 6},
+            ("trace", twisted_trace_check, ("max_power",),
              "tr(B^m)", "closed-walk block traces"),
-            ("columns", column_independence_check, {},
+            ("columns", column_independence_check, (),
              "cross-multiplied numerators", "cross-multiplied denominators")):
         start = time.perf_counter()
         v = check(diagram, rep)
+        extra = {k: v.detail[k] for k in detail_keys}
         reports.append(_stamp(_report(f"{base}:{suffix}", v, {**params, **extra},
                                       lhs=lhs, rhs=rhs), start))
     return reports
@@ -351,7 +353,7 @@ def _suite_jobs(suites, diagrams, extras, ns):
     if "cable" in suites:
         cable_named = [(n, d) for n, d in diagrams if n in CABLE_CORPUS] + list(extras)
         orders = (ns.n,) if ns.n else (2, 3)
-        samples = (parse_rational(ns.t),) if ns.t else (Fraction(1, 2), Fraction(2, 3))
+        samples = (parse_rational(ns.t),) if ns.t else CABLE_SAMPLES
         for name, d in cable_named:
             for n_order in orders:
                 jobs.append(_timed(_check_cable, name, d, n_order, samples))
@@ -361,7 +363,7 @@ def _suite_jobs(suites, diagrams, extras, ns):
         for name, d in named:
             p = DIHEDRAL_CASES.get(name)
             if p is not None:
-                jobs.append(lambda n=name, g=d, q=p: _twisted_dihedral_reports(n, g, q))
+                jobs.append(functools.partial(_twisted_dihedral_reports, name, d, p))
     return jobs
 
 
@@ -461,9 +463,10 @@ def main(argv=None):
     ns = parser.parse_args(argv)
     try:
         return HANDLERS[ns.command](ns)
-    except (ValueError, OSError, ZeroDivisionError) as exc:
+    except (ValueError, OSError, ZeroDivisionError, RuntimeError) as exc:
         # InputError and DiagramError are ValueErrors; a ZeroDivisionError
-        # can only come from a sample point the user chose
+        # can only come from a sample point the user chose, and a
+        # RuntimeError from an enumeration cap that the input exceeds
         emit({"error": str(exc)})
         return EXIT_INPUT
 

@@ -419,16 +419,10 @@ def close_tangle(tangle):
     return KnotDiagram(len(labels), renum)
 
 
-def connected_sum(d1, d2, arc1=None, arc2=None):
-    """Connected sum of two diagrams, spliced at the chosen arcs.
-
-    By default each diagram is opened along its highest-numbered arc.
-    """
-    if arc1 is None:
-        arc1 = d1.n_arcs
-    if arc2 is None:
-        arc2 = d2.n_arcs
-    return close_tangle(compose_tangles(cut(d1, [arc1]), cut(d2, [arc2])))
+def connected_sum(d1, d2):
+    """Connected sum of two diagrams, each opened along its highest-numbered
+    arc."""
+    return close_tangle(compose_tangles(cut(d1, [d1.n_arcs]), cut(d2, [d2.n_arcs])))
 
 
 def cable(tangle, n):

@@ -51,21 +51,34 @@ def _mat_identity(m):
     return tuple(tuple(1 if i == j else 0 for j in range(m)) for i in range(m))
 
 
-def _mat_inverse(a, q):
-    """Inverse mod q by Gauss-Jordan elimination, or None when singular."""
-    m = len(a)
-    work = [list(row) + list(ident) for row, ident in zip(a, _mat_identity(m))]
-    for c in range(m):
-        pivot = next((r for r in range(c, m) if work[r][c] % q), None)
+def _row_reduce(rows, n_cols, q):
+    """(reduced row echelon form mod q, pivot columns) by Gauss-Jordan
+    elimination, with pivots sought in the first n_cols columns only."""
+    mat = [[x % q for x in row] for row in rows]
+    pivots = []
+    for c in range(n_cols):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(mat)) if mat[i][c]), None)
         if pivot is None:
-            return None
-        work[c], work[pivot] = work[pivot], work[c]
-        inv = pow(work[c][c], q - 2, q)
-        work[c] = [(x * inv) % q for x in work[c]]
-        for r in range(m):
-            if r != c and work[r][c]:
-                f = work[r][c]
-                work[r] = [(x - f * y) % q for x, y in zip(work[r], work[c])]
+            continue
+        mat[r], mat[pivot] = mat[pivot], mat[r]
+        inv = pow(mat[r][c], q - 2, q)
+        mat[r] = [(x * inv) % q for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c]:
+                f = mat[i][c]
+                mat[i] = [(x - f * y) % q for x, y in zip(mat[i], mat[r])]
+        pivots.append(c)
+    return mat, pivots
+
+
+def _mat_inverse(a, q):
+    """Inverse mod q, or None when singular."""
+    m = len(a)
+    work, pivots = _row_reduce(
+        [list(row) + list(ident) for row, ident in zip(a, _mat_identity(m))], m, q)
+    if len(pivots) < m:
+        return None
     return tuple(tuple(row[m:]) for row in work)
 
 
@@ -130,7 +143,11 @@ class Representation:
         return out
 
 
-def trivial_representation(generators, field=101):
+# field of the trivial representation unless the caller chooses another
+TRIVIAL_FIELD = 101
+
+
+def trivial_representation(generators, field=TRIVIAL_FIELD):
     """Every generator maps to 1 in F_field; twisting by it changes nothing."""
     return Representation(field, {g: ((1,),) for g in generators})
 
@@ -174,13 +191,11 @@ class ColoringSpace:
             yield tuple(vec)
 
     def nonconstant(self):
-        """Some coloring using at least two colors, or None."""
+        """Some coloring using at least two colors, or None.  The constants
+        span one dimension, so if one exists, a basis vector is one."""
         for b in self.basis:
             if len(set(b)) > 1:
                 return b
-        for v in self.vectors():
-            if len(set(v)) > 1:
-                return v
         return None
 
 
@@ -206,24 +221,7 @@ def fox_colorings(diagram, p):
 
 
 def _nullspace_mod(rows, n_cols, p):
-    mat = [list(row) for row in rows]
-    pivots = []
-    r = 0
-    for c in range(n_cols):
-        pivot = next((i for i in range(r, len(mat)) if mat[i][c] % p), None)
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = pow(mat[r][c], p - 2, p)
-        mat[r] = [(x * inv) % p for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] % p:
-                f = mat[i][c]
-                mat[i] = [(a - f * b) % p for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
+    mat, pivots = _row_reduce(rows, n_cols, p)
     basis = []
     for free in range(n_cols):
         if free in pivots:
@@ -331,13 +329,11 @@ def twisted_alexander_matrix(presentation, rep):
     return RingMatrix.from_blocks(blocks)
 
 
-def drop_relator(presentation, index=-1):
-    """The presentation with one relator removed (the last, by default)."""
-    relators = list(presentation.relators)
-    if not relators:
+def drop_relator(presentation):
+    """The presentation with its last relator removed."""
+    if not presentation.relators:
         raise DiagramError("no relator to drop")
-    del relators[index]
-    return Presentation(presentation.generators, tuple(relators))
+    return Presentation(presentation.generators, presentation.relators[:-1])
 
 
 @dataclass(frozen=True)
@@ -370,43 +366,41 @@ def _denominator_matrix(rep, gen):
     return twisted_image(rep, ((gen, 1),)) - RingMatrix.identity(rep.dim, rep.field)
 
 
-def twisted_alexander_polynomial(diagram, rep, column=None, drop=-1):
-    """Determinant quotient of the reduced twisted Jacobian.
+def _twisted_quotients(diagram, rep):
+    """Yield (k, quotient) for each admissible column k, in generator order.
 
-    Drop one relator, delete the block column of an arc k whose denominator
-    det(t rho(x_k) - I) is nonzero, and divide the two determinants.  The
-    result is independent of the choices up to units; column selection takes
-    the first admissible k unless one is forced.
+    Drop the last relator, delete the block column of an arc k whose
+    denominator det(t rho(x_k) - I) is nonzero, and divide the two
+    determinants.  The relators are verified and the reduced Jacobian is
+    built once, before the first quotient.
     """
     pres = wirtinger_presentation(diagram)
     check = verify_representation(pres, rep)
     if not check.passed:
         raise DiagramError(f"images do not satisfy the crossing relations: {check.detail}")
-    reduced = drop_relator(pres, drop) if pres.relators else pres
+    reduced = drop_relator(pres) if pres.relators else pres
     full = twisted_alexander_matrix(reduced, rep) if reduced.relators else None
     m = rep.dim
-    candidates = (column,) if column is not None else pres.generators
-    for k in candidates:
+    for pos, k in enumerate(pres.generators):
         den = det(_denominator_matrix(rep, k))
         if den.is_zero():
-            if column is not None:
-                raise DiagramError(f"denominator for column {k} vanishes")
             continue
         if full is None:
             num = LaurentPoly.one(rep.field)
         else:
-            pos = pres.generators.index(k)
-            kept = full.delete(cols=tuple(range(pos * m, (pos + 1) * m)))
-            num = det(kept)
-        return TwistedPolynomial(divide_exact(num, den), k, rep.field, m)
+            num = det(full.delete(cols=tuple(range(pos * m, (pos + 1) * m))))
+        yield k, divide_exact(num, den)
+
+
+def twisted_alexander_polynomial(diagram, rep):
+    """Determinant quotient of the reduced twisted Jacobian at the first
+    admissible column; up to units, every column gives the same quotient."""
+    for k, fraction in _twisted_quotients(diagram, rep):
+        return TwistedPolynomial(fraction, k, rep.field, rep.dim)
     raise DiagramError("every column denominator vanishes")
 
 
 # -- block weight matrix and its consistency checks ---------------------------
-
-
-def _word(*letters):
-    return tuple(letters)
 
 
 def _crossing_blocks(rep, crossing):
@@ -418,13 +412,13 @@ def _crossing_blocks(rep, crossing):
     """
     i, j, k = crossing.under_in, crossing.over, crossing.under_out
     if crossing.sign > 0:
-        under = twisted_image(rep, _word((i, 1), (j, 1), (k, -1)))
-        jump = twisted_image(rep, _word((i, 1), (j, 1), (k, -1), (j, -1))) \
-            - twisted_image(rep, _word((i, 1)))
+        under = twisted_image(rep, ((i, 1), (j, 1), (k, -1)))
+        jump = twisted_image(rep, ((i, 1), (j, 1), (k, -1), (j, -1))) \
+            - twisted_image(rep, ((i, 1),))
     else:
-        under = twisted_image(rep, _word((i, 1), (j, -1), (k, -1)))
-        jump = twisted_image(rep, _word((i, 1), (j, -1))) \
-            - twisted_image(rep, _word((i, 1), (j, -1), (k, -1)))
+        under = twisted_image(rep, ((i, 1), (j, -1), (k, -1)))
+        jump = twisted_image(rep, ((i, 1), (j, -1))) \
+            - twisted_image(rep, ((i, 1), (j, -1), (k, -1)))
     return under, jump
 
 
@@ -535,17 +529,17 @@ def twisted_trace_check(diagram, rep, max_power=6):
 # -- cross-checks against the untwisted theory --------------------------------
 
 
-def trivial_reduction_check(diagram, field=101):
+def trivial_reduction_check(diagram):
     """Twisting by the trivial representation divides the Alexander
-    polynomial by t - 1, as reduced fractions over F_field.
+    polynomial by t - 1, as reduced fractions over F_TRIVIAL_FIELD.
 
     Compared by cross-multiplying canonical forms, which removes the unit
     ambiguity on both sides.
     """
-    rep = trivial_representation(tuple(diagram.arcs), field)
+    rep = trivial_representation(tuple(diagram.arcs))
     tw = twisted_alexander_polynomial(diagram, rep)
-    plain = alexander_minor(diagram, modulus=field)
-    t_minus_1 = LaurentPoly({1: 1, 0: -1}, field)
+    plain = alexander_minor(diagram, modulus=TRIVIAL_FIELD)
+    t_minus_1 = LaurentPoly({1: 1, 0: -1}, TRIVIAL_FIELD)
     lhs = canonicalize(tw.fraction.numerator * t_minus_1).poly
     rhs = canonicalize(plain * tw.fraction.denominator).poly
     return Verdict("trivial_reduction", lhs == rhs,
@@ -560,14 +554,7 @@ def column_independence_check(diagram, rep):
     Checked by cross-multiplying numerators and denominators pairwise and
     comparing canonical forms.
     """
-    pres = wirtinger_presentation(diagram)
-    results = []
-    for k in pres.generators:
-        den = det(_denominator_matrix(rep, k))
-        if den.is_zero():
-            continue
-        tw = twisted_alexander_polynomial(diagram, rep, column=k)
-        results.append((k, tw.fraction))
+    results = list(_twisted_quotients(diagram, rep))
     failures = []
     for (k1, f1), (k2, f2) in itertools.combinations(results, 2):
         left = canonicalize(f1.numerator * f2.denominator).poly

@@ -30,6 +30,12 @@ class ConvergenceWarning(UserWarning):
     """Signals that a truncated Euler product is not expected to converge."""
 
 
+MAX_PRIMES = 10 ** 6
+# spectral estimates at or above this predict a divergent Euler product; the
+# margin below 1 keeps the planner off points where the tail estimate explodes
+DIVERGENT = 0.999
+
+
 # -- closed walk and prime enumeration --------------------------------------
 
 
@@ -66,7 +72,7 @@ def closed_walks(g, length):
     return found
 
 
-def prime_cycles(g, max_len, max_primes=10 ** 6):
+def prime_cycles(g, max_len):
     """All primes of length at most max_len, one representative per class.
 
     The representative starts at the rotation-minimal vertex sequence
@@ -74,7 +80,7 @@ def prime_cycles(g, max_len, max_primes=10 ** 6):
     start vertex restricted to vertices of equal or higher index, records
     every return to the start, and keeps exactly the walks that are both
     rotation-minimal and not proper powers.  Output is sorted by length,
-    then vertex sequence.
+    then vertex sequence.  Raises RuntimeError beyond MAX_PRIMES primes.
     """
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
@@ -90,9 +96,9 @@ def prime_cycles(g, max_len, max_primes=10 ** 6):
                 seq = tuple(index[edge.src] for edge in path)
                 if seq == _minimal_rotation(seq) and _is_primitive(seq):
                     primes.append((len(path), seq, tuple(path)))
-                    if len(primes) > max_primes:
+                    if len(primes) > MAX_PRIMES:
                         raise RuntimeError(
-                            f"more than {max_primes} primes below length {max_len}")
+                            f"more than {MAX_PRIMES} primes below length {max_len}")
             if len(path) < max_len:
                 extend(start, e.dst, path)
             path.pop()
@@ -153,20 +159,20 @@ def trace_identity_check(g, spec, max_power=8):
 # -- Euler product -----------------------------------------------------------
 
 
-def spectral_estimate(g, spec, t0, power=16):
-    """Row-sum norm of |W(t0)|^power to the 1/power: an upper bound trend
-    toward the spectral radius, used only to predict convergence."""
+def spectral_estimate(g, spec, t0):
+    """Row-sum norm of |W(t0)|^16 to the 1/16: an upper bound trend toward
+    the spectral radius, used only to predict convergence."""
     rows = weight_matrix(g, spec).evaluate(Fraction(t0))
     a = [[abs(float(x)) for x in row] for row in rows]
     n = len(a)
     if n == 0:
         return 0.0
     cur = a
-    for _ in range(power - 1):
+    for _ in range(15):  # cur becomes |W|^16
         cur = [[sum(cur[i][k] * a[k][j] for k in range(n)) for j in range(n)]
                for i in range(n)]
     norm = max((sum(row) for row in cur), default=0.0)
-    return norm ** (1.0 / power)
+    return norm ** (1.0 / 16)
 
 
 def _warn_if_divergent(estimate, t0):
@@ -175,58 +181,57 @@ def _warn_if_divergent(estimate, t0):
     Called directly from a public function, so stacklevel 3 names that
     function's caller.
     """
-    if estimate >= 1.0:
+    if estimate >= DIVERGENT:
         warnings.warn(
             f"spectral estimate {estimate:.3f} at t={t0}: Euler product will not converge",
             ConvergenceWarning, stacklevel=3)
 
 
-def zeta_partial_product(g, spec, t0, max_len, max_primes=10 ** 6, as_float=False):
-    """The truncated Euler product over primes of length <= max_len at t = t0.
+def zeta_partial_product(g, spec, t0, max_len):
+    """The truncated Euler product over primes of length <= max_len at t = t0,
+    as an exact rational.
 
-    Exact rational by default.  With as_float=True the product magnitude is
-    accumulated in log space instead, which keeps wildly divergent truncations
-    representable; exactness is beside the point there.  A factor with weight
-    exactly 1 is a pole of the product and raises.  Divergence (estimated
-    spectral radius >= 1) only warns: the truncation itself is still well
-    defined.
+    A factor with weight exactly 1 is a pole of the product and raises.
+    Divergence (estimated spectral radius >= DIVERGENT) only warns: the
+    truncation itself is still well defined.
     """
     t0 = Fraction(t0)
     _warn_if_divergent(spectral_estimate(g, spec, t0), t0)
-    return _euler_product(g, spec, t0, max_len, max_primes, as_float)
+    return _euler_product(g, spec, t0, max_len, False)
 
 
-def _euler_product(g, spec, t0, max_len, max_primes, as_float):
-    """zeta_partial_product without the convergence estimate."""
-    primes = prime_cycles(g, max_len, max_primes)
+def _euler_product(g, spec, t0, max_len, log_space):
+    """zeta_partial_product without the convergence estimate.
+
+    With log_space the product magnitude is accumulated as a float logarithm
+    instead, which keeps wildly divergent truncations representable;
+    exactness is beside the point there.
+    """
+    primes = prime_cycles(g, max_len)
     # per-edge rational weights beat building each cycle's polynomial first
     label_weight = {label: spec[label].evaluate(t0) for label in
                     {e.label for p in primes for e in p}}
 
-    def prime_weight(p):
+    def factor(p):
         w = Fraction(1)
         for e in p:
             w *= label_weight[e.label]
-        return w
+        if w == 1:
+            raise ZeroDivisionError(f"Euler factor pole: prime of length {len(p)} has weight 1")
+        return 1 - w
 
-    if not as_float:
+    if not log_space:
         product = Fraction(1)
         for p in primes:
-            n_p = prime_weight(p)
-            if n_p == 1:
-                raise ZeroDivisionError(f"Euler factor pole: prime of length {len(p)} has weight 1")
-            product /= 1 - n_p
+            product /= factor(p)
         return product
     log_mag = 0.0
     sign = 1.0
     for p in primes:
-        n_p = prime_weight(p)
-        if n_p == 1:
-            raise ZeroDivisionError(f"Euler factor pole: prime of length {len(p)} has weight 1")
-        factor = 1 - n_p
-        if factor < 0:
+        f = factor(p)
+        if f < 0:
             sign = -sign
-        log_mag -= math.log(abs(factor))
+        log_mag -= math.log(abs(f))
     try:
         return sign * math.exp(log_mag)
     except OverflowError:
@@ -258,9 +263,10 @@ _T0_CANDIDATES = (Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(3, 4)
                   Fraction(19, 20), Fraction(49, 50), Fraction(99, 100))
 
 
-def _plan_horizon(g, spec, tol, t0=None, max_len_cap=40, budget=4 * 10 ** 6):
+def _plan_horizon(g, spec, tol, t0=None):
     """Pick (t0, max_len, estimate at t0) so the estimated Euler tail drops
-    below tol affordably.
+    below tol affordably: max_len at most 40, and at most 4 * 10^6 DFS nodes
+    by _walk_budget.
 
     The tail of log zeta past length L is at most sum_{m>L} tr(|W|^m)/m,
     approximated through the power-norm estimate r by
@@ -272,12 +278,12 @@ def _plan_horizon(g, spec, tol, t0=None, max_len_cap=40, budget=4 * 10 ** 6):
     candidates = (Fraction(t0),) if t0 is not None else _T0_CANDIDATES
     for t0 in candidates:
         r = spectral_estimate(g, spec, t0)
-        if r >= 0.999:
+        if r >= DIVERGENT:
             continue
-        for horizon in range(2, max_len_cap + 1):
+        for horizon in range(2, 41):
             tail = n * r ** (horizon + 1) / ((horizon + 1) * (1 - r))
             if tail <= tol / 2:
-                if _walk_budget(g, horizon) <= budget:
+                if _walk_budget(g, horizon) <= 4 * 10 ** 6:
                     return t0, horizon, r
                 break
     return None
@@ -309,8 +315,8 @@ def determinant_formula_check(g, spec, t0=None, max_len=None, tol=1e-6):
     _warn_if_divergent(estimate, t0)
     # on a divergent product the exact rationals grow without bound, so the
     # truncation is evaluated in log space instead; it cannot pass anyway
-    divergent = estimate >= 0.999
-    partial = _euler_product(g, spec, t0, max_len, max_primes=10 ** 6, as_float=divergent)
+    divergent = estimate >= DIVERGENT
+    partial = _euler_product(g, spec, t0, max_len, divergent)
     if divergent:
         gap = abs(partial - float(target))
     else:
@@ -328,15 +334,13 @@ def determinant_formula_check(g, spec, t0=None, max_len=None, tol=1e-6):
 # -- path-sum lemma ----------------------------------------------------------
 
 
-def sample_points(count, seed=0, exclude=(0,)):
+def sample_points(count, seed=0):
     """Deterministic distinct nonzero rational sample points."""
     rng = random.Random(seed)
     out = []
-    seen = set(Fraction(x) for x in exclude)
     while len(out) < count:
         t0 = Fraction(rng.randint(-24, 24), rng.randint(1, 12))
-        if t0 not in seen:
-            seen.add(t0)
+        if t0 and t0 not in out:
             out.append(t0)
     return out
 
@@ -407,7 +411,11 @@ def composition_check(t1, t2):
                    {"composite": str(left), "product": str(right)})
 
 
-def cabling_check(tangle, n, samples=(Fraction(1, 2), Fraction(2, 3))):
+# sample points u of the cabling check unless the caller chooses others
+CABLE_SAMPLES = (Fraction(1, 2), Fraction(2, 3))
+
+
+def cabling_check(tangle, n, samples=CABLE_SAMPLES):
     """The n-cable's determinant in u matches the original's at t = u^n.
 
     Checked as exact rational equality at each sample point u.

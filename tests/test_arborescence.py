@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from knotzeta import arborescence
 from knotzeta.arborescence import Arborescence, arborescence_weight, \
     determinant_via_trees, enumerate_arborescences, matrix_tree_check, \
     random_matrix_tree_check, tree_polynomial
@@ -123,11 +124,12 @@ def test_arborescence_weight_multiplies():
     assert arborescence_weight(arbs[0]).coeffs == {0: 1}
 
 
-def test_cap_guards_explosions():
+def test_cap_guards_explosions(monkeypatch):
+    monkeypatch.setattr(arborescence, "MAX_ARBORESCENCES", 10)
     vs = tuple(range(6))
     g, spec = weighted(vs, [(i, j, 1) for i in vs for j in vs if i != j])
     with pytest.raises(RuntimeError):
-        enumerate_arborescences(g, (0,), spec, cap=10)
+        enumerate_arborescences(g, (0,), spec)
 
 
 def test_determinant_via_trees_matches_knot_determinant(corpus):

@@ -14,7 +14,7 @@ import pytest
 from jsonschema import Draft202012Validator
 from referencing import Registry, Resource
 
-from knotzeta import cli
+from knotzeta import arborescence, cli, zeta
 from knotzeta.cli import EXIT_INCONSISTENT, EXIT_INPUT, EXIT_OK, main
 from knotzeta.knot_model import render_diagram
 
@@ -199,6 +199,18 @@ def test_unparsable_file_is_input_error(tmp_path):
 def test_zero_sample_point_is_input_error(validators):
     code, obj = run_json("zeta", "figure8", "--check", "euler", "--t", "0")
     assert code == EXIT_INPUT
+    validators["error"].validate(obj)
+
+
+@pytest.mark.parametrize("module, cap, argv", [
+    (arborescence, "MAX_ARBORESCENCES", ("tree-poly", "5_2")),
+    (zeta, "MAX_PRIMES", ("zeta", "figure8", "--check", "euler")),
+])
+def test_enumeration_cap_is_input_error(module, cap, argv, monkeypatch, validators):
+    monkeypatch.setattr(module, cap, 2)
+    code, obj = run_json(*argv)
+    assert code == EXIT_INPUT
+    assert obj["error"].startswith("more than 2 ")
     validators["error"].validate(obj)
 
 

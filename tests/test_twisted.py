@@ -2,6 +2,7 @@
 
 import pytest
 
+from knotzeta import twisted
 from knotzeta.knot_model import DiagramError, parse_diagram, \
     wirtinger_presentation
 from knotzeta.laurent import LaurentPoly, canonicalize, det
@@ -167,12 +168,6 @@ def test_twisted_unknot_reduces_to_inverse_of_t_minus_1(unknot):
     assert canonicalize(tw.fraction.denominator).poly.coeffs == {1: 1, 0: 12}
 
 
-def test_twisted_forced_column(trefoil, trefoil_rep):
-    for col in (1, 2, 3):
-        tw = twisted_alexander_polynomial(trefoil, trefoil_rep, column=col)
-        assert tw.column == col
-
-
 def test_twisted_rejects_nonrepresentation(trefoil):
     rep = Representation(5, {1: ((2,),), 2: ((1,),), 3: ((1,),)})
     with pytest.raises(DiagramError):
@@ -215,8 +210,26 @@ def test_trivial_reduction_across_corpus(corpus):
 
 
 def test_column_independence(trefoil, trefoil_rep, figure8, fig8_rep):
-    assert column_independence_check(trefoil, trefoil_rep).passed
-    assert column_independence_check(figure8, fig8_rep).passed
+    v = column_independence_check(trefoil, trefoil_rep)
+    assert v.passed and v.detail["columns"] == [1, 2, 3]
+    v = column_independence_check(figure8, fig8_rep)
+    assert v.passed and v.detail["columns"] == [1, 2, 3, 4]
+
+
+def test_column_independence_builds_one_jacobian(trefoil, trefoil_rep, figure8,
+                                                 fig8_rep, monkeypatch):
+    calls = []
+    build = twisted.twisted_alexander_matrix
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(twisted, "twisted_alexander_matrix", counted)
+    for diagram, rep in ((trefoil, trefoil_rep), (figure8, fig8_rep)):
+        calls.clear()
+        assert column_independence_check(diagram, rep).passed
+        assert len(calls) == 1
 
 
 def test_twisted_json_is_canonical(trefoil, trefoil_rep):

@@ -132,9 +132,7 @@ def test_partial_product_float_mode(fig8_cut):
     spec = alexander_spec()
     t0 = Fraction(9, 10)
     exact = zeta_partial_product(fig8_cut, spec, t0, 14)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        approx = zeta_partial_product(fig8_cut, spec, t0, 14, as_float=True)
+    approx = zeta._euler_product(fig8_cut, spec, t0, 14, True)
     assert math.isclose(float(exact), approx, rel_tol=1e-9)
 
 
