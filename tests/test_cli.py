@@ -118,6 +118,19 @@ def test_zeta_euler_passes_and_fails(validators):
     validators["verdict"].validate(obj)
 
 
+@pytest.mark.parametrize("knot, gap, partial", [
+    ("figure8", 2.2452261878883314e-13, 1.0112359550564043),
+    ("5_2", 3.589645464553257e-10, 1.2077294682400692),
+])
+def test_zeta_euler_detail_to_the_bit(knot, gap, partial):
+    # recorded from the prime-by-prime Fraction product; the product over
+    # label contents must round to the same floats
+    code, obj = run_json("zeta", knot, "--check", "euler")
+    assert code == EXIT_OK
+    assert obj["detail"]["gap"] == gap
+    assert obj["detail"]["partial_product"] == partial
+
+
 def test_zeta_path_sum_and_composition(validators):
     for check in ("path-sum", "composition"):
         code, obj = run_json("zeta", "figure8", "--check", check)
@@ -297,10 +310,9 @@ REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / \
     "verify-seed0.jsonl"
 
 
-@pytest.mark.parametrize("suite", ["matrix-tree", "triple", "path-sum",
+@pytest.mark.parametrize("suite", ["matrix-tree", "triple", "zeta", "path-sum",
                                    "composition", "cable", "twisted"])
 def test_verify_matches_reference_output(suite):
-    # zeta is left to acceptance criterion 10, which runs `verify all`
     reference = {json.loads(line)["check"]: line
                  for line in REFERENCE.read_text().splitlines()}
     code, out = run("verify", suite, "--seed", "0", "--json")

@@ -2,14 +2,16 @@
 
 import math
 import warnings
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from knotzeta.arc_graph import alexander_spec, build_arc_graph, \
+from knotzeta.arc_graph import WeightSpec, alexander_spec, build_arc_graph, \
     tangle_determinant
 from knotzeta import zeta
 from knotzeta.knot_model import cut
+from knotzeta.laurent import LaurentPoly
 from knotzeta.zeta import ConvergenceWarning, cabling_check, closed_walks, \
     composition_check, cycle_weight, determinant_formula_check, path_sum_check, \
     prime_cycles, sample_points, spectral_estimate, total_strand_weight, \
@@ -134,6 +136,103 @@ def test_partial_product_float_mode(fig8_cut):
     exact = zeta_partial_product(fig8_cut, spec, t0, 14)
     approx = zeta._euler_product(fig8_cut, spec, t0, 14, True)
     assert math.isclose(float(exact), approx, rel_tol=1e-9)
+
+
+def enumerated_product(g, spec, t0, max_len):
+    """The Euler product prime by prime, over the enumerated primes."""
+    product = Fraction(1)
+    for p in prime_cycles(g, max_len):
+        product /= 1 - cycle_weight(p, spec).evaluate(t0)
+    return product
+
+
+@pytest.mark.parametrize("t0", [Fraction(1, 10), Fraction(1, 5)])
+@pytest.mark.parametrize("max_len", [8, 12])
+def test_log_space_product_accuracy(fig8_cut, t0, max_len):
+    # divergent points: the log-space branch is the one the check takes there
+    exact = enumerated_product(fig8_cut, alexander_spec(), t0, max_len)
+    approx = zeta._euler_product(fig8_cut, alexander_spec(), t0, max_len, True)
+    assert math.isclose(approx, float(exact), rel_tol=1e-12)
+
+
+def test_prime_counts_match_enumeration(corpus):
+    for name, d in corpus.items():
+        for arc in d.arcs:
+            g = build_arc_graph(cut(d, [arc]))
+            labels = zeta._content_labels(g)
+            for max_len in range(1, 13):
+                enumerated = Counter(
+                    tuple(sum(e.label == label for e in p) for label in labels)
+                    for p in prime_cycles(g, max_len))
+                assert zeta._prime_counts(g, max_len) == enumerated, \
+                    (name, arc, max_len)
+
+
+@pytest.mark.parametrize("name, t0, max_len", [
+    ("5_2", Fraction(9, 10), 12),
+    ("6_1", Fraction(49, 50), 12),  # all four labels
+    ("figure8", Fraction(9, 10), 14),
+])
+def test_partial_product_matches_enumeration(corpus, name, t0, max_len):
+    g = build_arc_graph(cut(corpus[name], [1]))
+    spec = alexander_spec()
+    assert zeta_partial_product(g, spec, t0, max_len) == \
+        enumerated_product(g, spec, t0, max_len)
+
+
+def test_prime_cap_counts_every_prime(fig8_cut, monkeypatch):
+    spec = alexander_spec()
+    total = len(prime_cycles(fig8_cut, 12))
+    monkeypatch.setattr(zeta, "MAX_PRIMES", total)
+    zeta_partial_product(fig8_cut, spec, Fraction(9, 10), 12)
+    monkeypatch.setattr(zeta, "MAX_PRIMES", total - 1)
+    message = f"more than {total - 1} primes below length 12"
+    with pytest.raises(RuntimeError) as counted:
+        zeta_partial_product(fig8_cut, spec, Fraction(9, 10), 12)
+    with pytest.raises(RuntimeError) as enumerated:
+        prime_cycles(fig8_cut, 12)
+    assert str(counted.value) == str(enumerated.value) == message
+
+
+def test_prime_cap_stops_counting_early(fig8_cut, monkeypatch):
+    monkeypatch.setattr(zeta, "MAX_PRIMES", 2)
+    calls = []
+    mobius = zeta._mobius
+    monkeypatch.setattr(zeta, "_mobius", lambda d: calls.append(d) or mobius(d))
+    with pytest.raises(RuntimeError, match="more than 2 primes below length 60"):
+        zeta._prime_counts(fig8_cut, 60)
+    # the third prime has length 4: counting stops there, not at length 60
+    assert len(calls) < 20
+
+
+def test_pole_names_shortest_weight_one_prime(corpus):
+    # on the 6_1 cut these weights give weight 1 to the primes of content
+    # S2 T1^2 T2 (length 4) and S1^3 T1 T2 (length 5), and to no shorter one
+    g = build_arc_graph(cut(corpus["6_1"], [1]))
+    weights = {"S1": 2, "S2": 3, "T1": Fraction(8, 3), "T2": Fraction(3, 64)}
+    spec = WeightSpec({k: LaurentPoly.constant(v) for k, v in weights.items()}, None)
+    primes = prime_cycles(g, 8)
+    lengths = sorted({len(p) for p in primes if cycle_weight(p, spec) == 1})
+    assert lengths[:2] == [4, 5] and len(primes[0]) < 4
+    for log_space in (False, True):
+        with pytest.raises(ZeroDivisionError, match="prime of length 4 has weight 1"):
+            zeta._euler_product(g, spec, Fraction(1), 8, log_space)
+
+
+@pytest.mark.parametrize("max_len", [8, 10])
+def test_gap_compared_exactly_with_tolerance(fig8_cut, max_len):
+    # the reported gap rounds the exact one up at length 8 and down at 10,
+    # where comparing the float with tol = gap would wrongly pass
+    spec = alexander_spec()
+    t0 = Fraction(9, 10)
+    exact_gap = abs(enumerated_product(fig8_cut, spec, t0, max_len)
+                    - 1 / tangle_determinant(fig8_cut, spec).evaluate(t0))
+    gap = float(exact_gap)
+    for tol in (math.nextafter(gap, 0), gap, math.nextafter(gap, 1), gap / 2):
+        v = determinant_formula_check(fig8_cut, spec, t0=t0, max_len=max_len,
+                                      tol=tol)
+        assert v.detail["gap"] == gap
+        assert v.passed == (exact_gap <= Fraction(tol)), tol
 
 
 def test_determinant_formula_auto_plans(corpus):
