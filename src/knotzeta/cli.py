@@ -143,9 +143,9 @@ def cmd_zeta(ns):
     tangle = cut(d, [arc])
     g = build_arc_graph(tangle)
     spec = alexander_spec()
-    t0 = parse_rational(ns.t) if ns.t else None
+    t0 = None if ns.t is None else parse_rational(ns.t)
     if ns.check == "trace":
-        verdict = trace_identity_check(g, spec, ns.max_len or 8)
+        verdict = trace_identity_check(g, spec, 8 if ns.max_len is None else ns.max_len)
     elif ns.check == "euler":
         verdict = determinant_formula_check(g, spec, t0=t0, max_len=ns.max_len)
     elif ns.check == "path-sum":
@@ -154,7 +154,7 @@ def cmd_zeta(ns):
         verdict = composition_check(tangle, tangle)
     else:
         samples = (t0,) if t0 is not None else CABLE_SAMPLES
-        verdict = cabling_check(tangle, ns.n or 2, samples)
+        verdict = cabling_check(tangle, 2 if ns.n is None else ns.n, samples)
     emit(verdict.to_json())
     return EXIT_OK if verdict.passed else EXIT_INCONSISTENT
 
@@ -352,8 +352,8 @@ def _suite_jobs(suites, diagrams, extras, ns):
                 jobs.append(_timed(_check_composition, name1, d1, name2, d2))
     if "cable" in suites:
         cable_named = [(n, d) for n, d in diagrams if n in CABLE_CORPUS] + list(extras)
-        orders = (ns.n,) if ns.n else (2, 3)
-        samples = (parse_rational(ns.t),) if ns.t else CABLE_SAMPLES
+        orders = (2, 3) if ns.n is None else (ns.n,)
+        samples = CABLE_SAMPLES if ns.t is None else (parse_rational(ns.t),)
         for name, d in cable_named:
             for n_order in orders:
                 jobs.append(_timed(_check_cable, name, d, n_order, samples))

@@ -5,13 +5,15 @@ nonzero coefficients.  Coefficients are `fractions.Fraction` in characteristic
 zero, or plain ints in [1, q) when a prime modulus q is attached.  Both cases
 share one interface; mixing moduli raises.
 
-Matrices over this ring support exact determinants: cofactor expansion for
-small sizes and fraction-free (Bareiss) elimination above that, with per-row
-power-of-t clearing so intermediate entries stay in the polynomial subring.
+Matrices over this ring have exact determinants from one kernel for every
+size: fraction-free (Bareiss) elimination on dense lists of int coefficients,
+after each row is cleared of negative powers of t and of denominators.
+Cofactor expansion stays as the independent oracle.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -30,6 +32,11 @@ def _coerce(c, modulus):
     if isinstance(c, int):
         return c % modulus
     raise CoefficientError(f"integer coefficient expected mod {modulus}, got {type(c).__name__}")
+
+
+# one shared key string per exponent (as `json`'s decoder memoizes object keys),
+# so that outputs kept by a caller do not each hold their own copies
+_JSON_KEYS = {}
 
 
 class LaurentPoly:
@@ -237,10 +244,11 @@ class LaurentPoly:
         """JSON mapping of exponent to coefficient (ints plain, else 'a/b')."""
         out = {}
         for e, v in self._c.items():
+            key = _JSON_KEYS.setdefault(e, str(e))
             if self.modulus is None and v.denominator != 1:
-                out[str(e)] = f"{v.numerator}/{v.denominator}"
+                out[key] = f"{v.numerator}/{v.denominator}"
             else:
-                out[str(e)] = int(v)
+                out[key] = int(v)
         return out
 
     @classmethod
@@ -579,51 +587,80 @@ def det_cofactor(mat):
     return acc
 
 
-def _det_bareiss(mat):
-    """Fraction-free elimination after clearing negative exponents rowwise."""
-    n = mat.rows
-    modulus = mat.modulus
-    if n == 0:
-        return LaurentPoly.one(modulus)
-    work = []
-    shift_back = 0
-    for row in mat.entries:
-        k = min((e.min_exp() for e in row if not e.is_zero()), default=0)
-        if k < 0:
-            work.append([e.shift(-k) for e in row])
-            shift_back += k
+def _bareiss_entry(a, b, c, d, prev, q):
+    """(a*b - c*d) / prev for dense coefficient lists, by exact long division."""
+    num = [0] * (max(len(a) + len(b), len(c) + len(d)) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b, i):
+            num[j] += x * y
+    for i, x in enumerate(c):
+        for j, y in enumerate(d, i):
+            num[j] -= x * y
+    if q:
+        num = [x % q for x in num]
+    while num and not num[-1]:
+        num.pop()
+    lead, dd = prev[-1], len(prev) - 1
+    inv = pow(lead, -1, q) if q else None
+    out = [0] * max(len(num) - dd, 0)
+    for i in range(len(out) - 1, -1, -1):
+        if q:
+            out[i] = num[i + dd] * inv % q
         else:
-            work.append(list(row))
-    sign = 1
-    prev = LaurentPoly.one(modulus)
+            out[i], r = divmod(num[i + dd], lead)
+            assert not r, "fraction-free elimination produced a nonexact division"
+        for j, y in enumerate(prev, i):
+            num[j] -= out[i] * y
+    assert not any(x % q if q else x for x in num), "nonzero remainder in fraction-free elimination"
+    return out
+
+
+def _det_bareiss(mat):
+    """Fraction-free (Bareiss) elimination on dense coefficient lists.
+
+    Each row is first multiplied by a power of t, and over Q by the lcm of its
+    denominators, so that its entries are polynomials with integer (over F_q,
+    residue) coefficients.  An entry is then a list of ints, lowest degree
+    first; the scale factors are divided out of the result.
+    """
+    n, q = mat.rows, mat.modulus
+    work, shift_back, scale = [], 0, 1
+    for row in mat.entries:
+        live = [e._c for e in row if e._c]
+        k = min((next(iter(c)) for c in live), default=0)
+        m = 1 if q else math.lcm(*(v.denominator for c in live for v in c.values()))
+        dense = [[0] * (max(e._c, default=k - 1) - k + 1) for e in row]
+        for d, e in zip(dense, row):
+            for x, v in e._c.items():
+                d[x - k] = v if q else v.numerator * (m // v.denominator)
+        work.append(dense)
+        shift_back += k
+        scale *= m
+    sign, prev = 1, [1]
     for k in range(n - 1):
-        if work[k][k].is_zero():
+        if not work[k][k]:
             for r in range(k + 1, n):
-                if not work[r][k].is_zero():
+                if work[r][k]:
                     work[k], work[r] = work[r], work[k]
                     sign = -sign
                     break
             else:
-                return LaurentPoly.zero(modulus)
-        pivot = work[k][k]
-        for i in range(k + 1, n):
+                return LaurentPoly.zero(q)
+        top = work[k]
+        for row in work[k + 1:]:
             for j in range(k + 1, n):
-                num = work[i][j] * pivot - work[i][k] * work[k][j]
-                q = div_exact(num, prev)
-                assert q is not None, "fraction-free elimination produced a nonexact division"
-                work[i][j] = q
-            work[i][k] = LaurentPoly.zero(modulus)
-        prev = pivot
-    d = work[n - 1][n - 1].shift(shift_back)
-    return -d if sign < 0 else d
+                if row[j] or (row[k] and top[j]):
+                    row[j] = _bareiss_entry(row[j], top[k], row[k], top[j], prev, q)
+        prev = top[k]
+    d = work[-1][-1] if n else [1]
+    return LaurentPoly({e + shift_back: sign * c if q else Fraction(sign * c, scale)
+                        for e, c in enumerate(d)}, q)
 
 
 def det(mat):
-    """Exact determinant; cofactor expansion below 5x5, Bareiss elimination above."""
+    """Exact determinant by dense fraction-free elimination, at every size."""
     if mat.rows != mat.cols:
         raise ValueError("determinant needs a square matrix")
-    if mat.rows < 5:
-        return det_cofactor(mat)
     return _det_bareiss(mat)
 
 

@@ -131,6 +131,8 @@ def trace_identity_check(g, spec, max_power=8):
     """
     if spec.modulus is not None:
         raise ValueError("trace identity needs rational coefficients")
+    if max_power < 1:
+        raise ValueError("max_power must be at least 1")
     w = weight_matrix(g, spec)
     failures = []
     power = w
@@ -504,7 +506,8 @@ CABLE_SAMPLES = (Fraction(1, 2), Fraction(2, 3))
 def cabling_check(tangle, n, samples=CABLE_SAMPLES):
     """The n-cable's determinant in u matches the original's at t = u^n.
 
-    Checked as exact rational equality at each sample point u.
+    Checked as exact rational equality at each sample point u, and as an
+    identity of Laurent polynomials, which no choice of samples can miss.
     """
     if n < 1:
         raise DiagramError("cable order must be positive")
@@ -522,6 +525,9 @@ def cabling_check(tangle, n, samples=CABLE_SAMPLES):
         checked.append(str(u))
         if lhs != rhs:
             failures.append({"u": str(u), "cable": str(lhs), "original": str(rhs)})
+    difference = det_cable - det_orig.substitute_power(n)
+    if difference:
+        failures.append({"exact": f"t = u^{n}", "difference": str(difference)})
     return Verdict("cabling", not failures,
                    {"n": n, "samples": checked, "failures": failures,
                     "cable_poly": str(det_cable), "original_poly": str(det_orig)})

@@ -215,6 +215,22 @@ def test_zero_sample_point_is_input_error(validators):
     validators["error"].validate(obj)
 
 
+@pytest.mark.parametrize("argv", [
+    ("zeta", "figure8", "--check", "trace", "--max-len", "0"),
+    ("zeta", "figure8", "--check", "euler", "--max-len", "0"),
+    ("zeta", "trefoil", "--check", "cable", "--n", "0"),
+    ("zeta", "trefoil", "--check", "cable", "--n", "-1"),
+    ("zeta", "trefoil", "--check", "cable", "--t", ""),
+    ("verify", "cable", "--n", "0"),
+    ("verify", "cable", "--t", ""),
+])
+def test_invalid_flag_value_is_input_error(argv, validators):
+    # a given value that is 0 or empty must not run the flag's default
+    code, obj = run_json(*argv)
+    assert code == EXIT_INPUT
+    validators["error"].validate(obj)
+
+
 @pytest.mark.parametrize("module, cap, argv", [
     (arborescence, "MAX_ARBORESCENCES", ("tree-poly", "5_2")),
     (zeta, "MAX_PRIMES", ("zeta", "figure8", "--check", "euler")),

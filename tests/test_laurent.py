@@ -5,9 +5,12 @@ from fractions import Fraction
 
 import pytest
 
+from knotzeta.arc_graph import alexander_spec, build_arc_graph, tangle_matrix
+from knotzeta.knot_model import cable, cut
 from knotzeta.laurent import CanonicalPoly, CoefficientError, LaurentPoly, \
-    PolyFraction, RingMatrix, _det_bareiss, canonicalize, det, det_cofactor, \
-    div_exact, divide_exact, poly_divmod, poly_gcd, rational_det, rational_solve
+    PolyFraction, RingMatrix, _bareiss_entry, _det_bareiss, canonicalize, det, \
+    det_cofactor, div_exact, divide_exact, poly_divmod, poly_gcd, rational_det, \
+    rational_solve
 
 
 def P(coeffs, modulus=None):
@@ -250,6 +253,101 @@ def test_det_matches_rational_det_after_evaluation():
 def test_det_modular():
     m = M([[3, 1], [2, 5]], modulus=7)
     assert det(m).coeffs == {0: 6}
+
+
+def random_laurent(rng, modulus=None, denominators=(1,), exponents=(-2, 2)):
+    """A random Laurent polynomial of up to three terms, often zero."""
+    terms = {}
+    for _ in range(rng.randint(0, 3)):
+        num = rng.randint(-9, 9)
+        terms[rng.randint(*exponents)] = (num % modulus if modulus
+                                          else Fraction(num, rng.choice(denominators)))
+    return P(terms, modulus)
+
+
+@pytest.mark.parametrize("q", [7, 11, 101])
+def test_det_over_prime_fields_matches_cofactor(q):
+    rng = random.Random(q)
+    for n in range(1, 7):
+        for _ in range(6 if n < 6 else 2):
+            m = RingMatrix([[random_laurent(rng, q) for _ in range(n)] for _ in range(n)], q)
+            assert det(m) == det_cofactor(m), (q, n, m)
+
+
+def test_det_scales_rows_with_denominators():
+    # non-unit denominators, so each row is scaled by the lcm of its own
+    rng = random.Random(17)
+    for n in (5, 6, 7):
+        for _ in range(2):
+            m = RingMatrix([[random_laurent(rng, denominators=(1, 2, 3, 5, 7))
+                             for _ in range(n)] for _ in range(n)])
+            d = det(m)
+            if n == 5:
+                assert d == det_cofactor(m)
+            for t0 in (Fraction(2, 3), Fraction(-5, 4)):
+                assert d.evaluate(t0) == rational_det(m.evaluate(t0)), (n, m)
+
+
+def test_det_swaps_rows_for_zero_pivots():
+    # the first and the second pivots are zero; a swap is needed for each
+    m = M([[0, 0, 2, 0, {1: 1}],
+           [{-1: 1}, 0, 3, 1, 0],
+           [2, {2: 1}, 0, 0, 1],
+           [0, 0, 1, {0: 1, 1: 1}, 4],
+           [1, 5, 0, 2, {-2: 3}]])
+    assert not det(m).is_zero()
+    assert det(m) == det_cofactor(m)
+    assert det(M([[0, 1], [1, 0]])).coeffs == {0: -1}
+    assert det(M([[0, 2], [3, 4]], modulus=7)).coeffs == {0: 1}
+
+
+def test_det_of_singular_matrices_is_zero():
+    rows = [[{0: 1, 1: -1}, 2, {-1: 1}, 0, 1],
+            [3, {2: 1}, 0, 1, {1: 2}],
+            [0, 1, 1, 1, 1],
+            [1, 0, {1: 1}, 0, 2],
+            [0, 0, 0, 0, 0]]
+    m = M(rows)
+    assert det(m).is_zero()
+    # the last row is t times the first plus the second
+    last = [T * a + b for a, b in zip(m.entries[0], m.entries[1])]
+    dependent = RingMatrix(list(m.entries[:4]) + [last])
+    assert det(dependent).is_zero() and det_cofactor(dependent).is_zero()
+    assert det(M([[0, 0], [0, 1]], modulus=11)).is_zero()
+
+
+def test_det_of_rows_with_negative_exponents():
+    rng = random.Random(19)
+    for n in (5, 6):
+        for modulus in (None, 7):
+            rows = [[random_laurent(rng, modulus, exponents=(-4, 1)) for _ in range(n)]
+                    for _ in range(n)]
+            m = RingMatrix(rows, modulus)
+            assert det(m) == det_cofactor(m), (n, modulus, m)
+
+
+@pytest.mark.parametrize("name, order, size", [
+    ("figure8", 2, 18), ("trefoil", 3, 30), ("figure8", 3, 39)])
+def test_det_of_cable_matrices_at_rational_points(corpus, name, order, size):
+    tangle = cable(cut(corpus[name], [1]), order)
+    m = tangle_matrix(build_arc_graph(tangle), alexander_spec())
+    assert m.rows == size
+    d = det(m)
+    for t0 in (Fraction(3, 5), Fraction(-7, 2)):
+        assert d.evaluate(t0) == rational_det(m.evaluate(t0))
+
+
+def test_bareiss_entry_rejects_inexact_division():
+    # (1 - t^2) / (1 + t) = 1 - t, over Z and over F_7
+    assert _bareiss_entry([1, 0, -1], [1], [], [], [1, 1], None) == [1, -1]
+    assert _bareiss_entry([1, 0, -1], [1], [], [], [1, 1], 7) == [1, 6]
+    # 1 + t^2 = (t - 1)(t + 1) + 2: each leading division is exact, the
+    # remainder is not
+    for q in (None, 7):
+        with pytest.raises(AssertionError):
+            _bareiss_entry([1, 0, 1], [1], [], [], [1, 1], q)
+    with pytest.raises(AssertionError):
+        _bareiss_entry([0, 2], [1], [], [], [3], None)
 
 
 def test_rational_solve_known_system():

@@ -336,6 +336,23 @@ def test_cabling_check_small_orders(trefoil, figure8):
             assert v.passed, (n, v.detail)
 
 
+def test_cabling_compares_polynomials_exactly(trefoil, monkeypatch):
+    # a cable determinant off by a multiple of (u - 1/2)(u - 2/3) agrees with
+    # the original at both default samples, so only the exact identity fails
+    real = zeta.tangle_determinant
+    seen = []
+
+    def perturbed(g, spec):
+        seen.append(real(g, spec))
+        return seen[-1] + LaurentPoly({2: 6, 1: -7, 0: 2}) * len(seen[1:])
+
+    monkeypatch.setattr(zeta, "tangle_determinant", perturbed)
+    v = cabling_check(cut(trefoil, [1]), 2)
+    assert len(seen) == 2 and v.detail["samples"] == ["1/2", "2/3"]
+    assert not v.passed
+    assert v.detail["failures"] == [{"exact": "t = u^2", "difference": "6*t^2 - 7*t + 2"}]
+
+
 def test_cabling_substitution_statement(trefoil):
     # the 2-cable determinant at u equals the original at u^2
     t = cut(trefoil, [1])
