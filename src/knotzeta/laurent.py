@@ -1,9 +1,10 @@
 """Exact Laurent polynomial arithmetic over the rationals and over prime fields.
 
 A Laurent polynomial is stored sparsely as a map from integer exponents to
-nonzero coefficients.  Coefficients are `fractions.Fraction` in characteristic
-zero, or plain ints in [1, q) when a prime modulus q is attached.  Both cases
-share one interface; mixing moduli raises.
+nonzero coefficients.  In characteristic zero a coefficient has one normal
+form: an `int` when it is an integer, else a `fractions.Fraction` with
+denominator above 1.  With a prime modulus q attached, coefficients are plain
+ints in [1, q).  Both cases share one interface; mixing moduli raises.
 
 Matrices over this ring have exact determinants from one kernel for every
 size: fraction-free (Bareiss) elimination on dense lists of int coefficients,
@@ -24,10 +25,13 @@ class CoefficientError(ValueError):
 
 def _coerce(c, modulus):
     if modulus is None:
-        if isinstance(c, Fraction):
+        # integers stay ints, so that integral work never runs Fraction arithmetic
+        if type(c) is int:
             return c
+        if isinstance(c, Fraction):
+            return c.numerator if c.denominator == 1 else c
         if isinstance(c, int):
-            return Fraction(c)
+            return int(c)
         raise CoefficientError(f"rational coefficient expected, got {type(c).__name__}")
     if isinstance(c, int):
         return c % modulus
@@ -44,6 +48,9 @@ class LaurentPoly:
 
     Instances are immutable; arithmetic returns new objects.  `modulus` is
     None for rational coefficients or a prime q for coefficients in F_q.
+    A rational coefficient is stored as an int when integral and as a
+    Fraction otherwise, so equal polynomials store equal, equally typed
+    coefficients.
     """
 
     __slots__ = ("_c", "modulus")
@@ -106,8 +113,7 @@ class LaurentPoly:
         return self._c[self.max_exp()]
 
     def coeff(self, e):
-        z = Fraction(0) if self.modulus is None else 0
-        return self._c.get(e, z)
+        return self._c.get(e, 0)
 
     # -- arithmetic --------------------------------------------------------
 

@@ -25,7 +25,7 @@ from fractions import Fraction
 from .arc_graph import alexander_spec, build_arc_graph, tangle_determinant, \
     tangle_matrix, weight_matrix
 from .knot_model import DiagramError, cable, compose_tangles
-from .laurent import LaurentPoly, rational_solve
+from .laurent import LaurentPoly, RingMatrix, det, rational_solve
 from .verdict import Verdict
 
 
@@ -425,10 +425,11 @@ def determinant_formula_check(g, spec, t0=None, max_len=None, tol=1e-6):
 def sample_points(count, seed=0):
     """Deterministic distinct nonzero rational sample points."""
     rng = random.Random(seed)
-    out = []
+    out, seen = [], set()
     while len(out) < count:
         t0 = Fraction(rng.randint(-24, 24), rng.randint(1, 12))
-        if t0 and t0 not in out:
+        if t0 and t0 not in seen:
+            seen.add(t0)
             out.append(t0)
     return out
 
@@ -458,15 +459,48 @@ def total_strand_weight(tangle, t0):
     return solution[keep.index(init)]
 
 
+def strand_walk_sum(tangle):
+    """The walk sum across a one-strand tangle as a ratio (N, D) of Laurent
+    polynomials.
+
+    The system of total_strand_weight, solved once symbolically by Cramer's
+    rule: D = det(I - W) over the vertices other than the terminal one, and N
+    is the same determinant with the initial vertex's column replaced by the
+    one-step weights into the terminal.  At any t0 with D(t0) != 0 the walk
+    sum is N(t0) / D(t0), and D(t0) = 0 exactly where the solve is singular.
+    """
+    init, term = tangle.strand_pair()
+    if init == term:
+        one = LaurentPoly.one()
+        return one, one
+    g = build_arc_graph(tangle)
+    spec = alexander_spec()
+    keep = [v for v in g.vertices if v != term]
+    inner = tangle_matrix(g, spec, keep)
+    zero = LaurentPoly.zero()
+    col = keep.index(init)
+    rows = []
+    for v, row in zip(keep, inner.entries):
+        e = g.edge_map.get((v, term))
+        rows.append(row[:col] + (spec[e.label] if e else zero,) + row[col + 1:])
+    return det(RingMatrix(rows, cols=len(keep))), det(inner)
+
+
 def path_sum_check(tangle, samples=None, count=20, seed=0):
     """The walk sum across a one-strand tangle is 1 at every good sample.
 
     Singular samples are reported and replaced (when auto-generated) so the
-    number of verified points stays at `count`, enough to pin the underlying
-    rational function to the constant 1 for corpus-sized tangles.
+    number of verified points stays at `count`.  Given samples must be
+    nonzero, since the weights 1/t and 1 - 1/t have no value at 0.  The walk
+    sum is also compared with 1 as a ratio of Laurent polynomials (N == D),
+    which no choice of samples can miss; only a mismatch adds a failure
+    entry.
     """
     auto = samples is None
     queue = list(sample_points(count * 3, seed)) if auto else [Fraction(s) for s in samples]
+    if not auto and 0 in queue:
+        raise DiagramError("sample points must be nonzero")
+    num, den = strand_walk_sum(tangle)
     verified = []
     skipped = []
     failures = []
@@ -474,13 +508,16 @@ def path_sum_check(tangle, samples=None, count=20, seed=0):
     for t0 in queue:
         if len(verified) >= target:
             break
-        value = total_strand_weight(tangle, t0)
-        if value is None:
+        den_value = den.evaluate(t0)
+        if den_value == 0:
             skipped.append(str(t0))
             continue
+        value = num.evaluate(t0) / den_value
         if value != 1:
             failures.append({"t0": str(t0), "value": str(value)})
         verified.append(str(t0))
+    if num != den:
+        failures.append({"exact": "walk sum", "difference": str(num - den)})
     passed = not failures and len(verified) >= (target if auto else len(queue) - len(skipped))
     return Verdict("path_sum", passed,
                    {"verified": verified, "skipped": skipped, "failures": failures})

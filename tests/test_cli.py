@@ -131,6 +131,23 @@ def test_zeta_euler_detail_to_the_bit(knot, gap, partial):
     assert obj["detail"]["partial_product"] == partial
 
 
+@pytest.mark.parametrize("argv, verified, skipped", [
+    (("6_1", "--cut", "1"),
+     ["-22/5", "1", "1/5", "13/4", "8/3", "-2", "12", "3", "5/6", "14/3", "-5/2",
+      "11", "19/6", "2/3", "-3", "15/11", "-11/9", "3/4", "9/5", "-7/3"], ["1/2"]),
+    (("figure8", "--cut", "3", "--seed", "7"),
+     ["-4/3", "1/11", "-21/2", "5", "-1/10", "-7/3", "-11", "-19/7", "1", "-9/2",
+      "11/7", "-21/10", "-17/4", "16/11", "13", "6/5", "-10", "11/3", "-6/7", "-5/3"],
+     []),
+])
+def test_zeta_path_sum_detail_to_the_bit(argv, verified, skipped):
+    # recorded from one rational Gauss-Jordan solve per sample; the Cramer
+    # ratio of two determinants must verify and skip the same points
+    code, obj = run_json("zeta", argv[0], "--check", "path-sum", *argv[1:])
+    assert code == EXIT_OK
+    assert obj["detail"] == {"failures": [], "skipped": skipped, "verified": verified}
+
+
 def test_zeta_path_sum_and_composition(validators):
     for check in ("path-sum", "composition"):
         code, obj = run_json("zeta", "figure8", "--check", check)

@@ -81,6 +81,40 @@ def test_fraction_coefficients():
     assert (p + p).is_one()
 
 
+def test_integral_fractions_are_stored_as_ints():
+    p = P({0: Fraction(4, 2), 1: Fraction(1, 2)})
+    assert type(p.coeffs[0]) is int and p.coeffs[0] == 2
+    assert p.coeffs[1] == Fraction(1, 2)
+    assert type(P({0: True}).coeffs[0]) is int
+    assert type(p.coeff(7)) is int and p.coeff(7) == 0
+
+
+def test_integer_polynomials_hold_only_ints():
+    p = P({-1: 1, 0: -3, 2: 5})
+    q = (1 - T) * P({-1: 2})
+    results = [p + q, p - q, p * q, p ** 4, -p, p.shift(3), 3 * p,
+               p.scale(Fraction(2, 3)).scale(3), p.substitute_power(-2),
+               det(RingMatrix([[p, q], [T, p * q]])), sum([p, q], P({}))]
+    for r in results:
+        assert all(type(v) is int for v in r.coeffs.values()), r
+
+
+def test_int_and_fraction_coefficients_compare_equal():
+    a, b = P({0: 3}), P({0: Fraction(3)})
+    assert a == b and hash(a) == hash(b)
+    assert P({1: 2, 0: Fraction(1, 2)}) == P({1: Fraction(6, 3), 0: Fraction(2, 4)})
+    assert a == 3 and a == Fraction(3)
+
+
+def test_str_and_json_of_mixed_coefficients():
+    # recorded when every rational coefficient was a Fraction
+    p = P({2: Fraction(6, 3), 1: Fraction(-1, 2), 0: 3, -1: -1, -3: Fraction(5, 7)})
+    assert str(p) == "2*t^2 - 1/2*t + 3 - t^-1 + 5/7*t^-3"
+    assert p.to_json() == {"-3": "5/7", "-1": -1, "0": 3, "1": "-1/2", "2": 2}
+    assert str(P({0: Fraction(-4, 2)})) == "-2"
+    assert P({0: Fraction(-4, 2)}).to_json() == {"0": -2}
+
+
 def test_json_roundtrip():
     p = P({-2: Fraction(1, 3), 0: -4, 5: 7})
     obj = p.to_json()

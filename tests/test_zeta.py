@@ -10,12 +10,12 @@ import pytest
 from knotzeta.arc_graph import WeightSpec, alexander_spec, build_arc_graph, \
     tangle_determinant
 from knotzeta import zeta
-from knotzeta.knot_model import cut
+from knotzeta.knot_model import DiagramError, cut
 from knotzeta.laurent import LaurentPoly
 from knotzeta.zeta import ConvergenceWarning, cabling_check, closed_walks, \
     composition_check, cycle_weight, determinant_formula_check, path_sum_check, \
-    prime_cycles, sample_points, spectral_estimate, total_strand_weight, \
-    trace_identity_check, zeta_partial_product
+    prime_cycles, sample_points, spectral_estimate, strand_walk_sum, \
+    total_strand_weight, trace_identity_check, zeta_partial_product
 
 
 @pytest.fixture(scope="module")
@@ -289,6 +289,15 @@ def test_sample_points_deterministic():
     assert len(set(a)) == 10
     assert all(t != 0 for t in a)
     assert sample_points(10, seed=1) != a
+    # the first 60 points at seed 0, recorded from the list-scanning version
+    assert [str(t) for t in sample_points(60, seed=0)] == [
+        "-22/5", "1", "1/5", "13/4", "8/3", "-2", "12", "3", "5/6", "14/3",
+        "-5/2", "11", "19/6", "2/3", "-3", "1/2", "15/11", "-11/9", "3/4", "9/5",
+        "-7/3", "-12", "22/7", "21/11", "16", "15/8", "-3/4", "11/3", "21/2",
+        "-6/5", "-5/3", "2", "-19/6", "-18/5", "11/5", "11/6", "5/2", "14/9",
+        "13/5", "-2/5", "-9/5", "-13/4", "-13", "-1", "-10", "19/3", "-15",
+        "-19/12", "10/11", "1/12", "9/4", "13/7", "18/11", "10/3", "15/2",
+        "7/10", "-23/12", "-7/2", "21/4", "-1/3"]
 
 
 def test_total_strand_weight_is_one(trefoil):
@@ -313,6 +322,63 @@ def test_path_sum_check_explicit_samples(figure8):
     v = path_sum_check(cut(figure8, [2]), samples=(Fraction(3), Fraction(-1, 2)))
     assert v.passed
     assert v.detail["verified"] == ["3", "-1/2"]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_strand_walk_sum_matches_solve_on_every_cut(corpus, seed):
+    cuts = 0
+    for name, d in corpus.items():
+        for a in d.arcs:
+            tangle = cut(d, [a])
+            num, den = strand_walk_sum(tangle)
+            assert num == den, (name, a)
+            init, term = tangle.strand_pair()
+            if init != term:
+                assert den == tangle_determinant(build_arc_graph(tangle), alexander_spec())
+            v = path_sum_check(tangle, seed=seed)
+            assert v.passed, (name, a, v.detail)
+            # the samples drawn, in order: every one the solve finds singular
+            # is skipped, and every other one verified at the solve's value
+            drawn = sample_points(60, seed)[:len(v.detail["verified"]) + len(v.detail["skipped"])]
+            solved = [(t0, total_strand_weight(tangle, t0)) for t0 in drawn]
+            assert v.detail["skipped"] == [str(t0) for t0, w in solved if w is None]
+            assert v.detail["verified"] == [str(t0) for t0, w in solved if w is not None]
+            for t0, w in solved:
+                if w is not None:
+                    assert w == num.evaluate(t0) / den.evaluate(t0) == 1, (name, a, t0)
+            cuts += 1
+    assert cuts == 31
+
+
+def test_path_sum_skips_roots_of_the_determinant(corpus):
+    # 6_1 has Alexander polynomial (2t - 1)(t - 2)
+    tangle = cut(corpus["6_1"], [1])
+    v = path_sum_check(tangle, seed=0)
+    assert v.passed and v.detail["skipped"] == ["1/2"]
+    assert len(v.detail["verified"]) == 20
+    v = path_sum_check(tangle, samples=(2, Fraction(1, 2), 3))
+    assert v.passed
+    assert v.detail == {"verified": ["3"], "skipped": ["2", "1/2"], "failures": []}
+    with pytest.raises(DiagramError):
+        path_sum_check(tangle, samples=(3, 0))
+
+
+def test_path_sum_exact_comparison_catches_a_broken_spec(trefoil, monkeypatch):
+    def broken():
+        spec = alexander_spec()
+        return WeightSpec({**spec.weights, "S1": 1 - 2 * LaurentPoly.t_power(1)}, None)
+
+    monkeypatch.setattr(zeta, "alexander_spec", broken)
+    tangle = cut(trefoil, [1])
+    num, den = strand_walk_sum(tangle)
+    v = path_sum_check(tangle, samples=(Fraction(1, 3), Fraction(5)))
+    assert not v.passed
+    *sampled, exact = v.detail["failures"]
+    assert [f["t0"] for f in sampled] == v.detail["verified"] == ["1/3", "5"]
+    for f in sampled:
+        assert f["value"] == str(total_strand_weight(tangle, Fraction(f["t0"])))
+    assert exact == {"exact": "walk sum", "difference": str(num - den)}
+    assert num != den
 
 
 def test_composition_multiplies_determinants(trefoil, figure8):
