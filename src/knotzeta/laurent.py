@@ -505,19 +505,22 @@ class RingMatrix:
             raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
         if self.modulus != other.modulus:
             raise CoefficientError("mixed coefficient domains in matrix arithmetic")
-        zero = LaurentPoly.zero(self.modulus)
+        # each entry's coefficients are summed in one dict, and the entry is
+        # built (coerced and sorted) once from it
         out = []
-        for i in range(self.rows):
-            row = []
+        for row in self.entries:
+            terms = [(k, a._c) for k, a in enumerate(row) if a._c]
+            out_row = []
             for j in range(other.cols):
-                acc = zero
-                for k in range(self.cols):
-                    a = self.entries[i][k]
-                    if a.is_zero():
-                        continue
-                    acc = acc + a * other.entries[k][j]
-                row.append(acc)
-            out.append(row)
+                acc = {}
+                for k, ac in terms:
+                    bc = other.entries[k][j]._c
+                    for e1, v1 in ac.items():
+                        for e2, v2 in bc.items():
+                            e = e1 + e2
+                            acc[e] = acc.get(e, 0) + v1 * v2
+                out_row.append(LaurentPoly(acc, self.modulus))
+            out.append(out_row)
         return RingMatrix(out, self.modulus, cols=other.cols)
 
     def scale(self, p):

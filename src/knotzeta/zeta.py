@@ -166,18 +166,28 @@ def trace_identity_check(g, spec, max_power=8):
 
 def spectral_estimate(g, spec, t0):
     """Row-sum norm of |W(t0)|^16 to the 1/16: an upper bound trend toward
-    the spectral radius, used only to predict convergence."""
+    the spectral radius, used only to predict convergence.
+
+    Raises DiagramError when |W(t0)| or its 16th power does not fit in a
+    float, since no estimate can be made there.
+    """
     rows = weight_matrix(g, spec).evaluate(Fraction(t0))
-    a = [[abs(float(x)) for x in row] for row in rows]
-    n = len(a)
+    n = len(rows)
     if n == 0:
         return 0.0
-    cur = a
-    for _ in range(15):  # cur becomes |W|^16
-        cur = [[sum(cur[i][k] * a[k][j] for k in range(n)) for j in range(n)]
-               for i in range(n)]
-    norm = max((sum(row) for row in cur), default=0.0)
-    return norm ** (1.0 / 16)
+    try:
+        a = [[abs(float(x)) for x in row] for row in rows]
+        cur = a
+        for _ in range(15):  # cur becomes |W|^16
+            cur = [[sum(cur[i][k] * a[k][j] for k in range(n)) for j in range(n)]
+                   for i in range(n)]
+        # an inf or nan entry makes its row sum inf or nan
+        sums = [sum(row) for row in cur]
+        if not all(map(math.isfinite, sums)):
+            raise OverflowError
+    except OverflowError:
+        raise DiagramError(f"spectral estimate at t={t0} is not finite") from None
+    return max(sums) ** (1.0 / 16)
 
 
 def _warn_if_divergent(estimate, t0):
@@ -202,24 +212,21 @@ def zeta_partial_product(g, spec, t0, max_len):
     """
     t0 = Fraction(t0)
     _warn_if_divergent(spectral_estimate(g, spec, t0), t0)
-    return Fraction(*_euler_product(g, spec, t0, max_len, False))
+    return Fraction(*_euler_product(_euler_factors(g, spec, t0, max_len)))
 
 
-def _euler_product(g, spec, t0, max_len, log_space):
-    """zeta_partial_product without the convergence estimate.
+def _euler_factors(g, spec, t0, max_len):
+    """The truncated Euler product at t = t0 as a list of pairs (1 - w, n).
 
     A prime's Euler factor depends only on its label content, so the product
-    runs over contents, each factor raised to the number of primes that
-    _prime_counts finds for it.  Returns the unreduced pair (num, den): the
-    exact product is num/den, and reducing it costs more than building it.
-    With log_space the product is accumulated as a float logarithm instead,
-    which keeps wildly divergent truncations representable; exactness is
-    beside the point there.
+    runs over contents: w is a content's weight at t0 and n the number of
+    primes that _prime_counts finds for it.  The product P is that of
+    (1 - w)^-n over the list.  Shortest contents come first, so a pole names
+    the shortest prime of weight 1.
     """
     counts = _prime_counts(g, max_len)
     weights = [spec[label].evaluate(t0) for label in _content_labels(g)]
     factors = []
-    # shortest first, so a pole names the shortest prime of weight 1
     for content in sorted(counts, key=sum):
         w = Fraction(1)
         for x, k in zip(weights, content):
@@ -228,9 +235,32 @@ def _euler_product(g, spec, t0, max_len, log_space):
             raise ZeroDivisionError(
                 f"Euler factor pole: prime of length {sum(content)} has weight 1")
         factors.append((1 - w, counts[content]))
-    if not log_space:
-        return (_balanced_product([f.denominator ** n for f, n in factors]),
-                _balanced_product([f.numerator ** n for f, n in factors]))
+    return factors
+
+
+def _euler_product(factors):
+    """The exact product P of _euler_factors as the unreduced pair (num, den).
+
+    P is num/den; on 5_2 and 6_1 both run to a million bits, and reducing
+    them would cost more than building them.
+    """
+    return (_balanced_product([f.denominator ** n for f, n in factors]),
+            _balanced_product([f.numerator ** n for f, n in factors]))
+
+
+def _balanced_product(xs):
+    """Product of ints, multiplied pairwise so that operands grow together."""
+    while len(xs) > 1:
+        xs = [math.prod(xs[i:i + 2]) for i in range(0, len(xs), 2)]
+    return xs[0] if xs else 1
+
+
+def _log_product(factors):
+    """The product P of _euler_factors as a float accumulated in log space.
+
+    Wildly divergent truncations stay representable this way (as +-inf at
+    worst); exactness is beside the point there.
+    """
     negatives = sum(n for f, n in factors if f < 0)
     sign = -1.0 if negatives % 2 else 1.0
     log_mag = -math.fsum(n * math.log(abs(f)) for f, n in factors)
@@ -240,11 +270,87 @@ def _euler_product(g, spec, t0, max_len, log_space):
         return sign * math.inf
 
 
-def _balanced_product(xs):
-    """Product of ints, multiplied pairwise so that operands grow together."""
-    while len(xs) > 1:
-        xs = [math.prod(xs[i:i + 2]) for i in range(0, len(xs), 2)]
-    return xs[0] if xs else 1
+# mantissa bits of the dyadic bounds of _product_bounds; enough that the
+# bounds settle a float almost everywhere, few enough that each product of
+# two mantissas stays cheap
+_BOUND_BITS = 256
+
+
+def _truncate(m, e, up):
+    """m * 2^e (m > 0) with m cut to _BOUND_BITS bits, rounded down or up."""
+    # rounding up can carry into one more bit, so the cut may repeat once
+    while m.bit_length() > _BOUND_BITS:
+        k = m.bit_length() - _BOUND_BITS
+        m, e = (-(-m >> k) if up else m >> k), e + k
+    return m, e
+
+
+def _bound_mul(a, b, up):
+    return _truncate(a[0] * b[0], a[1] + b[1], up)
+
+
+def _bound_pow(a, n, up):
+    """a^n by square-and-multiply, every product cut in one direction."""
+    out = (1, 0)
+    while n:
+        if n & 1:
+            out = _bound_mul(out, a, up)
+        n >>= 1
+        if n:
+            a = _bound_mul(a, a, up)
+    return out
+
+
+def _product_bounds(factors):
+    """Dyadic rationals lo <= P <= hi around the product P of _euler_factors.
+
+    Each |1/(1 - w)| is rounded down for lo and up for hi to a mantissa of
+    _BOUND_BITS bits, raised to its power by square-and-multiply, and
+    multiplied in; every product is truncated toward -inf for lo and toward
+    +inf for hi.  All of that runs on magnitudes, and the sign comes from
+    the parity of the negative factors.
+    """
+    lo = hi = (1, 0)
+    negatives = 0
+    for f, n in factors:
+        # |1/f| = q/p lies in [m, m + 1) * 2^-s, at m * 2^-s exactly when r
+        # is 0, and m has _BOUND_BITS or _BOUND_BITS + 1 bits
+        p, q = abs(f.numerator), f.denominator
+        s = _BOUND_BITS + p.bit_length() - q.bit_length()
+        m, r = divmod(q << s, p) if s >= 0 else divmod(q, p << -s)
+        lo = _bound_mul(lo, _bound_pow(_truncate(m, -s, False), n, False), False)
+        hi = _bound_mul(hi, _bound_pow(_truncate(m + (r > 0), -s, True), n, True), True)
+        if f < 0:
+            negatives += n
+    lo, hi = (Fraction(m << e) if e >= 0 else Fraction(m, 1 << -e) for m, e in (lo, hi))
+    return (-hi, -lo) if negatives % 2 else (lo, hi)
+
+
+def _compare_product(factors, target, tol):
+    """(float(P), float(|P - target|), |P - target| <= tol) for the product P
+    of _euler_factors, each exact or correctly rounded.
+
+    Rounding to a float is monotone, so when both ends of _product_bounds
+    round to one float, so does P; when target lies outside them, both ends'
+    gaps round to one float, and both fall on one side of tol, so do P's.
+    Otherwise (as when the truncation equals 1/det exactly) the answer comes
+    from the exact unreduced pair, compared without reducing it: one gcd
+    would cost more than building it, and int / int rounds correctly all the
+    same.
+    """
+    lo, hi = _product_bounds(factors)
+    partial = float(lo)
+    if float(hi) == partial and not lo <= target <= hi:
+        exact_tol = Fraction(tol)
+        gap_lo, gap_hi = abs(lo - target), abs(hi - target)
+        gap, close = float(gap_lo), gap_lo <= exact_tol
+        if float(gap_hi) == gap and (gap_hi <= exact_tol) == close:
+            return partial, gap, close
+    num, den = _euler_product(factors)
+    tn, td = target.numerator, target.denominator
+    diff, scale = abs(num * td - tn * den), abs(den * td)
+    tol_num, tol_den = tol.as_integer_ratio()
+    return num / den, diff / scale, diff * tol_den <= tol_num * scale
 
 
 def _content_labels(g):
@@ -375,7 +481,11 @@ def determinant_formula_check(g, spec, t0=None, max_len=None, tol=1e-6):
 
     When t0 or max_len is unspecified, a horizon whose estimated tail falls
     below the tolerance is selected automatically (see _plan_horizon).  The
-    verdict rests on the measured gap, not on that estimate.
+    verdict rests on the measured gap, not on that estimate.  At a convergent
+    point the reported floats are those of the exact product, correctly
+    rounded, and the comparison with tol is exact; certified 256-bit bounds
+    settle them wherever they can, and the million-bit exact product is
+    built only where they cannot (see _compare_product).
     """
     trace_verdict = trace_identity_check(g, spec)
     if t0 is None or max_len is None:
@@ -394,22 +504,15 @@ def determinant_formula_check(g, spec, t0=None, max_len=None, tol=1e-6):
         raise ZeroDivisionError("det(I - W) vanishes at the sample point")
     target = 1 / det_value
     _warn_if_divergent(estimate, t0)
+    factors = _euler_factors(g, spec, t0, max_len)
     # on a divergent product the exact rationals grow without bound, so the
     # truncation is evaluated in log space instead; it cannot pass anyway
     if estimate >= DIVERGENT:
-        partial = _euler_product(g, spec, t0, max_len, True)
+        partial = _log_product(factors)
         gap = abs(partial - float(target))
         close = False
     else:
-        # the exact product can run to a million bits; it is compared and
-        # rounded as the unreduced pair, since one gcd would cost more than
-        # building it, and int / int rounds correctly all the same
-        num, den = _euler_product(g, spec, t0, max_len, False)
-        tn, td = target.numerator, target.denominator
-        diff, scale = abs(num * td - tn * den), abs(den * td)
-        tol_num, tol_den = tol.as_integer_ratio()
-        partial, gap = num / den, diff / scale
-        close = diff * tol_den <= tol_num * scale
+        partial, gap, close = _compare_product(factors, target, tol)
     ok = trace_verdict.passed and close
     # convergence is a numeric statement, so the report is numeric
     return Verdict("determinant_formula", ok, {

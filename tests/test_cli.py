@@ -232,6 +232,22 @@ def test_zero_sample_point_is_input_error(validators):
     validators["error"].validate(obj)
 
 
+@pytest.mark.parametrize("t", ["1e400", "1e-400", "1e100"])
+def test_sample_point_beyond_float_range_is_input_error(t, validators):
+    # |W(t)| overflows a float at 1e400 and 1e-400, and its 16th power at 1e100
+    code, out = run("zeta", "figure8", "--check", "euler", "--t", t, "--max-len", "3")
+    assert code == EXIT_INPUT
+    [line] = out.splitlines()
+
+    def reject(constant):
+        raise AssertionError(f"non-JSON constant {constant}")
+
+    obj = json.loads(line, parse_constant=reject)
+    validators["error"].validate(obj)
+    assert obj["error"].startswith("spectral estimate at t=")
+    assert obj["error"].endswith(" is not finite")
+
+
 @pytest.mark.parametrize("argv", [
     ("zeta", "figure8", "--check", "trace", "--max-len", "0"),
     ("zeta", "figure8", "--check", "euler", "--max-len", "0"),

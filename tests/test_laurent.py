@@ -308,6 +308,25 @@ def test_det_over_prime_fields_matches_cofactor(q):
             assert det(m) == det_cofactor(m), (q, n, m)
 
 
+@pytest.mark.parametrize("modulus", [None, 7, 101])
+def test_matmul_matches_sum_of_products(modulus):
+    # the oracle: each entry a running LaurentPoly sum of LaurentPoly products
+    rng = random.Random(modulus or 0)
+    for _ in range(30):
+        rows, inner, cols = (rng.randint(0, 4) for _ in range(3))
+        a = RingMatrix([[random_laurent(rng, modulus, (1, 2, 3)) for _ in range(inner)]
+                        for _ in range(rows)], modulus, cols=inner)
+        b = RingMatrix([[random_laurent(rng, modulus, (1, 5), (-3, 1)) for _ in range(cols)]
+                        for _ in range(inner)], modulus, cols=cols)
+        expected = [[sum((a.entries[i][k] * b.entries[k][j] for k in range(inner)),
+                         LaurentPoly.zero(modulus))
+                     for j in range(cols)] for i in range(rows)]
+        product = a @ b
+        assert (product.rows, product.cols) == (rows, cols)
+        assert product == RingMatrix(expected, modulus, cols=cols)
+        assert all(e.modulus == modulus for row in product.entries for e in row)
+
+
 def test_det_scales_rows_with_denominators():
     # non-unit denominators, so each row is scaled by the lcm of its own
     rng = random.Random(17)

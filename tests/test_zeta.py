@@ -134,7 +134,7 @@ def test_partial_product_float_mode(fig8_cut):
     spec = alexander_spec()
     t0 = Fraction(9, 10)
     exact = zeta_partial_product(fig8_cut, spec, t0, 14)
-    approx = zeta._euler_product(fig8_cut, spec, t0, 14, True)
+    approx = zeta._log_product(zeta._euler_factors(fig8_cut, spec, t0, 14))
     assert math.isclose(float(exact), approx, rel_tol=1e-9)
 
 
@@ -151,7 +151,7 @@ def enumerated_product(g, spec, t0, max_len):
 def test_log_space_product_accuracy(fig8_cut, t0, max_len):
     # divergent points: the log-space branch is the one the check takes there
     exact = enumerated_product(fig8_cut, alexander_spec(), t0, max_len)
-    approx = zeta._euler_product(fig8_cut, alexander_spec(), t0, max_len, True)
+    approx = zeta._log_product(zeta._euler_factors(fig8_cut, alexander_spec(), t0, max_len))
     assert math.isclose(approx, float(exact), rel_tol=1e-12)
 
 
@@ -214,9 +214,9 @@ def test_pole_names_shortest_weight_one_prime(corpus):
     primes = prime_cycles(g, 8)
     lengths = sorted({len(p) for p in primes if cycle_weight(p, spec) == 1})
     assert lengths[:2] == [4, 5] and len(primes[0]) < 4
-    for log_space in (False, True):
-        with pytest.raises(ZeroDivisionError, match="prime of length 4 has weight 1"):
-            zeta._euler_product(g, spec, Fraction(1), 8, log_space)
+    # one factor list serves the exact, the bounded and the log-space product
+    with pytest.raises(ZeroDivisionError, match="prime of length 4 has weight 1"):
+        zeta._euler_factors(g, spec, Fraction(1), 8)
 
 
 @pytest.mark.parametrize("max_len", [8, 10])
@@ -233,6 +233,124 @@ def test_gap_compared_exactly_with_tolerance(fig8_cut, max_len):
                                       tol=tol)
         assert v.detail["gap"] == gap
         assert v.passed == (exact_gap <= Fraction(tol)), tol
+
+
+@pytest.fixture(scope="module")
+def planned_products(corpus):
+    """Every corpus cut at its planned point: (name, arc, graph, t0, max_len,
+    factors), and the exact pair of each factor list, keyed by the list."""
+    spec = alexander_spec()
+    cuts, exact = [], {}
+    for name, d in corpus.items():
+        for arc in d.arcs:
+            g = build_arc_graph(cut(d, [arc]))
+            t0, max_len, _ = zeta._plan_horizon(g, spec, 1e-6)
+            factors = zeta._euler_factors(g, spec, t0, max_len)
+            cuts.append((name, arc, g, t0, max_len, factors))
+            # symmetric cuts share factor lists; each list is multiplied out once
+            if tuple(factors) not in exact:
+                exact[tuple(factors)] = zeta._euler_product(factors)
+    return cuts, exact
+
+
+def test_product_bounds_enclose_the_exact_product(corpus, fig8_cut, planned_products):
+    spec = alexander_spec()
+    cuts, exact = planned_products
+    assert len(cuts) == 31
+    points = [(t0, max_len, factors, exact[tuple(factors)])
+              for _, _, _, t0, max_len, factors in cuts]
+    # the explicit points of the CLI and of the tolerance test; 1/10 diverges,
+    # and at length 5 one factor there is negative
+    cut_5_2 = build_arc_graph(cut(corpus["5_2"], [1]))
+    for g, t0, max_len in [(fig8_cut, Fraction(1, 10), 5), (fig8_cut, Fraction(1, 10), 6),
+                           (cut_5_2, Fraction(1, 2), 5), (fig8_cut, Fraction(9, 10), 8),
+                           (fig8_cut, Fraction(9, 10), 10)]:
+        factors = zeta._euler_factors(g, spec, t0, max_len)
+        points.append((t0, max_len, factors, zeta._euler_product(factors)))
+    negative = 0
+    for t0, max_len, factors, (num, den) in points:
+        lo, hi = zeta._product_bounds(factors)
+        negative += hi < 0
+        # lo <= num/den <= hi, compared without reducing the exact pair
+        if den < 0:
+            num, den = -num, -den
+        assert lo.numerator * den <= num * lo.denominator, (t0, max_len)
+        assert num * hi.denominator <= hi.numerator * den, (t0, max_len)
+        for end in (lo, hi):
+            assert abs(end.numerator).bit_length() <= 256
+            assert end.denominator & (end.denominator - 1) == 0  # a power of 2
+        assert hi - lo <= abs(lo) * Fraction(1, 2 ** 200)
+    assert negative  # the sign of a negative product is covered too
+
+
+def test_compare_product_matches_the_exact_check_on_every_cut(planned_products,
+                                                              monkeypatch):
+    spec = alexander_spec()
+    cuts, exact = planned_products
+    for name, arc, g, _, _, _ in cuts:
+        bounded = determinant_formula_check(g, spec)
+        # bounds that can settle nothing force the exact route; its pair is
+        # looked up rather than built a second time
+        with monkeypatch.context() as m:
+            m.setattr(zeta, "_product_bounds", lambda factors: (Fraction(0), Fraction(1)))
+            m.setattr(zeta, "_euler_product", lambda factors: exact[tuple(factors)])
+            forced = determinant_formula_check(g, spec)
+        assert bounded.passed == forced.passed, (name, arc)
+        assert bounded.detail == forced.detail, (name, arc)
+
+
+def test_exact_product_built_only_when_bounds_cannot_decide(corpus, monkeypatch):
+    def unreachable(xs):
+        raise AssertionError("exact product built")
+
+    monkeypatch.setattr(zeta, "_balanced_product", unreachable)
+    spec = alexander_spec()
+    for name in ("5_2", "6_1"):
+        d = corpus[name]
+        assert determinant_formula_check(build_arc_graph(cut(d, [d.arcs[0]])), spec).passed
+    # the trefoil product equals 1/det exactly: no bound can tell the gap from 0
+    trefoil = build_arc_graph(cut(corpus["trefoil"], [1]))
+    with pytest.raises(AssertionError, match="exact product built"):
+        determinant_formula_check(trefoil, spec)
+
+
+# hand-made factor lists whose product P or gap sits exactly on a tie that
+# no 256-bit bound can settle: (factors, target, tol)
+THIRD = (Fraction(3), 1)  # contributes 1/3, which no dyadic bound hits
+TIES = {
+    # P = 1 + 2^-53 lies halfway between two floats
+    "partial": ([(Fraction(2 ** 53, 3 * (2 ** 53 + 1)), 1), THIRD], Fraction(2), 1e-6),
+    # P = 1/3 and the gap (1 + 2^-53) 2^-10 lies halfway between two floats
+    "gap": ([THIRD], Fraction(1, 3) + Fraction(2 ** 53 + 1, 2 ** 63), 1e-6),
+    # P = 1/3 and the gap equals tol, 2^-20
+    "tolerance": ([THIRD], Fraction(1, 3) + Fraction(1, 2 ** 20), 2.0 ** -20),
+    # P = 1/3 = target
+    "target": ([THIRD], Fraction(1, 3), 0.0),
+}
+
+
+def assert_exact_fallback(factors, target, tol, monkeypatch):
+    built = []
+    exact = zeta._euler_product
+    monkeypatch.setattr(zeta, "_euler_product", lambda f: built.append(f) or exact(f))
+    product = Fraction(1)
+    for f, n in factors:
+        product /= f ** n
+    gap = abs(product - target)
+    assert zeta._compare_product(factors, target, tol) == \
+        (float(product), float(gap), gap <= Fraction(tol))
+    assert built == [factors]
+
+
+@pytest.mark.parametrize("tie", sorted(TIES))
+def test_compare_product_falls_back_on_ties(tie, monkeypatch):
+    assert_exact_fallback(*TIES[tie], monkeypatch)
+
+
+def test_compare_product_falls_back_when_target_is_inside_the_bounds(monkeypatch):
+    # midway between the bounds both ends have one gap, though P's is smaller
+    lo, hi = zeta._product_bounds([THIRD])
+    assert_exact_fallback([THIRD], (lo + hi) / 2, 1e-6, monkeypatch)
 
 
 def test_determinant_formula_auto_plans(corpus):
