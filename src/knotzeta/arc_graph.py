@@ -184,38 +184,55 @@ def weight_matrix(g, spec, vertices=None):
     return RingMatrix(rows, modulus, cols=n)
 
 
+def _diagonal_minus_weights(g, spec, vertices, diagonal):
+    """D - W over the given vertices from the edge list, D the diagonal
+    matrix of `diagonal`.  Entries off the diagonal and the edges are one
+    shared zero, and each label's negated weight is built once."""
+    index = {v: i for i, v in enumerate(vertices)}
+    zero = LaurentPoly.zero(spec.modulus)
+    n = len(vertices)
+    rows = [[zero] * n for _ in range(n)]
+    for i, d in enumerate(diagonal):
+        rows[i][i] = d
+    negated = {}
+    for e in g.edges:
+        i, j = index.get(e.src), index.get(e.dst)
+        if i is None or j is None:
+            continue
+        if i == j:
+            rows[i][i] = rows[i][i] - spec[e.label]
+            continue
+        assert rows[i][j] is zero, "duplicate edge survived construction"
+        if e.label not in negated:
+            negated[e.label] = -spec[e.label]
+        rows[i][j] = negated[e.label]
+    return RingMatrix(rows, spec.modulus, cols=n)
+
+
 def laplacian(g, spec, roots=()):
     """Out-degree Laplacian with the root rows and columns deleted.
 
-    L[v][v] is the total weight leaving v and L[u][v] the negated edge
-    weight, so every row sums to zero before any deletion.
+    L[v][v] is the total weight leaving v (less a self-loop's weight) and
+    L[u][v] the negated edge weight, so every row sums to zero before any
+    deletion.  Built from the edge list over the vertices that are not roots.
     """
-    roots = list(roots)
     for r in roots:
-        g.vertex_index(r)
-    modulus = spec.modulus
-    w = weight_matrix(g, spec)
-    n = len(g.vertices)
-    zero = LaurentPoly.zero(modulus)
-    rows = []
-    for i, v in enumerate(g.vertices):
-        out_total = zero
-        for e in g.out_map[v]:
-            out_total = out_total + spec[e.label]
-        row = [out_total - w.entries[i][j] if i == j else -w.entries[i][j]
-               for j in range(n)]
-        rows.append(row)
-    full = RingMatrix(rows, modulus, cols=n)
-    drop = [g.vertex_index(r) for r in roots]
-    return full.delete(rows=drop, cols=drop)
+        g.vertex_index(r)  # raises on an unknown root
+    drop = set(roots)
+    zero = LaurentPoly.zero(spec.modulus)
+    keep = [v for v in g.vertices if v not in drop]
+    totals = [sum((spec[e.label] for e in g.out_map[v]), zero) for v in keep]
+    return _diagonal_minus_weights(g, spec, keep, totals)
 
 
 def tangle_matrix(g, spec, vertices=None):
-    """I - W over the chosen vertices (defaults to all of them)."""
+    """I - W over the chosen vertices (defaults to all of them), built from
+    the edge list: the diagonal is 1, or 1 - w under a self-loop of weight w,
+    and each edge u -> v between chosen vertices puts -w at (u, v)."""
     if vertices is None:
         vertices = g.vertices
-    w = weight_matrix(g, spec, vertices)
-    return RingMatrix.identity(len(vertices), spec.modulus) - w
+    one = LaurentPoly.one(spec.modulus)
+    return _diagonal_minus_weights(g, spec, vertices, [one] * len(vertices))
 
 
 def tangle_determinant(g, spec):

@@ -273,10 +273,10 @@ def _check_path_sum(name, diagram, arc, seed):
                    lhs={"failures": verdict.detail["failures"]}, rhs="1")
 
 
-def _check_composition(name1, d1, name2, d2):
+def _check_composition(name1, d1, name2, d2, factor_dets):
     t1 = cut(d1, [d1.arcs[0]])
     t2 = cut(d2, [d2.arcs[0]])
-    verdict = composition_check(t1, t2)
+    verdict = composition_check(t1, t2, factor_dets)
     return _report(f"composition:{name1}+{name2}", verdict, {},
                    lhs=verdict.detail["composite"], rhs=verdict.detail["product"])
 
@@ -347,9 +347,12 @@ def _suite_jobs(suites, diagrams, extras, ns):
             for arc in d.arcs:
                 jobs.append(_timed(_check_path_sum, name, d, arc, seed))
     if "composition" in suites:
+        # one pass computes each factor's determinant once, charged to the
+        # first check that needs it
+        factor_dets = {}
         for i, (name1, d1) in enumerate(named):
             for name2, d2 in named[i:]:
-                jobs.append(_timed(_check_composition, name1, d1, name2, d2))
+                jobs.append(_timed(_check_composition, name1, d1, name2, d2, factor_dets))
     if "cable" in suites:
         cable_named = [(n, d) for n, d in diagrams if n in CABLE_CORPUS] + list(extras)
         orders = (2, 3) if ns.n is None else (ns.n,)

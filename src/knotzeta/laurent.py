@@ -195,16 +195,30 @@ class LaurentPoly:
         return LaurentPoly({e * n: v for e, v in self._c.items()}, self.modulus)
 
     def evaluate(self, t0):
-        """Exact value at a rational point t0 (nonzero if negative powers occur)."""
+        """Exact value at a rational point t0 (nonzero if negative powers occur).
+
+        One Horner pass on ints: with c_e = n_e / m and t0 = a/b, the value
+        is sum(n_e a^(e - lo) b^(hi - e)) / (m b^(hi - lo)) * t0^lo, for the
+        lowest and highest exponents lo and hi.
+        """
         if self.modulus is not None:
             raise CoefficientError("evaluation at a rational point needs rational coefficients")
         t0 = Fraction(t0)
-        if t0 == 0 and self._c and self.min_exp() < 0:
+        if not self._c:
+            return Fraction(0)
+        lo, hi = self.min_exp(), self.max_exp()
+        if t0 == 0 and lo < 0:
             raise ZeroDivisionError("evaluation at 0 with negative exponents present")
-        total = Fraction(0)
-        for e, v in self._c.items():
-            total += v * t0 ** e
-        return total
+        a, b = t0.numerator, t0.denominator
+        m = math.lcm(*(v.denominator for v in self._c.values()))
+        acc, b_power = 0, 1
+        for e in range(hi, lo - 1, -1):
+            acc *= a
+            v = self._c.get(e)
+            if v:
+                acc += v.numerator * (m // v.denominator) * b_power
+            b_power *= b
+        return Fraction(acc, m * b ** (hi - lo)) * t0 ** lo
 
     # -- comparison, hashing, display --------------------------------------
 
@@ -501,25 +515,34 @@ class RingMatrix:
             raise CoefficientError("mixed coefficient domains in matrix arithmetic")
 
     def __matmul__(self, other):
+        """The matrix product over the nonzeros of both factors.
+
+        Row i sums a[i][k] * b[k][j] over nonzero a[i][k] and b[k][j] only,
+        so the cost follows the nonzero terms (a walk matrix has at most two
+        per row).  Each reached entry's coefficients are summed in one dict;
+        entries no term reaches are one shared zero.
+        """
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
         if self.modulus != other.modulus:
             raise CoefficientError("mixed coefficient domains in matrix arithmetic")
-        # each entry's coefficients are summed in one dict, and the entry is
-        # built (coerced and sorted) once from it
+        zero = LaurentPoly.zero(self.modulus)
+        other_rows = [[(j, b._c) for j, b in enumerate(row) if b._c] for row in other.entries]
         out = []
         for row in self.entries:
-            terms = [(k, a._c) for k, a in enumerate(row) if a._c]
-            out_row = []
-            for j in range(other.cols):
-                acc = {}
-                for k, ac in terms:
-                    bc = other.entries[k][j]._c
-                    for e1, v1 in ac.items():
+            acc = {}
+            for k, a in enumerate(row):
+                if not a._c:
+                    continue
+                for j, bc in other_rows[k]:
+                    d = acc.setdefault(j, {})
+                    for e1, v1 in a._c.items():
                         for e2, v2 in bc.items():
                             e = e1 + e2
-                            acc[e] = acc.get(e, 0) + v1 * v2
-                out_row.append(LaurentPoly(acc, self.modulus))
+                            d[e] = d.get(e, 0) + v1 * v2
+            out_row = [zero] * other.cols
+            for j, d in acc.items():
+                out_row[j] = LaurentPoly(d, self.modulus)
             out.append(out_row)
         return RingMatrix(out, self.modulus, cols=other.cols)
 

@@ -16,6 +16,7 @@ Alexander polynomial divided by t - 1.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 
 from .alexander import alexander_minor, fox_derivative
@@ -24,7 +25,7 @@ from .knot_model import DiagramError, Presentation, wirtinger_presentation
 from .laurent import LaurentPoly, PolyFraction, RingMatrix, canonicalize, det, \
     divide_exact
 from .verdict import Verdict
-from .zeta import closed_walks
+from .zeta import closed_walk_sums
 
 
 # -- small dense linear algebra over a prime field ---------------------------
@@ -503,20 +504,21 @@ def twisted_trace_check(diagram, rep, max_power=6):
     """tr(B^m) equals the sum over based closed walks of block product traces.
 
     The blocks do not commute, so the product follows the walk in order; the
-    scalar trace identity is the dim = 1 shadow of this one.
+    scalar trace identity is the dim = 1 shadow of this one.  Each edge's
+    block is taken from B once; the trace of each length's summed walk
+    products (closed_walk_sums) is the sum of their traces.
     """
     g = build_arc_graph(diagram)
     b = twisted_weight_graph(diagram, rep)
     m = rep.dim
+    blocks = {e: b.block(int(e.src) - 1, int(e.dst) - 1, m) for e in g.edges}
+    walk_sums = closed_walk_sums(g, max_power, blocks.__getitem__,
+                                 RingMatrix.identity(m, rep.field), operator.matmul)
+    zero = LaurentPoly.zero(rep.field)
     failures = []
     power = b
     for length in range(1, max_power + 1):
-        walk_sum = LaurentPoly.zero(rep.field)
-        for walk in closed_walks(g, length):
-            prod = RingMatrix.identity(m, rep.field)
-            for e in walk:
-                prod = prod @ b.block(int(e.src) - 1, int(e.dst) - 1, m)
-            walk_sum = walk_sum + prod.trace()
+        walk_sum = walk_sums[length].trace() if length in walk_sums else zero
         tr = power.trace()
         if tr != walk_sum:
             failures.append({"m": length, "trace": str(tr), "walks": str(walk_sum)})

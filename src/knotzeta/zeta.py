@@ -18,6 +18,7 @@ here too, since all three are statements about walk weights.
 from __future__ import annotations
 
 import math
+import operator
 import random
 import warnings
 from fractions import Fraction
@@ -33,6 +34,8 @@ class ConvergenceWarning(UserWarning):
     """Signals that a truncated Euler product is not expected to converge."""
 
 
+# the enumeration cap: on the primes listed or counted, and on the closed
+# walks that the trace oracles enumerate
 MAX_PRIMES = 10 ** 6
 # spectral estimates at or above this predict a divergent Euler product; the
 # margin below 1 keeps the planner off points where the tail estimate explodes
@@ -55,7 +58,8 @@ def _is_primitive(seq):
 
 
 def closed_walks(g, length):
-    """All based closed walks of exactly the given length, as edge tuples."""
+    """All based closed walks of exactly the given length, as edge tuples
+    (the unpruned reference for closed_walk_sums)."""
     if length < 1:
         raise ValueError("walk length must be at least 1")
     found = []
@@ -75,13 +79,87 @@ def closed_walks(g, length):
     return found
 
 
+def _return_distances(g, start, max_len, allowed):
+    """{v: fewest edges from v back to start, under max_len}, by BFS on the
+    reversed edges between vertices v with allowed(v)."""
+    into = {}
+    for e in g.edges:
+        if allowed(e.src) and allowed(e.dst):
+            into.setdefault(e.dst, []).append(e.src)
+    dist, frontier = {start: 0}, [start]
+    for d in range(1, max_len):
+        reached = []
+        for v in frontier:
+            for u in into.get(v, ()):
+                if u not in dist:
+                    dist[u] = d
+                    reached.append(u)
+        frontier = reached
+    return dist
+
+
+def _closed_walk_count(g, max_len):
+    """Sum of tr(A^m) over m <= max_len for the adjacency A: the number of
+    based closed walks up to max_len, counted per start vertex on ints.
+    Stops once past MAX_PRIMES."""
+    total = 0
+    for start in g.vertices:
+        reach = {start: 1}
+        for _ in range(max_len):
+            step = {}
+            for v, n in reach.items():
+                for e in g.out_map[v]:
+                    step[e.dst] = step.get(e.dst, 0) + n
+            reach = step
+            total += reach.get(start, 0)
+            if total > MAX_PRIMES:
+                return total
+    return total
+
+
+def closed_walk_sums(g, max_len, weight, one, mul):
+    """{L: sum of the weight products of the based closed walks of length L}
+    over the lengths 1 <= L <= max_len that have any.
+
+    weight(e) is an edge's weight, one the empty product, and mul(p, w)
+    extends a product (operator.mul for LaurentPoly weights, operator.matmul
+    for blocks).  The walks are enumerated, not read off powers of W: one DFS
+    per start vertex serves all lengths, each prefix's product is shared by
+    its extensions, and a prefix is cut where it cannot get back within
+    max_len.  Raises RuntimeError, before enumerating, beyond MAX_PRIMES walks.
+    """
+    if max_len < 1:
+        raise ValueError("max_len must be at least 1")
+    if _closed_walk_count(g, max_len) > MAX_PRIMES:
+        raise RuntimeError(f"more than {MAX_PRIMES} closed walks below length {max_len}")
+    out = {v: [(e.dst, weight(e)) for e in g.out_map[v]] for v in g.vertices}
+    sums = {}
+
+    def extend(start, v, length, prod, dist):
+        # length counts the edge about to be taken
+        for u, w in out[v]:
+            d = dist.get(u)
+            if d is None or length + d > max_len:
+                continue
+            p = mul(prod, w)
+            if u == start:
+                sums[length] = sums[length] + p if length in sums else p
+            if length < max_len:
+                extend(start, u, length + 1, p, dist)
+
+    for start in g.vertices:
+        extend(start, start, 1, one, _return_distances(g, start, max_len, lambda v: True))
+    return sums
+
+
 def prime_cycles(g, max_len):
     """All primes of length at most max_len, one representative per class.
 
     The representative starts at the rotation-minimal vertex sequence
     (minimal in the graph's vertex order).  Enumeration runs a DFS from each
-    start vertex restricted to vertices of equal or higher index, records
-    every return to the start, and keeps exactly the walks that are both
+    start vertex restricted to vertices of equal or higher index, cut where
+    a prefix cannot get back to the start within max_len, records every
+    return to the start, and keeps exactly the walks that are both
     rotation-minimal and not proper powers.  Output is sorted by length,
     then vertex sequence.  Raises RuntimeError beyond MAX_PRIMES primes.
     """
@@ -90,9 +168,10 @@ def prime_cycles(g, max_len):
     index = {v: i for i, v in enumerate(g.vertices)}
     primes = []
 
-    def extend(start, cur, path):
+    def extend(start, cur, path, dist):
         for e in g.out_map[cur]:
-            if index[e.dst] < index[start]:
+            d = dist.get(e.dst)
+            if d is None or len(path) + 1 + d > max_len:
                 continue
             path.append(e)
             if e.dst == start:
@@ -103,11 +182,12 @@ def prime_cycles(g, max_len):
                         raise RuntimeError(
                             f"more than {MAX_PRIMES} primes below length {max_len}")
             if len(path) < max_len:
-                extend(start, e.dst, path)
+                extend(start, e.dst, path, dist)
             path.pop()
 
     for v in g.vertices:
-        extend(v, v, [])
+        lowest = index[v]
+        extend(v, v, [], _return_distances(g, v, max_len, lambda u: index[u] >= lowest))
     primes.sort(key=lambda item: (item[0], item[1]))
     return [edges for _, _, edges in primes]
 
@@ -133,14 +213,15 @@ def trace_identity_check(g, spec, max_power=8):
         raise ValueError("trace identity needs rational coefficients")
     if max_power < 1:
         raise ValueError("max_power must be at least 1")
+    walk_sums = closed_walk_sums(g, max_power, lambda e: spec[e.label],
+                                 LaurentPoly.one(), operator.mul)
     w = weight_matrix(g, spec)
     failures = []
     power = w
-    trace_side = LaurentPoly.zero()
+    zero = LaurentPoly.zero()
+    trace_side = zero
     for m in range(1, max_power + 1):
-        walk_sum = LaurentPoly.zero()
-        for walk in closed_walks(g, m):
-            walk_sum = walk_sum + cycle_weight(walk, spec)
+        walk_sum = walk_sums.get(m, zero)
         tr = power.trace()
         if tr != walk_sum:
             failures.append({"m": m, "trace": str(tr), "walks": str(walk_sum)})
@@ -168,25 +249,36 @@ def spectral_estimate(g, spec, t0):
     """Row-sum norm of |W(t0)|^16 to the 1/16: an upper bound trend toward
     the spectral radius, used only to predict convergence.
 
-    Raises DiagramError when |W(t0)| or its 16th power does not fit in a
-    float, since no estimate can be made there.
+    Each power is multiplied by |W(t0)| over the nonzeros of each column, in
+    row order; the terms left out are products with 0.0, so the estimate is
+    the dense product's to the bit.  Raises DiagramError when |W(t0)|, a
+    power or a row sum does not fit in a float (at a power's first entry
+    that is not finite, where a dense row turns to inf or NaN for good),
+    since no estimate can be made there.
     """
-    rows = weight_matrix(g, spec).evaluate(Fraction(t0))
-    n = len(rows)
+    index = {v: i for i, v in enumerate(g.vertices)}
+    n = len(index)
     if n == 0:
         return 0.0
+    t0 = Fraction(t0)
+    not_finite = f"spectral estimate at t={t0} is not finite"
     try:
-        a = [[abs(float(x)) for x in row] for row in rows]
-        cur = a
-        for _ in range(15):  # cur becomes |W|^16
-            cur = [[sum(cur[i][k] * a[k][j] for k in range(n)) for j in range(n)]
-                   for i in range(n)]
-        # an inf or nan entry makes its row sum inf or nan
-        sums = [sum(row) for row in cur]
-        if not all(map(math.isfinite, sums)):
-            raise OverflowError
+        weights = {label: abs(float(spec[label].evaluate(t0)))
+                   for label in {e.label for e in g.edges}}
     except OverflowError:
-        raise DiagramError(f"spectral estimate at t={t0} is not finite") from None
+        raise DiagramError(not_finite) from None
+    a = [[0.0] * n for _ in range(n)]
+    for e in g.edges:
+        a[index[e.src]][index[e.dst]] = weights[e.label]
+    columns = [[(k, a[k][j]) for k in range(n) if a[k][j]] for j in range(n)]
+    cur = a
+    for _ in range(15):  # cur becomes |W|^16
+        cur = [[sum([row[k] * x for k, x in col], 0.0) for col in columns] for row in cur]
+        if not all(math.isfinite(x) for row in cur for x in row):
+            raise DiagramError(not_finite)
+    sums = [sum(row) for row in cur]
+    if not all(map(math.isfinite, sums)):
+        raise DiagramError(not_finite)
     return max(sums) ** (1.0 / 16)
 
 
@@ -420,20 +512,22 @@ def _prime_counts(g, max_len):
 
 
 def _walk_budget(g, max_len):
-    """Number of directed paths of length <= max_len: the planner's size cap."""
-    n = len(g.vertices)
+    """Number of directed paths of length <= max_len: the planner's size cap.
+
+    Sums A^k 1 for the 0/1 adjacency A, one length at a time on ints, and
+    stops at the first length that takes the total past 10^8.
+    """
     index = {v: i for i, v in enumerate(g.vertices)}
-    a = [[0] * n for _ in range(n)]
-    for e in g.edges:
-        a[index[e.src]][index[e.dst]] = 1
+    succ = [[] for _ in index]
+    for src, dst in {(e.src, e.dst) for e in g.edges}:
+        succ[index[src]].append(index[dst])
+    paths = [1] * len(index)
     total = 0
-    cur = [row[:] for row in a]
     for _ in range(max_len):
-        total += sum(map(sum, cur))
+        paths = [sum(paths[j] for j in out) for out in succ]
+        total += sum(paths)
         if total > 10 ** 8:
             break
-        cur = [[sum(cur[i][k] * a[k][j] for k in range(n)) for j in range(n)]
-               for i in range(n)]
     return total
 
 
@@ -629,12 +723,20 @@ def path_sum_check(tangle, samples=None, count=20, seed=0):
 # -- composition and cabling -------------------------------------------------
 
 
-def composition_check(t1, t2):
-    """det(I - W) is multiplicative under strand composition, exactly."""
+def composition_check(t1, t2, factor_dets=None):
+    """det(I - W) is multiplicative under strand composition, exactly.
+
+    factor_dets maps a tangle to its determinant; a factor missing there is
+    computed and added.  So (t, t) computes it once, and a caller checking
+    many pairs passes one dict to all of them.
+    """
     spec = alexander_spec()
     left = tangle_determinant(build_arc_graph(compose_tangles(t1, t2)), spec)
-    right = tangle_determinant(build_arc_graph(t1), spec) \
-        * tangle_determinant(build_arc_graph(t2), spec)
+    dets = {} if factor_dets is None else factor_dets
+    for t in (t1, t2):
+        if t not in dets:
+            dets[t] = tangle_determinant(build_arc_graph(t), spec)
+    right = dets[t1] * dets[t2]
     return Verdict("composition", left == right,
                    {"composite": str(left), "product": str(right)})
 

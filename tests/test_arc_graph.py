@@ -7,7 +7,7 @@ import pytest
 from knotzeta.arc_graph import alexander_spec, build_arc_graph, constant_spec, \
     laplacian, tangle_determinant, tangle_matrix, weight_matrix, weighted_edges
 from knotzeta.knot_model import DiagramError, cut, parse_diagram
-from knotzeta.laurent import LaurentPoly, det
+from knotzeta.laurent import LaurentPoly, RingMatrix, det
 
 
 def test_two_edges_per_crossing(trefoil):
@@ -130,6 +130,38 @@ def test_tangle_matrix_restricts_vertices(trefoil):
     m = tangle_matrix(g, alexander_spec(), inner)
     assert m.rows == len(inner)
     assert det(m) == tangle_determinant(g, alexander_spec())
+
+
+def _dense_tangle_matrix(g, spec, vertices):
+    return RingMatrix.identity(len(vertices), spec.modulus) - weight_matrix(g, spec, vertices)
+
+
+def _dense_laplacian(g, spec, roots):
+    w = weight_matrix(g, spec)
+    n = len(g.vertices)
+    rows = []
+    for i, v in enumerate(g.vertices):
+        out_total = sum((spec[e.label] for e in g.out_map[v]), LaurentPoly.zero(spec.modulus))
+        rows.append([out_total - w.entries[i][j] if i == j else -w.entries[i][j]
+                     for j in range(n)])
+    drop = [g.vertex_index(r) for r in roots]
+    return RingMatrix(rows, spec.modulus, cols=n).delete(rows=drop, cols=drop)
+
+
+@pytest.mark.parametrize("spec", [alexander_spec(), alexander_spec(7), constant_spec(3)],
+                         ids=["alexander", "mod7", "constant"])
+def test_matrices_from_edges_equal_the_dense_forms(corpus, spec):
+    # every cut and every closed diagram, over several vertex subsets and orders
+    graphs = [build_arc_graph(d) for d in corpus.values()]
+    graphs += [build_arc_graph(cut(d, [arc])) for d in corpus.values() for arc in d.arcs]
+    assert any(e.src == e.dst for g in graphs for e in g.edges)  # kink self-loops
+    for g in graphs:
+        vs = list(g.vertices)
+        for keep in (vs, vs[:-1], vs[::2], vs[::-1]):
+            assert tangle_matrix(g, spec, keep) == _dense_tangle_matrix(g, spec, keep)
+        assert tangle_matrix(g, spec) == _dense_tangle_matrix(g, spec, g.vertices)
+        for roots in ((), (vs[0],), (vs[-1], vs[0])):
+            assert laplacian(g, spec, roots) == _dense_laplacian(g, spec, roots)
 
 
 def test_constant_spec_counts_walks(trefoil):

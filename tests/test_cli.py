@@ -14,7 +14,7 @@ import pytest
 from jsonschema import Draft202012Validator
 from referencing import Registry, Resource
 
-from knotzeta import arborescence, cli, zeta
+from knotzeta import arborescence, cli, laurent, zeta
 from knotzeta.cli import EXIT_INCONSISTENT, EXIT_INPUT, EXIT_OK, main
 from knotzeta.knot_model import render_diagram
 
@@ -276,6 +276,27 @@ def test_enumeration_cap_is_input_error(module, cap, argv, monkeypatch, validato
     validators["error"].validate(obj)
 
 
+def test_trace_horizon_beyond_the_cap_fails_fast(validators):
+    # 6_1 has more than 10^6 closed walks up to length 30; the count comes
+    # before any walk is enumerated
+    for max_len in ("30", "40", "1000"):
+        start = time.perf_counter()
+        code, obj = run_json("zeta", "6_1", "--check", "trace", "--max-len", max_len)
+        assert time.perf_counter() - start < 1
+        assert code == EXIT_INPUT
+        assert obj == {"error": f"more than 1000000 closed walks below length {max_len}"}
+        validators["error"].validate(obj)
+
+
+def test_trace_horizon_under_the_cap_runs(validators):
+    start = time.perf_counter()
+    code, obj = run_json("zeta", "6_1", "--check", "trace", "--max-len", "12")
+    assert time.perf_counter() - start < 1
+    assert code == EXIT_OK
+    assert obj["detail"] == {"failures": [], "max_power": 12}
+    validators["verdict"].validate(obj)
+
+
 def test_diagram_file_path_resolution(tmp_path, trefoil):
     path = tmp_path / "local.knot"
     path.write_text(render_diagram(trefoil))
@@ -353,6 +374,46 @@ def test_verify_seconds_are_per_check(monkeypatch):
     seconds = {r["check"]: r["seconds"] for r in map(json.loads, out.splitlines())}
     assert seconds["twisted:dihedral:trefoil:trace"] >= 0.2
     assert seconds["twisted:dihedral:trefoil:rep"] < 0.2
+
+
+@pytest.fixture
+def det_calls(monkeypatch):
+    """A list that gets the size of every matrix handed to laurent.det."""
+    calls = []
+    original = laurent.det
+
+    def counted(mat):
+        calls.append(mat.rows)
+        return original(mat)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("knotzeta") and getattr(module, "det", None) is original:
+            monkeypatch.setattr(module, "det", counted)
+    return calls
+
+
+def test_verify_passes_repeat_without_replaying(det_calls):
+    # nothing may be kept from one cli.main call to the next: a second pass
+    # prints the same bytes and computes the same determinants
+    passes = []
+    for _ in range(2):
+        before = len(det_calls)
+        code, out = run("verify", "all", "--seed", "0", "--json")
+        assert code == EXIT_OK
+        passes.append((re.sub(r',"seconds":[-+.0-9eE]+', "", out), len(det_calls) - before))
+    assert passes[0] == passes[1]
+    assert passes[0][1] > 0
+
+
+def test_composition_determinants_once_per_factor(det_calls):
+    code, out = run("verify", "composition", "--json")
+    assert code == EXIT_OK
+    assert len(out.splitlines()) == 45
+    assert len(det_calls) == 45 + 9
+    det_calls.clear()
+    code, _ = run("zeta", "trefoil", "--check", "composition")
+    assert code == EXIT_OK
+    assert len(det_calls) == 2
 
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / \

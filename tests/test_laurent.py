@@ -59,6 +59,21 @@ def test_evaluate_exact():
     assert P({-2: 3}).evaluate(Fraction(2, 3)) == Fraction(27, 4)
 
 
+def test_evaluate_matches_term_by_term_sum():
+    rng = random.Random(5)
+    points = [Fraction(0), Fraction(1), Fraction(-1), Fraction(7), Fraction(-3, 8),
+              Fraction(22, 7), Fraction(10 ** 30 + 1, 3 ** 40)]
+    for _ in range(300):
+        p = random_laurent(rng, denominators=(1, 1, 2, 3, 10), exponents=(-6, 9))
+        for t0 in points:
+            if t0 == 0 and p.coeffs and p.min_exp() < 0:
+                continue
+            expected = sum((v * t0 ** e for e, v in p.coeffs.items()), Fraction(0))
+            value = p.evaluate(t0)
+            assert type(value) is Fraction
+            assert value == expected, (p, t0)
+
+
 def test_evaluate_at_zero_rejected_for_negative_exponents():
     with pytest.raises(ZeroDivisionError):
         P({-1: 1}).evaluate(0)
@@ -311,12 +326,20 @@ def test_det_over_prime_fields_matches_cofactor(q):
 @pytest.mark.parametrize("modulus", [None, 7, 101])
 def test_matmul_matches_sum_of_products(modulus):
     # the oracle: each entry a running LaurentPoly sum of LaurentPoly products
+    # zero-heavy shapes (most entries zero, up to whole zero rows and
+    # columns, as in walk matrices) come after the dense ones
     rng = random.Random(modulus or 0)
-    for _ in range(30):
-        rows, inner, cols = (rng.randint(0, 4) for _ in range(3))
-        a = RingMatrix([[random_laurent(rng, modulus, (1, 2, 3)) for _ in range(inner)]
+    zero = LaurentPoly.zero(modulus)
+
+    def entry(density, *args):
+        return random_laurent(rng, modulus, *args) if rng.random() < density else zero
+
+    for trial in range(60):
+        density = 1.0 if trial < 30 else rng.choice((0.05, 0.15, 0.3))
+        rows, inner, cols = (rng.randint(0, 4 if trial < 30 else 9) for _ in range(3))
+        a = RingMatrix([[entry(density, (1, 2, 3)) for _ in range(inner)]
                         for _ in range(rows)], modulus, cols=inner)
-        b = RingMatrix([[random_laurent(rng, modulus, (1, 5), (-3, 1)) for _ in range(cols)]
+        b = RingMatrix([[entry(density, (1, 5), (-3, 1)) for _ in range(cols)]
                         for _ in range(inner)], modulus, cols=cols)
         expected = [[sum((a.entries[i][k] * b.entries[k][j] for k in range(inner)),
                          LaurentPoly.zero(modulus))

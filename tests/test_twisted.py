@@ -1,17 +1,21 @@
 """Representations over prime fields and the twisted determinant quotient."""
 
+import operator
+
 import pytest
 
 from knotzeta import twisted
+from knotzeta.arc_graph import build_arc_graph
 from knotzeta.knot_model import DiagramError, parse_diagram, \
     wirtinger_presentation
-from knotzeta.laurent import LaurentPoly, canonicalize, det
+from knotzeta.laurent import LaurentPoly, RingMatrix, canonicalize, det
 from knotzeta.twisted import ColoringSpace, Representation, \
     column_independence_check, dihedral_field, dihedral_rep, fox_colorings, \
     trivial_reduction_check, trivial_representation, \
     twisted_alexander_matrix, twisted_alexander_polynomial, \
     twisted_block_identity_check, twisted_row_identity_check, \
     twisted_trace_check, twisted_weight_graph, verify_representation
+from knotzeta.zeta import closed_walk_sums, closed_walks
 
 
 @pytest.fixture(scope="module")
@@ -201,6 +205,31 @@ def test_row_identity(trefoil, trefoil_rep, figure8, fig8_rep):
 def test_twisted_trace(trefoil, trefoil_rep, figure8, fig8_rep):
     assert twisted_trace_check(trefoil, trefoil_rep, max_power=5).passed
     assert twisted_trace_check(figure8, fig8_rep, max_power=5).passed
+
+
+def test_block_walk_sums_equal_the_per_walk_products(trefoil, trefoil_rep, figure8,
+                                                     fig8_rep):
+    # the oracle: each closed walk's block product built from the identity on
+    for diagram, rep in ((trefoil, trefoil_rep), (figure8, fig8_rep)):
+        g = build_arc_graph(diagram)
+        b = twisted_weight_graph(diagram, rep)
+        m = rep.dim
+
+        def block(e):
+            return b.block(int(e.src) - 1, int(e.dst) - 1, m)
+
+        identity = RingMatrix.identity(m, rep.field)
+        sums = closed_walk_sums(g, 6, block, identity, operator.matmul)
+        for length in range(1, 7):
+            products = []
+            for walk in closed_walks(g, length):
+                prod = identity
+                for e in walk:
+                    prod = prod @ block(e)
+                products.append(prod)
+            assert (length in sums) == bool(products)
+            if products:
+                assert sums[length] == sum(products[1:], products[0])
 
 
 def test_trivial_reduction_across_corpus(corpus):

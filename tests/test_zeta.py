@@ -1,9 +1,12 @@
 """Prime cycles, trace identities, Euler products, and strand walk sums."""
 
+import json
 import math
+import operator
 import warnings
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +29,13 @@ def trefoil_cut(trefoil):
 @pytest.fixture(scope="module")
 def fig8_cut(figure8):
     return build_arc_graph(cut(figure8, [1]))
+
+
+@pytest.fixture(scope="module")
+def every_cut(corpus):
+    """{"name:arc": arc graph} for the 31 one-arc cuts of the corpus."""
+    return {f"{name}:{arc}": build_arc_graph(cut(d, [arc]))
+            for name, d in corpus.items() for arc in d.arcs}
 
 
 def test_closed_walks_on_closed_trefoil(trefoil):
@@ -87,6 +97,47 @@ def test_cycle_weight_multiplies(trefoil_cut):
         assert w == manual
 
 
+def test_closed_walk_sums_equal_the_per_length_enumeration(corpus, every_cut):
+    spec = alexander_spec()
+    zero = LaurentPoly.zero()
+    graphs = list(every_cut.values()) + [build_arc_graph(d) for d in corpus.values()]
+    for g in graphs:
+        sums = zeta.closed_walk_sums(g, 7, lambda e: spec[e.label], LaurentPoly.one(),
+                                     operator.mul)
+        count = 0
+        for m in range(1, 8):
+            walks = closed_walks(g, m)
+            count += len(walks)
+            assert (m in sums) == bool(walks)
+            assert sums.get(m, zero) == sum((cycle_weight(w, spec) for w in walks), zero)
+        assert zeta._closed_walk_count(g, 7) == count
+
+
+def test_pruned_prime_cycles_equal_the_filtered_closed_walks(corpus, every_cut):
+    graphs = list(every_cut.values()) + [build_arc_graph(d) for d in corpus.values()]
+    for g in graphs:
+        index = {v: i for i, v in enumerate(g.vertices)}
+        expected = []
+        for m in range(1, 8):
+            for walk in closed_walks(g, m):
+                seq = tuple(index[e.src] for e in walk)
+                if seq == zeta._minimal_rotation(seq) and zeta._is_primitive(seq):
+                    expected.append((m, seq, walk))
+        expected.sort(key=lambda item: item[:2])
+        assert prime_cycles(g, 7) == [walk for _, _, walk in expected]
+
+
+def test_closed_walk_cap_raises_before_enumerating(fig8_cut, monkeypatch):
+    spec = alexander_spec()
+    total = zeta._closed_walk_count(fig8_cut, 10)
+    monkeypatch.setattr(zeta, "MAX_PRIMES", total)
+    assert trace_identity_check(fig8_cut, spec, 10).passed
+    monkeypatch.setattr(zeta, "MAX_PRIMES", total - 1)
+    monkeypatch.setattr(zeta, "_return_distances", lambda *args: pytest.fail("enumerated"))
+    with pytest.raises(RuntimeError, match=f"more than {total - 1} closed walks below length 10"):
+        trace_identity_check(fig8_cut, spec, 10)
+
+
 def test_trace_identity_on_corpus_cuts(corpus):
     spec = alexander_spec()
     for name, d in corpus.items():
@@ -105,6 +156,30 @@ def test_spectral_estimate_shrinks_near_one(fig8_cut):
     far = spectral_estimate(fig8_cut, spec, Fraction(1, 10))
     near = spectral_estimate(fig8_cut, spec, Fraction(9, 10))
     assert near < 1 < far
+
+
+PLANNER_PINS = json.loads(
+    (Path(__file__).parent / "data" / "planner_pins.json").read_text())
+
+
+def test_planner_numbers_equal_those_of_the_dense_loops(every_cut):
+    # recorded from the dense n x n loops that the edge-list versions replaced:
+    # the estimate's repr, or "raises", at each point, and the path budget at
+    # every horizon 1..40
+    spec = alexander_spec()
+    points = [Fraction(p) for p in PLANNER_PINS["points"]]
+    assert points[:len(zeta._T0_CANDIDATES)] == list(zeta._T0_CANDIDATES)
+    assert sorted(every_cut) == sorted(PLANNER_PINS["spectral_estimate"])
+    assert len(every_cut) == 31
+    for key, g in every_cut.items():
+        for t0, pinned in zip(points, PLANNER_PINS["spectral_estimate"][key]):
+            if pinned == "raises":
+                with pytest.raises(DiagramError, match="is not finite"):
+                    spectral_estimate(g, spec, t0)
+            else:
+                assert repr(spectral_estimate(g, spec, t0)) == pinned, (key, t0)
+        budgets = [zeta._walk_budget(g, max_len) for max_len in range(1, 41)]
+        assert budgets == PLANNER_PINS["walk_budget"][key], key
 
 
 def test_partial_product_exact_trefoil(trefoil_cut):
@@ -504,6 +579,25 @@ def test_composition_multiplies_determinants(trefoil, figure8):
     t2 = cut(figure8, [1])
     assert composition_check(t1, t2).passed
     assert composition_check(t2, t2).passed
+
+
+def test_composition_computes_each_factor_determinant_once(corpus, monkeypatch):
+    calls = []
+    determinant = zeta.tangle_determinant
+    monkeypatch.setattr(zeta, "tangle_determinant",
+                        lambda g, spec: calls.append(g) or determinant(g, spec))
+    t = cut(corpus["trefoil"], [1])
+    assert composition_check(t, t).passed
+    assert len(calls) == 2
+    calls.clear()
+    tangles = [cut(corpus[name], [1]) for name in ("trefoil", "figure8", "5_2")]
+    factor_dets = {}
+    for i, t1 in enumerate(tangles):
+        for t2 in tangles[i:]:
+            assert composition_check(t1, t2, factor_dets).passed
+    assert len(calls) == 6 + 3
+    assert factor_dets == {t: determinant(build_arc_graph(t), alexander_spec())
+                           for t in tangles}
 
 
 def test_composition_detail_shows_product(trefoil):
