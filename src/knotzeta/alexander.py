@@ -14,7 +14,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .arc_graph import alexander_spec, build_arc_graph, tangle_matrix
-from .knot_model import DiagramError, KnotDiagram, split_union, wirtinger_presentation
+from .knot_model import DiagramError, KnotDiagram, connected_sum, split_union, \
+    wirtinger_presentation
 from .laurent import LaurentPoly, RingMatrix, canonicalize, det
 from .verdict import Verdict
 
@@ -35,8 +36,6 @@ def free_reduce(word):
 def _letters(word):
     """Expand arbitrary integer exponents into a sequence of +-1 letters."""
     for g, e in word:
-        if e == 0:
-            continue
         step = 1 if e > 0 else -1
         for _ in range(abs(e)):
             yield (g, step)
@@ -163,8 +162,6 @@ def fox_equals_arcgraph_check(diagram):
 
 def multiplicativity_check(d1, d2):
     """Connected sums multiply Alexander polynomials (canonical comparison)."""
-    from .knot_model import connected_sum
-
     left = alexander_polynomial(connected_sum(d1, d2)).poly
     right = canonicalize(alexander_polynomial(d1).poly
                          * alexander_polynomial(d2).poly).poly

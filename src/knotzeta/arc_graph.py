@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .knot_model import DiagramError, KnotDiagram, Tangle
-from .laurent import LaurentPoly, RingMatrix
+from .laurent import LaurentPoly, RingMatrix, det
 
 LABELS = ("T1", "T2", "S1", "S2")
 
@@ -162,11 +162,6 @@ def constant_spec(value=1, modulus=None):
     return WeightSpec(dict.fromkeys(LABELS, c), modulus)
 
 
-def weighted_edges(g, spec):
-    """The graph's edges as (src, dst, weight) triples under a specialization."""
-    return tuple((e.src, e.dst, spec[e.label]) for e in g.edges)
-
-
 def weight_matrix(g, spec, vertices=None):
     """Adjacency-style matrix W with W[u][v] = weight of the edge u -> v."""
     if vertices is None:
@@ -242,6 +237,4 @@ def tangle_determinant(g, spec):
     terminal vertex no out-edges, so this equals the determinant over the
     internal vertices alone; for an uncut diagram it is identically zero.
     """
-    from .laurent import det
-
     return det(tangle_matrix(g, spec))

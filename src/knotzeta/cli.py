@@ -29,12 +29,13 @@ from .alexander import alexander_polynomial, knot_determinant
 from .arborescence import arborescence_weight, enumerate_arborescences, \
     matrix_tree_check, random_matrix_tree_check, tree_polynomial
 from .arc_graph import alexander_spec, build_arc_graph, tangle_determinant
-from .knot_model import cut, parse_diagram, wirtinger_presentation
+from .knot_model import cut, parse_diagram
 from .laurent import LaurentPoly, canonicalize, divide_exact
 from .twisted import TRIVIAL_FIELD, Representation, column_independence_check, \
     dihedral_rep, fox_colorings, trivial_reduction_check, trivial_representation, \
-    twisted_alexander_polynomial, twisted_block_identity_check, \
-    twisted_row_identity_check, twisted_trace_check, verify_representation
+    twisted_alexander_polynomial, twisted_block_identity_check, twisted_chain, \
+    twisted_row_identity_check, twisted_trace_check
+from .verdict import Verdict
 from .zeta import CABLE_SAMPLES, cabling_check, composition_check, \
     determinant_formula_check, path_sum_check, trace_identity_check
 
@@ -175,9 +176,11 @@ def _representation_from_args(ns, d):
             text = Path(text[1:]).read_text()
         try:
             obj = json.loads(text)
+            if not isinstance(obj, dict) or not isinstance(obj.get("images"), dict):
+                raise ValueError('expected an object with an "images" object')
             images = {int(k): v for k, v in obj["images"].items()}
-            return Representation(int(obj["field"]), images)
-        except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+            return Representation(obj.get("field"), images)
+        except (TypeError, ValueError) as exc:
             raise InputError(f"bad representation JSON: {exc}")
     return trivial_representation(tuple(d.arcs))
 
@@ -247,7 +250,6 @@ def _check_triple(name, diagram):
                                          (diagram.arcs[0],), spec))
     walks = canonicalize(tangle_determinant(
         build_arc_graph(cut(diagram, [diagram.arcs[0]])), spec))
-    from .verdict import Verdict
     agree = minor.poly == trees.poly == walks.poly
     verdict = Verdict("triple", agree, {
         "minor": str(minor.poly), "trees": str(trees.poly), "walks": str(walks.poly)})
@@ -296,8 +298,9 @@ def _check_twisted_trivial(name, diagram):
 
 
 def _twisted_dihedral_reports(name, diagram, p):
-    """The dihedral reports, each timed on its own; finding the coloring and
-    building the representation are charged to the :rep report."""
+    """The dihedral reports, each timed on its own; finding the coloring,
+    building the representation and building its twisted chain (which
+    verifies it) are charged to the :rep report."""
     start = time.perf_counter()
     space = fox_colorings(diagram, p)
     coloring = space.nonconstant()
@@ -306,8 +309,8 @@ def _twisted_dihedral_reports(name, diagram, p):
         return [_stamp(_skip(f"{base}:rep", f"no nonconstant {p}-coloring"), start)]
     rep = dihedral_rep(diagram, p, coloring)
     params = {"p": p, "field": rep.field, "coloring": list(coloring)}
-    v = verify_representation(wirtinger_presentation(diagram), rep)
-    reports = [_stamp(_report(f"{base}:rep", v, params,
+    chain = twisted_chain(diagram, rep)
+    reports = [_stamp(_report(f"{base}:rep", chain.verdict, params,
                               lhs="relator images", rhs="identity"), start)]
     for suffix, check, detail_keys, lhs, rhs in (
             ("blocks", twisted_block_identity_check, (),
@@ -319,7 +322,7 @@ def _twisted_dihedral_reports(name, diagram, p):
             ("columns", column_independence_check, (),
              "cross-multiplied numerators", "cross-multiplied denominators")):
         start = time.perf_counter()
-        v = check(diagram, rep)
+        v = check(chain)
         extra = {k: v.detail[k] for k in detail_keys}
         reports.append(_stamp(_report(f"{base}:{suffix}", v, {**params, **extra},
                                       lhs=lhs, rhs=rhs), start))

@@ -569,10 +569,6 @@ class RingMatrix:
             acc = acc + self.entries[i][i]
         return acc
 
-    def transpose(self):
-        return RingMatrix([[self.entries[i][j] for i in range(self.rows)]
-                           for j in range(self.cols)], self.modulus, cols=self.rows)
-
     def delete(self, rows=(), cols=()):
         """The submatrix with the given row and column indices removed."""
         rset, cset = set(rows), set(cols)
@@ -585,9 +581,6 @@ class RingMatrix:
         ents = [[self.entries[i][j] for j in range(self.cols) if j not in cset]
                 for i in range(self.rows) if i not in rset]
         return RingMatrix(ents, self.modulus, cols=self.cols - len(cset))
-
-    def minor_matrix(self, i, j):
-        return self.delete(rows=(i,), cols=(j,))
 
     def evaluate(self, t0):
         """Entrywise exact evaluation at a rational point."""
@@ -613,8 +606,7 @@ def det_cofactor(mat):
         a = mat.entries[0][j]
         if a.is_zero():
             continue
-        sub = mat.minor_matrix(0, j)
-        term = a * det_cofactor(sub)
+        term = a * det_cofactor(mat.delete(rows=(0,), cols=(j,)))
         acc = acc + term if j % 2 == 0 else acc - term
     return acc
 

@@ -18,10 +18,12 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 
 from .alexander import alexander_minor, fox_derivative
 from .arc_graph import build_arc_graph
-from .knot_model import DiagramError, Presentation, wirtinger_presentation
+from .knot_model import DiagramError, KnotDiagram, Presentation, \
+    wirtinger_presentation
 from .laurent import LaurentPoly, PolyFraction, RingMatrix, canonicalize, det, \
     divide_exact
 from .verdict import Verdict
@@ -31,15 +33,29 @@ from .zeta import closed_walk_sums
 # -- small dense linear algebra over a prime field ---------------------------
 
 
+# Miller-Rabin with these bases decides primality exactly below
+# _MR_LIMIT (Sorenson and Webster 2015)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
 def _is_prime(n):
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    """Deterministic Miller-Rabin; ValueError at or beyond _MR_LIMIT."""
+    if n >= _MR_LIMIT:
+        raise ValueError(f"{n} is too large to certify prime (limit {_MR_LIMIT})")
+    if n < 2 or any(n % b == 0 for b in _MR_BASES):
+        return n in _MR_BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
+    d = (n - 1) >> s
+    return all(pow(b, d, n) == 1 or any(pow(b, d << r, n) == n - 1 for r in range(s))
+               for b in _MR_BASES)
+
+
+def _integer(x, what):
+    """x itself when it is an int; bools and everything else are refused."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise ValueError(f"{what} must be an integer, got {x!r}")
+    return x
 
 
 def _mat_mul(a, b, q):
@@ -97,19 +113,18 @@ class Representation:
     __slots__ = ("field", "dim", "images", "_inverses")
 
     def __init__(self, field, images):
-        if not _is_prime(field):
+        if not _is_prime(_integer(field, "field order")):
             raise ValueError(f"field order {field} is not prime")
         if not images:
             raise ValueError("a representation needs at least one generator image")
-        dims = set()
         cleaned = {}
         for gen, mat in images.items():
-            rows = tuple(tuple(int(x) % field for x in row) for row in mat)
-            dims.add(len(rows))
-            for row in rows:
-                if len(row) != len(rows):
-                    raise ValueError(f"image of generator {gen} is not square")
+            rows = tuple(tuple(_integer(x, f"an entry of image {gen}") % field
+                               for x in row) for row in mat)
+            if any(len(row) != len(rows) for row in rows):
+                raise ValueError(f"image of generator {gen} is not square")
             cleaned[gen] = rows
+        dims = {len(rows) for rows in cleaned.values()}
         if len(dims) != 1:
             raise ValueError("generator images must share one dimension")
         inverses = {}
@@ -125,13 +140,6 @@ class Representation:
 
     def __setattr__(self, *a):
         raise AttributeError("Representation is immutable")
-
-    @property
-    def generators(self):
-        return tuple(sorted(self.images))
-
-    def image(self, gen):
-        return self.images[gen]
 
     def word_image(self, word):
         out = _mat_identity(self.dim)
@@ -157,11 +165,8 @@ def verify_representation(presentation, rep):
     """Every relator must map to the identity matrix."""
     missing = [g for g in presentation.generators if g not in rep.images]
     ident = _mat_identity(rep.dim)
-    failures = []
-    if not missing:
-        for idx, r in enumerate(presentation.relators):
-            if rep.word_image(r) != ident:
-                failures.append(idx)
+    failures = [] if missing else [idx for idx, r in enumerate(presentation.relators)
+                                   if rep.word_image(r) != ident]
     return Verdict("representation", not (missing or failures),
                    {"missing_generators": missing, "failed_relators": failures})
 
@@ -194,10 +199,7 @@ class ColoringSpace:
     def nonconstant(self):
         """Some coloring using at least two colors, or None.  The constants
         span one dimension, so if one exists, a basis vector is one."""
-        for b in self.basis:
-            if len(set(b)) > 1:
-                return b
-        return None
+        return next((b for b in self.basis if len(set(b)) > 1), None)
 
 
 def fox_colorings(diagram, p):
@@ -213,9 +215,8 @@ def fox_colorings(diagram, p):
     rows = []
     for c in diagram.crossings:
         row = [0] * n
-        row[c.under_in - 1] = (row[c.under_in - 1] + 1) % p
-        row[c.under_out - 1] = (row[c.under_out - 1] + 1) % p
-        row[c.over - 1] = (row[c.over - 1] - 2) % p
+        for arc, v in ((c.under_in, 1), (c.under_out, 1), (c.over, -2)):
+            row[arc - 1] = (row[arc - 1] + v) % p
         rows.append(row)
     basis = _nullspace_mod(rows, n, p)
     return ColoringSpace(p, n, tuple(basis))
@@ -237,10 +238,9 @@ def _nullspace_mod(rows, n_cols, p):
 
 def _least_prime_one_mod(p):
     q = p + 1
-    while True:
-        if q % p == 1 and _is_prime(q):
-            return q
-        q += 1
+    while not _is_prime(q):
+        q += p
+    return q
 
 
 def _primitive_root(q):
@@ -288,11 +288,8 @@ def dihedral_rep(diagram, p, coloring):
     if len(set(coloring)) == 1:
         raise ValueError("constant coloring gives an abelian representation; refusing")
     q, w = dihedral_field(p)
-    images = {}
-    for a in diagram.arcs:
-        c = coloring[a - 1]
-        images[a] = ((0, pow(w, c, q)), (pow(w, (p - c) % p, q), 0))
-    return Representation(q, images)
+    return Representation(q, {a: ((0, pow(w, c, q)), (pow(w, (p - c) % p, q), 0))
+                              for a, c in zip(diagram.arcs, coloring)})
 
 
 # -- the twisted chain: Fox Jacobian with matrix coefficients -----------------
@@ -323,18 +320,63 @@ def twisted_alexander_matrix(presentation, rep):
     """
     if not presentation.relators:
         raise DiagramError("presentation has no relators")
-    blocks = []
-    for r in presentation.relators:
-        blocks.append([_twisted_element(rep, fox_derivative(r, g))
-                       for g in presentation.generators])
-    return RingMatrix.from_blocks(blocks)
+    return RingMatrix.from_blocks([[_twisted_element(rep, fox_derivative(r, g))
+                                    for g in presentation.generators]
+                                   for r in presentation.relators])
 
 
-def drop_relator(presentation):
-    """The presentation with its last relator removed."""
-    if not presentation.relators:
-        raise DiagramError("no relator to drop")
-    return Presentation(presentation.generators, presentation.relators[:-1])
+@dataclass(frozen=True)
+class TwistedChain:
+    """One diagram twisted by one representation, each piece built once.
+
+    `verdict` says that every Wirtinger relator maps to the identity, and
+    `jacobian` is the twisted Fox Jacobian (None without relators).  The arc
+    graph, B and the blocks t rho(x_k) - I are built on first use, so the
+    determinant quotient never builds the arc graph.
+    """
+
+    diagram: KnotDiagram
+    rep: Representation
+    presentation: Presentation
+    verdict: Verdict
+    jacobian: RingMatrix | None
+
+    @cached_property
+    def graph(self):
+        return build_arc_graph(self.diagram)
+
+    @cached_property
+    def weights(self):
+        """B, the block weight matrix on the arc graph."""
+        return twisted_weight_graph(self.graph, self.rep)
+
+    @cached_property
+    def denominators(self):
+        """t rho(x_k) - I, one block per generator, in generator order."""
+        ident = RingMatrix.identity(self.rep.dim, self.rep.field)
+        return tuple(twisted_image(self.rep, ((g, 1),)) - ident
+                     for g in self.presentation.generators)
+
+    def numerator_minor(self, pos):
+        """The Jacobian without the last relator's block row and without
+        block column pos; None when fewer than two relators leave nothing."""
+        relators = len(self.presentation.relators)
+        if relators < 2:
+            return None
+        m = self.rep.dim
+        return self.jacobian.delete(rows=tuple(range((relators - 1) * m, relators * m)),
+                                    cols=tuple(range(pos * m, (pos + 1) * m)))
+
+
+def twisted_chain(diagram, rep):
+    """The TwistedChain of (diagram, rep); DiagramError unless the images
+    satisfy every crossing relation."""
+    pres = wirtinger_presentation(diagram)
+    check = verify_representation(pres, rep)
+    if not check.passed:
+        raise DiagramError(f"images do not satisfy the crossing relations: {check.detail}")
+    jacobian = twisted_alexander_matrix(pres, rep) if pres.relators else None
+    return TwistedChain(diagram, rep, pres, check, jacobian)
 
 
 @dataclass(frozen=True)
@@ -363,40 +405,25 @@ class TwistedPolynomial:
         return f"({self.fraction.numerator}) / ({self.fraction.denominator})"
 
 
-def _denominator_matrix(rep, gen):
-    return twisted_image(rep, ((gen, 1),)) - RingMatrix.identity(rep.dim, rep.field)
-
-
-def _twisted_quotients(diagram, rep):
+def _twisted_quotients(chain):
     """Yield (k, quotient) for each admissible column k, in generator order.
 
-    Drop the last relator, delete the block column of an arc k whose
-    denominator det(t rho(x_k) - I) is nonzero, and divide the two
-    determinants.  The relators are verified and the reduced Jacobian is
-    built once, before the first quotient.
+    An arc k is admissible when its denominator det(t rho(x_k) - I) is
+    nonzero; its numerator is the determinant of chain.numerator_minor.
     """
-    pres = wirtinger_presentation(diagram)
-    check = verify_representation(pres, rep)
-    if not check.passed:
-        raise DiagramError(f"images do not satisfy the crossing relations: {check.detail}")
-    reduced = drop_relator(pres) if pres.relators else pres
-    full = twisted_alexander_matrix(reduced, rep) if reduced.relators else None
-    m = rep.dim
-    for pos, k in enumerate(pres.generators):
-        den = det(_denominator_matrix(rep, k))
+    for pos, k in enumerate(chain.presentation.generators):
+        den = det(chain.denominators[pos])
         if den.is_zero():
             continue
-        if full is None:
-            num = LaurentPoly.one(rep.field)
-        else:
-            num = det(full.delete(cols=tuple(range(pos * m, (pos + 1) * m))))
+        minor = chain.numerator_minor(pos)
+        num = LaurentPoly.one(chain.rep.field) if minor is None else det(minor)
         yield k, divide_exact(num, den)
 
 
 def twisted_alexander_polynomial(diagram, rep):
     """Determinant quotient of the reduced twisted Jacobian at the first
     admissible column; up to units, every column gives the same quotient."""
-    for k, fraction in _twisted_quotients(diagram, rep):
+    for k, fraction in _twisted_quotients(twisted_chain(diagram, rep)):
         return TwistedPolynomial(fraction, k, rep.field, rep.dim)
     raise DiagramError("every column denominator vanishes")
 
@@ -423,47 +450,43 @@ def _crossing_blocks(rep, crossing):
     return under, jump
 
 
-def twisted_weight_graph(diagram, rep):
-    """The block weight matrix B on the diagram's arc graph.
+def twisted_weight_graph(graph, rep):
+    """The block weight matrix B on an arc graph.
 
     Block row a holds the two blocks of the crossing under which arc a ends,
     at the block columns of the under-out and over arcs.  Arcs of crossing-free
     components contribute zero rows.  Setting t = 1 and the representation
     trivial recovers the plain walk matrix.
     """
-    # validation only: rejects diagrams with two edges on one ordered pair,
-    # whose blocks would otherwise be summed silently below
-    build_arc_graph(diagram)
-    n = diagram.n_arcs
+    n = len(graph.vertices)
     m = rep.dim
     zero = RingMatrix.zeros(m, m, rep.field)
     grid = [[zero] * n for _ in range(n)]
-    for c in diagram.crossings:
+    for c in graph.crossings:
+        # the arc graph has one edge per ordered pair: no cell is set twice
         under, jump = _crossing_blocks(rep, c)
-        row = c.under_in - 1
-        grid[row][c.under_out - 1] = grid[row][c.under_out - 1] + under
-        grid[row][c.over - 1] = grid[row][c.over - 1] + jump
+        row = grid[graph.vertex_index(c.under_in)]
+        row[graph.vertex_index(c.under_out)] = under
+        row[graph.vertex_index(c.over)] = jump
     return RingMatrix.from_blocks(grid)
 
 
-def twisted_block_identity_check(diagram, rep):
+def twisted_block_identity_check(chain):
     """I - B agrees block row by block row with the twisted Fox Jacobian.
 
     Compared on the shared rows: each crossing's relator row against the
     block row of its under-in arc.  This ties the graph-side and group-side
     constructions together exactly.
     """
-    m = rep.dim
+    m = chain.rep.dim
     mismatches = []
-    if diagram.crossings:
-        pres = wirtinger_presentation(diagram)
-        jac = twisted_alexander_matrix(pres, rep)
-        b = twisted_weight_graph(diagram, rep)
-        i_minus_b = RingMatrix.identity(b.rows, rep.field) - b
-        for ridx, c in enumerate(diagram.crossings):
+    if chain.jacobian is not None:
+        b = chain.weights
+        i_minus_b = RingMatrix.identity(b.rows, chain.rep.field) - b
+        for ridx, c in enumerate(chain.diagram.crossings):
             arow = c.under_in - 1
-            for gpos in range(diagram.n_arcs):
-                left = jac.block(ridx, gpos, m)
+            for gpos in range(chain.diagram.n_arcs):
+                left = chain.jacobian.block(ridx, gpos, m)
                 right = i_minus_b.block(arow, gpos, m)
                 if left != right:
                     mismatches.append({"relator": ridx, "generator": gpos + 1,
@@ -472,35 +495,26 @@ def twisted_block_identity_check(diagram, rep):
                    {"mismatches": mismatches})
 
 
-def twisted_row_identity_check(diagram, rep):
+def twisted_row_identity_check(chain):
     """The fundamental Fox identity, twisted: rows annihilate the column
     vector of images minus identities.
 
     For each relator r: sum over generators k of (dr/dx_k under the twist)
     times (twisted_image(x_k) - I) equals twisted_image(r) - I = 0 exactly.
     """
-    pres = wirtinger_presentation(diagram)
-    if not pres.relators:
+    if chain.jacobian is None:
         return Verdict("twisted_row_identity", True, {"relators": 0})
-    check = verify_representation(pres, rep)
-    if not check.passed:
-        raise DiagramError(f"images do not satisfy the crossing relations: {check.detail}")
-    m = rep.dim
-    jac = twisted_alexander_matrix(pres, rep)
-    cols = [_denominator_matrix(rep, g) for g in pres.generators]
-    failures = []
-    zero = RingMatrix.zeros(m, m, rep.field)
-    for ridx in range(len(pres.relators)):
-        acc = zero
-        for gpos, colmat in enumerate(cols):
-            acc = acc + jac.block(ridx, gpos, m) @ colmat
-        if acc != zero:
-            failures.append({"relator": ridx, "value": repr(acc)})
+    m = chain.rep.dim
+    relators = len(chain.presentation.relators)
+    sums = chain.jacobian @ RingMatrix.from_blocks([[d] for d in chain.denominators])
+    zero = RingMatrix.zeros(m, m, chain.rep.field)
+    failures = [{"relator": r, "value": repr(sums.block(r, 0, m))}
+                for r in range(relators) if sums.block(r, 0, m) != zero]
     return Verdict("twisted_row_identity", not failures,
-                   {"relators": len(pres.relators), "failures": failures})
+                   {"relators": relators, "failures": failures})
 
 
-def twisted_trace_check(diagram, rep, max_power=6):
+def twisted_trace_check(chain, max_power=6):
     """tr(B^m) equals the sum over based closed walks of block product traces.
 
     The blocks do not commute, so the product follows the walk in order; the
@@ -508,13 +522,13 @@ def twisted_trace_check(diagram, rep, max_power=6):
     block is taken from B once; the trace of each length's summed walk
     products (closed_walk_sums) is the sum of their traces.
     """
-    g = build_arc_graph(diagram)
-    b = twisted_weight_graph(diagram, rep)
-    m = rep.dim
-    blocks = {e: b.block(int(e.src) - 1, int(e.dst) - 1, m) for e in g.edges}
+    g, b, m = chain.graph, chain.weights, chain.rep.dim
+    blocks = {e: b.block(g.vertex_index(e.src), g.vertex_index(e.dst), m)
+              for e in g.edges}
     walk_sums = closed_walk_sums(g, max_power, blocks.__getitem__,
-                                 RingMatrix.identity(m, rep.field), operator.matmul)
-    zero = LaurentPoly.zero(rep.field)
+                                 RingMatrix.identity(m, chain.rep.field),
+                                 operator.matmul)
+    zero = LaurentPoly.zero(chain.rep.field)
     failures = []
     power = b
     for length in range(1, max_power + 1):
@@ -549,14 +563,14 @@ def trivial_reduction_check(diagram):
                     "cross_lhs": str(lhs), "cross_rhs": str(rhs)})
 
 
-def column_independence_check(diagram, rep):
+def column_independence_check(chain):
     """The determinant quotient is the same rational function for every
     admissible column choice, up to units.
 
     Checked by cross-multiplying numerators and denominators pairwise and
     comparing canonical forms.
     """
-    results = list(_twisted_quotients(diagram, rep))
+    results = list(_twisted_quotients(chain))
     failures = []
     for (k1, f1), (k2, f2) in itertools.combinations(results, 2):
         left = canonicalize(f1.numerator * f2.denominator).poly

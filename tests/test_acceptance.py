@@ -17,12 +17,12 @@ from knotzeta.arborescence import determinant_via_trees, \
     enumerate_arborescences, random_matrix_tree_check, tree_polynomial
 from knotzeta.arc_graph import alexander_spec, build_arc_graph, \
     tangle_determinant
-from knotzeta.knot_model import cable, cut, wirtinger_presentation
+from knotzeta.knot_model import Presentation, cable, cut, wirtinger_presentation
 from knotzeta.laurent import _det_bareiss, canonicalize, det_cofactor
 from knotzeta.twisted import column_independence_check, dihedral_rep, \
-    drop_relator, fox_colorings, trivial_reduction_check, \
-    twisted_alexander_matrix, twisted_alexander_polynomial, \
-    twisted_block_identity_check, twisted_trace_check, verify_representation
+    fox_colorings, trivial_reduction_check, twisted_alexander_matrix, \
+    twisted_alexander_polynomial, twisted_block_identity_check, twisted_chain, \
+    twisted_trace_check, verify_representation
 from knotzeta.zeta import ConvergenceWarning, determinant_formula_check, \
     path_sum_check, spectral_estimate, trace_identity_check, \
     zeta_partial_product
@@ -212,16 +212,18 @@ def test_criterion_09_twisted(corpus):
             failures.append(("field", name))
         if not verify_representation(wirtinger_presentation(d), rep).passed:
             failures.append(("rep", name))
-        if not twisted_block_identity_check(d, rep).passed:
+        chain = twisted_chain(d, rep)
+        if not twisted_block_identity_check(chain).passed:
             failures.append(("blocks", name))
-        if not column_independence_check(d, rep).passed:
+        if not column_independence_check(chain).passed:
             failures.append(("columns", name))
-        if not twisted_trace_check(d, rep, max_power=6).passed:
+        if not twisted_trace_check(chain, max_power=6).passed:
             failures.append(("trace", name))
         # cofactor oracle for the numerator minor behind the quotient
         tw = twisted_alexander_polynomial(d, rep)
         pres = wirtinger_presentation(d)
-        full = twisted_alexander_matrix(drop_relator(pres), rep)
+        reduced = Presentation(pres.generators, pres.relators[:-1])
+        full = twisted_alexander_matrix(reduced, rep)
         m = rep.dim
         pos = pres.generators.index(tw.column)
         kept = full.delete(cols=tuple(range(pos * m, (pos + 1) * m)))

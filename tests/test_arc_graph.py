@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from knotzeta.arc_graph import alexander_spec, build_arc_graph, constant_spec, \
-    laplacian, tangle_determinant, tangle_matrix, weight_matrix, weighted_edges
+    laplacian, tangle_determinant, tangle_matrix, weight_matrix
 from knotzeta.knot_model import DiagramError, cut, parse_diagram
 from knotzeta.laurent import LaurentPoly, RingMatrix, det
 
@@ -83,12 +83,6 @@ def test_weight_rows_sum_to_one(corpus):
                 for e in g.out_map[v]:
                     total = total + spec[e.label]
                 assert total == one
-
-
-def test_weighted_edges_shape(trefoil):
-    triples = weighted_edges(build_arc_graph(trefoil), alexander_spec())
-    assert len(triples) == 6
-    assert all(len(tr) == 3 for tr in triples)
 
 
 def test_laplacian_rows_sum_to_zero(figure8):

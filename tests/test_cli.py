@@ -212,6 +212,55 @@ def test_twisted_bad_rep_json():
     assert "error" in obj
 
 
+@pytest.mark.parametrize("rep", [
+    [1],
+    {"field": 7, "images": [1]},
+    {"field": 7},
+    {"images": {"1": [[1]], "2": [[1]], "3": [[1]]}},
+    {"field": 7.0, "images": {"1": [[1]], "2": [[1]], "3": [[1]]}},
+    {"field": True, "images": {"1": [[1]], "2": [[1]], "3": [[1]]}},
+    {"field": 7, "images": {"1": [[1.5]], "2": [[1]], "3": [[1]]}},
+    {"field": 7, "images": {"1": [[True]], "2": [[1]], "3": [[1]]}},
+    {"field": 7, "images": {"1": 1, "2": [[1]], "3": [[1]]}},
+    {"field": 7, "images": {"1": ["1"], "2": [[1]], "3": [[1]]}},
+    {"field": 7, "images": {"x": [[1]], "2": [[1]], "3": [[1]]}},
+], ids=lambda rep: json.dumps(rep))
+def test_twisted_malformed_rep_is_input_error(rep, validators):
+    code, obj = run_json("twisted", "trefoil", "--rep", json.dumps(rep))
+    assert code == EXIT_INPUT
+    validators["error"].validate(obj)
+
+
+def test_twisted_rep_over_a_big_prime_field():
+    trivial = {str(a): [[1]] for a in (1, 2, 3)}
+    start = time.perf_counter()
+    code, obj = run_json("twisted", "trefoil", "--rep",
+                         json.dumps({"field": 10**18 + 3, "images": trivial}))
+    assert (code, obj["field"]) == (EXIT_OK, 10**18 + 3)
+    assert time.perf_counter() - start < 1.0
+    # beyond the range where the primality test is exact
+    code, obj = run_json("twisted", "trefoil", "--rep",
+                         json.dumps({"field": 2**89 - 1, "images": trivial}))
+    assert code == EXIT_INPUT
+    assert "too large" in obj["error"]
+
+
+TWISTED_PINS = json.loads(
+    (Path(__file__).parent / "data" / "twisted_pins.json").read_text())
+
+
+def test_twisted_output_matches_the_pins(tmp_path):
+    # stdout and exit code of every `twisted` call below, recorded before the
+    # twisted chain was built once per (diagram, representation)
+    kink = tmp_path / "kink1.knot"
+    kink.write_text(TWISTED_PINS["kink1"])
+    calls = TWISTED_PINS["calls"]
+    assert len(calls) == 4 * (len(cli.corpus_names()) + 1)
+    for call in calls:
+        argv = [str(kink) if a == "kink1" else a for a in call["argv"]]
+        assert run(*argv) == (call["code"], call["stdout"]), call["argv"]
+
+
 def test_unknown_corpus_name(validators):
     code, obj = run_json("alexander", "not_a_knot")
     assert code == EXIT_INPUT

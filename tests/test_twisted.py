@@ -1,19 +1,20 @@
 """Representations over prime fields and the twisted determinant quotient."""
 
 import operator
+import sys
 
 import pytest
 
-from knotzeta import twisted
+from knotzeta import cli, twisted
 from knotzeta.arc_graph import build_arc_graph
-from knotzeta.knot_model import DiagramError, parse_diagram, \
+from knotzeta.knot_model import DiagramError, Presentation, parse_diagram, \
     wirtinger_presentation
 from knotzeta.laurent import LaurentPoly, RingMatrix, canonicalize, det
 from knotzeta.twisted import ColoringSpace, Representation, \
     column_independence_check, dihedral_field, dihedral_rep, fox_colorings, \
     trivial_reduction_check, trivial_representation, \
     twisted_alexander_matrix, twisted_alexander_polynomial, \
-    twisted_block_identity_check, twisted_row_identity_check, \
+    twisted_block_identity_check, twisted_chain, twisted_row_identity_check, \
     twisted_trace_check, twisted_weight_graph, verify_representation
 from knotzeta.zeta import closed_walk_sums, closed_walks
 
@@ -41,6 +42,31 @@ def test_representation_validates_inputs():
         Representation(5, {1: ((0,),)})
     with pytest.raises(ValueError):
         Representation(5, {1: ((1,),), 2: ((1, 0), (0, 1))})
+
+
+def test_representation_refuses_non_integers():
+    for field, entry in ((5.0, 1), (True, 1), (5, 1.5), (5, True), (5, "1")):
+        with pytest.raises(ValueError, match="must be an integer"):
+            Representation(field, {1: ((entry,),)})
+
+
+def test_is_prime_agrees_with_trial_division():
+    def trial(n):
+        return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+    assert [n for n in range(-5, 20000) if twisted._is_prime(n)] == \
+        [n for n in range(-5, 20000) if trial(n)]
+
+
+def test_is_prime_on_strong_pseudoprimes_and_big_primes():
+    # composites that pass Miller-Rabin to every prime base up to 23 and 31
+    assert not twisted._is_prime(149491 * 747451 * 34233211)
+    assert not twisted._is_prime(399165290221 * 798330580441)
+    assert not twisted._is_prime(561) and not twisted._is_prime(2**61 + 1)
+    assert twisted._is_prime(2**61 - 1) and twisted._is_prime(10**18 + 3)
+    assert twisted._is_prime(twisted._MR_LIMIT - 1) is False  # decided, not refused
+    with pytest.raises(ValueError, match="too large"):
+        twisted._is_prime(twisted._MR_LIMIT)
 
 
 def test_word_image_multiplies():
@@ -179,7 +205,7 @@ def test_twisted_rejects_nonrepresentation(trefoil):
 
 
 def test_twisted_weight_graph_blocks(trefoil, trefoil_rep):
-    b = twisted_weight_graph(trefoil, trefoil_rep)
+    b = twisted_weight_graph(build_arc_graph(trefoil), trefoil_rep)
     assert b.rows == b.cols == 6
     # vertices without an underpass exit keep zero block rows elsewhere
     assert b.modulus == 7
@@ -188,23 +214,23 @@ def test_twisted_weight_graph_blocks(trefoil, trefoil_rep):
 def test_block_identity_all_corpus(corpus):
     for name, d in corpus.items():
         rep = trivial_representation(tuple(d.arcs))
-        v = twisted_block_identity_check(d, rep)
+        v = twisted_block_identity_check(twisted_chain(d, rep))
         assert v.passed, (name, v.detail)
 
 
 def test_block_identity_dihedral(trefoil, trefoil_rep, figure8, fig8_rep):
-    assert twisted_block_identity_check(trefoil, trefoil_rep).passed
-    assert twisted_block_identity_check(figure8, fig8_rep).passed
+    assert twisted_block_identity_check(twisted_chain(trefoil, trefoil_rep)).passed
+    assert twisted_block_identity_check(twisted_chain(figure8, fig8_rep)).passed
 
 
 def test_row_identity(trefoil, trefoil_rep, figure8, fig8_rep):
-    assert twisted_row_identity_check(trefoil, trefoil_rep).passed
-    assert twisted_row_identity_check(figure8, fig8_rep).passed
+    assert twisted_row_identity_check(twisted_chain(trefoil, trefoil_rep)).passed
+    assert twisted_row_identity_check(twisted_chain(figure8, fig8_rep)).passed
 
 
 def test_twisted_trace(trefoil, trefoil_rep, figure8, fig8_rep):
-    assert twisted_trace_check(trefoil, trefoil_rep, max_power=5).passed
-    assert twisted_trace_check(figure8, fig8_rep, max_power=5).passed
+    assert twisted_trace_check(twisted_chain(trefoil, trefoil_rep), max_power=5).passed
+    assert twisted_trace_check(twisted_chain(figure8, fig8_rep), max_power=5).passed
 
 
 def test_block_walk_sums_equal_the_per_walk_products(trefoil, trefoil_rep, figure8,
@@ -212,7 +238,7 @@ def test_block_walk_sums_equal_the_per_walk_products(trefoil, trefoil_rep, figur
     # the oracle: each closed walk's block product built from the identity on
     for diagram, rep in ((trefoil, trefoil_rep), (figure8, fig8_rep)):
         g = build_arc_graph(diagram)
-        b = twisted_weight_graph(diagram, rep)
+        b = twisted_weight_graph(g, rep)
         m = rep.dim
 
         def block(e):
@@ -239,26 +265,80 @@ def test_trivial_reduction_across_corpus(corpus):
 
 
 def test_column_independence(trefoil, trefoil_rep, figure8, fig8_rep):
-    v = column_independence_check(trefoil, trefoil_rep)
+    v = column_independence_check(twisted_chain(trefoil, trefoil_rep))
     assert v.passed and v.detail["columns"] == [1, 2, 3]
-    v = column_independence_check(figure8, fig8_rep)
+    v = column_independence_check(twisted_chain(figure8, fig8_rep))
     assert v.passed and v.detail["columns"] == [1, 2, 3, 4]
 
 
-def test_column_independence_builds_one_jacobian(trefoil, trefoil_rep, figure8,
-                                                 fig8_rep, monkeypatch):
-    calls = []
-    build = twisted.twisted_alexander_matrix
+CHAIN_PIECES = ("wirtinger_presentation", "verify_representation",
+                "twisted_alexander_matrix", "twisted_weight_graph", "build_arc_graph")
 
-    def counted(*args):
-        calls.append(args)
-        return build(*args)
 
-    monkeypatch.setattr(twisted, "twisted_alexander_matrix", counted)
-    for diagram, rep in ((trefoil, trefoil_rep), (figure8, fig8_rep)):
-        calls.clear()
-        assert column_independence_check(diagram, rep).passed
-        assert len(calls) == 1
+@pytest.fixture
+def piece_calls(monkeypatch):
+    """Name -> number of calls, for each of CHAIN_PIECES, wherever a
+    knotzeta module holds it."""
+    calls = dict.fromkeys(CHAIN_PIECES, 0)
+    modules = [m for n, m in list(sys.modules.items()) if n.startswith("knotzeta")]
+    for name in CHAIN_PIECES:
+        original = getattr(twisted, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        for module in modules:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("name,p", [("figure8", 5), ("trefoil", 3)])
+def test_dihedral_reports_build_each_piece_once(corpus, piece_calls, name, p):
+    reports = cli._twisted_dihedral_reports(name, corpus[name], p)
+    assert [r["status"] for r in reports] == ["pass"] * 5
+    assert piece_calls == dict.fromkeys(CHAIN_PIECES, 1)
+
+
+def test_quotients_build_no_arc_graph(corpus, trefoil, trefoil_rep, piece_calls):
+    for d in corpus.values():
+        assert trivial_reduction_check(d).passed
+    twisted_alexander_polynomial(trefoil, trefoil_rep)
+    kink = parse_diagram("arcs 1\nX+ 1 1 1\n")
+    with pytest.raises(DiagramError):
+        build_arc_graph(kink)
+    twisted_alexander_polynomial(kink, trivial_representation((1,)))
+    assert piece_calls["build_arc_graph"] == piece_calls["twisted_weight_graph"] == 0
+
+
+def test_numerator_minor_is_the_reduced_jacobian_minor(corpus, trefoil, trefoil_rep,
+                                                       figure8, fig8_rep):
+    cases = [(trefoil, trefoil_rep), (figure8, fig8_rep)]
+    cases += [(d, trivial_representation(tuple(d.arcs))) for d in corpus.values()]
+    for d, rep in cases:
+        chain = twisted_chain(d, rep)
+        pres = chain.presentation
+        columns = column_independence_check(chain).detail["columns"]
+        assert columns
+        for k in columns:
+            pos = pres.generators.index(k)
+            minor = chain.numerator_minor(pos)
+            if len(pres.relators) < 2:
+                assert minor is None
+                continue
+            reduced = Presentation(pres.generators, pres.relators[:-1])
+            m = rep.dim
+            expected = twisted_alexander_matrix(reduced, rep).delete(
+                cols=tuple(range(pos * m, (pos + 1) * m)))
+            assert minor == expected, (d, k)
+
+
+def test_chain_refuses_nonrepresentation(trefoil):
+    rep = Representation(5, {1: ((2,),), 2: ((1,),), 3: ((1,),)})
+    with pytest.raises(DiagramError, match="images do not satisfy the crossing "
+                                           "relations"):
+        twisted_chain(trefoil, rep)
 
 
 def test_twisted_json_is_canonical(trefoil, trefoil_rep):
