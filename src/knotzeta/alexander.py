@@ -127,11 +127,16 @@ def alexander_polynomial(diagram, row=None, col=None, modulus=None):
     return canonicalize(alexander_minor(diagram, row, col, modulus))
 
 
-def knot_determinant(diagram):
-    """|Alexander polynomial at t = -1|, a nonnegative integer."""
-    value = alexander_polynomial(diagram).poly.evaluate(Fraction(-1))
+def determinant_of(poly):
+    """|poly(-1)| for an integral Alexander polynomial: the knot determinant."""
+    value = poly.evaluate(Fraction(-1))
     assert value.denominator == 1
     return abs(int(value))
+
+
+def knot_determinant(diagram):
+    """|Alexander polynomial at t = -1|, a nonnegative integer."""
+    return determinant_of(alexander_polynomial(diagram).poly)
 
 
 def fox_equals_arcgraph_check(diagram):

@@ -80,16 +80,6 @@ class ArcGraph:
         return {"vertices": list(self.vertices),
                 "edges": [e.to_json() for e in self.edges]}
 
-    def to_dot(self):
-        lines = ["digraph arcs {"]
-        for v in self.vertices:
-            shape = "doublecircle" if v in set(self.endpoints) else "circle"
-            lines.append(f'  "{v}" [shape={shape}];')
-        for e in self.edges:
-            lines.append(f'  "{e.src}" -> "{e.dst}" [label="{e.label}"];')
-        lines.append("}")
-        return "\n".join(lines) + "\n"
-
 
 def build_arc_graph(source):
     """Arc graph of a KnotDiagram or Tangle.

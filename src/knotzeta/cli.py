@@ -25,7 +25,7 @@ from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
-from .alexander import alexander_polynomial, knot_determinant
+from .alexander import alexander_polynomial, determinant_of, knot_determinant
 from .arborescence import arborescence_weight, enumerate_arborescences, \
     matrix_tree_check, random_matrix_tree_check, tree_polynomial
 from .arc_graph import alexander_spec, build_arc_graph, tangle_determinant
@@ -106,7 +106,7 @@ def emit(obj):
 def cmd_alexander(ns):
     _, d = resolve_diagram(ns.diagram)
     canon = alexander_polynomial(d)
-    out = {"poly": canon.poly.to_json(), "det": knot_determinant(d)}
+    out = {"poly": canon.poly.to_json(), "det": determinant_of(canon.poly)}
     if ns.convention == "eq10":
         frac = divide_exact(canon.poly, LaurentPoly({1: 1, 0: -1}))
         out["eq10"] = {

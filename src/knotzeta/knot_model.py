@@ -108,10 +108,6 @@ class KnotDiagram:
     def arcs(self):
         return range(1, self.n_arcs + 1)
 
-    @property
-    def writhe(self):
-        return sum(c.sign for c in self.crossings)
-
     def is_knot(self):
         return len(self.components) == 1
 

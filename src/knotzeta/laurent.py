@@ -6,10 +6,14 @@ form: an `int` when it is an integer, else a `fractions.Fraction` with
 denominator above 1.  With a prime modulus q attached, coefficients are plain
 ints in [1, q).  Both cases share one interface; mixing moduli raises.
 
-Matrices over this ring have exact determinants from one kernel for every
-size: fraction-free (Bareiss) elimination on dense lists of int coefficients,
-after each row is cleared of negative powers of t and of denominators.
-Cofactor expansion stays as the independent oracle.
+Matrices over this ring have exact determinants by one path for every size.
+Rows and columns with a single nonzero entry are peeled off first, by Laplace
+expansion along them, until none is left; the walk matrices of cut strands
+have many (a source arc has no in-edges, a sink arc no out-edges).  What
+remains goes to fraction-free (Bareiss) elimination on dense lists of int
+coefficients, after each row is cleared of negative powers of t and of
+denominators.  Cofactor expansion and the unpeeled kernel stay as the
+independent oracles.
 """
 
 from __future__ import annotations
@@ -639,7 +643,7 @@ def _bareiss_entry(a, b, c, d, prev, q):
     return out
 
 
-def _det_bareiss(mat):
+def _bareiss(rows, q):
     """Fraction-free (Bareiss) elimination on dense coefficient lists.
 
     Each row is first multiplied by a power of t, and over Q by the lcm of its
@@ -647,9 +651,9 @@ def _det_bareiss(mat):
     residue) coefficients.  An entry is then a list of ints, lowest degree
     first; the scale factors are divided out of the result.
     """
-    n, q = mat.rows, mat.modulus
+    n = len(rows)
     work, shift_back, scale = [], 0, 1
-    for row in mat.entries:
+    for row in rows:
         live = [e._c for e in row if e._c]
         k = min((next(iter(c)) for c in live), default=0)
         m = 1 if q else math.lcm(*(v.denominator for c in live for v in c.values()))
@@ -681,11 +685,60 @@ def _det_bareiss(mat):
                         for e, c in enumerate(d)}, q)
 
 
+def _det_bareiss(mat):
+    """The dense kernel on the whole matrix, without peeling: det's oracle."""
+    return _bareiss(mat.entries, mat.modulus)
+
+
 def det(mat):
-    """Exact determinant by dense fraction-free elimination, at every size."""
+    """Exact determinant: peel single-entry rows and columns, then run the
+    dense fraction-free kernel on what remains.
+
+    A row or column of the current submatrix with one nonzero entry a at
+    current position (i, j) is removed together with that entry's column or
+    row, and (-1)^(i+j) a joins a factor (Laplace expansion along it).  Each
+    removal can leave new single-entry lines, so peeling repeats until none
+    is left; an empty row or column makes the determinant zero at once.
+    """
     if mat.rows != mat.cols:
         raise ValueError("determinant needs a square matrix")
-    return _det_bareiss(mat)
+    n, q, ents = mat.rows, mat.modulus, mat.entries
+    row_nz = [{j for j, e in enumerate(row) if e._c} for row in ents]
+    col_nz = [set() for _ in range(n)]
+    for i, js in enumerate(row_nz):
+        for j in js:
+            col_nz[j].add(i)
+    live_rows, live_cols = [True] * n, [True] * n
+    # (is a row, index) of lines that may hold at most one entry
+    todo = [(True, i) for i in range(n) if len(row_nz[i]) < 2]
+    todo += [(False, j) for j in range(n) if len(col_nz[j]) < 2]
+    factors, sign = [], 1
+    while todo:
+        is_row, x = todo.pop()
+        if not (live_rows if is_row else live_cols)[x]:
+            continue
+        line = (row_nz if is_row else col_nz)[x]
+        if not line:
+            return LaurentPoly.zero(q)
+        (y,) = line
+        i, j = (x, y) if is_row else (y, x)
+        factors.append(ents[i][j])
+        if (sum(live_rows[:i]) + sum(live_cols[:j])) % 2:
+            sign = -sign
+        live_rows[i] = live_cols[j] = False
+        for jj in row_nz[i]:
+            col_nz[jj].discard(i)
+            if live_cols[jj] and len(col_nz[jj]) < 2:
+                todo.append((False, jj))
+        for ii in col_nz[j]:
+            row_nz[ii].discard(j)
+            if live_rows[ii] and len(row_nz[ii]) < 2:
+                todo.append((True, ii))
+    cols = [j for j in range(n) if live_cols[j]]
+    out = _bareiss([[ents[i][j] for j in cols] for i in range(n) if live_rows[i]], q)
+    for a in factors:
+        out = out * a
+    return -out if sign < 0 else out
 
 
 # -- exact rational linear algebra -----------------------------------------

@@ -325,21 +325,32 @@ def twisted_alexander_matrix(presentation, rep):
                                    for r in presentation.relators])
 
 
+def _denominator(rep, gen):
+    """t rho(x_gen) - I."""
+    return twisted_image(rep, ((gen, 1),)) - RingMatrix.identity(rep.dim, rep.field)
+
+
 @dataclass(frozen=True)
 class TwistedChain:
     """One diagram twisted by one representation, each piece built once.
 
-    `verdict` says that every Wirtinger relator maps to the identity, and
-    `jacobian` is the twisted Fox Jacobian (None without relators).  The arc
-    graph, B and the blocks t rho(x_k) - I are built on first use, so the
-    determinant quotient never builds the arc graph.
+    `verdict` says that every Wirtinger relator maps to the identity.  The
+    twisted Fox Jacobian, the arc graph, B and the blocks t rho(x_k) - I are
+    built on first use, so the determinant quotient never builds the arc
+    graph.
     """
 
     diagram: KnotDiagram
     rep: Representation
     presentation: Presentation
     verdict: Verdict
-    jacobian: RingMatrix | None
+
+    @cached_property
+    def jacobian(self):
+        """The twisted Fox Jacobian; None without relators."""
+        if not self.presentation.relators:
+            return None
+        return twisted_alexander_matrix(self.presentation, self.rep)
 
     @cached_property
     def graph(self):
@@ -353,9 +364,7 @@ class TwistedChain:
     @cached_property
     def denominators(self):
         """t rho(x_k) - I, one block per generator, in generator order."""
-        ident = RingMatrix.identity(self.rep.dim, self.rep.field)
-        return tuple(twisted_image(self.rep, ((g, 1),)) - ident
-                     for g in self.presentation.generators)
+        return tuple(_denominator(self.rep, g) for g in self.presentation.generators)
 
     def numerator_minor(self, pos):
         """The Jacobian without the last relator's block row and without
@@ -375,8 +384,7 @@ def twisted_chain(diagram, rep):
     check = verify_representation(pres, rep)
     if not check.passed:
         raise DiagramError(f"images do not satisfy the crossing relations: {check.detail}")
-    jacobian = twisted_alexander_matrix(pres, rep) if pres.relators else None
-    return TwistedChain(diagram, rep, pres, check, jacobian)
+    return TwistedChain(diagram, rep, pres, check)
 
 
 @dataclass(frozen=True)
@@ -422,9 +430,23 @@ def _twisted_quotients(chain):
 
 def twisted_alexander_polynomial(diagram, rep):
     """Determinant quotient of the reduced twisted Jacobian at the first
-    admissible column; up to units, every column gives the same quotient."""
-    for k, fraction in _twisted_quotients(twisted_chain(diagram, rep)):
-        return TwistedPolynomial(fraction, k, rep.field, rep.dim)
+    admissible column; up to units, every column gives the same quotient.
+
+    Only what the quotient reads is built: the denominators up to the first
+    nonzero one, and that column's numerator minor straight from the Fox
+    derivatives, without the rest of the Jacobian.
+    """
+    pres = twisted_chain(diagram, rep).presentation
+    for pos, k in enumerate(pres.generators):
+        den = det(_denominator(rep, k))
+        if den.is_zero():
+            continue
+        if len(pres.relators) < 2:
+            num = LaurentPoly.one(rep.field)
+        else:
+            kept = pres.generators[:pos] + pres.generators[pos + 1:]
+            num = det(twisted_alexander_matrix(Presentation(kept, pres.relators[:-1]), rep))
+        return TwistedPolynomial(divide_exact(num, den), k, rep.field, rep.dim)
     raise DiagramError("every column denominator vanishes")
 
 

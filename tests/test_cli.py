@@ -454,6 +454,16 @@ def test_verify_passes_repeat_without_replaying(det_calls):
     assert passes[0][1] > 0
 
 
+def test_alexander_takes_the_determinant_from_its_polynomial(det_calls, corpus):
+    # one Wirtinger minor determinant per call, for "poly" and "det" both
+    from tests.conftest import KNOWN_DET
+    for name, expect in KNOWN_DET.items():
+        det_calls.clear()
+        code, obj = run_json("alexander", name)
+        assert code == EXIT_OK and obj["det"] == expect
+        assert det_calls == [max(corpus[name].n_arcs - 1, 0)], name
+
+
 def test_composition_determinants_once_per_factor(det_calls):
     code, out = run("verify", "composition", "--json")
     assert code == EXIT_OK

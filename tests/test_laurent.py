@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from knotzeta import laurent
 from knotzeta.arc_graph import alexander_spec, build_arc_graph, tangle_matrix
 from knotzeta.knot_model import cable, cut
 from knotzeta.laurent import CanonicalPoly, CoefficientError, LaurentPoly, \
@@ -361,6 +362,112 @@ def test_det_scales_rows_with_denominators():
                 assert d == det_cofactor(m)
             for t0 in (Fraction(2, 3), Fraction(-5, 4)):
                 assert d.evaluate(t0) == rational_det(m.evaluate(t0)), (n, m)
+
+
+def _sparse_support(rng, n):
+    """At most half of the n x n cells: those of a random permutation when
+    they fit (so that determinants are often nonzero), plus random others."""
+    cap = n * n // 2
+    perm = rng.sample(range(n), n)
+    support = {(i, perm[i]) for i in range(n)} if n <= cap else set()
+    rest = [(i, j) for i in range(n) for j in range(n) if (i, j) not in support]
+    return support | set(rng.sample(rest, rng.randint(0, cap - len(support))))
+
+
+def _single_entry(rng, n, support, parity, along_row):
+    """Strip one row (or column) of the support down to a single cell whose
+    i + j has the given parity; the support does not grow."""
+    cells = [c for c in support if sum(c) % 2 == parity]
+    i, j = rng.choice(cells) if cells else \
+        rng.choice([(i, j) for i in range(n) for j in range(n) if (i + j) % 2 == parity])
+    line = 0 if along_row else 1
+    return {c for c in support if c[line] != (i, j)[line]} | {(i, j)}
+
+
+def _cascade(rng, n):
+    """A bidiagonal support under random row and column permutations: one row
+    and one column hold a single cell, and each peel exposes the next."""
+    rows, cols = rng.sample(range(n), n), rng.sample(range(n), n)
+    return {(rows[i], cols[j]) for i in range(n) for j in (i - 1, i) if j >= 0}
+
+
+def _sparse_cases(rng, n):
+    """(shape, support) for every shape that fits an n x n matrix."""
+    yield "random", _sparse_support(rng, n)
+    if n >= 2:
+        for parity in (0, 1):
+            for along_row in (True, False):
+                shape = ("row" if along_row else "column") + ("-even", "-odd")[parity]
+                yield shape, _single_entry(rng, n, _sparse_support(rng, n), parity, along_row)
+    if n >= 1:
+        k = rng.randrange(n)
+        yield "empty-row", {c for c in _sparse_support(rng, n) if c[0] != k}
+        yield "empty-column", {c for c in _sparse_support(rng, n) if c[1] != k}
+    if n >= 4:
+        yield "cascade", _cascade(rng, n)
+
+
+@pytest.mark.parametrize("modulus", [None, 7])
+def test_peeled_det_matches_both_oracles_on_sparse_matrices(modulus, monkeypatch):
+    # sizes 0-7, at least half of the entries zero; single-entry lines at
+    # both parities of i + j, in rows and in columns, peels that cascade,
+    # and empty rows and columns
+    rng = random.Random(modulus or 0)
+    zero = LaurentPoly.zero(modulus)
+    handed = []
+    kernel = laurent._bareiss
+    monkeypatch.setattr(laurent, "_bareiss",
+                        lambda rows, q: handed.append(rows) or kernel(rows, q))
+
+    def entry():
+        p = zero
+        while p.is_zero():
+            p = random_laurent(rng, modulus, denominators=(1, 2, 3, 5))
+        return p
+
+    shapes = {}
+    for n in range(8):
+        for _ in range(4):
+            for shape, support in _sparse_cases(rng, n):
+                assert 2 * len(support) <= n * n, (shape, n)
+                counts = [sum(c[line] == k for c in support) for line in (0, 1)
+                          for k in range(n)]
+                if shape == "cascade":
+                    assert sorted(counts)[:3] == [1, 1, 2], support
+                if shape.startswith("empty"):
+                    assert 0 in counts
+                m = RingMatrix([[entry() if (i, j) in support else zero for j in range(n)]
+                                for i in range(n)], modulus, cols=n)
+                handed.clear()
+                d = det(m)
+                # peeling stops only when no row or column has fewer than two entries
+                for rows in handed:
+                    for line in list(rows) + list(zip(*rows)):
+                        assert sum(not e.is_zero() for e in line) >= 2, (shape, m)
+                assert d == _det_bareiss(m) == det_cofactor(m), (shape, m)
+                shapes[shape] = shapes.get(shape, 0) + (not d.is_zero())
+    # every shape that can have a nonzero determinant had some
+    assert sorted(k for k, v in shapes.items() if v) == [
+        "cascade", "column-even", "column-odd", "random", "row-even", "row-odd"]
+
+
+def test_det_hands_the_kernel_only_what_peeling_leaves(monkeypatch, corpus):
+    sizes = []
+    kernel = laurent._bareiss
+
+    def counted(rows, q):
+        sizes.append(len(rows))
+        return kernel(rows, q)
+
+    monkeypatch.setattr(laurent, "_bareiss", counted)
+    # a cascade peels to nothing: a triangular matrix under a row swap
+    m = M([[0, 2, 0], [{1: 1}, 3, 0], [1, {-1: 1}, 5]])
+    assert det(m) == det_cofactor(m) == P({1: -10})
+    # the cut strand's source and sink vertices peel off I - W
+    g = build_arc_graph(cut(corpus["6_1"], [1]))
+    i_minus_w = tangle_matrix(g, alexander_spec())
+    assert det(i_minus_w) == _det_bareiss(i_minus_w)
+    assert sizes == [0, i_minus_w.rows - 2, i_minus_w.rows]
 
 
 def test_det_swaps_rows_for_zero_pivots():

@@ -312,6 +312,30 @@ def test_quotients_build_no_arc_graph(corpus, trefoil, trefoil_rep, piece_calls)
     assert piece_calls["build_arc_graph"] == piece_calls["twisted_weight_graph"] == 0
 
 
+def test_twisted_query_builds_only_the_column_it_reads(monkeypatch, corpus, trefoil,
+                                                       trefoil_rep, figure8, fig8_rep):
+    # one denominator (the first is admissible: det(t rho(x) - I) has
+    # constant term det(-I)) and one numerator minor, never the Jacobian
+    built, dens = [], []
+    build_matrix, build_den = twisted.twisted_alexander_matrix, twisted._denominator
+    monkeypatch.setattr(twisted, "twisted_alexander_matrix",
+                        lambda pres, rep: built.append(pres) or build_matrix(pres, rep))
+    monkeypatch.setattr(twisted, "_denominator",
+                        lambda rep, gen: dens.append(gen) or build_den(rep, gen))
+    cases = [(trefoil, trefoil_rep), (figure8, fig8_rep)]
+    cases += [(d, trivial_representation(tuple(d.arcs))) for d in corpus.values()]
+    for d, rep in cases:
+        built.clear()
+        dens.clear()
+        tw = twisted_alexander_polynomial(d, rep)
+        pres = wirtinger_presentation(d)
+        assert dens == [tw.column] == [pres.generators[0]]
+        if len(pres.relators) < 2:
+            assert built == []
+        else:
+            assert built == [Presentation(pres.generators[1:], pres.relators[:-1])]
+
+
 def test_numerator_minor_is_the_reduced_jacobian_minor(corpus, trefoil, trefoil_rep,
                                                        figure8, fig8_rep):
     cases = [(trefoil, trefoil_rep), (figure8, fig8_rep)]
