@@ -27,10 +27,6 @@ class GraphEdge:
     label: str
     crossing: int
 
-    def to_json(self):
-        return {"from": self.src, "to": self.dst, "label": self.label,
-                "crossing": self.crossing}
-
 
 @dataclass(frozen=True)
 class ArcGraph:
@@ -75,10 +71,6 @@ class ArcGraph:
                 if v not in seen:
                     seen.append(v)
         return tuple(seen)
-
-    def to_json(self):
-        return {"vertices": list(self.vertices),
-                "edges": [e.to_json() for e in self.edges]}
 
 
 def build_arc_graph(source):

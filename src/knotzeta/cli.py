@@ -16,7 +16,6 @@ convergence reporting.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import os
 import sys
@@ -220,11 +219,9 @@ def _stamp(report, start):
 
 
 def _timed(check, *args):
-    """A verify job that runs one check and returns its timed report."""
-    def job():
-        start = time.perf_counter()
-        return [_stamp(check(*args), start)]
-    return job
+    """Run one check and return its report, timed."""
+    start = time.perf_counter()
+    return _stamp(check(*args), start)
 
 
 def _check_matrix_tree(name, diagram):
@@ -329,48 +326,47 @@ def _twisted_dihedral_reports(name, diagram, p):
     return reports
 
 
-def _suite_jobs(suites, diagrams, extras, ns):
-    """One callable per check; each returns a list of timed report dicts."""
-    jobs = []
+def _suite_reports(suites, diagrams, extras, ns):
+    """Run the checks of the suites one after another, yielding each timed
+    report as it is made."""
     seed = ns.seed
     named = list(diagrams) + list(extras)
 
     if "matrix-tree" in suites:
         for name, d in named:
-            jobs.append(_timed(_check_matrix_tree, name, d))
-        jobs.append(_timed(_check_matrix_tree_random, 50, seed))
+            yield _timed(_check_matrix_tree, name, d)
+        yield _timed(_check_matrix_tree_random, 50, seed)
     if "triple" in suites:
         for name, d in named:
-            jobs.append(_timed(_check_triple, name, d))
+            yield _timed(_check_triple, name, d)
     if "zeta" in suites:
         for name, d in named:
-            jobs.append(_timed(_check_zeta, name, d))
+            yield _timed(_check_zeta, name, d)
     if "path-sum" in suites:
         for name, d in named:
             for arc in d.arcs:
-                jobs.append(_timed(_check_path_sum, name, d, arc, seed))
+                yield _timed(_check_path_sum, name, d, arc, seed)
     if "composition" in suites:
         # one pass computes each factor's determinant once, charged to the
         # first check that needs it
         factor_dets = {}
         for i, (name1, d1) in enumerate(named):
             for name2, d2 in named[i:]:
-                jobs.append(_timed(_check_composition, name1, d1, name2, d2, factor_dets))
+                yield _timed(_check_composition, name1, d1, name2, d2, factor_dets)
     if "cable" in suites:
         cable_named = [(n, d) for n, d in diagrams if n in CABLE_CORPUS] + list(extras)
         orders = (2, 3) if ns.n is None else (ns.n,)
         samples = CABLE_SAMPLES if ns.t is None else (parse_rational(ns.t),)
         for name, d in cable_named:
             for n_order in orders:
-                jobs.append(_timed(_check_cable, name, d, n_order, samples))
+                yield _timed(_check_cable, name, d, n_order, samples)
     if "twisted" in suites:
         for name, d in named:
-            jobs.append(_timed(_check_twisted_trivial, name, d))
+            yield _timed(_check_twisted_trivial, name, d)
         for name, d in named:
             p = DIHEDRAL_CASES.get(name)
             if p is not None:
-                jobs.append(functools.partial(_twisted_dihedral_reports, name, d, p))
-    return jobs
+                yield from _twisted_dihedral_reports(name, d, p)
 
 
 def cmd_verify(ns):
@@ -379,8 +375,7 @@ def cmd_verify(ns):
     suites = all_suites if ns.suite == "all" else (ns.suite,)
     diagrams = [(name, load_corpus(name)) for name in corpus_names()]
     extras = [resolve_diagram(token) for token in ns.diagrams]
-    jobs = _suite_jobs(suites, diagrams, extras, ns)
-    results = sorted((r for job in jobs for r in job()), key=lambda r: r["check"])
+    results = sorted(_suite_reports(suites, diagrams, extras, ns), key=lambda r: r["check"])
 
     failures = sum(r["status"] == "fail" for r in results)
     if ns.json:

@@ -298,25 +298,6 @@ class Tangle:
             raise DiagramError("tangle has more than one open strand")
         return self.cut_pairs[0]
 
-    def to_json(self):
-        return {
-            "arcs": list(self.arcs),
-            "crossings": [c.to_json() for c in self.crossings],
-            "cut_pairs": [list(p) for p in self.cut_pairs],
-        }
-
-    @classmethod
-    def from_json(cls, obj):
-        try:
-            arcs = tuple(obj["arcs"])
-            crossings = tuple(
-                Crossing(c["sign"], c["over"], c["under_in"], c["under_out"])
-                for c in obj["crossings"])
-            pairs = tuple((p[0], p[1]) for p in obj["cut_pairs"])
-        except (KeyError, TypeError, IndexError) as exc:
-            raise DiagramError(f"malformed tangle object: {exc}") from exc
-        return cls(arcs, crossings, pairs)
-
 
 def cut(diagram, cut_arcs):
     """Open the diagram along the given arcs.

@@ -590,11 +590,6 @@ class RingMatrix:
         """Entrywise exact evaluation at a rational point."""
         return [[a.evaluate(t0) for a in row] for row in self.entries]
 
-    def block(self, i, j, m):
-        """The m x m block at block position (i, j)."""
-        ents = [[self.entries[i * m + r][j * m + c] for c in range(m)] for r in range(m)]
-        return RingMatrix(ents, self.modulus, cols=m)
-
 
 def det_cofactor(mat):
     """Determinant by first-row cofactor expansion.  Exponential; small inputs only."""

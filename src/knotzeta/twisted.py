@@ -2,11 +2,13 @@
 
 A representation of the diagram group into GL(m, F_q) refines the Alexander
 machinery: every scalar weight becomes an m x m block carrying t^(exponent
-sum) times the representation image of a short group word.  The same three
-views exist as in the untwisted case and are checked against each other: the
-Fox Jacobian of the Wirtinger presentation (with images applied), the block
-weight matrix read off crossing by crossing, and trace sums over closed
-walks with ordered block products.
+sum) times the representation image of a short group word.  A TwistedChain
+builds each block of one diagram under one representation once, on first
+read, and everything else reads those blocks: Wada's determinant quotient,
+and the checks of the three views of the untwisted case against each other
+(the Fox blocks of the Wirtinger presentation, the blocks of the walk matrix
+B read off crossing by crossing, and trace sums over closed walks with
+ordered block products).
 
 Dihedral representations built from Fox p-colorings supply nontrivial test
 cases; the trivial one-dimensional representation recovers the ordinary
@@ -121,6 +123,8 @@ class Representation:
         for gen, mat in images.items():
             rows = tuple(tuple(_integer(x, f"an entry of image {gen}") % field
                                for x in row) for row in mat)
+            if not rows:
+                raise ValueError(f"image of generator {gen} is empty")
             if any(len(row) != len(rows) for row in rows):
                 raise ValueError(f"image of generator {gen} is not square")
             cleaned[gen] = rows
@@ -292,7 +296,7 @@ def dihedral_rep(diagram, p, coloring):
                               for a, c in zip(diagram.arcs, coloring)})
 
 
-# -- the twisted chain: Fox Jacobian with matrix coefficients -----------------
+# -- the twisted chain: Fox blocks with matrix coefficients -------------------
 
 
 def twisted_image(rep, word):
@@ -316,7 +320,8 @@ def twisted_alexander_matrix(presentation, rep):
     """Fox Jacobian with each derivative pushed through the representation.
 
     One m x m block per (relator, generator) pair, flattened to a plain
-    matrix of size (#relators * m) x (#generators * m).
+    matrix of size (#relators * m) x (#generators * m); the reference for
+    the blocks that TwistedChain builds one at a time.
     """
     if not presentation.relators:
         raise DiagramError("presentation has no relators")
@@ -325,19 +330,16 @@ def twisted_alexander_matrix(presentation, rep):
                                    for r in presentation.relators])
 
 
-def _denominator(rep, gen):
-    """t rho(x_gen) - I."""
-    return twisted_image(rep, ((gen, 1),)) - RingMatrix.identity(rep.dim, rep.field)
-
-
 @dataclass(frozen=True)
 class TwistedChain:
     """One diagram twisted by one representation, each piece built once.
 
     `verdict` says that every Wirtinger relator maps to the identity.  The
-    twisted Fox Jacobian, the arc graph, B and the blocks t rho(x_k) - I are
-    built on first use, so the determinant quotient never builds the arc
-    graph.
+    other pieces are built on first read and kept: the twisted Fox block of
+    each (relator, generator) pair, the blocks t rho(x_k) - I, the arc
+    graph, and B as a grid of blocks, flattened on first read.  A quotient
+    reads only its minor's Fox blocks and its own denominator, so it never
+    builds the arc graph.
     """
 
     diagram: KnotDiagram
@@ -346,35 +348,58 @@ class TwistedChain:
     verdict: Verdict
 
     @cached_property
-    def jacobian(self):
-        """The twisted Fox Jacobian; None without relators."""
-        if not self.presentation.relators:
-            return None
-        return twisted_alexander_matrix(self.presentation, self.rep)
+    def _images(self):
+        """Fox blocks keyed by (relator, generator) position, denominators
+        by generator position."""
+        return {}
+
+    def _image(self, key, element):
+        """The twisted image of the group ring element element(), built on
+        the first read of key."""
+        if key not in self._images:
+            self._images[key] = _twisted_element(self.rep, element())
+        return self._images[key]
+
+    def fox_block(self, r, k):
+        """The twisted Fox derivative of relator r by generator k, both
+        given by position."""
+        pres = self.presentation
+        return self._image((r, k), lambda: fox_derivative(pres.relators[r],
+                                                           pres.generators[k]))
+
+    def denominator(self, k):
+        """t rho(x_k) - I, the image of x_k - 1, for generator position k."""
+        gen = self.presentation.generators[k]
+        return self._image(k, lambda: {((gen, 1),): 1, (): -1})
 
     @cached_property
     def graph(self):
         return build_arc_graph(self.diagram)
 
     @cached_property
-    def weights(self):
-        """B, the block weight matrix on the arc graph."""
-        return twisted_weight_graph(self.graph, self.rep)
+    def weight_blocks(self):
+        """B as a grid of m x m blocks, in the arc graph's vertex order."""
+        return _weight_blocks(self.graph, self.rep)
 
     @cached_property
-    def denominators(self):
-        """t rho(x_k) - I, one block per generator, in generator order."""
-        return tuple(_denominator(self.rep, g) for g in self.presentation.generators)
+    def weights(self):
+        """B, the block weight matrix on the arc graph, flattened."""
+        return RingMatrix.from_blocks(self.weight_blocks)
 
-    def numerator_minor(self, pos):
-        """The Jacobian without the last relator's block row and without
-        block column pos; None when fewer than two relators leave nothing."""
-        relators = len(self.presentation.relators)
-        if relators < 2:
-            return None
-        m = self.rep.dim
-        return self.jacobian.delete(rows=tuple(range((relators - 1) * m, relators * m)),
-                                    cols=tuple(range(pos * m, (pos + 1) * m)))
+    def quotient(self, pos):
+        """Wada's determinant quotient at generator position pos.
+
+        The numerator is the determinant of the Fox blocks of every relator
+        but the last against every generator but pos (1 with fewer than two
+        relators).  The denominator det(t rho(x_pos) - I) has constant term
+        det(-I) = +-1, so every generator position gives a quotient.
+        """
+        pres = self.presentation
+        cols = [k for k in range(len(pres.generators)) if k != pos]
+        minor = [[self.fox_block(r, k) for k in cols]
+                 for r in range(len(pres.relators) - 1)]
+        num = det(RingMatrix.from_blocks(minor)) if minor else LaurentPoly.one(self.rep.field)
+        return divide_exact(num, det(self.denominator(pos)))
 
 
 def twisted_chain(diagram, rep):
@@ -413,41 +438,16 @@ class TwistedPolynomial:
         return f"({self.fraction.numerator}) / ({self.fraction.denominator})"
 
 
-def _twisted_quotients(chain):
-    """Yield (k, quotient) for each admissible column k, in generator order.
-
-    An arc k is admissible when its denominator det(t rho(x_k) - I) is
-    nonzero; its numerator is the determinant of chain.numerator_minor.
-    """
-    for pos, k in enumerate(chain.presentation.generators):
-        den = det(chain.denominators[pos])
-        if den.is_zero():
-            continue
-        minor = chain.numerator_minor(pos)
-        num = LaurentPoly.one(chain.rep.field) if minor is None else det(minor)
-        yield k, divide_exact(num, den)
-
-
 def twisted_alexander_polynomial(diagram, rep):
-    """Determinant quotient of the reduced twisted Jacobian at the first
-    admissible column; up to units, every column gives the same quotient.
+    """Wada's determinant quotient at the first generator; up to units,
+    every generator gives the same quotient.
 
-    Only what the quotient reads is built: the denominators up to the first
-    nonzero one, and that column's numerator minor straight from the Fox
-    derivatives, without the rest of the Jacobian.
+    Only what that quotient reads is built: its minor's Fox blocks and one
+    denominator.
     """
-    pres = twisted_chain(diagram, rep).presentation
-    for pos, k in enumerate(pres.generators):
-        den = det(_denominator(rep, k))
-        if den.is_zero():
-            continue
-        if len(pres.relators) < 2:
-            num = LaurentPoly.one(rep.field)
-        else:
-            kept = pres.generators[:pos] + pres.generators[pos + 1:]
-            num = det(twisted_alexander_matrix(Presentation(kept, pres.relators[:-1]), rep))
-        return TwistedPolynomial(divide_exact(num, den), k, rep.field, rep.dim)
-    raise DiagramError("every column denominator vanishes")
+    chain = twisted_chain(diagram, rep)
+    return TwistedPolynomial(chain.quotient(0), chain.presentation.generators[0],
+                             rep.field, rep.dim)
 
 
 # -- block weight matrix and its consistency checks ---------------------------
@@ -472,17 +472,15 @@ def _crossing_blocks(rep, crossing):
     return under, jump
 
 
-def twisted_weight_graph(graph, rep):
-    """The block weight matrix B on an arc graph.
+def _weight_blocks(graph, rep):
+    """B on an arc graph as a grid of m x m blocks, in vertex order.
 
     Block row a holds the two blocks of the crossing under which arc a ends,
-    at the block columns of the under-out and over arcs.  Arcs of crossing-free
-    components contribute zero rows.  Setting t = 1 and the representation
-    trivial recovers the plain walk matrix.
+    at the block columns of the under-out and over arcs; every other block
+    is zero.  Arcs of crossing-free components contribute zero rows.
     """
     n = len(graph.vertices)
-    m = rep.dim
-    zero = RingMatrix.zeros(m, m, rep.field)
+    zero = RingMatrix.zeros(rep.dim, rep.dim, rep.field)
     grid = [[zero] * n for _ in range(n)]
     for c in graph.crossings:
         # the arc graph has one edge per ordered pair: no cell is set twice
@@ -490,29 +488,36 @@ def twisted_weight_graph(graph, rep):
         row = grid[graph.vertex_index(c.under_in)]
         row[graph.vertex_index(c.under_out)] = under
         row[graph.vertex_index(c.over)] = jump
-    return RingMatrix.from_blocks(grid)
+    return tuple(map(tuple, grid))
+
+
+def twisted_weight_graph(graph, rep):
+    """The block weight matrix B on an arc graph, flattened from its blocks.
+
+    Setting t = 1 and the representation trivial recovers the plain walk
+    matrix.
+    """
+    return RingMatrix.from_blocks(_weight_blocks(graph, rep))
 
 
 def twisted_block_identity_check(chain):
     """I - B agrees block row by block row with the twisted Fox Jacobian.
 
-    Compared on the shared rows: each crossing's relator row against the
-    block row of its under-in arc.  This ties the graph-side and group-side
-    constructions together exactly.
+    Compared on the shared rows, block by block: each crossing's relator row
+    against the block row of its under-in arc.  This ties the graph-side and
+    group-side constructions together exactly.
     """
-    m = chain.rep.dim
+    ident = RingMatrix.identity(chain.rep.dim, chain.rep.field)
     mismatches = []
-    if chain.jacobian is not None:
-        b = chain.weights
-        i_minus_b = RingMatrix.identity(b.rows, chain.rep.field) - b
-        for ridx, c in enumerate(chain.diagram.crossings):
-            arow = c.under_in - 1
-            for gpos in range(chain.diagram.n_arcs):
-                left = chain.jacobian.block(ridx, gpos, m)
-                right = i_minus_b.block(arow, gpos, m)
-                if left != right:
-                    mismatches.append({"relator": ridx, "generator": gpos + 1,
-                                       "jacobian": repr(left), "graph": repr(right)})
+    index = chain.graph.vertex_index
+    for ridx, c in enumerate(chain.diagram.crossings):
+        row = chain.weight_blocks[index(c.under_in)]
+        for gpos, gen in enumerate(chain.presentation.generators):
+            left = chain.fox_block(ridx, gpos)
+            right = ident - row[index(gen)] if gen == c.under_in else -row[index(gen)]
+            if left != right:
+                mismatches.append({"relator": ridx, "generator": gen,
+                                   "jacobian": repr(left), "graph": repr(right)})
     return Verdict("twisted_block_identity", not mismatches,
                    {"mismatches": mismatches})
 
@@ -524,16 +529,16 @@ def twisted_row_identity_check(chain):
     For each relator r: sum over generators k of (dr/dx_k under the twist)
     times (twisted_image(x_k) - I) equals twisted_image(r) - I = 0 exactly.
     """
-    if chain.jacobian is None:
-        return Verdict("twisted_row_identity", True, {"relators": 0})
-    m = chain.rep.dim
-    relators = len(chain.presentation.relators)
-    sums = chain.jacobian @ RingMatrix.from_blocks([[d] for d in chain.denominators])
-    zero = RingMatrix.zeros(m, m, chain.rep.field)
-    failures = [{"relator": r, "value": repr(sums.block(r, 0, m))}
-                for r in range(relators) if sums.block(r, 0, m) != zero]
+    pres = chain.presentation
+    zero = RingMatrix.zeros(chain.rep.dim, chain.rep.dim, chain.rep.field)
+    failures = []
+    for r in range(len(pres.relators)):
+        total = sum((chain.fox_block(r, k) @ chain.denominator(k)
+                     for k in range(len(pres.generators))), zero)
+        if total != zero:
+            failures.append({"relator": r, "value": repr(total)})
     return Verdict("twisted_row_identity", not failures,
-                   {"relators": relators, "failures": failures})
+                   {"relators": len(pres.relators), "failures": failures})
 
 
 def twisted_trace_check(chain, max_power=6):
@@ -541,18 +546,17 @@ def twisted_trace_check(chain, max_power=6):
 
     The blocks do not commute, so the product follows the walk in order; the
     scalar trace identity is the dim = 1 shadow of this one.  Each edge's
-    block is taken from B once; the trace of each length's summed walk
-    products (closed_walk_sums) is the sum of their traces.
+    block is read from the chain's block grid; the trace of each length's
+    summed walk products (closed_walk_sums) is the sum of their traces.
     """
-    g, b, m = chain.graph, chain.weights, chain.rep.dim
-    blocks = {e: b.block(g.vertex_index(e.src), g.vertex_index(e.dst), m)
-              for e in g.edges}
-    walk_sums = closed_walk_sums(g, max_power, blocks.__getitem__,
-                                 RingMatrix.identity(m, chain.rep.field),
+    g, grid, index = chain.graph, chain.weight_blocks, chain.graph.vertex_index
+    walk_sums = closed_walk_sums(g, max_power,
+                                 lambda e: grid[index(e.src)][index(e.dst)],
+                                 RingMatrix.identity(chain.rep.dim, chain.rep.field),
                                  operator.matmul)
     zero = LaurentPoly.zero(chain.rep.field)
     failures = []
-    power = b
+    power = b = chain.weights
     for length in range(1, max_power + 1):
         walk_sum = walk_sums[length].trace() if length in walk_sums else zero
         tr = power.trace()
@@ -586,18 +590,19 @@ def trivial_reduction_check(diagram):
 
 
 def column_independence_check(chain):
-    """The determinant quotient is the same rational function for every
-    admissible column choice, up to units.
+    """The determinant quotient is the same rational function at every
+    generator, up to units.
 
     Checked by cross-multiplying numerators and denominators pairwise and
     comparing canonical forms.
     """
-    results = list(_twisted_quotients(chain))
+    gens = chain.presentation.generators
+    quotients = [chain.quotient(pos) for pos in range(len(gens))]
     failures = []
-    for (k1, f1), (k2, f2) in itertools.combinations(results, 2):
+    for (k1, f1), (k2, f2) in itertools.combinations(zip(gens, quotients), 2):
         left = canonicalize(f1.numerator * f2.denominator).poly
         right = canonicalize(f2.numerator * f1.denominator).poly
         if left != right:
             failures.append({"columns": [k1, k2], "left": str(left), "right": str(right)})
-    return Verdict("column_independence", bool(results) and not failures,
-                   {"columns": [k for k, _ in results], "failures": failures})
+    return Verdict("column_independence", not failures,
+                   {"columns": list(gens), "failures": failures})

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import operator
 import random
+import sys
 import warnings
 from fractions import Fraction
 
@@ -98,10 +99,27 @@ def _return_distances(g, start, max_len, allowed):
     return dist
 
 
+def _deepest_walk():
+    """The longest walk that the DFSs below follow.  They nest one call per
+    edge and keep to half of the interpreter's recursion limit, leaving the
+    rest to their callers."""
+    return sys.getrecursionlimit() // 2
+
+
+def _refuse_deeper(max_len):
+    """ValueError below 1, RuntimeError past _deepest_walk()."""
+    if max_len < 1:
+        raise ValueError("max_len must be at least 1")
+    if max_len > _deepest_walk():
+        raise RuntimeError(f"horizon {max_len} is deeper than the walk search "
+                           f"reaches ({_deepest_walk()} edges)")
+
+
 def _closed_walk_count(g, max_len):
     """Sum of tr(A^m) over m <= max_len for the adjacency A: the number of
     based closed walks up to max_len, counted per start vertex on ints.
-    Stops once past MAX_PRIMES."""
+    A start vertex stops where no walk from it goes further; the count
+    stops once past MAX_PRIMES."""
     total = 0
     for start in g.vertices:
         reach = {start: 1}
@@ -111,6 +129,8 @@ def _closed_walk_count(g, max_len):
                 for e in g.out_map[v]:
                     step[e.dst] = step.get(e.dst, 0) + n
             reach = step
+            if not reach:
+                break
             total += reach.get(start, 0)
             if total > MAX_PRIMES:
                 return total
@@ -126,12 +146,13 @@ def closed_walk_sums(g, max_len, weight, one, mul):
     for blocks).  The walks are enumerated, not read off powers of W: one DFS
     per start vertex serves all lengths, each prefix's product is shared by
     its extensions, and a prefix is cut where it cannot get back within
-    max_len.  Raises RuntimeError, before enumerating, beyond MAX_PRIMES walks.
+    max_len.  Raises RuntimeError, before enumerating, beyond MAX_PRIMES walks
+    (counted up to the horizon or _deepest_walk(), whichever is shorter) or
+    past _deepest_walk().
     """
-    if max_len < 1:
-        raise ValueError("max_len must be at least 1")
-    if _closed_walk_count(g, max_len) > MAX_PRIMES:
+    if _closed_walk_count(g, min(max_len, _deepest_walk())) > MAX_PRIMES:
         raise RuntimeError(f"more than {MAX_PRIMES} closed walks below length {max_len}")
+    _refuse_deeper(max_len)
     out = {v: [(e.dst, weight(e)) for e in g.out_map[v]] for v in g.vertices}
     sums = {}
 
@@ -161,10 +182,10 @@ def prime_cycles(g, max_len):
     a prefix cannot get back to the start within max_len, records every
     return to the start, and keeps exactly the walks that are both
     rotation-minimal and not proper powers.  Output is sorted by length,
-    then vertex sequence.  Raises RuntimeError beyond MAX_PRIMES primes.
+    then vertex sequence.  Raises RuntimeError beyond MAX_PRIMES primes and,
+    before enumerating, past _deepest_walk().
     """
-    if max_len < 1:
-        raise ValueError("max_len must be at least 1")
+    _refuse_deeper(max_len)
     index = {v: i for i, v in enumerate(g.vertices)}
     primes = []
 

@@ -224,6 +224,7 @@ def test_twisted_bad_rep_json():
     {"field": 7, "images": {"1": 1, "2": [[1]], "3": [[1]]}},
     {"field": 7, "images": {"1": ["1"], "2": [[1]], "3": [[1]]}},
     {"field": 7, "images": {"x": [[1]], "2": [[1]], "3": [[1]]}},
+    {"field": 7, "images": {"1": [], "2": [], "3": []}},
 ], ids=lambda rep: json.dumps(rep))
 def test_twisted_malformed_rep_is_input_error(rep, validators):
     code, obj = run_json("twisted", "trefoil", "--rep", json.dumps(rep))
@@ -335,6 +336,19 @@ def test_trace_horizon_beyond_the_cap_fails_fast(validators):
         assert code == EXIT_INPUT
         assert obj == {"error": f"more than 1000000 closed walks below length {max_len}"}
         validators["error"].validate(obj)
+
+
+@pytest.mark.parametrize("name, max_len", [("kink_pp", "2000"), ("trefoil", "100000000")])
+def test_trace_horizon_past_the_search_depth_fails_fast(name, max_len, validators):
+    # the walk DFSs nest one call per edge and keep to half of the recursion
+    # limit; a deeper horizon is refused before any walk is enumerated
+    start = time.perf_counter()
+    code, obj = run_json("zeta", name, "--check", "trace", "--max-len", max_len)
+    assert time.perf_counter() - start < 1
+    assert code == EXIT_INPUT
+    assert obj == {"error": f"horizon {max_len} is deeper than the walk search reaches "
+                            f"({sys.getrecursionlimit() // 2} edges)"}
+    validators["error"].validate(obj)
 
 
 def test_trace_horizon_under_the_cap_runs(validators):

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from knotzeta import cli, twisted
+from knotzeta.alexander import fox_derivative
 from knotzeta.arc_graph import build_arc_graph
 from knotzeta.knot_model import DiagramError, Presentation, parse_diagram, \
     wirtinger_presentation
@@ -238,13 +239,13 @@ def test_block_walk_sums_equal_the_per_walk_products(trefoil, trefoil_rep, figur
     # the oracle: each closed walk's block product built from the identity on
     for diagram, rep in ((trefoil, trefoil_rep), (figure8, fig8_rep)):
         g = build_arc_graph(diagram)
-        b = twisted_weight_graph(g, rep)
-        m = rep.dim
+        grid = twisted_chain(diagram, rep).weight_blocks
+        assert RingMatrix.from_blocks(grid) == twisted_weight_graph(g, rep)
 
         def block(e):
-            return b.block(int(e.src) - 1, int(e.dst) - 1, m)
+            return grid[g.vertex_index(e.src)][g.vertex_index(e.dst)]
 
-        identity = RingMatrix.identity(m, rep.field)
+        identity = RingMatrix.identity(rep.dim, rep.field)
         sums = closed_walk_sums(g, 6, block, identity, operator.matmul)
         for length in range(1, 7):
             products = []
@@ -272,7 +273,7 @@ def test_column_independence(trefoil, trefoil_rep, figure8, fig8_rep):
 
 
 CHAIN_PIECES = ("wirtinger_presentation", "verify_representation",
-                "twisted_alexander_matrix", "twisted_weight_graph", "build_arc_graph")
+                "_twisted_element", "_weight_blocks", "build_arc_graph")
 
 
 @pytest.fixture
@@ -296,9 +297,13 @@ def piece_calls(monkeypatch):
 
 @pytest.mark.parametrize("name,p", [("figure8", 5), ("trefoil", 3)])
 def test_dihedral_reports_build_each_piece_once(corpus, piece_calls, name, p):
+    # the reports read every Fox block and every denominator, each a twisted
+    # image of a group ring element; as many images as blocks means one each
+    pres = wirtinger_presentation(corpus[name])
     reports = cli._twisted_dihedral_reports(name, corpus[name], p)
     assert [r["status"] for r in reports] == ["pass"] * 5
-    assert piece_calls == dict.fromkeys(CHAIN_PIECES, 1)
+    blocks = (len(pres.relators) + 1) * len(pres.generators)
+    assert piece_calls == {**dict.fromkeys(CHAIN_PIECES, 1), "_twisted_element": blocks}
 
 
 def test_quotients_build_no_arc_graph(corpus, trefoil, trefoil_rep, piece_calls):
@@ -309,53 +314,53 @@ def test_quotients_build_no_arc_graph(corpus, trefoil, trefoil_rep, piece_calls)
     with pytest.raises(DiagramError):
         build_arc_graph(kink)
     twisted_alexander_polynomial(kink, trivial_representation((1,)))
-    assert piece_calls["build_arc_graph"] == piece_calls["twisted_weight_graph"] == 0
+    assert piece_calls["build_arc_graph"] == piece_calls["_weight_blocks"] == 0
 
 
 def test_twisted_query_builds_only_the_column_it_reads(monkeypatch, corpus, trefoil,
                                                        trefoil_rep, figure8, fig8_rep):
-    # one denominator (the first is admissible: det(t rho(x) - I) has
-    # constant term det(-I)) and one numerator minor, never the Jacobian
-    built, dens = [], []
-    build_matrix, build_den = twisted.twisted_alexander_matrix, twisted._denominator
-    monkeypatch.setattr(twisted, "twisted_alexander_matrix",
-                        lambda pres, rep: built.append(pres) or build_matrix(pres, rep))
-    monkeypatch.setattr(twisted, "_denominator",
-                        lambda rep, gen: dens.append(gen) or build_den(rep, gen))
+    # the (n - 1)^2 Fox blocks of the first column's minor, then that
+    # column's denominator (never zero: det(t rho(x) - I) has constant term
+    # det(-I)); neither the rest of the Jacobian nor the arc graph
+    built = []
+    build = twisted._twisted_element
+    monkeypatch.setattr(twisted, "_twisted_element",
+                        lambda rep, elem: built.append(elem) or build(rep, elem))
+    monkeypatch.setattr(twisted, "build_arc_graph", None)
     cases = [(trefoil, trefoil_rep), (figure8, fig8_rep)]
     cases += [(d, trivial_representation(tuple(d.arcs))) for d in corpus.values()]
     for d, rep in cases:
         built.clear()
-        dens.clear()
         tw = twisted_alexander_polynomial(d, rep)
         pres = wirtinger_presentation(d)
-        assert dens == [tw.column] == [pres.generators[0]]
-        if len(pres.relators) < 2:
-            assert built == []
-        else:
-            assert built == [Presentation(pres.generators[1:], pres.relators[:-1])]
+        first = pres.generators[0]
+        assert tw.column == first
+        minor = [fox_derivative(r, g) for r in pres.relators[:-1] for g in pres.generators[1:]]
+        assert built == minor + [{((first, 1),): 1, (): -1}]
 
 
-def test_numerator_minor_is_the_reduced_jacobian_minor(corpus, trefoil, trefoil_rep,
-                                                       figure8, fig8_rep):
+def test_numerator_minor_is_the_reduced_jacobian_minor(monkeypatch, corpus, trefoil,
+                                                       trefoil_rep, figure8, fig8_rep):
+    # quotient(pos) takes the determinant of its minor, then of its denominator
+    seen = []
+    monkeypatch.setattr(twisted, "det", lambda mat: seen.append(mat) or det(mat))
     cases = [(trefoil, trefoil_rep), (figure8, fig8_rep)]
     cases += [(d, trivial_representation(tuple(d.arcs))) for d in corpus.values()]
     for d, rep in cases:
         chain = twisted_chain(d, rep)
         pres = chain.presentation
-        columns = column_independence_check(chain).detail["columns"]
-        assert columns
-        for k in columns:
-            pos = pres.generators.index(k)
-            minor = chain.numerator_minor(pos)
+        assert column_independence_check(chain).detail["columns"] == list(pres.generators)
+        for pos in range(len(pres.generators)):
+            seen.clear()
+            chain.quotient(pos)
             if len(pres.relators) < 2:
-                assert minor is None
+                assert seen == [chain.denominator(pos)]
                 continue
             reduced = Presentation(pres.generators, pres.relators[:-1])
             m = rep.dim
             expected = twisted_alexander_matrix(reduced, rep).delete(
                 cols=tuple(range(pos * m, (pos + 1) * m)))
-            assert minor == expected, (d, k)
+            assert seen == [expected, chain.denominator(pos)], (d, pos)
 
 
 def test_chain_refuses_nonrepresentation(trefoil):

@@ -3,6 +3,7 @@
 import json
 import math
 import operator
+import time
 import warnings
 from collections import Counter
 from fractions import Fraction
@@ -15,9 +16,9 @@ from knotzeta.arc_graph import WeightSpec, alexander_spec, build_arc_graph, \
 from knotzeta import zeta
 from knotzeta.knot_model import DiagramError, cut
 from knotzeta.laurent import LaurentPoly
-from knotzeta.zeta import ConvergenceWarning, cabling_check, closed_walks, \
-    composition_check, cycle_weight, determinant_formula_check, path_sum_check, \
-    prime_cycles, sample_points, spectral_estimate, strand_walk_sum, \
+from knotzeta.zeta import ConvergenceWarning, cabling_check, closed_walk_sums, \
+    closed_walks, composition_check, cycle_weight, determinant_formula_check, \
+    path_sum_check, prime_cycles, sample_points, spectral_estimate, strand_walk_sum, \
     total_strand_weight, trace_identity_check, zeta_partial_product
 
 
@@ -136,6 +137,25 @@ def test_closed_walk_cap_raises_before_enumerating(fig8_cut, monkeypatch):
     monkeypatch.setattr(zeta, "_return_distances", lambda *args: pytest.fail("enumerated"))
     with pytest.raises(RuntimeError, match=f"more than {total - 1} closed walks below length 10"):
         trace_identity_check(fig8_cut, spec, 10)
+
+
+def test_horizon_past_the_search_depth_raises_before_enumerating(trefoil_cut, monkeypatch):
+    deepest = zeta._deepest_walk()
+    monkeypatch.setattr(zeta, "_return_distances", lambda *args: pytest.fail("enumerated"))
+    for search in (prime_cycles, lambda g, n: closed_walk_sums(g, n, None, None, None)):
+        with pytest.raises(RuntimeError, match=f"horizon {deepest + 1} is deeper than "
+                                               f"the walk search reaches \\({deepest} edges"):
+            search(trefoil_cut, deepest + 1)
+
+
+def test_closed_walk_count_stops_where_no_walk_goes_further(corpus, trefoil_cut):
+    # every walk of the unknot's cut ends at once; the trefoil cut's one
+    # cycle is 2 -> 3 -> 2, closed from 2 and from 3 at every even length
+    unknot_cut = build_arc_graph(cut(corpus["unknot"], [1]))
+    start = time.perf_counter()
+    assert zeta._closed_walk_count(unknot_cut, 10 ** 7) == 0
+    assert time.perf_counter() - start < 1
+    assert zeta._closed_walk_count(trefoil_cut, 10) == 10
 
 
 def test_trace_identity_on_corpus_cuts(corpus):
