@@ -63,15 +63,6 @@ class ArcGraph:
         except KeyError:
             raise DiagramError(f"unknown vertex {v!r}") from None
 
-    @property
-    def endpoints(self):
-        seen = []
-        for p, q in self.boundary:
-            for v in (p, q):
-                if v not in seen:
-                    seen.append(v)
-        return tuple(seen)
-
 
 def build_arc_graph(source):
     """Arc graph of a KnotDiagram or Tangle.

@@ -119,10 +119,6 @@ class KnotDiagram:
         """The crossing where the given arc ends, or None for a circle arc."""
         return self._under_in_map.get(under_in)
 
-    def successor(self, a):
-        c = self.crossing_at(a)
-        return a if c is None else c.under_out
-
     def to_json(self):
         return {"arcs": self.n_arcs, "crossings": [c.to_json() for c in self.crossings]}
 

@@ -14,6 +14,10 @@ remains goes to fraction-free (Bareiss) elimination on dense lists of int
 coefficients, after each row is cleared of negative powers of t and of
 denominators.  Cofactor expansion and the unpeeled kernel stay as the
 independent oracles.
+
+Matrices of plain rationals or residues mod q have one Gauss-Jordan
+elimination, row_reduce, which serves determinants and solves over Q and
+inverses and null spaces over F_q.
 """
 
 from __future__ import annotations
@@ -181,8 +185,9 @@ class LaurentPoly:
         while k:
             if k & 1:
                 out = out * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return out
 
     def shift(self, k):
@@ -736,59 +741,58 @@ def det(mat):
     return -out if sign < 0 else out
 
 
-# -- exact rational linear algebra -----------------------------------------
+# -- exact linear algebra over Q and F_q --------------------------------------
+
+
+def row_reduce(rows, n_cols, q=None):
+    """Gauss-Jordan elimination over F_q, or over Q when q is None.
+
+    Pivots are sought in the first n_cols columns only.  Returns the reduced
+    row echelon form, the pivot columns, and the product of the pivots
+    negated once per row swap: the determinant of the first n_cols columns
+    when they are square and every one of them holds a pivot.
+    """
+    if q is None:
+        mat = [[Fraction(x) for x in row] for row in rows]
+    else:
+        mat = [[x % q for x in row] for row in rows]
+
+    def reduced(row):
+        return row if q is None else [x % q for x in row]
+
+    pivots, product = [], 1
+    for c in range(n_cols):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+        if pivot is None:
+            continue
+        if pivot != r:
+            mat[r], mat[pivot] = mat[pivot], mat[r]
+            product = -product
+        product *= mat[r][c]
+        inv = _inv_scalar(mat[r][c], q)
+        mat[r] = reduced([x * inv for x in mat[r]])
+        for i in range(len(mat)):
+            if i != r and mat[i][c]:
+                f = mat[i][c]
+                mat[i] = reduced([x - f * y for x, y in zip(mat[i], mat[r])])
+        pivots.append(c)
+    return mat, pivots, Fraction(product) if q is None else product % q
 
 
 def rational_det(rows):
-    """Determinant of a square matrix of Fractions by exact elimination."""
+    """Determinant of a square matrix of rationals, by row_reduce."""
     n = len(rows)
-    a = [[Fraction(x) for x in row] for row in rows]
-    for row in a:
-        if len(row) != n:
-            raise ValueError("rational determinant needs a square matrix")
-    detval = Fraction(1)
-    for k in range(n):
-        piv = None
-        for r in range(k, n):
-            if a[r][k] != 0:
-                piv = r
-                break
-        if piv is None:
-            return Fraction(0)
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            detval = -detval
-        detval *= a[k][k]
-        inv = Fraction(1) / a[k][k]
-        for r in range(k + 1, n):
-            if a[r][k] == 0:
-                continue
-            f = a[r][k] * inv
-            for c in range(k, n):
-                a[r][c] -= f * a[k][c]
-    return detval
+    if any(len(row) != n for row in rows):
+        raise ValueError("rational determinant needs a square matrix")
+    _, pivots, product = row_reduce(rows, n)
+    return product if len(pivots) == n else Fraction(0)
 
 
 def rational_solve(rows, rhs):
     """Solve A x = b exactly over the rationals; None when A is singular."""
     n = len(rows)
-    a = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(rows)]
-    for i, row in enumerate(a):
-        if len(row) != n + 1:
-            raise ValueError("rational solve needs a square system")
-    for k in range(n):
-        piv = None
-        for r in range(k, n):
-            if a[r][k] != 0:
-                piv = r
-                break
-        if piv is None:
-            return None
-        a[k], a[piv] = a[piv], a[k]
-        inv = Fraction(1) / a[k][k]
-        a[k] = [v * inv for v in a[k]]
-        for r in range(n):
-            if r != k and a[r][k] != 0:
-                f = a[r][k]
-                a[r] = [v - f * w for v, w in zip(a[r], a[k])]
-    return [a[i][n] for i in range(n)]
+    if len(rhs) != n or any(len(row) != n for row in rows):
+        raise ValueError("rational solve needs a square system")
+    mat, pivots, _ = row_reduce([list(row) + [b] for row, b in zip(rows, rhs)], n)
+    return [row[n] for row in mat] if len(pivots) == n else None

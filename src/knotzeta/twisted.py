@@ -27,12 +27,12 @@ from .arc_graph import build_arc_graph
 from .knot_model import DiagramError, KnotDiagram, Presentation, \
     wirtinger_presentation
 from .laurent import LaurentPoly, PolyFraction, RingMatrix, canonicalize, det, \
-    divide_exact
+    divide_exact, row_reduce
 from .verdict import Verdict
 from .zeta import closed_walk_sums
 
 
-# -- small dense linear algebra over a prime field ---------------------------
+# -- primality, and small matrices mod q eliminated by laurent.row_reduce ---
 
 
 # Miller-Rabin with these bases decides primality exactly below
@@ -70,31 +70,10 @@ def _mat_identity(m):
     return tuple(tuple(1 if i == j else 0 for j in range(m)) for i in range(m))
 
 
-def _row_reduce(rows, n_cols, q):
-    """(reduced row echelon form mod q, pivot columns) by Gauss-Jordan
-    elimination, with pivots sought in the first n_cols columns only."""
-    mat = [[x % q for x in row] for row in rows]
-    pivots = []
-    for c in range(n_cols):
-        r = len(pivots)
-        pivot = next((i for i in range(r, len(mat)) if mat[i][c]), None)
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = pow(mat[r][c], q - 2, q)
-        mat[r] = [(x * inv) % q for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [(x - f * y) % q for x, y in zip(mat[i], mat[r])]
-        pivots.append(c)
-    return mat, pivots
-
-
 def _mat_inverse(a, q):
     """Inverse mod q, or None when singular."""
     m = len(a)
-    work, pivots = _row_reduce(
+    work, pivots, _ = row_reduce(
         [list(row) + list(ident) for row, ident in zip(a, _mat_identity(m))], m, q)
     if len(pivots) < m:
         return None
@@ -227,7 +206,7 @@ def fox_colorings(diagram, p):
 
 
 def _nullspace_mod(rows, n_cols, p):
-    mat, pivots = _row_reduce(rows, n_cols, p)
+    mat, pivots, _ = row_reduce(rows, n_cols, p)
     basis = []
     for free in range(n_cols):
         if free in pivots:

@@ -6,10 +6,11 @@ product of (1 - weight)^-1 over all primes; it equals 1/det(I - W), and this
 module verifies that equality through two finite surrogates: an exact
 truncated trace identity and a numeric partial Euler product.  The inverse
 edges that would make backtracking a concern do not exist in these directed
-graphs, so primitivity and rotation are the whole story.  The Euler product
-needs only the number of primes of each label content, which it gets from
-closed-walk counts; prime_cycles lists the primes themselves and serves the
-trace identity and the tests as an independent route.
+graphs, so primitivity and rotation are the whole story.  A prime's weight
+depends only on its label content, so the Euler product and the trace
+identity's log truncation both need only the number of primes of each
+content, which _prime_counts gets from closed-walk counts; prime_cycles lists
+the primes themselves and stays as the tests' independent oracle for them.
 
 The path-sum, composition, and cabling checks for one-strand tangles live
 here too, since all three are statements about walk weights.
@@ -213,13 +214,6 @@ def prime_cycles(g, max_len):
     return [edges for _, _, edges in primes]
 
 
-def cycle_weight(cycle, spec):
-    w = LaurentPoly.one(spec.modulus)
-    for e in cycle:
-        w = w * spec[e.label]
-    return w
-
-
 # -- trace identity ----------------------------------------------------------
 
 
@@ -228,7 +222,9 @@ def trace_identity_check(g, spec, max_power=8):
 
     Also checks the prime-power log truncation: the sum of weight(p)^j / j
     over pairs with j*len(p) <= max_power equals the sum of tr(W^m)/m,
-    exactly, as Laurent polynomials over the rationals.
+    exactly, as Laurent polynomials over the rationals.  The primes are
+    counted per label content by _prime_counts, as for the Euler product,
+    and each content is weighed once.
     """
     if spec.modulus is not None:
         raise ValueError("trace identity needs rational coefficients")
@@ -249,13 +245,13 @@ def trace_identity_check(g, spec, max_power=8):
         trace_side = trace_side + tr.scale(Fraction(1, m))
         if m < max_power:
             power = power @ w
-    prime_side = LaurentPoly.zero()
-    for p in prime_cycles(g, max_power):
-        n_p = cycle_weight(p, spec)
-        j = 1
-        while j * len(p) <= max_power:
-            prime_side = prime_side + (n_p ** j).scale(Fraction(1, j))
-            j += 1
+    weights = [spec[label] for label in _content_labels(g)]
+    prime_side = zero
+    for content, n in _prime_counts(g, max_power).items():
+        weight, weight_j = _content_weight(weights, content), LaurentPoly.one()
+        for j in range(1, max_power // sum(content) + 1):
+            weight_j = weight_j * weight
+            prime_side = prime_side + weight_j.scale(Fraction(n, j))
     if prime_side != trace_side:
         failures.append({"m": "log-truncation", "trace": str(trace_side),
                          "walks": str(prime_side)})
@@ -341,9 +337,7 @@ def _euler_factors(g, spec, t0, max_len):
     weights = [spec[label].evaluate(t0) for label in _content_labels(g)]
     factors = []
     for content in sorted(counts, key=sum):
-        w = Fraction(1)
-        for x, k in zip(weights, content):
-            w *= x ** k
+        w = _content_weight(weights, content)
         if w == 1:
             raise ZeroDivisionError(
                 f"Euler factor pole: prime of length {sum(content)} has weight 1")
@@ -471,6 +465,12 @@ def _content_labels(g):
     return sorted({e.label for e in g.edges})
 
 
+def _content_weight(weights, content):
+    """The weight of every prime of a label content: the product of
+    weights[i] ** content[i], weights in _content_labels order."""
+    return math.prod(map(operator.pow, weights, content))
+
+
 def _mobius(n):
     """The Moebius function: 0 unless n is squarefree, else (-1)^(prime factors)."""
     result = 1
@@ -495,10 +495,10 @@ def _prime_counts(g, max_len):
     many of each power's content, so Moebius inversion over the divisors of
     gcd(c) gives primes(c) = (1/|c|) sum_{d | gcd(c)} mu(d) walks(c/d).
     Contents without primes are left out.  Raises RuntimeError beyond
-    MAX_PRIMES primes, as soon as a length takes the total past it.
+    MAX_PRIMES primes, as soon as a length takes the total past it, and,
+    before counting, past _deepest_walk(), the horizon of the walk searches.
     """
-    if max_len < 1:
-        raise ValueError("max_len must be at least 1")
+    _refuse_deeper(max_len)
     labels = _content_labels(g)
     # a content is kept as one int, its counts being digits in base max_len+1
     base = max_len + 1

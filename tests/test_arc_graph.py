@@ -49,7 +49,6 @@ def test_tangle_boundary_and_endpoint_edges(trefoil):
     t = cut(trefoil, [1])
     g = build_arc_graph(t)
     assert g.boundary == (("1'", "1''"),)
-    assert g.endpoints == ("1'", "1''")
     # the terminal half has no outgoing edges, the initial no incoming
     assert all(e.src != "1''" for e in g.edges)
     assert all(e.dst != "1'" for e in g.edges)

@@ -351,6 +351,19 @@ def test_trace_horizon_past_the_search_depth_fails_fast(name, max_len, validator
     validators["error"].validate(obj)
 
 
+def test_euler_horizon_past_the_search_depth_fails_fast(validators):
+    # the prime counts keep to the walk searches' horizon; the trefoil cut's
+    # one cycle would keep them counting for minutes
+    start = time.perf_counter()
+    code, obj = run_json("zeta", "trefoil", "--check", "euler", "--t", "1/2",
+                         "--max-len", "100000000")
+    assert time.perf_counter() - start < 1
+    assert code == EXIT_INPUT
+    assert obj == {"error": "horizon 100000000 is deeper than the walk search reaches "
+                            f"({sys.getrecursionlimit() // 2} edges)"}
+    validators["error"].validate(obj)
+
+
 def test_trace_horizon_under_the_cap_runs(validators):
     start = time.perf_counter()
     code, obj = run_json("zeta", "6_1", "--check", "trace", "--max-len", "12")

@@ -67,13 +67,12 @@ def test_crossings_sorted_by_under_in():
     assert d == parse_diagram(TREFOIL)
 
 
-def test_successor_and_crossing_at(corpus):
+def test_crossing_at(corpus):
     d = corpus["trefoil"]
-    assert d.successor(1) == 2
-    assert d.successor(3) == 1
+    assert d.crossing_at(1).under_out == 2
+    assert d.crossing_at(3).under_out == 1
     assert d.crossing_at(2).over == 1
     assert corpus["unknot"].crossing_at(1) is None
-    assert corpus["unknot"].successor(1) == 1
 
 
 def test_components_of_split_diagram(corpus):

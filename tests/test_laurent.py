@@ -1,5 +1,6 @@
 """Exact Laurent arithmetic, canonical forms, and matrix determinants."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -11,7 +12,7 @@ from knotzeta.knot_model import cable, cut
 from knotzeta.laurent import CanonicalPoly, CoefficientError, LaurentPoly, \
     PolyFraction, RingMatrix, _bareiss_entry, _det_bareiss, canonicalize, det, \
     det_cofactor, div_exact, divide_exact, poly_divmod, poly_gcd, rational_det, \
-    rational_solve
+    rational_solve, row_reduce
 
 
 def P(coeffs, modulus=None):
@@ -52,6 +53,19 @@ def test_negative_exponents_multiply():
 
 def test_pow_zero_is_one():
     assert (P({2: 5}) ** 0).is_one()
+
+
+@pytest.mark.parametrize("k, products", [(1, 1), (2, 2), (8, 4), (13, 6), (64, 7)])
+def test_pow_squares_only_while_bits_remain(k, products, monkeypatch):
+    # k - 1 squarings past the top bit would be wasted; what is left is one
+    # squaring per bit below the top and one product per set bit
+    assert products == k.bit_length() - 1 + bin(k).count("1")
+    calls = []
+    mul = LaurentPoly.__mul__
+    monkeypatch.setattr(LaurentPoly, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
+    p = P({0: 1, 1: -1})
+    assert p ** k == P({e: (-1) ** e * math.comb(k, e) for e in range(k + 1)})
+    assert len(calls) == products
 
 
 def test_evaluate_exact():
@@ -530,6 +544,21 @@ def test_bareiss_entry_rejects_inexact_division():
             _bareiss_entry([1, 0, 1], [1], [], [], [1, 1], q)
     with pytest.raises(AssertionError):
         _bareiss_entry([0, 2], [1], [], [], [3], None)
+
+
+def test_row_reduce_pivot_product_is_the_determinant_mod_7():
+    rng = random.Random(17)
+    for _ in range(40):
+        n = rng.randint(1, 5)
+        rows = [[rng.randrange(7) if rng.random() < 0.7 else 0 for _ in range(n)]
+                for _ in range(n)]
+        mat, pivots, product = row_reduce(rows, n, 7)
+        expected = det(RingMatrix(rows, 7)).coeff(0)
+        if len(pivots) == n:
+            assert product == expected, rows
+            assert mat == [[int(i == j) for j in range(n)] for i in range(n)]
+        else:
+            assert expected == 0, rows
 
 
 def test_rational_solve_known_system():

@@ -17,9 +17,14 @@ from knotzeta import zeta
 from knotzeta.knot_model import DiagramError, cut
 from knotzeta.laurent import LaurentPoly
 from knotzeta.zeta import ConvergenceWarning, cabling_check, closed_walk_sums, \
-    closed_walks, composition_check, cycle_weight, determinant_formula_check, \
+    closed_walks, composition_check, determinant_formula_check, \
     path_sum_check, prime_cycles, sample_points, spectral_estimate, strand_walk_sum, \
     total_strand_weight, trace_identity_check, zeta_partial_product
+
+
+def walk_weight(walk, spec):
+    """The product of a walk's edge weights, edge by edge."""
+    return math.prod((spec[e.label] for e in walk), start=LaurentPoly.one())
 
 
 @pytest.fixture(scope="module")
@@ -88,14 +93,18 @@ def test_cut_graph_has_no_cycles_through_endpoints(trefoil_cut):
             assert e.src not in ("1'", "1''")
 
 
-def test_cycle_weight_multiplies(trefoil_cut):
+def test_content_weight_is_the_edge_weight_product(every_cut):
+    # a prime's weight depends only on how often each label occurs in it
     spec = alexander_spec()
-    for p in prime_cycles(trefoil_cut, 4):
-        w = cycle_weight(p, spec)
-        manual = spec[p[0].label]
-        for e in p[1:]:
-            manual = manual * spec[e.label]
-        assert w == manual
+    for g in every_cut.values():
+        labels = zeta._content_labels(g)
+        weights = [spec[label] for label in labels]
+        for p in prime_cycles(g, 6):
+            content = tuple(sum(e.label == label for e in p) for label in labels)
+            manual = spec[p[0].label]
+            for e in p[1:]:
+                manual = manual * spec[e.label]
+            assert zeta._content_weight(weights, content) == manual
 
 
 def test_closed_walk_sums_equal_the_per_length_enumeration(corpus, every_cut):
@@ -110,7 +119,7 @@ def test_closed_walk_sums_equal_the_per_length_enumeration(corpus, every_cut):
             walks = closed_walks(g, m)
             count += len(walks)
             assert (m in sums) == bool(walks)
-            assert sums.get(m, zero) == sum((cycle_weight(w, spec) for w in walks), zero)
+            assert sums.get(m, zero) == sum((walk_weight(w, spec) for w in walks), zero)
         assert zeta._closed_walk_count(g, 7) == count
 
 
@@ -142,7 +151,8 @@ def test_closed_walk_cap_raises_before_enumerating(fig8_cut, monkeypatch):
 def test_horizon_past_the_search_depth_raises_before_enumerating(trefoil_cut, monkeypatch):
     deepest = zeta._deepest_walk()
     monkeypatch.setattr(zeta, "_return_distances", lambda *args: pytest.fail("enumerated"))
-    for search in (prime_cycles, lambda g, n: closed_walk_sums(g, n, None, None, None)):
+    for search in (prime_cycles, zeta._prime_counts,
+                   lambda g, n: closed_walk_sums(g, n, None, None, None)):
         with pytest.raises(RuntimeError, match=f"horizon {deepest + 1} is deeper than "
                                                f"the walk search reaches \\({deepest} edges"):
             search(trefoil_cut, deepest + 1)
@@ -164,6 +174,22 @@ def test_trace_identity_on_corpus_cuts(corpus):
         g = build_arc_graph(cut(d, [1]))
         v = trace_identity_check(g, spec, max_power=6)
         assert v.passed, (name, v.detail)
+
+
+def test_log_truncation_fails_without_one_prime(fig8_cut, monkeypatch):
+    # the log side multiplies out _prime_counts; one prime fewer must show
+    counts = zeta._prime_counts
+
+    def one_fewer(g, max_len):
+        out = counts(g, max_len)
+        content = max(out, key=sum)
+        out[content] -= 1
+        return out
+
+    monkeypatch.setattr(zeta, "_prime_counts", one_fewer)
+    v = trace_identity_check(fig8_cut, alexander_spec(), 6)
+    assert not v.passed
+    assert [f["m"] for f in v.detail["failures"]] == ["log-truncation"]
 
 
 def test_trace_identity_rejects_modular_spec(trefoil_cut):
@@ -237,7 +263,7 @@ def enumerated_product(g, spec, t0, max_len):
     """The Euler product prime by prime, over the enumerated primes."""
     product = Fraction(1)
     for p in prime_cycles(g, max_len):
-        product /= 1 - cycle_weight(p, spec).evaluate(t0)
+        product /= 1 - walk_weight(p, spec).evaluate(t0)
     return product
 
 
@@ -275,6 +301,15 @@ def test_partial_product_matches_enumeration(corpus, name, t0, max_len):
         enumerated_product(g, spec, t0, max_len)
 
 
+def test_determinant_formula_never_enumerates_primes(every_cut, monkeypatch):
+    # prime_cycles is the tests' oracle; the check itself only counts primes
+    monkeypatch.setattr(zeta, "prime_cycles", lambda *args: pytest.fail("enumerated"))
+    spec = alexander_spec()
+    for key, g in every_cut.items():
+        v = determinant_formula_check(g, spec)
+        assert v.passed, (key, v.detail)
+
+
 def test_prime_cap_counts_every_prime(fig8_cut, monkeypatch):
     spec = alexander_spec()
     total = len(prime_cycles(fig8_cut, 12))
@@ -307,7 +342,7 @@ def test_pole_names_shortest_weight_one_prime(corpus):
     weights = {"S1": 2, "S2": 3, "T1": Fraction(8, 3), "T2": Fraction(3, 64)}
     spec = WeightSpec({k: LaurentPoly.constant(v) for k, v in weights.items()}, None)
     primes = prime_cycles(g, 8)
-    lengths = sorted({len(p) for p in primes if cycle_weight(p, spec) == 1})
+    lengths = sorted({len(p) for p in primes if walk_weight(p, spec) == 1})
     assert lengths[:2] == [4, 5] and len(primes[0]) < 4
     # one factor list serves the exact, the bounded and the log-space product
     with pytest.raises(ZeroDivisionError, match="prime of length 4 has weight 1"):
