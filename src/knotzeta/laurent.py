@@ -4,7 +4,9 @@ A Laurent polynomial is stored sparsely as a map from integer exponents to
 nonzero coefficients.  In characteristic zero a coefficient has one normal
 form: an `int` when it is an integer, else a `fractions.Fraction` with
 denominator above 1.  With a prime modulus q attached, coefficients are plain
-ints in [1, q).  Both cases share one interface; mixing moduli raises.
+ints in [1, q).  Both cases share one interface; mixing moduli raises.  The
+public constructor checks and coerces outside input; arithmetic builds its
+results in normal form directly (_normal_form).
 
 Matrices over this ring have exact determinants by one path for every size.
 Rows and columns with a single nonzero entry are peeled off first, by Laplace
@@ -44,6 +46,24 @@ def _coerce(c, modulus):
     if isinstance(c, int):
         return c % modulus
     raise CoefficientError(f"integer coefficient expected mod {modulus}, got {type(c).__name__}")
+
+
+def _normal_form(c, modulus):
+    """A LaurentPoly from {exponent: coefficient} whose coefficients are
+    already ints or Fractions of the right domain, as sums and products of
+    stored coefficients are: zeros dropped, integral Fractions turned into
+    ints, residues reduced mod q, exponents sorted.  The public constructor
+    checks outside input; arithmetic results come here instead.
+    """
+    if modulus is None:
+        c = {e: v if type(v) is int or v.denominator != 1 else v.numerator
+             for e, v in sorted(c.items()) if v}
+    else:
+        c = {e: r for e, v in sorted(c.items()) if (r := v % modulus)}
+    p = object.__new__(LaurentPoly)
+    object.__setattr__(p, "_c", c)
+    object.__setattr__(p, "modulus", modulus)
+    return p
 
 
 # one shared key string per exponent (as `json`'s decoder memoizes object keys),
@@ -145,18 +165,21 @@ class LaurentPoly:
         c = dict(self._c)
         for e, v in other._c.items():
             c[e] = c.get(e, 0) + v
-        return LaurentPoly(c, self.modulus)
+        return _normal_form(c, self.modulus)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPoly({e: -v for e, v in self._c.items()}, self.modulus)
+        return _normal_form({e: -v for e, v in self._c.items()}, self.modulus)
 
     def __sub__(self, other):
         other = self._lift(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        c = dict(self._c)
+        for e, v in other._c.items():
+            c[e] = c.get(e, 0) - v
+        return _normal_form(c, self.modulus)
 
     def __rsub__(self, other):
         other = self._lift(other)
@@ -173,7 +196,7 @@ class LaurentPoly:
             for e2, v2 in other._c.items():
                 e = e1 + e2
                 c[e] = c.get(e, 0) + v1 * v2
-        return LaurentPoly(c, self.modulus)
+        return _normal_form(c, self.modulus)
 
     __rmul__ = __mul__
 
@@ -192,16 +215,17 @@ class LaurentPoly:
 
     def shift(self, k):
         """Multiply by t^k."""
-        return LaurentPoly({e + k: v for e, v in self._c.items()}, self.modulus)
+        return _normal_form({e + k: v for e, v in self._c.items()}, self.modulus)
 
     def scale(self, c):
-        return LaurentPoly({e: v * c for e, v in self._c.items()}, self.modulus)
+        c = _coerce(c, self.modulus)
+        return _normal_form({e: v * c for e, v in self._c.items()}, self.modulus)
 
     def substitute_power(self, n):
         """The polynomial with t replaced by t^n (n a nonzero integer)."""
         if n == 0:
             raise ValueError("substitution power must be nonzero")
-        return LaurentPoly({e * n: v for e, v in self._c.items()}, self.modulus)
+        return _normal_form({e * n: v for e, v in self._c.items()}, self.modulus)
 
     def evaluate(self, t0):
         """Exact value at a rational point t0 (nonzero if negative powers occur).
@@ -459,6 +483,18 @@ class RingMatrix:
         object.__setattr__(self, "cols", ncols)
         object.__setattr__(self, "modulus", modulus)
 
+    @classmethod
+    def _of(cls, rows, modulus, cols):
+        """A matrix from rows of LaurentPoly entries that arithmetic on
+        matrices of this shape and domain produced, so unchecked."""
+        m = object.__new__(cls)
+        entries = tuple(map(tuple, rows))
+        object.__setattr__(m, "entries", entries)
+        object.__setattr__(m, "rows", len(entries))
+        object.__setattr__(m, "cols", cols)
+        object.__setattr__(m, "modulus", modulus)
+        return m
+
     def __setattr__(self, *a):
         raise AttributeError("RingMatrix is immutable")
 
@@ -504,18 +540,18 @@ class RingMatrix:
 
     def __add__(self, other):
         self._same_shape(other)
-        return RingMatrix(
+        return RingMatrix._of(
             [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.entries, other.entries)],
-            self.modulus, cols=self.cols)
+            self.modulus, self.cols)
 
     def __sub__(self, other):
         self._same_shape(other)
-        return RingMatrix(
+        return RingMatrix._of(
             [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.entries, other.entries)],
-            self.modulus, cols=self.cols)
+            self.modulus, self.cols)
 
     def __neg__(self):
-        return RingMatrix([[-a for a in row] for row in self.entries], self.modulus, cols=self.cols)
+        return RingMatrix._of([[-a for a in row] for row in self.entries], self.modulus, self.cols)
 
     def _same_shape(self, other):
         if self.rows != other.rows or self.cols != other.cols:
@@ -551,9 +587,9 @@ class RingMatrix:
                             d[e] = d.get(e, 0) + v1 * v2
             out_row = [zero] * other.cols
             for j, d in acc.items():
-                out_row[j] = LaurentPoly(d, self.modulus)
+                out_row[j] = _normal_form(d, self.modulus)
             out.append(out_row)
-        return RingMatrix(out, self.modulus, cols=other.cols)
+        return RingMatrix._of(out, self.modulus, other.cols)
 
     def scale(self, p):
         return RingMatrix([[a * p for a in row] for row in self.entries], self.modulus, cols=self.cols)

@@ -18,6 +18,7 @@ here too, since all three are statements about walk weights.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import random
@@ -138,24 +139,22 @@ def _closed_walk_count(g, max_len):
     return total
 
 
-def closed_walk_sums(g, max_len, weight, one, mul):
-    """{L: sum of the weight products of the based closed walks of length L}
-    over the lengths 1 <= L <= max_len that have any.
+def _search_closed_walks(g, max_len, weight, one, mul, found):
+    """Calls found(length, product) once per based closed walk of length
+    1 <= length <= max_len, with the product of its edge weights.
 
     weight(e) is an edge's weight, one the empty product, and mul(p, w)
-    extends a product (operator.mul for LaurentPoly weights, operator.matmul
-    for blocks).  The walks are enumerated, not read off powers of W: one DFS
-    per start vertex serves all lengths, each prefix's product is shared by
-    its extensions, and a prefix is cut where it cannot get back within
-    max_len.  Raises RuntimeError, before enumerating, beyond MAX_PRIMES walks
-    (counted up to the horizon or _deepest_walk(), whichever is shorter) or
-    past _deepest_walk().
+    extends a product.  The walks are enumerated, not read off powers of W:
+    one DFS per start vertex serves all lengths, each prefix's product is
+    shared by its extensions, and a prefix is cut where it cannot get back
+    within max_len.  Raises RuntimeError, before enumerating, beyond
+    MAX_PRIMES walks (counted up to the horizon or _deepest_walk(),
+    whichever is shorter) or past _deepest_walk().
     """
     if _closed_walk_count(g, min(max_len, _deepest_walk())) > MAX_PRIMES:
         raise RuntimeError(f"more than {MAX_PRIMES} closed walks below length {max_len}")
     _refuse_deeper(max_len)
     out = {v: [(e.dst, weight(e)) for e in g.out_map[v]] for v in g.vertices}
-    sums = {}
 
     def extend(start, v, length, prod, dist):
         # length counts the edge about to be taken
@@ -165,13 +164,45 @@ def closed_walk_sums(g, max_len, weight, one, mul):
                 continue
             p = mul(prod, w)
             if u == start:
-                sums[length] = sums[length] + p if length in sums else p
+                found(length, p)
             if length < max_len:
                 extend(start, u, length + 1, p, dist)
 
     for start in g.vertices:
         extend(start, start, 1, one, _return_distances(g, start, max_len, lambda v: True))
+
+
+def closed_walk_sums(g, max_len, weight, one, mul):
+    """{L: sum of the weight products of the based closed walks of length L}
+    over the lengths 1 <= L <= max_len that have any, by _search_closed_walks
+    (mul is operator.mul for LaurentPoly weights, operator.matmul for
+    blocks).
+    """
+    sums = {}
+
+    def found(length, p):
+        sums[length] = sums[length] + p if length in sums else p
+
+    _search_closed_walks(g, max_len, weight, one, mul, found)
     return sums
+
+
+def _closed_walk_contents(g, max_len):
+    """{L: {content: number of based closed walks of that content}} over the
+    lengths 1 <= L <= max_len that have any, by _search_closed_walks on the
+    content codes of _content_codes: a walk's code is the sum of its edges'
+    steps, so the search runs on ints.
+    """
+    step, content_of = _content_codes(g, max_len)
+    counts = {}
+
+    def found(length, code):
+        walks = counts.setdefault(length, {})
+        walks[code] = walks.get(code, 0) + 1
+
+    _search_closed_walks(g, max_len, lambda e: step[e.label], 0, operator.add, found)
+    return {length: {content_of(code): n for code, n in walks.items()}
+            for length, walks in counts.items()}
 
 
 def prime_cycles(g, max_len):
@@ -222,33 +253,36 @@ def trace_identity_check(g, spec, max_power=8):
 
     Also checks the prime-power log truncation: the sum of weight(p)^j / j
     over pairs with j*len(p) <= max_power equals the sum of tr(W^m)/m,
-    exactly, as Laurent polynomials over the rationals.  The primes are
-    counted per label content by _prime_counts, as for the Euler product,
-    and each content is weighed once.
+    exactly, as Laurent polynomials over the rationals.  A walk's weight
+    depends only on its label content, so the closed walks are enumerated
+    and counted per content (_closed_walk_contents) and the primes counted
+    per content by _prime_counts, as for the Euler product; each content is
+    weighed once, for both sides.
     """
     if spec.modulus is not None:
         raise ValueError("trace identity needs rational coefficients")
     if max_power < 1:
         raise ValueError("max_power must be at least 1")
-    walk_sums = closed_walk_sums(g, max_power, lambda e: spec[e.label],
-                                 LaurentPoly.one(), operator.mul)
+    walk_counts = _closed_walk_contents(g, max_power)
+    weights = [spec[label] for label in _content_labels(g)]
+    weight_of = functools.cache(functools.partial(_content_weight, weights))
     w = weight_matrix(g, spec)
     failures = []
     power = w
     zero = LaurentPoly.zero()
     trace_side = zero
     for m in range(1, max_power + 1):
-        walk_sum = walk_sums.get(m, zero)
+        walk_sum = sum((weight_of(c).scale(n) for c, n in walk_counts.get(m, {}).items()),
+                       zero)
         tr = power.trace()
         if tr != walk_sum:
             failures.append({"m": m, "trace": str(tr), "walks": str(walk_sum)})
         trace_side = trace_side + tr.scale(Fraction(1, m))
         if m < max_power:
             power = power @ w
-    weights = [spec[label] for label in _content_labels(g)]
     prime_side = zero
     for content, n in _prime_counts(g, max_power).items():
-        weight, weight_j = _content_weight(weights, content), LaurentPoly.one()
+        weight, weight_j = weight_of(content), LaurentPoly.one()
         for j in range(1, max_power // sum(content) + 1):
             weight_j = weight_j * weight
             prime_side = prime_side + weight_j.scale(Fraction(n, j))
@@ -335,13 +369,17 @@ def _euler_factors(g, spec, t0, max_len):
     """
     counts = _prime_counts(g, max_len)
     weights = [spec[label].evaluate(t0) for label in _content_labels(g)]
+    nums = [w.numerator for w in weights]
+    dens = [w.denominator for w in weights]
     factors = []
     for content in sorted(counts, key=sum):
-        w = _content_weight(weights, content)
-        if w == 1:
+        # the weight is p/q, weighed on ints (q > 0, not necessarily in lowest terms)
+        p = math.prod(map(operator.pow, nums, content))
+        q = math.prod(map(operator.pow, dens, content))
+        if p == q:
             raise ZeroDivisionError(
                 f"Euler factor pole: prime of length {sum(content)} has weight 1")
-        factors.append((1 - w, counts[content]))
+        factors.append((Fraction(q - p, q), counts[content]))
     return factors
 
 
@@ -465,8 +503,23 @@ def _content_labels(g):
     return sorted({e.label for e in g.edges})
 
 
+def _content_codes(g, max_len):
+    """(step, content_of) for contents of at most max_len edges.  A content
+    is kept as one int whose digits in base max_len + 1 are its edge counts
+    in _content_labels order: step maps a label to its digit's unit, so a
+    walk's code is the sum of its edges' steps, and content_of(code) gives
+    back the tuple."""
+    labels = _content_labels(g)
+    base = max_len + 1
+
+    def content_of(code):
+        return tuple(code // base ** i % base for i in range(len(labels)))
+
+    return {label: base ** i for i, label in enumerate(labels)}, content_of
+
+
 def _content_weight(weights, content):
-    """The weight of every prime of a label content: the product of
+    """The weight of every walk of a label content: the product of
     weights[i] ** content[i], weights in _content_labels order."""
     return math.prod(map(operator.pow, weights, content))
 
@@ -499,10 +552,7 @@ def _prime_counts(g, max_len):
     before counting, past _deepest_walk(), the horizon of the walk searches.
     """
     _refuse_deeper(max_len)
-    labels = _content_labels(g)
-    # a content is kept as one int, its counts being digits in base max_len+1
-    base = max_len + 1
-    step = {label: base ** i for i, label in enumerate(labels)}
+    step, content_of = _content_codes(g, max_len)
     out = {v: [(e.dst, step[e.label]) for e in g.out_map[v]] for v in g.vertices}
     frontiers = {v: {v: {0: 1}} for v in g.vertices}
     walks, counts, total = {}, {}, 0
@@ -519,7 +569,7 @@ def _prime_counts(g, max_len):
             for code, n in reached.get(start, {}).items():
                 closed[code] = closed.get(code, 0) + n
         for code, n in closed.items():
-            content = tuple(code // base ** i % base for i in range(len(labels)))
+            content = content_of(code)
             walks[content] = n
             common = math.gcd(*content)
             primes = sum(_mobius(d) * walks.get(tuple(k // d for k in content), 0)
@@ -640,8 +690,10 @@ def determinant_formula_check(g, spec, t0=None, max_len=None, tol=1e-6):
 # -- path-sum lemma ----------------------------------------------------------
 
 
+# every path-sum check of a verify pass asks for the same draw
+@functools.lru_cache(maxsize=1)
 def sample_points(count, seed=0):
-    """Deterministic distinct nonzero rational sample points."""
+    """Deterministic distinct nonzero rational sample points, as a tuple."""
     rng = random.Random(seed)
     out, seen = [], set()
     while len(out) < count:
@@ -649,7 +701,7 @@ def sample_points(count, seed=0):
         if t0 and t0 not in seen:
             seen.add(t0)
             out.append(t0)
-    return out
+    return tuple(out)
 
 
 def total_strand_weight(tangle, t0):

@@ -328,6 +328,48 @@ def random_laurent(rng, modulus=None, denominators=(1,), exponents=(-2, 2)):
     return P(terms, modulus)
 
 
+def assert_normal_form(r, modulus):
+    """r stores what the validating constructor would: the same exponents in
+    the same order, with equal coefficients of the same types."""
+    ref = P(r.coeffs, modulus)
+    assert r.modulus == modulus
+    assert list(r.coeffs.items()) == list(ref.coeffs.items()), r
+    assert [type(v) for v in r.coeffs.values()] == [type(v) for v in ref.coeffs.values()], r
+
+
+@pytest.mark.parametrize("modulus", [None, 7, 11])
+def test_arithmetic_results_are_built_in_normal_form(modulus):
+    half_t = P({1: Fraction(1, 2)})
+    assert type((half_t + half_t).coeffs[1]) is int
+    if modulus:
+        with pytest.raises(CoefficientError):
+            P({0: 1}, modulus).scale(Fraction(1, 2))
+    rng = random.Random(modulus or 0)
+
+    def poly():
+        return random_laurent(rng, modulus, (1, 2, 3, 4), (-3, 3))
+
+    def matrix(rows, cols):
+        return RingMatrix([[poly() for _ in range(cols)] for _ in range(rows)], modulus,
+                          cols=cols)
+
+    for _ in range(200):
+        p, q = poly(), poly()
+        c = rng.randint(-20, 20) if modulus else Fraction(rng.randint(-6, 6), rng.randint(1, 3))
+        k, n = rng.randint(-3, 3), rng.choice((-3, -2, -1, 1, 2, 3))
+        for r in (p + q, p - q, -p, p * q, p + c, c - p, p * c, p.shift(k), p.scale(c),
+                  p.substitute_power(n)):
+            assert_normal_form(r, modulus)
+    for _ in range(40):
+        rows, inner, cols = (rng.randint(0, 3) for _ in range(3))
+        a, b = matrix(rows, inner), matrix(rows, inner)
+        for m in (a @ matrix(inner, cols), a + b, a - b, -a):
+            assert m == RingMatrix(m.entries, modulus, cols=m.cols)
+            for row in m.entries:
+                for e in row:
+                    assert_normal_form(e, modulus)
+
+
 @pytest.mark.parametrize("q", [7, 11, 101])
 def test_det_over_prime_fields_matches_cofactor(q):
     rng = random.Random(q)

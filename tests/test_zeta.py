@@ -114,13 +114,31 @@ def test_closed_walk_sums_equal_the_per_length_enumeration(corpus, every_cut):
     for g in graphs:
         sums = zeta.closed_walk_sums(g, 7, lambda e: spec[e.label], LaurentPoly.one(),
                                      operator.mul)
+        contents = zeta._closed_walk_contents(g, 7)
+        labels = zeta._content_labels(g)
         count = 0
         for m in range(1, 8):
             walks = closed_walks(g, m)
             count += len(walks)
-            assert (m in sums) == bool(walks)
+            assert (m in sums) == (m in contents) == bool(walks)
             assert sums.get(m, zero) == sum((walk_weight(w, spec) for w in walks), zero)
+            assert contents.get(m, {}) == Counter(
+                tuple(sum(e.label == label for e in w) for label in labels) for w in walks)
         assert zeta._closed_walk_count(g, 7) == count
+
+
+def test_trace_oracle_multiplies_per_content_not_per_walk(corpus, monkeypatch):
+    # a DFS that multiplies polynomials along every walk makes more products
+    # than there are closed walks; weighing each content once makes far fewer
+    g = build_arc_graph(cut(corpus["6_1"], [1]))
+    walks = zeta._closed_walk_count(g, 20)
+    assert walks == 39600
+    products = []
+    mul = LaurentPoly.__mul__
+    for name in ("__mul__", "__rmul__"):
+        monkeypatch.setattr(LaurentPoly, name, lambda a, b: products.append(1) or mul(a, b))
+    assert trace_identity_check(g, alexander_spec(), 20).passed
+    assert 0 < len(products) < walks
 
 
 def test_pruned_prime_cycles_equal_the_filtered_closed_walks(corpus, every_cut):
@@ -383,6 +401,18 @@ def planned_products(corpus):
     return cuts, exact
 
 
+def test_euler_factors_equal_the_content_weights(planned_products):
+    # the factors are weighed on ints; the oracle multiplies Fraction powers
+    spec = alexander_spec()
+    cuts, _ = planned_products
+    for name, arc, g, t0, max_len, factors in cuts:
+        counts = zeta._prime_counts(g, max_len)
+        weights = [spec[label].evaluate(t0) for label in zeta._content_labels(g)]
+        assert factors == [(1 - zeta._content_weight(weights, c), counts[c])
+                           for c in sorted(counts, key=sum)], (name, arc)
+        assert all(type(f) is Fraction for f, _ in factors), (name, arc)
+
+
 def test_product_bounds_enclose_the_exact_product(corpus, fig8_cut, planned_products):
     spec = alexander_spec()
     cuts, exact = planned_products
@@ -533,7 +563,7 @@ def test_convergence_warning_names_the_caller(fig8_cut):
 def test_sample_points_deterministic():
     a = sample_points(10, seed=0)
     b = sample_points(10, seed=0)
-    assert a == b
+    assert a == b and type(a) is tuple
     assert len(set(a)) == 10
     assert all(t != 0 for t in a)
     assert sample_points(10, seed=1) != a
