@@ -14,8 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .arc_graph import alexander_spec, build_arc_graph, tangle_matrix
-from .knot_model import DiagramError, KnotDiagram, connected_sum, split_union, \
-    wirtinger_presentation
+from .knot_model import DiagramError, connected_sum, split_union, wirtinger_presentation
 from .laurent import LaurentPoly, RingMatrix, canonicalize, det
 from .verdict import Verdict
 
@@ -71,8 +70,8 @@ def fox_derivative(word, gen):
     return elem
 
 
-def exponent_sum(word, gen=None):
-    return sum(e for g, e in word if gen is None or g == gen)
+def exponent_sum(word):
+    return sum(e for _, e in word)
 
 
 def abelianize(elem, modulus=None):
@@ -93,38 +92,25 @@ def alexander_matrix(presentation, modulus=None):
     return RingMatrix(rows, modulus, cols=len(presentation.generators))
 
 
-def alexander_minor(diagram, row=None, col=None, modulus=None):
-    """Determinant of the Alexander matrix with one row and column deleted.
+def _last_minor(mat):
+    """The Alexander matrix less its last column, and less its last row when
+    square (a matrix one row short, from a circle arc, keeps every row)."""
+    n = mat.cols
+    return mat.delete(rows=(n - 1,) if mat.rows == n else (), cols=(n - 1,))
 
-    `row` and `col` are 1-based relator and generator positions, both
-    defaulting to the last.  The unknot has no relators, so only its column
-    is deleted and the empty determinant is 1.
-    """
+
+def alexander_minor(diagram, modulus=None):
+    """Determinant of _last_minor of the Alexander matrix; the unknot has no
+    relators, so only its column goes and the empty determinant is 1."""
     if not diagram.is_knot():
         raise DiagramError("Alexander polynomial here is for knots; "
                            "links go through the zeta and split checks")
-    pres = wirtinger_presentation(diagram)
-    mat = alexander_matrix(pres, modulus)
-    n = mat.cols
-    col = n if col is None else col
-    if not 1 <= col <= n:
-        raise DiagramError(f"column {col} out of range 1..{n}")
-    if mat.rows == n:
-        row = n if row is None else row
-        if not 1 <= row <= mat.rows:
-            raise DiagramError(f"row {row} out of range 1..{mat.rows}")
-        minor = mat.delete(rows=(row - 1,), cols=(col - 1,))
-    elif mat.rows == n - 1:
-        # single-arc circle component: nothing to delete on the relator side
-        minor = mat.delete(cols=(col - 1,))
-    else:
-        raise DiagramError("relator count does not match arc count")
-    return det(minor)
+    return det(_last_minor(alexander_matrix(wirtinger_presentation(diagram), modulus)))
 
 
-def alexander_polynomial(diagram, row=None, col=None, modulus=None):
+def alexander_polynomial(diagram):
     """Canonical Alexander polynomial via the Wirtinger minor determinant."""
-    return canonicalize(alexander_minor(diagram, row, col, modulus))
+    return canonicalize(alexander_minor(diagram))
 
 
 def determinant_of(poly):
@@ -177,20 +163,14 @@ def multiplicativity_check(d1, d2):
 def split_check(d1, d2):
     """The Wirtinger minor of a split union vanishes identically.
 
-    The minor deletes the last column, and the last row too when the matrix
-    is square.  With two or more circle components there are too few relators
-    for any such minor, which certifies the vanishing vacuously.
+    The minor is _last_minor's.  With two or more circle components there
+    are too few relators for it, which certifies the vanishing vacuously.
     """
     u = split_union(d1, d2)
     mat = alexander_matrix(wirtinger_presentation(u))
-    n = mat.cols
-    if mat.rows < n - 1:
+    if mat.rows < mat.cols - 1:
         return Verdict("split_vanishing", True,
                        {"note": "fewer relators than the minor size; rank is "
-                                "deficient outright", "rows": mat.rows, "cols": n})
-    if mat.rows == n:
-        minor = mat.delete(rows=(mat.rows - 1,), cols=(n - 1,))
-    else:
-        minor = mat.delete(cols=(n - 1,))
-    value = det(minor)
+                                "deficient outright", "rows": mat.rows, "cols": mat.cols})
+    value = det(_last_minor(mat))
     return Verdict("split_vanishing", value.is_zero(), {"minor": str(value)})

@@ -15,7 +15,6 @@ randomized cross-checks build arc graphs with one label per edge.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .arc_graph import ArcGraph, GraphEdge, WeightSpec, alexander_spec, \
@@ -25,26 +24,15 @@ from .laurent import LaurentPoly, det
 from .verdict import Verdict
 
 
-@dataclass(frozen=True)
-class Arborescence:
-    """One chosen out-edge per non-root vertex, acyclic.
-
-    Edges are (src, dst, weight, label) rows.  go_straight and jumps count
-    the chosen T- and S-labeled edges; both are zero on graphs with other
-    labels.
-    """
-
-    roots: tuple
-    edges: tuple
-    go_straight: int
-    jumps: int
-
-
 MAX_ARBORESCENCES = 10 ** 6
+# the most vertices of a random digraph in random_matrix_tree_check
+MAX_RANDOM_VERTICES = 6
 
 
 def enumerate_arborescences(g, roots, spec):
-    """All arborescences of g with the given nonempty root set.
+    """All arborescences of g with the given nonempty root set, each a tuple
+    of (src, dst, weight, label) edge rows: one chosen out-edge per non-root
+    vertex, in vertex order, with no cycle.
 
     Backtracking over out-edge choices in vertex order, with incremental
     cycle rejection; output order is lexicographic in the chosen edges.
@@ -81,10 +69,7 @@ def enumerate_arborescences(g, roots, spec):
 
     def extend(i):
         if i == len(nonroots):
-            picked = tuple(choice[v][2] for v in nonroots)
-            alpha = sum(1 for e in picked if e[3].startswith("T"))
-            beta = sum(1 for e in picked if e[3].startswith("S"))
-            found.append(Arborescence(roots, picked, alpha, beta))
+            found.append(tuple(choice[v][2] for v in nonroots))
             if len(found) > MAX_ARBORESCENCES:
                 raise RuntimeError(f"more than {MAX_ARBORESCENCES} arborescences")
             return
@@ -102,7 +87,7 @@ def enumerate_arborescences(g, roots, spec):
 
 def arborescence_weight(arb, modulus=None):
     w = LaurentPoly.one(modulus)
-    for e in arb.edges:
+    for e in arb:
         w = w * e[2]
     return w
 
@@ -127,7 +112,7 @@ def matrix_tree_check(g, roots, spec):
     )
 
 
-def random_matrix_tree_check(count=200, seed=0, max_vertices=6):
+def random_matrix_tree_check(count=200, seed=0):
     """Seeded random digraphs with rational weights, each checked exactly.
 
     Each instance is an arc graph whose edges carry one label apiece, with
@@ -138,7 +123,7 @@ def random_matrix_tree_check(count=200, seed=0, max_vertices=6):
     rng = random.Random(seed)
     failures = []
     for i in range(count):
-        n = rng.randint(1, max_vertices)
+        n = rng.randint(1, MAX_RANDOM_VERTICES)
         vertices = tuple(f"v{j}" for j in range(n))
         edges = []
         weights = {}
@@ -148,10 +133,10 @@ def random_matrix_tree_check(count=200, seed=0, max_vertices=6):
                     w = Fraction(rng.randint(-6, 6), rng.randint(1, 6))
                     if w:
                         label = f"e{len(edges)}"
-                        edges.append(GraphEdge(src, dst, label, len(edges)))
+                        edges.append(GraphEdge(src, dst, label))
                         weights[label] = LaurentPoly.constant(w)
         roots = tuple(sorted(rng.sample(vertices, rng.randint(1, n))))
-        g = ArcGraph(vertices, tuple(edges), (), ())
+        g = ArcGraph(vertices, tuple(edges), ())
         verdict = matrix_tree_check(g, roots, WeightSpec(weights, None))
         if not verdict.passed:
             failures.append({"instance": i, **verdict.detail})
@@ -159,15 +144,15 @@ def random_matrix_tree_check(count=200, seed=0, max_vertices=6):
                    {"count": count, "seed": seed, "failures": failures})
 
 
-def determinant_via_trees(diagram, root_arc=1):
-    """The signed arborescence sum sum((-1)^alpha * 2^beta) over one root arc.
+def determinant_via_trees(diagram):
+    """The signed arborescence sum sum((-1)^alpha * 2^beta) rooted at arc 1.
 
-    alpha counts go-under edges and beta jump-up edges; the absolute value is
-    the knot determinant.  The sign is left to the caller, matching the unit
-    ambiguity of the Alexander polynomial.
+    alpha counts the go-under (T) edges of a tree and beta its jump-up (S)
+    edges; the absolute value is the knot determinant.  The sign is left to
+    the caller, matching the unit ambiguity of the Alexander polynomial.
     """
-    g = build_arc_graph(diagram)
     total = 0
-    for arb in enumerate_arborescences(g, (root_arc,), alexander_spec()):
-        total += (-1) ** arb.go_straight * 2 ** arb.jumps
+    for arb in enumerate_arborescences(build_arc_graph(diagram), (1,), alexander_spec()):
+        kinds = [e[3][0] for e in arb]
+        total += (-1) ** kinds.count("T") * 2 ** kinds.count("S")
     return total

@@ -20,26 +20,20 @@ LABELS = ("T1", "T2", "S1", "S2")
 
 @dataclass(frozen=True)
 class GraphEdge:
-    """A directed edge src -> dst with its symbolic label and source crossing."""
+    """A directed edge src -> dst with its symbolic label."""
 
     src: int | str
     dst: int | str
     label: str
-    crossing: int
 
 
 @dataclass(frozen=True)
 class ArcGraph:
-    """Arc diagram of a tangle: one vertex per arc, two out-edges per underpass.
-
-    `boundary` carries the (initial, terminal) cut pairs when the graph came
-    from a tangle; it is empty for a closed diagram.  `crossings` keeps the
-    source crossing list so edge indices stay meaningful.
-    """
+    """Arc diagram of a tangle: one vertex per arc, two out-edges per
+    underpass, and the source crossings, which the twisted block weights read."""
 
     vertices: tuple
     edges: tuple[GraphEdge, ...]
-    boundary: tuple[tuple, ...]
     crossings: tuple
 
     @cached_property
@@ -73,17 +67,11 @@ def build_arc_graph(source):
     a kink with over == under_out would produce) is rejected: the cycle
     combinatorics downstream assume at most one edge per pair.
     """
-    if isinstance(source, KnotDiagram):
-        vertices = tuple(source.arcs)
-        boundary = ()
-    elif isinstance(source, Tangle):
-        vertices = tuple(source.arcs)
-        boundary = tuple(source.cut_pairs)
-    else:
+    if not isinstance(source, (KnotDiagram, Tangle)):
         raise TypeError(f"expected KnotDiagram or Tangle, got {type(source).__name__}")
     edges = []
     seen = set()
-    for idx, c in enumerate(source.crossings):
+    for c in source.crossings:
         t_label = "T1" if c.sign > 0 else "T2"
         s_label = "S1" if c.sign > 0 else "S2"
         for dst, label in ((c.under_out, t_label), (c.over, s_label)):
@@ -93,8 +81,8 @@ def build_arc_graph(source):
                     f"two edges on ordered pair {pair}: diagram too degenerate "
                     "for the one-edge-per-pair convention")
             seen.add(pair)
-            edges.append(GraphEdge(c.under_in, dst, label, idx))
-    return ArcGraph(vertices, tuple(edges), boundary, tuple(source.crossings))
+            edges.append(GraphEdge(c.under_in, dst, label))
+    return ArcGraph(tuple(source.arcs), tuple(edges), tuple(source.crossings))
 
 
 @dataclass(frozen=True)
@@ -135,20 +123,17 @@ def constant_spec(value=1, modulus=None):
     return WeightSpec(dict.fromkeys(LABELS, c), modulus)
 
 
-def weight_matrix(g, spec, vertices=None):
+def weight_matrix(g, spec):
     """Adjacency-style matrix W with W[u][v] = weight of the edge u -> v."""
-    if vertices is None:
-        vertices = g.vertices
-    index = {v: i for i, v in enumerate(vertices)}
+    index = {v: i for i, v in enumerate(g.vertices)}
     modulus = spec.modulus
     zero = LaurentPoly.zero(modulus)
-    n = len(vertices)
+    n = len(index)
     rows = [[zero] * n for _ in range(n)]
     for e in g.edges:
-        if e.src in index and e.dst in index:
-            i, j = index[e.src], index[e.dst]
-            assert rows[i][j].is_zero(), "duplicate edge survived construction"
-            rows[i][j] = spec[e.label]
+        i, j = index[e.src], index[e.dst]
+        assert rows[i][j].is_zero(), "duplicate edge survived construction"
+        rows[i][j] = spec[e.label]
     return RingMatrix(rows, modulus, cols=n)
 
 

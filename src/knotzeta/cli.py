@@ -127,7 +127,11 @@ def cmd_tree_poly(ns):
     _, d = resolve_diagram(ns.diagram)
     source = cut(d, [ns.cut]) if ns.cut is not None else d
     g = build_arc_graph(source)
-    roots = tuple(ns.root) if ns.root else (g.vertices[0],)
+    # a cut graph labels its vertices with strings, and every tree is rooted
+    # at the terminal half of the cut arc, the one vertex without out-edges
+    default = source.strand_pair()[1] if ns.cut is not None else d.arcs[0]
+    labels = {str(v): v for v in g.vertices}
+    roots = tuple(labels.get(str(r), r) for r in ns.root) if ns.root else (default,)
     for r in roots:
         if r not in g.vertices:
             raise InputError(f"root {r!r} is not a vertex of the arc graph")
@@ -417,7 +421,8 @@ def build_parser():
     p = sub.add_parser("tree-poly", help="arborescence-sum polynomial")
     diagram_arg(p)
     p.add_argument("--root", type=int, action="append",
-                   help="root arc (repeatable; default arc 1)")
+                   help="root arc (repeatable; default arc 1, or with --cut "
+                        "the terminal half of the cut arc)")
     p.add_argument("--cut", type=int, help="cut this arc first")
 
     p = sub.add_parser("zeta", help="cycle-expansion checks on a cut diagram")

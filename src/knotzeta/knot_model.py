@@ -44,10 +44,6 @@ class Crossing:
         return Crossing(self.sign, mapping[self.over], mapping[self.under_in],
                         mapping[self.under_out])
 
-    def to_json(self):
-        return {"sign": self.sign, "over": self.over,
-                "under_in": self.under_in, "under_out": self.under_out}
-
 
 @dataclass(frozen=True)
 class KnotDiagram:
@@ -118,20 +114,6 @@ class KnotDiagram:
     def crossing_at(self, under_in):
         """The crossing where the given arc ends, or None for a circle arc."""
         return self._under_in_map.get(under_in)
-
-    def to_json(self):
-        return {"arcs": self.n_arcs, "crossings": [c.to_json() for c in self.crossings]}
-
-    @classmethod
-    def from_json(cls, obj):
-        try:
-            n = obj["arcs"]
-            crossings = tuple(
-                Crossing(c["sign"], c["over"], c["under_in"], c["under_out"])
-                for c in obj["crossings"])
-        except (KeyError, TypeError) as exc:
-            raise DiagramError(f"malformed diagram object: {exc}") from exc
-        return cls(n, crossings)
 
 
 # -- text format -------------------------------------------------------------
@@ -285,10 +267,6 @@ class Tangle:
             if (a in under_in) != (a in under_out):
                 raise DiagramError(f"arc {a!r} is neither on a strand nor on a closed loop")
 
-    @property
-    def n_strands(self):
-        return len(self.cut_pairs)
-
     def strand_pair(self):
         if len(self.cut_pairs) != 1:
             raise DiagramError("tangle has more than one open strand")
@@ -404,10 +382,19 @@ def cable(tangle, n):
     Copy m of arc a is labelled "a|m".  Where the strand passes under a
     crossing, each copy crosses under all n copies of the over arc in turn,
     through fresh segment arcs "a|m.l"; the crossing sign is kept each time.
+    A tangle with an arc off the strand, on a closed component, is refused.
     """
     if not isinstance(n, int) or n < 1:
         raise DiagramError("cable order must be a positive integer")
     init, term = tangle.strand_pair()
+    succ = {c.under_in: c.under_out for c in tangle.crossings}
+    strand = [init]
+    while strand[-1] in succ:
+        strand.append(succ[strand[-1]])
+    off = sorted(set(tangle.arcs) - set(strand))
+    if off:
+        raise DiagramError(f"cabling copies the open strand only; arcs {off} "
+                           "lie on closed components")
     arcs = [f"{a}|{m}" for a in tangle.arcs for m in range(1, n + 1)]
     arcs += [f"{c.under_in}|{m}.{l}"
              for c in tangle.crossings

@@ -140,9 +140,6 @@ class LaurentPoly:
         """Coefficient of the highest power of t."""
         return self._c[self.max_exp()]
 
-    def coeff(self, e):
-        return self._c.get(e, 0)
-
     # -- arithmetic --------------------------------------------------------
 
     def _check(self, other):
@@ -304,17 +301,6 @@ class LaurentPoly:
                 out[key] = int(v)
         return out
 
-    @classmethod
-    def from_json(cls, obj, modulus=None):
-        coeffs = {}
-        for e, v in obj.items():
-            if isinstance(v, str):
-                num, _, den = v.partition("/")
-                coeffs[int(e)] = Fraction(int(num), int(den or 1))
-            else:
-                coeffs[int(e)] = v
-        return cls(coeffs, modulus)
-
 
 def _inv_scalar(c, modulus):
     if modulus is None:
@@ -431,11 +417,6 @@ class PolyFraction:
     def is_polynomial(self):
         return self.denominator.is_one()
 
-    def __str__(self):
-        if self.is_polynomial:
-            return str(self.numerator)
-        return f"({self.numerator}) / ({self.denominator})"
-
 
 def divide_exact(num, den):
     """Reduce num/den: exact quotient when den | num, else a gcd-reduced fraction."""
@@ -530,9 +511,6 @@ class RingMatrix:
             return NotImplemented
         return (self.modulus == other.modulus and self.rows == other.rows
                 and self.cols == other.cols and self.entries == other.entries)
-
-    def __hash__(self):
-        return hash((self.modulus, self.entries))
 
     def __repr__(self):
         body = "; ".join(", ".join(str(e) for e in row) for row in self.entries)

@@ -22,14 +22,14 @@ import operator
 from dataclasses import dataclass
 from functools import cached_property
 
-from .alexander import alexander_minor, fox_derivative
+from .alexander import alexander_minor, exponent_sum, fox_derivative
 from .arc_graph import build_arc_graph
 from .knot_model import DiagramError, KnotDiagram, Presentation, \
     wirtinger_presentation
 from .laurent import LaurentPoly, PolyFraction, RingMatrix, canonicalize, det, \
     divide_exact, row_reduce
 from .verdict import Verdict
-from .zeta import closed_walk_sums
+from .zeta import closed_walk_sums, power_traces
 
 
 # -- primality, and small matrices mod q eliminated by laurent.row_reduce ---
@@ -135,13 +135,13 @@ class Representation:
         return out
 
 
-# field of the trivial representation unless the caller chooses another
+# field of the trivial representation
 TRIVIAL_FIELD = 101
 
 
-def trivial_representation(generators, field=TRIVIAL_FIELD):
-    """Every generator maps to 1 in F_field; twisting by it changes nothing."""
-    return Representation(field, {g: ((1,),) for g in generators})
+def trivial_representation(generators):
+    """Every generator maps to 1 in F_TRIVIAL_FIELD; twisting by it changes nothing."""
+    return Representation(TRIVIAL_FIELD, {g: ((1,),) for g in generators})
 
 
 def verify_representation(presentation, rep):
@@ -280,7 +280,7 @@ def dihedral_rep(diagram, p, coloring):
 
 def twisted_image(rep, word):
     """t^(exponent sum) times the representation image, over F_q[t, 1/t]."""
-    k = sum(e for _, e in word)
+    k = exponent_sum(word)
     mat = rep.word_image(word)
     q = rep.field
     return RingMatrix([[LaurentPoly({k: x}, q) for x in row] for row in mat],
@@ -520,7 +520,11 @@ def twisted_row_identity_check(chain):
                    {"relators": len(pres.relators), "failures": failures})
 
 
-def twisted_trace_check(chain, max_power=6):
+# the longest closed walk of twisted_trace_check
+TRACE_POWER = 6
+
+
+def twisted_trace_check(chain):
     """tr(B^m) equals the sum over based closed walks of block product traces.
 
     The blocks do not commute, so the product follows the walk in order; the
@@ -529,22 +533,18 @@ def twisted_trace_check(chain, max_power=6):
     summed walk products (closed_walk_sums) is the sum of their traces.
     """
     g, grid, index = chain.graph, chain.weight_blocks, chain.graph.vertex_index
-    walk_sums = closed_walk_sums(g, max_power,
+    walk_sums = closed_walk_sums(g, TRACE_POWER,
                                  lambda e: grid[index(e.src)][index(e.dst)],
                                  RingMatrix.identity(chain.rep.dim, chain.rep.field),
                                  operator.matmul)
     zero = LaurentPoly.zero(chain.rep.field)
     failures = []
-    power = b = chain.weights
-    for length in range(1, max_power + 1):
+    for length, tr in enumerate(power_traces(chain.weights, TRACE_POWER), 1):
         walk_sum = walk_sums[length].trace() if length in walk_sums else zero
-        tr = power.trace()
         if tr != walk_sum:
             failures.append({"m": length, "trace": str(tr), "walks": str(walk_sum)})
-        if length < max_power:
-            power = power @ b
     return Verdict("twisted_trace", not failures,
-                   {"max_power": max_power, "failures": failures})
+                   {"max_power": TRACE_POWER, "failures": failures})
 
 
 # -- cross-checks against the untwisted theory --------------------------------

@@ -15,7 +15,3 @@ class Verdict:
 
     def to_json(self):
         return {"name": self.name, "passed": self.passed, "detail": self.detail}
-
-    def __str__(self):
-        mark = "ok" if self.passed else "FAIL"
-        return f"[{mark}] {self.name}"

@@ -43,6 +43,9 @@ MAX_PRIMES = 10 ** 6
 # spectral estimates at or above this predict a divergent Euler product; the
 # margin below 1 keeps the planner off points where the tail estimate explodes
 DIVERGENT = 0.999
+# the largest gap between the Euler product and 1/det(I - W) that passes, and
+# the tail that the planner aims below
+TOLERANCE = 1e-6
 
 
 # -- closed walk and prime enumeration --------------------------------------
@@ -248,6 +251,15 @@ def prime_cycles(g, max_len):
 # -- trace identity ----------------------------------------------------------
 
 
+def power_traces(w, max_power):
+    """[tr(W), tr(W^2), ..., tr(W^max_power)], one product per power."""
+    traces, power = [w.trace()], w
+    for _ in range(max_power - 1):
+        power = power @ w
+        traces.append(power.trace())
+    return traces
+
+
 def trace_identity_check(g, spec, max_power=8):
     """tr(W^m) equals the closed-walk weight sum for every m <= max_power.
 
@@ -266,20 +278,15 @@ def trace_identity_check(g, spec, max_power=8):
     walk_counts = _closed_walk_contents(g, max_power)
     weights = [spec[label] for label in _content_labels(g)]
     weight_of = functools.cache(functools.partial(_content_weight, weights))
-    w = weight_matrix(g, spec)
     failures = []
-    power = w
     zero = LaurentPoly.zero()
     trace_side = zero
-    for m in range(1, max_power + 1):
+    for m, tr in enumerate(power_traces(weight_matrix(g, spec), max_power), 1):
         walk_sum = sum((weight_of(c).scale(n) for c, n in walk_counts.get(m, {}).items()),
                        zero)
-        tr = power.trace()
         if tr != walk_sum:
             failures.append({"m": m, "trace": str(tr), "walks": str(walk_sum)})
         trace_side = trace_side + tr.scale(Fraction(1, m))
-        if m < max_power:
-            power = power @ w
     prime_side = zero
     for content, n in _prime_counts(g, max_power).items():
         weight, weight_j = weight_of(content), LaurentPoly.one()
@@ -609,9 +616,9 @@ _T0_CANDIDATES = (Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(3, 4)
                   Fraction(19, 20), Fraction(49, 50), Fraction(99, 100))
 
 
-def _plan_horizon(g, spec, tol, t0=None):
+def _plan_horizon(g, spec, t0=None):
     """Pick (t0, max_len, estimate at t0) so the estimated Euler tail drops
-    below tol: max_len at most 40, and at most 4 * 10^6 paths by
+    below TOLERANCE: max_len at most 40, and at most 4 * 10^6 paths by
     _walk_budget.
 
     The path cap once bounded the cost of enumerating primes.  The product
@@ -634,27 +641,27 @@ def _plan_horizon(g, spec, tol, t0=None):
             continue
         for horizon in range(2, 41):
             tail = n * r ** (horizon + 1) / ((horizon + 1) * (1 - r))
-            if tail <= tol / 2:
+            if tail <= TOLERANCE / 2:
                 if _walk_budget(g, horizon) <= 4 * 10 ** 6:
                     return t0, horizon, r
                 break
     return None
 
 
-def determinant_formula_check(g, spec, t0=None, max_len=None, tol=1e-6):
+def determinant_formula_check(g, spec, t0=None, max_len=None):
     """Zeta equals 1/det(I - W): exact traces plus a numeric Euler product.
 
     When t0 or max_len is unspecified, a horizon whose estimated tail falls
-    below the tolerance is selected automatically (see _plan_horizon).  The
+    below TOLERANCE is selected automatically (see _plan_horizon).  The
     verdict rests on the measured gap, not on that estimate.  At a convergent
     point the reported floats are those of the exact product, correctly
-    rounded, and the comparison with tol is exact; certified 256-bit bounds
+    rounded, and the comparison with TOLERANCE is exact; certified 256-bit bounds
     settle them wherever they can, and the million-bit exact product is
     built only where they cannot (see _compare_product).
     """
     trace_verdict = trace_identity_check(g, spec)
     if t0 is None or max_len is None:
-        plan = _plan_horizon(g, spec, tol, t0=t0)
+        plan = _plan_horizon(g, spec, t0=t0)
         if plan is None:
             return Verdict("determinant_formula", False,
                            {"reason": "no sample point with a convergent, affordable horizon",
@@ -677,13 +684,13 @@ def determinant_formula_check(g, spec, t0=None, max_len=None, tol=1e-6):
         gap = abs(partial - float(target))
         close = False
     else:
-        partial, gap, close = _compare_product(factors, target, tol)
+        partial, gap, close = _compare_product(factors, target, TOLERANCE)
     ok = trace_verdict.passed and close
     # convergence is a numeric statement, so the report is numeric
     return Verdict("determinant_formula", ok, {
         "t0": str(t0), "max_len": max_len, "spectral_estimate": estimate,
         "partial_product": partial, "inverse_determinant": float(target),
-        "gap": gap, "tolerance": tol,
+        "gap": gap, "tolerance": TOLERANCE,
         "trace": trace_verdict.to_json()})
 
 
@@ -704,6 +711,19 @@ def sample_points(count, seed=0):
     return tuple(out)
 
 
+def _strand_system(tangle, init, term):
+    """(col, I - W, into) for the walks of a one-strand tangle from init to
+    term != init, over the vertices other than term: col is init's position
+    among them and into[i] the one-step weight from the i-th into term."""
+    g = build_arc_graph(tangle)
+    spec = alexander_spec()
+    keep = [v for v in g.vertices if v != term]
+    zero = LaurentPoly.zero()
+    edges = [g.edge_map.get((v, term)) for v in keep]
+    into = [spec[e.label] if e else zero for e in edges]
+    return keep.index(init), tangle_matrix(g, spec, keep), into
+
+
 def total_strand_weight(tangle, t0):
     """Exact total weight of all walks from the strand's start to its end.
 
@@ -715,18 +735,12 @@ def total_strand_weight(tangle, t0):
     init, term = tangle.strand_pair()
     if init == term:
         return Fraction(1)
-    g = build_arc_graph(tangle)
-    spec = alexander_spec()
-    keep = [v for v in g.vertices if v != term]
-    inner = tangle_matrix(g, spec, keep).evaluate(Fraction(t0))
-    rhs = []
-    for v in keep:
-        e = g.edge_map.get((v, term))
-        rhs.append(spec[e.label].evaluate(Fraction(t0)) if e else Fraction(0))
-    solution = rational_solve(inner, rhs)
+    col, inner, into = _strand_system(tangle, init, term)
+    t0 = Fraction(t0)
+    solution = rational_solve(inner.evaluate(t0), [w.evaluate(t0) for w in into])
     if solution is None:
         return None
-    return solution[keep.index(init)]
+    return solution[col]
 
 
 def strand_walk_sum(tangle):
@@ -743,17 +757,9 @@ def strand_walk_sum(tangle):
     if init == term:
         one = LaurentPoly.one()
         return one, one
-    g = build_arc_graph(tangle)
-    spec = alexander_spec()
-    keep = [v for v in g.vertices if v != term]
-    inner = tangle_matrix(g, spec, keep)
-    zero = LaurentPoly.zero()
-    col = keep.index(init)
-    rows = []
-    for v, row in zip(keep, inner.entries):
-        e = g.edge_map.get((v, term))
-        rows.append(row[:col] + (spec[e.label] if e else zero,) + row[col + 1:])
-    return det(RingMatrix(rows, cols=len(keep))), det(inner)
+    col, inner, into = _strand_system(tangle, init, term)
+    rows = [row[:col] + (w,) + row[col + 1:] for row, w in zip(inner.entries, into)]
+    return det(RingMatrix(rows, cols=len(rows))), det(inner)
 
 
 def path_sum_check(tangle, samples=None, count=20, seed=0):

@@ -14,7 +14,6 @@ def test_two_edges_per_crossing(trefoil):
     g = build_arc_graph(trefoil)
     assert g.vertices == (1, 2, 3)
     assert len(g.edges) == 2 * len(trefoil.crossings)
-    assert g.boundary == ()
     labels = {e.label for e in g.edges}
     assert labels == {"T1", "S1"}
 
@@ -48,7 +47,8 @@ def test_kink_with_shared_over_and_exit_rejected():
 def test_tangle_boundary_and_endpoint_edges(trefoil):
     t = cut(trefoil, [1])
     g = build_arc_graph(t)
-    assert g.boundary == (("1'", "1''"),)
+    assert t.cut_pairs == (("1'", "1''"),)
+    assert g.vertices == ("1'", "1''", "2", "3")
     # the terminal half has no outgoing edges, the initial no incoming
     assert all(e.src != "1''" for e in g.edges)
     assert all(e.dst != "1'" for e in g.edges)
@@ -143,7 +143,10 @@ def test_tangle_determinant_is_the_internal_vertex_determinant(corpus):
 
 
 def _dense_tangle_matrix(g, spec, vertices):
-    return RingMatrix.identity(len(vertices), spec.modulus) - weight_matrix(g, spec, vertices)
+    w = weight_matrix(g, spec).entries
+    at = [g.vertex_index(v) for v in vertices]
+    sub = RingMatrix([[w[i][j] for j in at] for i in at], spec.modulus, cols=len(at))
+    return RingMatrix.identity(len(vertices), spec.modulus) - sub
 
 
 def _dense_laplacian(g, spec, roots):

@@ -15,8 +15,9 @@ from jsonschema import Draft202012Validator
 from referencing import Registry, Resource
 
 from knotzeta import arborescence, cli, laurent, zeta
+from knotzeta.arc_graph import alexander_spec, build_arc_graph, tangle_determinant
 from knotzeta.cli import EXIT_INCONSISTENT, EXIT_INPUT, EXIT_OK, main
-from knotzeta.knot_model import render_diagram
+from knotzeta.knot_model import cut, render_diagram
 
 
 @pytest.fixture(scope="session")
@@ -260,6 +261,54 @@ def test_twisted_output_matches_the_pins(tmp_path):
     for call in calls:
         argv = [str(kink) if a == "kink1" else a for a in call["argv"]]
         assert run(*argv) == (call["code"], call["stdout"]), call["argv"]
+
+
+CLI_PINS = json.loads((Path(__file__).parent / "data" / "cli_pins.json").read_text())
+
+
+def test_compute_output_matches_the_pins():
+    # stdout and exit code of `alexander`, `det`, `tree-poly` and `zeta` on
+    # every corpus knot, every root arc and every cut, recorded before the
+    # options and helpers that production never read were removed
+    calls = CLI_PINS["calls"]
+    arcs = sum(len(cli.load_corpus(n).arcs) for n in cli.corpus_names())
+    assert len(calls) == 4 * len(cli.corpus_names()) + 6 * arcs + 4
+    with pytest.warns(zeta.ConvergenceWarning):
+        for call in calls:
+            assert run(*call["argv"]) == (call["code"], call["stdout"]), call["argv"]
+
+
+def test_tree_poly_on_a_cut_is_rooted_at_the_terminal_arc(validators):
+    # the terminal half of the cut arc has no out-edges, so every tree is
+    # rooted there, and the tree sum is det(I - W) of the tangle
+    cuts = 0
+    for name in cli.corpus_names():
+        d = cli.load_corpus(name)
+        for arc in d.arcs:
+            tangle = cut(d, [arc])
+            want = tangle_determinant(build_arc_graph(tangle), alexander_spec())
+            code, obj = run_json("tree-poly", name, "--cut", str(arc))
+            assert (code, obj["poly"]) == (EXIT_OK, want.to_json()), (name, arc)
+            assert obj["roots"] == [tangle.strand_pair()[1]] and obj["count"] > 0
+            validators["tree-poly"].validate(obj)
+            cuts += 1
+    assert cuts == 31
+    # --root N names the arc labelled N of the cut graph
+    code, obj = run_json("tree-poly", "trefoil", "--cut", "1", "--root", "2")
+    assert (code, obj["roots"], obj["count"]) == (EXIT_OK, ["2"], 0)
+    code, obj = run_json("tree-poly", "trefoil", "--cut", "1", "--root", "1")
+    assert (code, obj) == (EXIT_INPUT, {"error": "root 1 is not a vertex of the arc graph"})
+
+
+def test_cable_refuses_a_link(tmp_path, validators):
+    # cut open along one component, the Hopf link keeps the other closed
+    hopf = tmp_path / "hopf.knot"
+    hopf.write_text("X+ 2 1 1 / X+ 1 2 2\n")
+    for argv in (("zeta", str(hopf), "--check", "cable"), ("verify", "cable", str(hopf))):
+        code, obj = run_json(*argv)
+        assert code == EXIT_INPUT, argv
+        validators["error"].validate(obj)
+        assert obj["error"].endswith("lie on closed components"), argv
 
 
 def test_unknown_corpus_name(validators):

@@ -116,7 +116,6 @@ def test_integral_fractions_are_stored_as_ints():
     assert type(p.coeffs[0]) is int and p.coeffs[0] == 2
     assert p.coeffs[1] == Fraction(1, 2)
     assert type(P({0: True}).coeffs[0]) is int
-    assert type(p.coeff(7)) is int and p.coeff(7) == 0
 
 
 def test_integer_polynomials_hold_only_ints():
@@ -143,18 +142,6 @@ def test_str_and_json_of_mixed_coefficients():
     assert p.to_json() == {"-3": "5/7", "-1": -1, "0": 3, "1": "-1/2", "2": 2}
     assert str(P({0: Fraction(-4, 2)})) == "-2"
     assert P({0: Fraction(-4, 2)}).to_json() == {"0": -2}
-
-
-def test_json_roundtrip():
-    p = P({-2: Fraction(1, 3), 0: -4, 5: 7})
-    obj = p.to_json()
-    assert obj == {"-2": "1/3", "0": -4, "5": 7}
-    assert LaurentPoly.from_json(obj) == p
-
-
-def test_json_roundtrip_modular():
-    p = P({0: 3, 2: 6}, modulus=7)
-    assert LaurentPoly.from_json(p.to_json(), modulus=7) == p
 
 
 def test_str_readable():
@@ -259,7 +246,7 @@ def test_matrix_ring_ops():
 def test_matrix_delete_and_block():
     m = M([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
     d = m.delete(rows=(1,), cols=(2,))
-    assert [[e.coeff(0) for e in row] for row in d.entries] == [[1, 2], [7, 8]]
+    assert [[e.coeffs[0] for e in row] for row in d.entries] == [[1, 2], [7, 8]]
     big = RingMatrix.from_blocks([[M([[1]]), M([[2]])], [M([[3]]), M([[4]])]])
     assert big.delete(rows=(0,), cols=(1,)) == M([[3]])
     assert big.rows == 2 and big.cols == 2
@@ -595,7 +582,7 @@ def test_row_reduce_pivot_product_is_the_determinant_mod_7():
         rows = [[rng.randrange(7) if rng.random() < 0.7 else 0 for _ in range(n)]
                 for _ in range(n)]
         mat, pivots, product = row_reduce(rows, n, 7)
-        expected = det(RingMatrix(rows, 7)).coeff(0)
+        expected = det(RingMatrix(rows, 7)).coeffs.get(0, 0)
         if len(pivots) == n:
             assert product == expected, rows
             assert mat == [[int(i == j) for j in range(n)] for i in range(n)]

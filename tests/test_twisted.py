@@ -192,7 +192,7 @@ def test_twisted_polynomial_figure8(figure8, fig8_rep):
 
 
 def test_twisted_unknot_reduces_to_inverse_of_t_minus_1(unknot):
-    rep = trivial_representation((1,), field=13)
+    rep = Representation(13, {1: ((1,),)})
     tw = twisted_alexander_polynomial(unknot, rep)
     assert tw.fraction.numerator.is_one() or \
         canonicalize(tw.fraction.numerator).poly.is_one()
@@ -230,8 +230,8 @@ def test_row_identity(trefoil, trefoil_rep, figure8, fig8_rep):
 
 
 def test_twisted_trace(trefoil, trefoil_rep, figure8, fig8_rep):
-    assert twisted_trace_check(twisted_chain(trefoil, trefoil_rep), max_power=5).passed
-    assert twisted_trace_check(twisted_chain(figure8, fig8_rep), max_power=5).passed
+    assert twisted_trace_check(twisted_chain(trefoil, trefoil_rep)).passed
+    assert twisted_trace_check(twisted_chain(figure8, fig8_rep)).passed
 
 
 def test_block_walk_sums_equal_the_per_walk_products(trefoil, trefoil_rep, figure8,

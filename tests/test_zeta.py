@@ -373,14 +373,14 @@ def test_gap_compared_exactly_with_tolerance(fig8_cut, max_len):
     # where comparing the float with tol = gap would wrongly pass
     spec = alexander_spec()
     t0 = Fraction(9, 10)
-    exact_gap = abs(enumerated_product(fig8_cut, spec, t0, max_len)
-                    - 1 / tangle_determinant(fig8_cut, spec).evaluate(t0))
+    target = 1 / tangle_determinant(fig8_cut, spec).evaluate(t0)
+    exact_gap = abs(enumerated_product(fig8_cut, spec, t0, max_len) - target)
     gap = float(exact_gap)
+    factors = zeta._euler_factors(fig8_cut, spec, t0, max_len)
     for tol in (math.nextafter(gap, 0), gap, math.nextafter(gap, 1), gap / 2):
-        v = determinant_formula_check(fig8_cut, spec, t0=t0, max_len=max_len,
-                                      tol=tol)
-        assert v.detail["gap"] == gap
-        assert v.passed == (exact_gap <= Fraction(tol)), tol
+        _, reported, close = zeta._compare_product(factors, target, tol)
+        assert reported == gap
+        assert close == (exact_gap <= Fraction(tol)), tol
 
 
 @pytest.fixture(scope="module")
@@ -392,7 +392,7 @@ def planned_products(corpus):
     for name, d in corpus.items():
         for arc in d.arcs:
             g = build_arc_graph(cut(d, [arc]))
-            t0, max_len, _ = zeta._plan_horizon(g, spec, 1e-6)
+            t0, max_len, _ = zeta._plan_horizon(g, spec)
             factors = zeta._euler_factors(g, spec, t0, max_len)
             cuts.append((name, arc, g, t0, max_len, factors))
             # symmetric cuts share factor lists; each list is multiplied out once
