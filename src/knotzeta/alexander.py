@@ -74,7 +74,7 @@ def exponent_sum(word):
     return sum(e for _, e in word)
 
 
-def abelianize(elem, modulus=None):
+def abelianize(elem, modulus):
     """Send every generator to t: a group ring element becomes a Laurent poly."""
     coeffs = {}
     for word, c in elem.items():

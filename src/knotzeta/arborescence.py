@@ -112,7 +112,7 @@ def matrix_tree_check(g, roots, spec):
     )
 
 
-def random_matrix_tree_check(count=200, seed=0):
+def random_matrix_tree_check(count, seed):
     """Seeded random digraphs with rational weights, each checked exactly.
 
     Each instance is an arc graph whose edges carry one label apiece, with

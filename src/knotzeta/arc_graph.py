@@ -162,7 +162,7 @@ def _diagonal_minus_weights(g, spec, vertices, diagonal):
     return RingMatrix(rows, spec.modulus, cols=n)
 
 
-def laplacian(g, spec, roots=()):
+def laplacian(g, spec, roots):
     """Out-degree Laplacian with the root rows and columns deleted.
 
     L[v][v] is the total weight leaving v (less a self-loop's weight) and

@@ -28,7 +28,7 @@ from .alexander import alexander_polynomial, determinant_of, knot_determinant
 from .arborescence import arborescence_weight, enumerate_arborescences, \
     matrix_tree_check, random_matrix_tree_check, tree_polynomial
 from .arc_graph import alexander_spec, build_arc_graph, tangle_determinant
-from .knot_model import cut, parse_diagram
+from .knot_model import DiagramError, cut, parse_diagram
 from .laurent import LaurentPoly, canonicalize, divide_exact
 from .twisted import TRIVIAL_FIELD, Representation, column_independence_check, \
     dihedral_rep, fox_colorings, trivial_reduction_check, trivial_representation, \
@@ -222,29 +222,38 @@ def _stamp(report, start):
     return report
 
 
-def _timed(check, *args):
-    """Run one check and return its report, timed."""
+def _timed(check_id, check, *args):
+    """Run one check and return its report under check_id, timed.
+
+    A DiagramError means that the check does not apply to the diagram (a
+    link where it needs a knot): the report is then a skip with the error
+    as its reason, and the other checks still run.
+    """
     start = time.perf_counter()
-    return _stamp(check(*args), start)
+    try:
+        report = check(check_id, *args)
+    except DiagramError as exc:
+        report = _skip(check_id, str(exc))
+    return _stamp(report, start)
 
 
-def _check_matrix_tree(name, diagram):
+def _check_matrix_tree(check_id, diagram):
     g = build_arc_graph(diagram)
     verdict = matrix_tree_check(g, (diagram.arcs[0],), alexander_spec())
-    return _report(f"matrix-tree:{name}", verdict,
+    return _report(check_id, verdict,
                    {"roots": verdict.detail["roots"]},
                    lhs=verdict.detail["determinant"],
                    rhs=verdict.detail["tree_sum"])
 
 
-def _check_matrix_tree_random(count, seed):
+def _check_matrix_tree_random(check_id, count, seed):
     verdict = random_matrix_tree_check(count, seed)
-    return _report("matrix-tree:random", verdict,
+    return _report(check_id, verdict,
                    {"count": count, "seed": seed},
                    lhs="det(L_roots)", rhs="arborescence weight sum")
 
 
-def _check_triple(name, diagram):
+def _check_triple(check_id, diagram):
     spec = alexander_spec()
     minor = alexander_polynomial(diagram)
     trees = canonicalize(tree_polynomial(build_arc_graph(diagram),
@@ -254,47 +263,47 @@ def _check_triple(name, diagram):
     agree = minor.poly == trees.poly == walks.poly
     verdict = Verdict("triple", agree, {
         "minor": str(minor.poly), "trees": str(trees.poly), "walks": str(walks.poly)})
-    return _report(f"triple:{name}", verdict, {"cut": str(diagram.arcs[0])},
+    return _report(check_id, verdict, {"cut": str(diagram.arcs[0])},
                    lhs=verdict.detail["minor"],
                    rhs={"trees": verdict.detail["trees"],
                         "walks": verdict.detail["walks"]})
 
 
-def _check_zeta(name, diagram):
+def _check_zeta(check_id, diagram):
     g = build_arc_graph(cut(diagram, [diagram.arcs[0]]))
     verdict = determinant_formula_check(g, alexander_spec())
     params = {k: verdict.detail.get(k) for k in ("t0", "max_len", "tolerance")}
-    return _report(f"zeta:{name}", verdict, params,
+    return _report(check_id, verdict, params,
                    lhs=verdict.detail.get("partial_product"),
                    rhs=verdict.detail.get("inverse_determinant"))
 
 
-def _check_path_sum(name, diagram, arc, seed):
-    verdict = path_sum_check(cut(diagram, [arc]), seed=seed)
-    return _report(f"path-sum:{name}:arc{arc}", verdict,
+def _check_path_sum(check_id, diagram, arc, seed):
+    verdict = path_sum_check(cut(diagram, [arc]), seed)
+    return _report(check_id, verdict,
                    {"samples": len(verdict.detail["verified"]), "seed": seed},
                    lhs={"failures": verdict.detail["failures"]}, rhs="1")
 
 
-def _check_composition(name1, d1, name2, d2, factor_dets):
+def _check_composition(check_id, d1, d2, factor_dets):
     t1 = cut(d1, [d1.arcs[0]])
     t2 = cut(d2, [d2.arcs[0]])
     verdict = composition_check(t1, t2, factor_dets)
-    return _report(f"composition:{name1}+{name2}", verdict, {},
+    return _report(check_id, verdict, {},
                    lhs=verdict.detail["composite"], rhs=verdict.detail["product"])
 
 
-def _check_cable(name, diagram, n, samples):
+def _check_cable(check_id, diagram, n, samples):
     tangle = cut(diagram, [diagram.arcs[0]])
     verdict = cabling_check(tangle, n, samples)
-    return _report(f"cable:{name}:n{n}", verdict,
+    return _report(check_id, verdict,
                    {"n": n, "samples": verdict.detail["samples"]},
                    lhs=verdict.detail["cable_poly"], rhs=verdict.detail["original_poly"])
 
 
-def _check_twisted_trivial(name, diagram):
+def _check_twisted_trivial(check_id, diagram):
     verdict = trivial_reduction_check(diagram)
-    return _report(f"twisted:trivial:{name}", verdict, {"field": TRIVIAL_FIELD},
+    return _report(check_id, verdict, {"field": TRIVIAL_FIELD},
                    lhs=verdict.detail["cross_lhs"], rhs=verdict.detail["cross_rhs"])
 
 
@@ -338,35 +347,36 @@ def _suite_reports(suites, diagrams, extras, ns):
 
     if "matrix-tree" in suites:
         for name, d in named:
-            yield _timed(_check_matrix_tree, name, d)
-        yield _timed(_check_matrix_tree_random, 50, seed)
+            yield _timed(f"matrix-tree:{name}", _check_matrix_tree, d)
+        yield _timed("matrix-tree:random", _check_matrix_tree_random, 50, seed)
     if "triple" in suites:
         for name, d in named:
-            yield _timed(_check_triple, name, d)
+            yield _timed(f"triple:{name}", _check_triple, d)
     if "zeta" in suites:
         for name, d in named:
-            yield _timed(_check_zeta, name, d)
+            yield _timed(f"zeta:{name}", _check_zeta, d)
     if "path-sum" in suites:
         for name, d in named:
             for arc in d.arcs:
-                yield _timed(_check_path_sum, name, d, arc, seed)
+                yield _timed(f"path-sum:{name}:arc{arc}", _check_path_sum, d, arc, seed)
     if "composition" in suites:
         # one pass computes each factor's determinant once, charged to the
         # first check that needs it
         factor_dets = {}
         for i, (name1, d1) in enumerate(named):
             for name2, d2 in named[i:]:
-                yield _timed(_check_composition, name1, d1, name2, d2, factor_dets)
+                yield _timed(f"composition:{name1}+{name2}", _check_composition,
+                             d1, d2, factor_dets)
     if "cable" in suites:
         cable_named = [(n, d) for n, d in diagrams if n in CABLE_CORPUS] + list(extras)
         orders = (2, 3) if ns.n is None else (ns.n,)
         samples = CABLE_SAMPLES if ns.t is None else (parse_rational(ns.t),)
         for name, d in cable_named:
             for n_order in orders:
-                yield _timed(_check_cable, name, d, n_order, samples)
+                yield _timed(f"cable:{name}:n{n_order}", _check_cable, d, n_order, samples)
     if "twisted" in suites:
         for name, d in named:
-            yield _timed(_check_twisted_trivial, name, d)
+            yield _timed(f"twisted:trivial:{name}", _check_twisted_trivial, d)
         for name, d in named:
             p = DIHEDRAL_CASES.get(name)
             if p is not None:

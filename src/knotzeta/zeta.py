@@ -6,11 +6,14 @@ product of (1 - weight)^-1 over all primes; it equals 1/det(I - W), and this
 module verifies that equality through two finite surrogates: an exact
 truncated trace identity and a numeric partial Euler product.  The inverse
 edges that would make backtracking a concern do not exist in these directed
-graphs, so primitivity and rotation are the whole story.  A prime's weight
-depends only on its label content, so the Euler product and the trace
-identity's log truncation both need only the number of primes of each
-content, which _prime_counts gets from closed-walk counts; prime_cycles lists
-the primes themselves and stays as the tests' independent oracle for them.
+graphs, so primitivity and rotation are the whole story.  A walk's weight
+depends only on its label content, so the Euler product needs only the
+number of primes of each content, and the trace identity the numbers of
+based closed walks and of primes of each content; one DP run of
+_prime_counts gives both tables.  closed_walk_sums enumerates closed walks
+by DFS for the twisted block products, which do depend on the order of the
+edges; prime_cycles lists the primes themselves and stays as the tests'
+independent oracle for them.
 
 The path-sum, composition, and cabling checks for one-strand tangles live
 here too, since all three are statements about walk weights.
@@ -38,7 +41,7 @@ class ConvergenceWarning(UserWarning):
 
 
 # the enumeration cap: on the primes listed or counted, and on the closed
-# walks that the trace oracles enumerate
+# walks that the trace oracles count or enumerate
 MAX_PRIMES = 10 ** 6
 # spectral estimates at or above this predict a divergent Euler product; the
 # margin below 1 keeps the planner off points where the tail estimate explodes
@@ -142,22 +145,29 @@ def _closed_walk_count(g, max_len):
     return total
 
 
-def _search_closed_walks(g, max_len, weight, one, mul, found):
-    """Calls found(length, product) once per based closed walk of length
-    1 <= length <= max_len, with the product of its edge weights.
-
-    weight(e) is an edge's weight, one the empty product, and mul(p, w)
-    extends a product.  The walks are enumerated, not read off powers of W:
-    one DFS per start vertex serves all lengths, each prefix's product is
-    shared by its extensions, and a prefix is cut where it cannot get back
-    within max_len.  Raises RuntimeError, before enumerating, beyond
-    MAX_PRIMES walks (counted up to the horizon or _deepest_walk(),
-    whichever is shorter) or past _deepest_walk().
-    """
+def _refuse_walks(g, max_len):
+    """The refusals of the closed-walk oracles, in order: RuntimeError beyond
+    MAX_PRIMES based closed walks (counted up to the horizon or
+    _deepest_walk(), whichever is shorter), then _refuse_deeper."""
     if _closed_walk_count(g, min(max_len, _deepest_walk())) > MAX_PRIMES:
         raise RuntimeError(f"more than {MAX_PRIMES} closed walks below length {max_len}")
     _refuse_deeper(max_len)
+
+
+def closed_walk_sums(g, max_len, weight, one, mul):
+    """{L: sum of the weight products of the based closed walks of length L}
+    over the lengths 1 <= L <= max_len that have any.
+
+    weight(e) is an edge's weight, one the empty product, and mul(p, w)
+    extends a product (operator.mul for LaurentPoly weights,
+    operator.matmul for blocks).  The walks are enumerated, not read off
+    powers of W: one DFS per start vertex serves all lengths, each prefix's
+    product is shared by its extensions, and a prefix is cut where it cannot
+    get back within max_len.  Refuses, before enumerating, as _refuse_walks.
+    """
+    _refuse_walks(g, max_len)
     out = {v: [(e.dst, weight(e)) for e in g.out_map[v]] for v in g.vertices}
+    sums = {}
 
     def extend(start, v, length, prod, dist):
         # length counts the edge about to be taken
@@ -167,45 +177,13 @@ def _search_closed_walks(g, max_len, weight, one, mul, found):
                 continue
             p = mul(prod, w)
             if u == start:
-                found(length, p)
+                sums[length] = sums[length] + p if length in sums else p
             if length < max_len:
                 extend(start, u, length + 1, p, dist)
 
     for start in g.vertices:
         extend(start, start, 1, one, _return_distances(g, start, max_len, lambda v: True))
-
-
-def closed_walk_sums(g, max_len, weight, one, mul):
-    """{L: sum of the weight products of the based closed walks of length L}
-    over the lengths 1 <= L <= max_len that have any, by _search_closed_walks
-    (mul is operator.mul for LaurentPoly weights, operator.matmul for
-    blocks).
-    """
-    sums = {}
-
-    def found(length, p):
-        sums[length] = sums[length] + p if length in sums else p
-
-    _search_closed_walks(g, max_len, weight, one, mul, found)
     return sums
-
-
-def _closed_walk_contents(g, max_len):
-    """{L: {content: number of based closed walks of that content}} over the
-    lengths 1 <= L <= max_len that have any, by _search_closed_walks on the
-    content codes of _content_codes: a walk's code is the sum of its edges'
-    steps, so the search runs on ints.
-    """
-    step, content_of = _content_codes(g, max_len)
-    counts = {}
-
-    def found(length, code):
-        walks = counts.setdefault(length, {})
-        walks[code] = walks.get(code, 0) + 1
-
-    _search_closed_walks(g, max_len, lambda e: step[e.label], 0, operator.add, found)
-    return {length: {content_of(code): n for code, n in walks.items()}
-            for length, walks in counts.items()}
 
 
 def prime_cycles(g, max_len):
@@ -266,29 +244,34 @@ def trace_identity_check(g, spec, max_power=8):
     Also checks the prime-power log truncation: the sum of weight(p)^j / j
     over pairs with j*len(p) <= max_power equals the sum of tr(W^m)/m,
     exactly, as Laurent polynomials over the rationals.  A walk's weight
-    depends only on its label content, so the closed walks are enumerated
-    and counted per content (_closed_walk_contents) and the primes counted
-    per content by _prime_counts, as for the Euler product; each content is
-    weighed once, for both sides.
+    depends only on its label content, so both sides read one run of
+    _prime_counts: the based closed walks per content for the walk side, a
+    content of m edges counting towards tr(W^m), and the primes per content
+    for the log side.  Each content is weighed once, for both sides.
+    Refuses, before counting, as _refuse_walks.
     """
     if spec.modulus is not None:
         raise ValueError("trace identity needs rational coefficients")
     if max_power < 1:
         raise ValueError("max_power must be at least 1")
-    walk_counts = _closed_walk_contents(g, max_power)
+    _refuse_walks(g, max_power)
+    walks, primes = _prime_counts(g, max_power)
     weights = [spec[label] for label in _content_labels(g)]
     weight_of = functools.cache(functools.partial(_content_weight, weights))
-    failures = []
     zero = LaurentPoly.zero()
+    walk_sums = {}
+    for content, n in walks.items():
+        m = sum(content)
+        walk_sums[m] = walk_sums.get(m, zero) + weight_of(content).scale(n)
+    failures = []
     trace_side = zero
     for m, tr in enumerate(power_traces(weight_matrix(g, spec), max_power), 1):
-        walk_sum = sum((weight_of(c).scale(n) for c, n in walk_counts.get(m, {}).items()),
-                       zero)
+        walk_sum = walk_sums.get(m, zero)
         if tr != walk_sum:
             failures.append({"m": m, "trace": str(tr), "walks": str(walk_sum)})
         trace_side = trace_side + tr.scale(Fraction(1, m))
     prime_side = zero
-    for content, n in _prime_counts(g, max_power).items():
+    for content, n in primes.items():
         weight, weight_j = weight_of(content), LaurentPoly.one()
         for j in range(1, max_power // sum(content) + 1):
             weight_j = weight_j * weight
@@ -374,7 +357,7 @@ def _euler_factors(g, spec, t0, max_len):
     (1 - w)^-n over the list.  Shortest contents come first, so a pole names
     the shortest prime of weight 1.
     """
-    counts = _prime_counts(g, max_len)
+    _, counts = _prime_counts(g, max_len)
     weights = [spec[label].evaluate(t0) for label in _content_labels(g)]
     nums = [w.numerator for w in weights]
     dens = [w.denominator for w in weights]
@@ -546,7 +529,8 @@ def _mobius(n):
 
 
 def _prime_counts(g, max_len):
-    """{content: number of primes} over primes of length <= max_len.
+    """(walks, primes): {content: number of based closed walks} and
+    {content: number of primes} over the contents of at most max_len edges.
 
     A content is a tuple of edge counts, one per label in _content_labels
     order.  Based closed walks are counted by content with a DP over (start
@@ -554,15 +538,16 @@ def _prime_counts(g, max_len):
     and length |c| accounts for |c| based closed walks of content c and as
     many of each power's content, so Moebius inversion over the divisors of
     gcd(c) gives primes(c) = (1/|c|) sum_{d | gcd(c)} mu(d) walks(c/d).
-    Contents without primes are left out.  Raises RuntimeError beyond
-    MAX_PRIMES primes, as soon as a length takes the total past it, and,
-    before counting, past _deepest_walk(), the horizon of the walk searches.
+    Contents without walks, or without primes, are left out.  Raises
+    RuntimeError beyond MAX_PRIMES primes, as soon as a length takes the
+    total past it, and, before counting, past _deepest_walk(), the horizon
+    of the walk searches.
     """
     _refuse_deeper(max_len)
     step, content_of = _content_codes(g, max_len)
     out = {v: [(e.dst, step[e.label]) for e in g.out_map[v]] for v in g.vertices}
     frontiers = {v: {v: {0: 1}} for v in g.vertices}
-    walks, counts, total = {}, {}, 0
+    walks, primes, total = {}, {}, 0
     for length in range(1, max_len + 1):
         closed = {}
         for start, frontier in frontiers.items():
@@ -579,14 +564,14 @@ def _prime_counts(g, max_len):
             content = content_of(code)
             walks[content] = n
             common = math.gcd(*content)
-            primes = sum(_mobius(d) * walks.get(tuple(k // d for k in content), 0)
-                         for d in range(1, common + 1) if common % d == 0) // length
-            if primes:
-                counts[content] = primes
-                total += primes
+            count = sum(_mobius(d) * walks.get(tuple(k // d for k in content), 0)
+                        for d in range(1, common + 1) if common % d == 0) // length
+            if count:
+                primes[content] = count
+                total += count
         if total > MAX_PRIMES:
             raise RuntimeError(f"more than {MAX_PRIMES} primes below length {max_len}")
-    return counts
+    return walks, primes
 
 
 def _walk_budget(g, max_len):
@@ -616,10 +601,10 @@ _T0_CANDIDATES = (Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(3, 4)
                   Fraction(19, 20), Fraction(49, 50), Fraction(99, 100))
 
 
-def _plan_horizon(g, spec, t0=None):
+def _plan_horizon(g, spec, t0):
     """Pick (t0, max_len, estimate at t0) so the estimated Euler tail drops
     below TOLERANCE: max_len at most 40, and at most 4 * 10^6 paths by
-    _walk_budget.
+    _walk_budget.  A t0 of None lets the planner try _T0_CANDIDATES.
 
     The path cap once bounded the cost of enumerating primes.  The product
     now counts them per label content, which costs far less; the cap stays
@@ -697,9 +682,13 @@ def determinant_formula_check(g, spec, t0=None, max_len=None):
 # -- path-sum lemma ----------------------------------------------------------
 
 
+# the good sample points that one path-sum check verifies
+PATH_SUM_SAMPLES = 20
+
+
 # every path-sum check of a verify pass asks for the same draw
 @functools.lru_cache(maxsize=1)
-def sample_points(count, seed=0):
+def sample_points(count, seed):
     """Deterministic distinct nonzero rational sample points, as a tuple."""
     rng = random.Random(seed)
     out, seen = [], set()
@@ -762,27 +751,22 @@ def strand_walk_sum(tangle):
     return det(RingMatrix(rows, cols=len(rows))), det(inner)
 
 
-def path_sum_check(tangle, samples=None, count=20, seed=0):
-    """The walk sum across a one-strand tangle is 1 at every good sample.
+def path_sum_check(tangle, seed):
+    """The walk sum across a one-strand tangle is 1 at PATH_SUM_SAMPLES good
+    samples.
 
-    Singular samples are reported and replaced (when auto-generated) so the
-    number of verified points stays at `count`.  Given samples must be
-    nonzero, since the weights 1/t and 1 - 1/t have no value at 0.  The walk
-    sum is also compared with 1 as a ratio of Laurent polynomials (N == D),
+    The samples are drawn by sample_points from seed; singular ones are
+    reported and replaced, up to 3 * PATH_SUM_SAMPLES draws.  The walk sum
+    is also compared with 1 as a ratio of Laurent polynomials (N == D),
     which no choice of samples can miss; only a mismatch adds a failure
     entry.
     """
-    auto = samples is None
-    queue = list(sample_points(count * 3, seed)) if auto else [Fraction(s) for s in samples]
-    if not auto and 0 in queue:
-        raise DiagramError("sample points must be nonzero")
     num, den = strand_walk_sum(tangle)
     verified = []
     skipped = []
     failures = []
-    target = count if auto else len(queue)
-    for t0 in queue:
-        if len(verified) >= target:
+    for t0 in sample_points(3 * PATH_SUM_SAMPLES, seed):
+        if len(verified) == PATH_SUM_SAMPLES:
             break
         den_value = den.evaluate(t0)
         if den_value == 0:
@@ -794,7 +778,7 @@ def path_sum_check(tangle, samples=None, count=20, seed=0):
         verified.append(str(t0))
     if num != den:
         failures.append({"exact": "walk sum", "difference": str(num - den)})
-    passed = not failures and len(verified) >= (target if auto else len(queue) - len(skipped))
+    passed = not failures and len(verified) == PATH_SUM_SAMPLES
     return Verdict("path_sum", passed,
                    {"verified": verified, "skipped": skipped, "failures": failures})
 
@@ -824,14 +808,16 @@ def composition_check(t1, t2, factor_dets=None):
 CABLE_SAMPLES = (Fraction(1, 2), Fraction(2, 3))
 
 
-def cabling_check(tangle, n, samples=CABLE_SAMPLES):
+def cabling_check(tangle, n, samples):
     """The n-cable's determinant in u matches the original's at t = u^n.
 
     Checked as exact rational equality at each sample point u, and as an
     identity of Laurent polynomials, which no choice of samples can miss.
+    An order below 1 or a zero sample raises ValueError, not DiagramError:
+    the arguments are at fault, not the diagram.
     """
     if n < 1:
-        raise DiagramError("cable order must be positive")
+        raise ValueError("cable order must be positive")
     spec = alexander_spec()
     det_orig = tangle_determinant(build_arc_graph(tangle), spec)
     det_cable = tangle_determinant(build_arc_graph(cable(tangle, n)), spec)
@@ -840,7 +826,7 @@ def cabling_check(tangle, n, samples=CABLE_SAMPLES):
     for u in samples:
         u = Fraction(u)
         if u == 0:
-            raise DiagramError("sample points must be nonzero")
+            raise ValueError("sample points must be nonzero")
         lhs = det_cable.evaluate(u)
         rhs = det_orig.evaluate(u ** n)
         checked.append(str(u))

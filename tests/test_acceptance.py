@@ -155,7 +155,7 @@ def test_criterion_06_path_sum(corpus):
     tangles = 0
     for name, d in corpus.items():
         for arc in d.arcs:
-            v = path_sum_check(cut(d, [arc]), count=20, seed=0)
+            v = path_sum_check(cut(d, [arc]), seed=0)
             tangles += 1
             if not (v.passed and len(v.detail["verified"]) >= 20):
                 failures.append((name, arc, v.detail))

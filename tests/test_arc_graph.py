@@ -86,7 +86,7 @@ def test_weight_rows_sum_to_one(corpus):
 
 def test_laplacian_rows_sum_to_zero(figure8):
     g = build_arc_graph(figure8)
-    full = laplacian(g, alexander_spec())
+    full = laplacian(g, alexander_spec(), ())
     zero = LaurentPoly.zero()
     for row in full.entries:
         total = zero

@@ -300,15 +300,54 @@ def test_tree_poly_on_a_cut_is_rooted_at_the_terminal_arc(validators):
     assert (code, obj) == (EXIT_INPUT, {"error": "root 1 is not a vertex of the arc graph"})
 
 
+HOPF = "X+ 2 1 1 / X+ 1 2 2\n"
+CABLE_REFUSAL = "cabling copies the open strand only; arcs ['2'] lie on closed components"
+KNOTS_ONLY = "Alexander polynomial here is for knots; links go through the zeta and split checks"
+
+
 def test_cable_refuses_a_link(tmp_path, validators):
-    # cut open along one component, the Hopf link keeps the other closed
+    # cut open along one component, the Hopf link keeps the other closed;
+    # verify skips the check and runs the rest
     hopf = tmp_path / "hopf.knot"
-    hopf.write_text("X+ 2 1 1 / X+ 1 2 2\n")
-    for argv in (("zeta", str(hopf), "--check", "cable"), ("verify", "cable", str(hopf))):
-        code, obj = run_json(*argv)
-        assert code == EXIT_INPUT, argv
-        validators["error"].validate(obj)
-        assert obj["error"].endswith("lie on closed components"), argv
+    hopf.write_text(HOPF)
+    code, obj = run_json("zeta", str(hopf), "--check", "cable")
+    assert (code, obj) == (EXIT_INPUT, {"error": CABLE_REFUSAL})
+    validators["error"].validate(obj)
+    code, out = run("verify", "cable", str(hopf), "--json")
+    assert code == EXIT_OK
+    reports = {r["check"]: r for r in map(json.loads, out.splitlines())}
+    assert len(reports) == 3 * 2 + 2
+    for n in (2, 3):
+        report = reports[f"cable:hopf:n{n}"]
+        validators["report"].validate(report)
+        assert (report["status"], report["reason"]) == ("skipped", CABLE_REFUSAL)
+
+
+def test_verify_all_keeps_every_report_beside_a_link(tmp_path, validators):
+    # a DiagramError ends one check, not the run: every corpus report is
+    # the reference's, and each Hopf check passes or is skipped with its error
+    hopf = tmp_path / "hopf.knot"
+    hopf.write_text(HOPF)
+    code, out = run("verify", "all", str(hopf), "--seed", "0", "--json")
+    assert code == EXIT_OK
+    reference = {json.loads(line)["check"]: line
+                 for line in REFERENCE.read_text().splitlines()}
+    lines = {json.loads(line)["check"]: line for line in out.splitlines()}
+    assert {check: re.sub(r',"seconds":[-+.0-9eE]+', "", lines[check])
+            for check in reference} == reference
+    extra = {check: json.loads(line) for check, line in lines.items()
+             if check not in reference}
+    corpus = sorted(cli.corpus_names())
+    assert sorted(extra) == sorted(
+        ["matrix-tree:hopf", "triple:hopf", "zeta:hopf", "path-sum:hopf:arc1",
+         "path-sum:hopf:arc2", "cable:hopf:n2", "cable:hopf:n3", "twisted:trivial:hopf"]
+        + [f"composition:{name}+hopf" for name in corpus + ["hopf"]])
+    skipped = {check: r["reason"] for check, r in extra.items() if r["status"] == "skipped"}
+    assert skipped == {"cable:hopf:n2": CABLE_REFUSAL, "cable:hopf:n3": CABLE_REFUSAL,
+                       "triple:hopf": KNOTS_ONLY, "twisted:trivial:hopf": KNOTS_ONLY}
+    for check, report in extra.items():
+        validators["report"].validate(report)
+        assert report["status"] in ("pass", "skipped"), check
 
 
 def test_unknown_corpus_name(validators):
@@ -355,6 +394,7 @@ def test_sample_point_beyond_float_range_is_input_error(t, validators):
     ("zeta", "trefoil", "--check", "cable", "--t", ""),
     ("verify", "cable", "--n", "0"),
     ("verify", "cable", "--t", ""),
+    ("verify", "cable", "--t", "0"),
 ])
 def test_invalid_flag_value_is_input_error(argv, validators):
     # a given value that is 0 or empty must not run the flag's default

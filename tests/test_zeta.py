@@ -108,23 +108,25 @@ def test_content_weight_is_the_edge_weight_product(every_cut):
 
 
 def test_closed_walk_sums_equal_the_per_length_enumeration(corpus, every_cut):
+    # the DFS's weight sums per length and the DP's walk counts per content,
+    # both against the unpruned enumeration
     spec = alexander_spec()
     zero = LaurentPoly.zero()
     graphs = list(every_cut.values()) + [build_arc_graph(d) for d in corpus.values()]
     for g in graphs:
         sums = zeta.closed_walk_sums(g, 7, lambda e: spec[e.label], LaurentPoly.one(),
                                      operator.mul)
-        contents = zeta._closed_walk_contents(g, 7)
+        contents, _ = zeta._prime_counts(g, 7)
         labels = zeta._content_labels(g)
-        count = 0
+        enumerated = Counter()
         for m in range(1, 8):
             walks = closed_walks(g, m)
-            count += len(walks)
-            assert (m in sums) == (m in contents) == bool(walks)
+            assert (m in sums) == bool(walks)
             assert sums.get(m, zero) == sum((walk_weight(w, spec) for w in walks), zero)
-            assert contents.get(m, {}) == Counter(
+            enumerated.update(
                 tuple(sum(e.label == label for e in w) for label in labels) for w in walks)
-        assert zeta._closed_walk_count(g, 7) == count
+        assert contents == enumerated
+        assert zeta._closed_walk_count(g, 7) == sum(enumerated.values())
 
 
 def test_trace_oracle_multiplies_per_content_not_per_walk(corpus, monkeypatch):
@@ -161,15 +163,22 @@ def test_closed_walk_cap_raises_before_enumerating(fig8_cut, monkeypatch):
     monkeypatch.setattr(zeta, "MAX_PRIMES", total)
     assert trace_identity_check(fig8_cut, spec, 10).passed
     monkeypatch.setattr(zeta, "MAX_PRIMES", total - 1)
+    # neither the content DP nor the DFS starts
+    monkeypatch.setattr(zeta, "_prime_counts", lambda *args: pytest.fail("counted"))
     monkeypatch.setattr(zeta, "_return_distances", lambda *args: pytest.fail("enumerated"))
-    with pytest.raises(RuntimeError, match=f"more than {total - 1} closed walks below length 10"):
-        trace_identity_check(fig8_cut, spec, 10)
+    for search in (lambda g, n: trace_identity_check(g, spec, n),
+                   lambda g, n: closed_walk_sums(g, n, None, None, None)):
+        with pytest.raises(RuntimeError,
+                           match=f"more than {total - 1} closed walks below length 10"):
+            search(fig8_cut, 10)
 
 
 def test_horizon_past_the_search_depth_raises_before_enumerating(trefoil_cut, monkeypatch):
     deepest = zeta._deepest_walk()
     monkeypatch.setattr(zeta, "_return_distances", lambda *args: pytest.fail("enumerated"))
+    monkeypatch.setattr(zeta, "_content_codes", lambda *args: pytest.fail("counted"))
     for search in (prime_cycles, zeta._prime_counts,
+                   lambda g, n: trace_identity_check(g, alexander_spec(), n),
                    lambda g, n: closed_walk_sums(g, n, None, None, None)):
         with pytest.raises(RuntimeError, match=f"horizon {deepest + 1} is deeper than "
                                                f"the walk search reaches \\({deepest} edges"):
@@ -195,19 +204,38 @@ def test_trace_identity_on_corpus_cuts(corpus):
 
 
 def test_log_truncation_fails_without_one_prime(fig8_cut, monkeypatch):
-    # the log side multiplies out _prime_counts; one prime fewer must show
+    # the log side multiplies out _prime_counts' primes; one fewer must show
     counts = zeta._prime_counts
 
     def one_fewer(g, max_len):
-        out = counts(g, max_len)
-        content = max(out, key=sum)
-        out[content] -= 1
-        return out
+        walks, primes = counts(g, max_len)
+        primes[max(primes, key=sum)] -= 1
+        return walks, primes
 
     monkeypatch.setattr(zeta, "_prime_counts", one_fewer)
     v = trace_identity_check(fig8_cut, alexander_spec(), 6)
     assert not v.passed
     assert [f["m"] for f in v.detail["failures"]] == ["log-truncation"]
+
+
+@pytest.mark.parametrize("pick", [min, max])
+def test_trace_identity_fails_where_one_walk_is_missing(fig8_cut, monkeypatch, pick):
+    # both sides read one _prime_counts run; one walk fewer in one content
+    # must still fail the comparison with tr(W^m), at that content's m alone
+    counts = zeta._prime_counts
+    changed = []
+
+    def one_walk_fewer(g, max_len):
+        walks, primes = counts(g, max_len)
+        changed.append(pick(walks, key=sum))
+        walks[changed[-1]] -= 1
+        return walks, primes
+
+    monkeypatch.setattr(zeta, "_prime_counts", one_walk_fewer)
+    v = trace_identity_check(fig8_cut, alexander_spec(), 6)
+    [content] = changed
+    assert not v.passed
+    assert [f["m"] for f in v.detail["failures"]] == [sum(content)]
 
 
 def test_trace_identity_rejects_modular_spec(trefoil_cut):
@@ -303,7 +331,7 @@ def test_prime_counts_match_enumeration(corpus):
                 enumerated = Counter(
                     tuple(sum(e.label == label for e in p) for label in labels)
                     for p in prime_cycles(g, max_len))
-                assert zeta._prime_counts(g, max_len) == enumerated, \
+                assert zeta._prime_counts(g, max_len)[1] == enumerated, \
                     (name, arc, max_len)
 
 
@@ -392,7 +420,7 @@ def planned_products(corpus):
     for name, d in corpus.items():
         for arc in d.arcs:
             g = build_arc_graph(cut(d, [arc]))
-            t0, max_len, _ = zeta._plan_horizon(g, spec)
+            t0, max_len, _ = zeta._plan_horizon(g, spec, None)
             factors = zeta._euler_factors(g, spec, t0, max_len)
             cuts.append((name, arc, g, t0, max_len, factors))
             # symmetric cuts share factor lists; each list is multiplied out once
@@ -406,7 +434,7 @@ def test_euler_factors_equal_the_content_weights(planned_products):
     spec = alexander_spec()
     cuts, _ = planned_products
     for name, arc, g, t0, max_len, factors in cuts:
-        counts = zeta._prime_counts(g, max_len)
+        _, counts = zeta._prime_counts(g, max_len)
         weights = [spec[label].evaluate(t0) for label in zeta._content_labels(g)]
         assert factors == [(1 - zeta._content_weight(weights, c), counts[c])
                            for c in sorted(counts, key=sum)], (name, arc)
@@ -592,14 +620,16 @@ def test_path_sum_check_across_arcs(corpus):
     for name in ("trefoil", "figure8", "5_2"):
         d = corpus[name]
         for a in d.arcs:
-            v = path_sum_check(cut(d, [a]), count=8)
+            v = path_sum_check(cut(d, [a]), seed=a)
             assert v.passed, (name, a, v.detail)
 
 
-def test_path_sum_check_explicit_samples(figure8):
-    v = path_sum_check(cut(figure8, [2]), samples=(Fraction(3), Fraction(-1, 2)))
+def test_path_sum_check_verifies_the_first_draws(figure8):
+    # the figure-eight's walk sum has no rational pole: nothing is skipped
+    v = path_sum_check(cut(figure8, [2]), seed=1)
     assert v.passed
-    assert v.detail["verified"] == ["3", "-1/2"]
+    assert v.detail["skipped"] == []
+    assert v.detail["verified"] == [str(t) for t in sample_points(60, 1)[:20]]
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -634,11 +664,12 @@ def test_path_sum_skips_roots_of_the_determinant(corpus):
     v = path_sum_check(tangle, seed=0)
     assert v.passed and v.detail["skipped"] == ["1/2"]
     assert len(v.detail["verified"]) == 20
-    v = path_sum_check(tangle, samples=(2, Fraction(1, 2), 3))
+    # seed 8 draws both roots among its first 22 points
+    v = path_sum_check(tangle, seed=8)
+    drawn = [str(t) for t in sample_points(60, 8)[:22]]
     assert v.passed
-    assert v.detail == {"verified": ["3"], "skipped": ["2", "1/2"], "failures": []}
-    with pytest.raises(DiagramError):
-        path_sum_check(tangle, samples=(3, 0))
+    assert v.detail == {"verified": [t for t in drawn if t not in ("2", "1/2")],
+                        "skipped": ["2", "1/2"], "failures": []}
 
 
 def test_path_sum_exact_comparison_catches_a_broken_spec(trefoil, monkeypatch):
@@ -649,10 +680,11 @@ def test_path_sum_exact_comparison_catches_a_broken_spec(trefoil, monkeypatch):
     monkeypatch.setattr(zeta, "alexander_spec", broken)
     tangle = cut(trefoil, [1])
     num, den = strand_walk_sum(tangle)
-    v = path_sum_check(tangle, samples=(Fraction(1, 3), Fraction(5)))
+    v = path_sum_check(tangle, seed=0)
     assert not v.passed
     *sampled, exact = v.detail["failures"]
-    assert [f["t0"] for f in sampled] == v.detail["verified"] == ["1/3", "5"]
+    assert [f["t0"] for f in sampled] == v.detail["verified"]
+    assert len(sampled) == 20
     for f in sampled:
         assert f["value"] == str(total_strand_weight(tangle, Fraction(f["t0"])))
     assert exact == {"exact": "walk sum", "difference": str(num - den)}
@@ -695,7 +727,7 @@ def test_cabling_check_small_orders(trefoil, figure8):
     for d in (trefoil, figure8):
         t = cut(d, [1])
         for n in (2, 3):
-            v = cabling_check(t, n)
+            v = cabling_check(t, n, zeta.CABLE_SAMPLES)
             assert v.passed, (n, v.detail)
 
 
@@ -710,7 +742,7 @@ def test_cabling_compares_polynomials_exactly(trefoil, monkeypatch):
         return seen[-1] + LaurentPoly({2: 6, 1: -7, 0: 2}) * len(seen[1:])
 
     monkeypatch.setattr(zeta, "tangle_determinant", perturbed)
-    v = cabling_check(cut(trefoil, [1]), 2)
+    v = cabling_check(cut(trefoil, [1]), 2, zeta.CABLE_SAMPLES)
     assert len(seen) == 2 and v.detail["samples"] == ["1/2", "2/3"]
     assert not v.passed
     assert v.detail["failures"] == [{"exact": "t = u^2", "difference": "6*t^2 - 7*t + 2"}]
