@@ -24,6 +24,7 @@ inverses and null spaces over F_q.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -71,6 +72,12 @@ def _normal_form(c, modulus):
 _JSON_KEYS = {}
 
 
+@functools.cache
+def _shared(c, modulus):
+    """The constant c as one LaurentPoly per (c, modulus), shared by all callers."""
+    return LaurentPoly({0: c}, modulus)
+
+
 class LaurentPoly:
     """A Laurent polynomial sum(c_e * t^e) with exact coefficients.
 
@@ -100,11 +107,13 @@ class LaurentPoly:
 
     @classmethod
     def zero(cls, modulus=None):
-        return cls({}, modulus)
+        """0, one shared instance per modulus."""
+        return _shared(0, modulus)
 
     @classmethod
     def one(cls, modulus=None):
-        return cls({0: 1}, modulus)
+        """1, one shared instance per modulus."""
+        return _shared(1, modulus)
 
     @classmethod
     def t_power(cls, e, modulus=None):
@@ -148,7 +157,7 @@ class LaurentPoly:
                 f"mixed coefficient domains: {self.modulus!r} vs {other.modulus!r}")
 
     def _lift(self, other):
-        if isinstance(other, LaurentPoly):
+        if type(other) is LaurentPoly or isinstance(other, LaurentPoly):
             self._check(other)
             return other
         if isinstance(other, (int, Fraction)):
@@ -229,7 +238,7 @@ class LaurentPoly:
 
         One Horner pass on ints: with c_e = n_e / m and t0 = a/b, the value
         is sum(n_e a^(e - lo) b^(hi - e)) / (m b^(hi - lo)) * t0^lo, for the
-        lowest and highest exponents lo and hi.
+        lowest and highest exponents lo and hi, built as one Fraction of ints.
         """
         if self.modulus is not None:
             raise CoefficientError("evaluation at a rational point needs rational coefficients")
@@ -248,7 +257,10 @@ class LaurentPoly:
             if v:
                 acc += v.numerator * (m // v.denominator) * b_power
             b_power *= b
-        return Fraction(acc, m * b ** (hi - lo)) * t0 ** lo
+        den = m * b ** (hi - lo)
+        if lo >= 0:
+            return Fraction(acc * a ** lo, den * b ** lo)
+        return Fraction(acc * b ** -lo, den * a ** -lo)
 
     # -- comparison, hashing, display --------------------------------------
 
@@ -517,9 +529,11 @@ class RingMatrix:
         return f"RingMatrix[{self.rows}x{self.cols}]({body})"
 
     def __add__(self, other):
+        """The entrywise sum; an entry whose partner is zero is kept as it is."""
         self._same_shape(other)
         return RingMatrix._of(
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.entries, other.entries)],
+            [[a + b if a._c and b._c else a if a._c else b
+              for a, b in zip(r1, r2)] for r1, r2 in zip(self.entries, other.entries)],
             self.modulus, self.cols)
 
     def __sub__(self, other):

@@ -13,7 +13,10 @@ based closed walks and of primes of each content; one DP run of
 _prime_counts gives both tables.  closed_walk_sums enumerates closed walks
 by DFS for the twisted block products, which do depend on the order of the
 edges; prime_cycles lists the primes themselves and stays as the tests'
-independent oracle for them.
+independent oracle for them.  The Euler check plans its sample point and
+horizon from a float spectral estimate; a cheap screen of the same value
+rules candidates out, so each plan makes one exact estimate, at the point
+it keeps (see _plan_horizon).
 
 The path-sum, composition, and cabling checks for one-strand tangles live
 here too, since all three are statements about walk weights.
@@ -256,8 +259,7 @@ def trace_identity_check(g, spec, max_power=8):
         raise ValueError("max_power must be at least 1")
     _refuse_walks(g, max_power)
     walks, primes = _prime_counts(g, max_power)
-    weights = [spec[label] for label in _content_labels(g)]
-    weight_of = functools.cache(functools.partial(_content_weight, weights))
+    weight_of = _content_weigher([spec[label] for label in _content_labels(g)])
     zero = LaurentPoly.zero()
     walk_sums = {}
     for content, n in walks.items():
@@ -311,10 +313,13 @@ def spectral_estimate(g, spec, t0):
     a = [[0.0] * n for _ in range(n)]
     for e in g.edges:
         a[index[e.src]][index[e.dst]] = weights[e.label]
-    columns = [[(k, a[k][j]) for k in range(n) if a[k][j]] for j in range(n)]
+    # each column's nonzeros as (row indices, weights), in row order
+    columns = [([k for k in range(n) if a[k][j]], [a[k][j] for k in range(n) if a[k][j]])
+               for j in range(n)]
     cur = a
     for _ in range(15):  # cur becomes |W|^16
-        cur = [[sum([row[k] * x for k, x in col], 0.0) for col in columns] for row in cur]
+        cur = [[sum(map(operator.mul, map(row.__getitem__, ks), ws), 0.0) for ks, ws in columns]
+               for row in cur]
         if not all(math.isfinite(x) for row in cur for x in row):
             raise DiagramError(not_finite)
     sums = [sum(row) for row in cur]
@@ -510,8 +515,30 @@ def _content_codes(g, max_len):
 
 def _content_weight(weights, content):
     """The weight of every walk of a label content: the product of
-    weights[i] ** content[i], weights in _content_labels order."""
+    weights[i] ** content[i], weights in _content_labels order, from
+    scratch (the oracle of _content_weigher)."""
     return math.prod(map(operator.pow, weights, content))
+
+
+def _content_weigher(weights):
+    """content -> _content_weight(weights, content), each content's weight
+    built from the remembered weight of a content with one edge fewer, so
+    at one product per content weighed or passed on the way down."""
+    cache = {(0,) * len(weights): 1}
+
+    def weight_of(content):
+        # step down to a remembered content, then multiply back up
+        path = []
+        while content not in cache:
+            i = next(i for i, k in enumerate(content) if k)
+            path.append((content, weights[i]))
+            content = content[:i] + (content[i] - 1,) + content[i + 1:]
+        weight = cache[content]
+        for content, w in reversed(path):
+            weight = cache[content] = weight * w
+        return weight
+
+    return weight_of
 
 
 def _mobius(n):
@@ -534,7 +561,10 @@ def _prime_counts(g, max_len):
 
     A content is a tuple of edge counts, one per label in _content_labels
     order.  Based closed walks are counted by content with a DP over (start
-    vertex, current vertex), one length at a time.  A prime of content c
+    vertex, current vertex), one length at a time; a state is dropped where
+    its return distance to the start (_return_distances) exceeds the
+    lengths left, and a start vertex without a closed walk where its first
+    step leaves no state.  A prime of content c
     and length |c| accounts for |c| based closed walks of content c and as
     many of each power's content, so Moebius inversion over the divisors of
     gcd(c) gives primes(c) = (1/|c|) sum_{d | gcd(c)} mu(d) walks(c/d).
@@ -546,20 +576,27 @@ def _prime_counts(g, max_len):
     _refuse_deeper(max_len)
     step, content_of = _content_codes(g, max_len)
     out = {v: [(e.dst, step[e.label]) for e in g.out_map[v]] for v in g.vertices}
+    dists = {v: _return_distances(g, v, max_len, lambda u: True) for v in g.vertices}
     frontiers = {v: {v: {0: 1}} for v in g.vertices}
     walks, primes, total = {}, {}, 0
     for length in range(1, max_len + 1):
-        closed = {}
+        closed, kept = {}, {}
         for start, frontier in frontiers.items():
+            # a state stays only while its walk can still get back in time
+            dist, left = dists[start], max_len - length
             reached = {}
             for v, codes in frontier.items():
                 for dst, s in out[v]:
+                    if dist.get(dst, max_len) > left:
+                        continue
                     bucket = reached.setdefault(dst, {})
                     for code, n in codes.items():
                         bucket[code + s] = bucket.get(code + s, 0) + n
-            frontiers[start] = reached
+            if reached:
+                kept[start] = reached
             for code, n in reached.get(start, {}).items():
                 closed[code] = closed.get(code, 0) + n
+        frontiers = kept
         for code, n in closed.items():
             content = content_of(code)
             walks[content] = n
@@ -601,10 +638,48 @@ _T0_CANDIDATES = (Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(3, 4)
                   Fraction(19, 20), Fraction(49, 50), Fraction(99, 100))
 
 
+def _screen_estimate(g, spec, t0):
+    """(max_i (|W(t0)|^16 1)_i)^(1/16), the row-sum norm of spectral_estimate
+    by 16 products of |W(t0)| with a vector over the edge list; inf where a
+    weight or a sum overflows.  Zero weights are left out, so no inf * 0
+    turns into NaN."""
+    index = {v: i for i, v in enumerate(g.vertices)}
+    try:
+        weights = {label: abs(float(spec[label].evaluate(t0)))
+                   for label in {e.label for e in g.edges}}
+    except OverflowError:
+        return math.inf
+    # one edge per ordered pair, the last, as spectral_estimate's matrix keeps it
+    edges = [(index[e.src], index[e.dst], weights[e.label])
+             for e in g.edge_map.values() if weights[e.label]]
+    sums = [1.0] * len(index)
+    for _ in range(16):
+        step = [0.0] * len(index)
+        for i, j, x in edges:
+            step[i] += x * sums[j]
+        sums = step
+    return max(sums, default=0.0) ** (1.0 / 16)
+
+
+def _planned_horizon(g, r):
+    """The planner's horizon for the estimate r, or None where its rule
+    rejects r: when r >= DIVERGENT, when no horizon up to 40 has its
+    estimated tail at most TOLERANCE / 2, or when the first that does has
+    more than 4 * 10^6 paths by _walk_budget."""
+    if r >= DIVERGENT:
+        return None
+    n = max(1, len(g.vertices))
+    for horizon in range(2, 41):
+        if n * r ** (horizon + 1) / ((horizon + 1) * (1 - r)) <= TOLERANCE / 2:
+            return horizon if _walk_budget(g, horizon) <= 4 * 10 ** 6 else None
+    return None
+
+
 def _plan_horizon(g, spec, t0):
     """Pick (t0, max_len, estimate at t0) so the estimated Euler tail drops
-    below TOLERANCE: max_len at most 40, and at most 4 * 10^6 paths by
-    _walk_budget.  A t0 of None lets the planner try _T0_CANDIDATES.
+    below TOLERANCE, by the rule of _planned_horizon: max_len at most 40,
+    and at most 4 * 10^6 paths by _walk_budget.  A t0 of None lets the
+    planner try _T0_CANDIDATES in order and keep the first accepted.
 
     The path cap once bounded the cost of enumerating primes.  The product
     now counts them per label content, which costs far less; the cap stays
@@ -617,19 +692,35 @@ def _plan_horizon(g, spec, t0):
     n * r^(L+1) / ((L+1)(1-r)).  That is an estimate, not a bound:
     r = || |W|^16 ||^(1/16) bounds || |W|^m ||^(1/m) only when m is a
     multiple of 16.
+
+    Among the candidates, one exact spectral_estimate is made per plan, at
+    the point kept: a candidate is skipped on its _screen_estimate s alone
+    when the rule rejects s * (1 - 1e-9).  That skip is sound:
+    - the rule is monotone in r: below DIVERGENT a larger r has a larger
+      tail at every horizon, so a first horizon no earlier and with no
+      fewer paths, and once the rule rejects some r it rejects every
+      larger one;
+    - s and the exact estimate r are float evaluations of the same
+      nonnegative row sums of |W|^16, in other orders, each within about
+      1e-13 of them relative, so r >= s * (1 - 1e-9) and the rule rejects
+      r too;
+    - no sum underflows, as every Alexander weight at a candidate (|1 - t|,
+      |1 - 1/t|, t or 1/t) is at least 1/100.
+    Where the screen does not reject, or is not finite (as where the exact
+    estimate raises), the exact estimate decides, so the plan, its
+    estimate and the reported bits are those of estimating every
+    candidate exactly.  A given t0 gets its one exact estimate, unscreened.
     """
-    n = max(1, len(g.vertices))
-    candidates = (Fraction(t0),) if t0 is not None else _T0_CANDIDATES
-    for t0 in candidates:
+    screened = t0 is None
+    for t0 in _T0_CANDIDATES if screened else (Fraction(t0),):
+        if screened:
+            screen = _screen_estimate(g, spec, t0)
+            if math.isfinite(screen) and _planned_horizon(g, screen * (1 - 1e-9)) is None:
+                continue
         r = spectral_estimate(g, spec, t0)
-        if r >= DIVERGENT:
-            continue
-        for horizon in range(2, 41):
-            tail = n * r ** (horizon + 1) / ((horizon + 1) * (1 - r))
-            if tail <= TOLERANCE / 2:
-                if _walk_budget(g, horizon) <= 4 * 10 ** 6:
-                    return t0, horizon, r
-                break
+        horizon = _planned_horizon(g, r)
+        if horizon is not None:
+            return t0, horizon, r
     return None
 
 

@@ -1,7 +1,5 @@
 """Fox calculus, Alexander polynomials, and the structural cross-checks."""
 
-from fractions import Fraction
-
 import pytest
 
 from knotzeta.alexander import abelianize, alexander_matrix, alexander_minor, \

@@ -1,6 +1,5 @@
 """Arborescence enumeration against the directed matrix-tree determinant."""
 
-import random
 from fractions import Fraction
 
 import pytest
@@ -12,7 +11,7 @@ from knotzeta.arborescence import arborescence_weight, \
 from knotzeta.arc_graph import ArcGraph, GraphEdge, WeightSpec, \
     alexander_spec, build_arc_graph, laplacian
 from knotzeta.knot_model import DiagramError
-from knotzeta.laurent import LaurentPoly, canonicalize, det
+from knotzeta.laurent import LaurentPoly, det
 
 
 def C(v):

@@ -51,6 +51,20 @@ def test_negative_exponents_multiply():
     assert (tinv ** 3).coeffs == {-3: 1}
 
 
+def test_zero_and_one_are_shared_and_stay_themselves():
+    for modulus in (None, 7):
+        zero, one = LaurentPoly.zero(modulus), LaurentPoly.one(modulus)
+        assert zero is LaurentPoly.zero(modulus) and one is LaurentPoly.one(modulus)
+        # what a caller reads out or tries to set cannot reach the shared instances
+        zero.coeffs[0] = 5
+        one.coeffs[0] = 5
+        with pytest.raises(AttributeError):
+            zero._c = {0: 5}
+        assert LaurentPoly.zero(modulus).is_zero() and LaurentPoly.one(modulus).is_one()
+        assert zero.modulus == one.modulus == modulus
+    assert LaurentPoly.zero() is not LaurentPoly.zero(7)
+
+
 def test_pow_zero_is_one():
     assert (P({2: 5}) ** 0).is_one()
 

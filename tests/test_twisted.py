@@ -10,8 +10,8 @@ from knotzeta.alexander import fox_derivative
 from knotzeta.arc_graph import build_arc_graph
 from knotzeta.knot_model import DiagramError, Presentation, parse_diagram, \
     wirtinger_presentation
-from knotzeta.laurent import LaurentPoly, RingMatrix, canonicalize, det
-from knotzeta.twisted import ColoringSpace, Representation, \
+from knotzeta.laurent import RingMatrix, canonicalize, det
+from knotzeta.twisted import Representation, \
     column_independence_check, dihedral_field, dihedral_rep, fox_colorings, \
     trivial_reduction_check, trivial_representation, \
     twisted_alexander_matrix, twisted_alexander_polynomial, \

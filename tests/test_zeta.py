@@ -107,6 +107,16 @@ def test_content_weight_is_the_edge_weight_product(every_cut):
             assert zeta._content_weight(weights, content) == manual
 
 
+def test_incremental_content_weights_equal_the_from_scratch_product(every_cut):
+    spec = alexander_spec()
+    for key, g in every_cut.items():
+        weights = [spec[label] for label in zeta._content_labels(g)]
+        weight_of = zeta._content_weigher(weights)
+        for content in zeta._prime_counts(g, 8)[0]:
+            assert weight_of(content) == zeta._content_weight(weights, content), \
+                (key, content)
+
+
 def test_closed_walk_sums_equal_the_per_length_enumeration(corpus, every_cut):
     # the DFS's weight sums per length and the DP's walk counts per content,
     # both against the unpruned enumeration
@@ -558,6 +568,64 @@ def test_determinant_formula_divergent_point_fails_honestly(fig8_cut):
     assert v.detail["spectral_estimate"] > 1
 
 
+def unscreened_plan(g, spec):
+    """The planner without its screen: every candidate estimated exactly."""
+    n = max(1, len(g.vertices))
+    for t0 in zeta._T0_CANDIDATES:
+        r = spectral_estimate(g, spec, t0)
+        if r >= zeta.DIVERGENT:
+            continue
+        for horizon in range(2, 41):
+            if n * r ** (horizon + 1) / ((horizon + 1) * (1 - r)) <= zeta.TOLERANCE / 2:
+                if zeta._walk_budget(g, horizon) <= 4 * 10 ** 6:
+                    return t0, horizon, r
+                break
+    return None
+
+
+def test_screened_planner_equals_the_unscreened_loop(every_cut):
+    spec = alexander_spec()
+    for key, g in every_cut.items():
+        assert zeta._plan_horizon(g, spec, None) == unscreened_plan(g, spec), key
+        for t0 in zeta._T0_CANDIDATES:
+            exact = spectral_estimate(g, spec, t0)
+            assert abs(zeta._screen_estimate(g, spec, t0) - exact) <= 1e-13 * exact, (key, t0)
+
+
+def first_rejected(g):
+    """The least float r that _planned_horizon rejects on g, by bisection."""
+    lo, hi = 0.0, zeta.DIVERGENT
+    assert zeta._planned_horizon(g, lo) is not None and zeta._planned_horizon(g, hi) is None
+    while math.nextafter(lo, 1) < hi:
+        mid = (lo + hi) / 2
+        if zeta._planned_horizon(g, mid) is None:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+@pytest.mark.parametrize("screen", ["threshold", "inf"])
+def test_exact_estimate_decides_inside_the_screen_margin(fig8_cut, monkeypatch, screen):
+    # a screen on the rejection threshold itself, or not finite, skips nothing
+    spec = alexander_spec()
+    if screen == "threshold":
+        value = first_rejected(fig8_cut)
+        # rejected as it stands, accepted once the margin takes it down
+        assert zeta._planned_horizon(fig8_cut, value) is None
+        assert zeta._planned_horizon(fig8_cut, value * (1 - 1e-9)) is not None
+    else:
+        value = math.inf
+    expected = unscreened_plan(fig8_cut, spec)
+    calls = []
+    estimate = zeta.spectral_estimate
+    monkeypatch.setattr(zeta, "_screen_estimate", lambda g, s, t0: value)
+    monkeypatch.setattr(zeta, "spectral_estimate",
+                        lambda g, s, t0: calls.append(t0) or estimate(g, s, t0))
+    assert zeta._plan_horizon(fig8_cut, spec, None) == expected
+    assert calls == list(zeta._T0_CANDIDATES[:zeta._T0_CANDIDATES.index(expected[0]) + 1])
+
+
 def test_spectral_estimate_once_per_point(fig8_cut, monkeypatch):
     calls = []
     estimate = zeta.spectral_estimate
@@ -568,9 +636,10 @@ def test_spectral_estimate_once_per_point(fig8_cut, monkeypatch):
 
     monkeypatch.setattr(zeta, "spectral_estimate", counted)
     spec = alexander_spec()
-    # the planner tries 1/2 .. 9/10 and keeps the last; the check reuses it
+    # the planner screens 1/2 .. 5/6 out and keeps 9/10, the one point it
+    # estimates exactly; the check reuses that estimate
     assert determinant_formula_check(fig8_cut, spec).passed
-    assert len(calls) == 7 and len(set(calls)) == 7
+    assert calls == [Fraction(9, 10)]
     calls.clear()
     determinant_formula_check(fig8_cut, spec, t0=Fraction(9, 10), max_len=6)
     assert calls == [Fraction(9, 10)]
