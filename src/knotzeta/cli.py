@@ -35,7 +35,7 @@ from .twisted import TRIVIAL_FIELD, Representation, column_independence_check, \
     twisted_alexander_polynomial, twisted_block_identity_check, twisted_chain, \
     twisted_row_identity_check, twisted_trace_check
 from .verdict import Verdict
-from .zeta import CABLE_SAMPLES, cabling_check, composition_check, \
+from .zeta import CABLE_SAMPLES, TRACE_HORIZON, cabling_check, composition_check, \
     determinant_formula_check, path_sum_check, trace_identity_check
 
 EXIT_OK = 0
@@ -149,7 +149,7 @@ def cmd_zeta(ns):
     spec = alexander_spec()
     t0 = None if ns.t is None else parse_rational(ns.t)
     if ns.check == "trace":
-        verdict = trace_identity_check(g, spec, 8 if ns.max_len is None else ns.max_len)
+        verdict = trace_identity_check(g, spec, TRACE_HORIZON if ns.max_len is None else ns.max_len)
     elif ns.check == "euler":
         verdict = determinant_formula_check(g, spec, t0=t0, max_len=ns.max_len)
     elif ns.check == "path-sum":

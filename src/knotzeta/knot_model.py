@@ -22,6 +22,17 @@ class DiagramError(ValueError):
     """Raised for structurally invalid diagrams, tangles, or diagram text."""
 
 
+# the most arcs that a parsed diagram or a cable may have; the matrices of
+# every invariant are dense in the arcs, and the largest diagram in use, a
+# corpus cable, has 57
+MAX_ARCS = 1000
+
+
+def _refuse_arcs(what, count):
+    if count > MAX_ARCS:
+        raise DiagramError(f"{what} has {count} arcs, more than the {MAX_ARCS} supported")
+
+
 @dataclass(frozen=True)
 class Crossing:
     """One crossing of a diagram.
@@ -160,6 +171,7 @@ def parse_diagram(text):
         if not crossings:
             raise DiagramError("no crossings and no arcs directive")
         declared = max(max(c.over, c.under_in, c.under_out) for c in crossings)
+    _refuse_arcs("the diagram", declared)
     return KnotDiagram(declared, tuple(crossings))
 
 
@@ -382,7 +394,8 @@ def cable(tangle, n):
     Copy m of arc a is labelled "a|m".  Where the strand passes under a
     crossing, each copy crosses under all n copies of the over arc in turn,
     through fresh segment arcs "a|m.l"; the crossing sign is kept each time.
-    A tangle with an arc off the strand, on a closed component, is refused.
+    A tangle with an arc off the strand, on a closed component, is refused,
+    and so is a cable of more than MAX_ARCS arcs, before it is built.
     """
     if not isinstance(n, int) or n < 1:
         raise DiagramError("cable order must be a positive integer")
@@ -395,6 +408,7 @@ def cable(tangle, n):
     if off:
         raise DiagramError(f"cabling copies the open strand only; arcs {off} "
                            "lie on closed components")
+    _refuse_arcs(f"the {n}-cable", len(tangle.arcs) * n + len(tangle.crossings) * n * (n - 1))
     arcs = [f"{a}|{m}" for a in tangle.arcs for m in range(1, n + 1)]
     arcs += [f"{c.under_in}|{m}.{l}"
              for c in tangle.crossings

@@ -368,16 +368,25 @@ class TwistedChain:
     def quotient(self, pos):
         """Wada's determinant quotient at generator position pos.
 
-        The numerator is the determinant of the Fox blocks of every relator
-        but the last against every generator but pos (1 with fewer than two
-        relators).  The denominator det(t rho(x_pos) - I) has constant term
-        det(-I) = +-1, so every generator position gives a quotient.
+        The numerator is the determinant of the Fox blocks of the relators
+        against every generator but pos, less the last relator when there
+        are as many relators as generators, as in alexander._last_minor (1
+        with no relator left).  A circle arc has no relator; with two or
+        more, fewer block rows than columns remain and the numerator is 0,
+        as the invariant of a split link is.  The denominator
+        det(t rho(x_pos) - I) has constant term det(-I) = +-1, so every
+        generator position gives a quotient.
         """
         pres = self.presentation
-        cols = [k for k in range(len(pres.generators)) if k != pos]
-        minor = [[self.fox_block(r, k) for k in cols]
-                 for r in range(len(pres.relators) - 1)]
-        num = det(RingMatrix.from_blocks(minor)) if minor else LaurentPoly.one(self.rep.field)
+        n = len(pres.generators)
+        cols = [k for k in range(n) if k != pos]
+        rows = range(len(pres.relators) - (len(pres.relators) == n))
+        if len(rows) < len(cols):
+            num = LaurentPoly.zero(self.rep.field)
+        elif rows:
+            num = det(RingMatrix.from_blocks([[self.fox_block(r, k) for k in cols] for r in rows]))
+        else:
+            num = LaurentPoly.one(self.rep.field)
         return divide_exact(num, det(self.denominator(pos)))
 
 

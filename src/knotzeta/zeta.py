@@ -13,10 +13,9 @@ based closed walks and of primes of each content; one DP run of
 _prime_counts gives both tables.  closed_walk_sums enumerates closed walks
 by DFS for the twisted block products, which do depend on the order of the
 edges; prime_cycles lists the primes themselves and stays as the tests'
-independent oracle for them.  The Euler check plans its sample point and
-horizon from a float spectral estimate; a cheap screen of the same value
-rules candidates out, so each plan makes one exact estimate, at the point
-it keeps (see _plan_horizon).
+independent oracle for them.  The Euler check makes one _prime_counts run
+for its trace identity and its product, and plans its sample point and
+horizon from a float spectral estimate read row by row (see _plan_horizon).
 
 The path-sum, composition, and cabling checks for one-strand tangles live
 here too, since all three are statements about walk weights.
@@ -52,6 +51,9 @@ DIVERGENT = 0.999
 # the largest gap between the Euler product and 1/det(I - W) that passes, and
 # the tail that the planner aims below
 TOLERANCE = 1e-6
+# the largest m at which the Euler check, and the CLI's trace check unless
+# given --max-len, compare tr(W^m) with the closed walks
+TRACE_HORIZON = 8
 
 
 # -- closed walk and prime enumeration --------------------------------------
@@ -241,24 +243,38 @@ def power_traces(w, max_power):
     return traces
 
 
-def trace_identity_check(g, spec, max_power=8):
-    """tr(W^m) equals the closed-walk weight sum for every m <= max_power.
-
-    Also checks the prime-power log truncation: the sum of weight(p)^j / j
-    over pairs with j*len(p) <= max_power equals the sum of tr(W^m)/m,
-    exactly, as Laurent polynomials over the rationals.  A walk's weight
-    depends only on its label content, so both sides read one run of
-    _prime_counts: the based closed walks per content for the walk side, a
-    content of m edges counting towards tr(W^m), and the primes per content
-    for the log side.  Each content is weighed once, for both sides.
-    Refuses, before counting, as _refuse_walks.
-    """
+def _refuse_trace(g, spec, max_power):
+    """trace_identity_check's refusals, in order, before any counting."""
     if spec.modulus is not None:
         raise ValueError("trace identity needs rational coefficients")
     if max_power < 1:
         raise ValueError("max_power must be at least 1")
     _refuse_walks(g, max_power)
-    walks, primes = _prime_counts(g, max_power)
+
+
+def trace_identity_check(g, spec, max_power):
+    """tr(W^m) equals the closed-walk weight sum for every m <= max_power.
+
+    Also checks the prime-power log truncation: the sum of weight(p)^j / j
+    over pairs with j*len(p) <= max_power equals the sum of tr(W^m)/m,
+    exactly, as Laurent polynomials over the rationals (see _trace_verdict).
+    Refuses, before counting, as _refuse_trace.
+    """
+    _refuse_trace(g, spec, max_power)
+    return _trace_verdict(g, spec, max_power, *_prime_counts(g, max_power))
+
+
+def _trace_verdict(g, spec, max_power, walks, primes):
+    """trace_identity_check's verdict from the tables of one _prime_counts
+    run at max_power or longer, less the contents of more edges.
+
+    A walk's weight depends only on its label content: the walk side reads
+    the based closed walks per content, a content of m edges counting
+    towards tr(W^m), and the log side the primes per content.  Each content
+    is weighed once, for both sides.
+    """
+    walks, primes = ({c: n for c, n in table.items() if sum(c) <= max_power}
+                     for table in (walks, primes))
     weight_of = _content_weigher([spec[label] for label in _content_labels(g)])
     zero = LaurentPoly.zero()
     walk_sums = {}
@@ -288,21 +304,16 @@ def trace_identity_check(g, spec, max_power=8):
 # -- Euler product -----------------------------------------------------------
 
 
-def spectral_estimate(g, spec, t0):
-    """Row-sum norm of |W(t0)|^16 to the 1/16: an upper bound trend toward
-    the spectral radius, used only to predict convergence.
+def _row_sums(g, spec, t0):
+    """The row sums of |W(t0)|^16, one row at a time, in vertex order.
 
-    Each power is multiplied by |W(t0)| over the nonzeros of each column, in
-    row order; the terms left out are products with 0.0, so the estimate is
-    the dense product's to the bit.  Raises DiagramError when |W(t0)|, a
-    power or a row sum does not fit in a float (at a power's first entry
-    that is not finite, where a dense row turns to inf or NaN for good),
-    since no estimate can be made there.
+    Row i of a power depends only on row i of the power before, so each row
+    is carried alone through the 15 products, over the nonzeros of each
+    column in row order: every sum is the dense product's to the bit.
+    Raises DiagramError when |W(t0)|, a row or a sum is not a finite float.
     """
     index = {v: i for i, v in enumerate(g.vertices)}
     n = len(index)
-    if n == 0:
-        return 0.0
     t0 = Fraction(t0)
     not_finite = f"spectral estimate at t={t0} is not finite"
     try:
@@ -316,16 +327,22 @@ def spectral_estimate(g, spec, t0):
     # each column's nonzeros as (row indices, weights), in row order
     columns = [([k for k in range(n) if a[k][j]], [a[k][j] for k in range(n) if a[k][j]])
                for j in range(n)]
-    cur = a
-    for _ in range(15):  # cur becomes |W|^16
-        cur = [[sum(map(operator.mul, map(row.__getitem__, ks), ws), 0.0) for ks, ws in columns]
-               for row in cur]
-        if not all(math.isfinite(x) for row in cur for x in row):
+    for row in a:
+        for _ in range(15):  # row becomes its row of |W|^16
+            row = [sum(map(operator.mul, map(row.__getitem__, ks), ws), 0.0) for ks, ws in columns]
+            if not all(map(math.isfinite, row)):
+                raise DiagramError(not_finite)
+        total = sum(row)
+        if not math.isfinite(total):
             raise DiagramError(not_finite)
-    sums = [sum(row) for row in cur]
-    if not all(map(math.isfinite, sums)):
-        raise DiagramError(not_finite)
-    return max(sums) ** (1.0 / 16)
+        yield total
+
+
+def spectral_estimate(g, spec, t0):
+    """Row-sum norm of |W(t0)|^16 to the 1/16: an upper bound trend toward
+    the spectral radius, used only to predict convergence.  Raises as
+    _row_sums."""
+    return max(_row_sums(g, spec, t0), default=0.0) ** (1.0 / 16)
 
 
 def _warn_if_divergent(estimate, t0):
@@ -350,19 +367,19 @@ def zeta_partial_product(g, spec, t0, max_len):
     """
     t0 = Fraction(t0)
     _warn_if_divergent(spectral_estimate(g, spec, t0), t0)
-    return Fraction(*_euler_product(_euler_factors(g, spec, t0, max_len)))
+    _, counts = _prime_counts(g, max_len)
+    return Fraction(*_euler_product(_euler_factors(g, spec, t0, counts)))
 
 
-def _euler_factors(g, spec, t0, max_len):
+def _euler_factors(g, spec, t0, counts):
     """The truncated Euler product at t = t0 as a list of pairs (1 - w, n).
 
     A prime's Euler factor depends only on its label content, so the product
-    runs over contents: w is a content's weight at t0 and n the number of
-    primes that _prime_counts finds for it.  The product P is that of
-    (1 - w)^-n over the list.  Shortest contents come first, so a pole names
-    the shortest prime of weight 1.
+    runs over contents: w is a content's weight at t0 and n its number of
+    primes in counts, a prime table of _prime_counts.  The product P is
+    that of (1 - w)^-n over the list.  Shortest contents come first, so a
+    pole names the shortest prime of weight 1.
     """
-    _, counts = _prime_counts(g, max_len)
     weights = [spec[label].evaluate(t0) for label in _content_labels(g)]
     nums = [w.numerator for w in weights]
     dens = [w.denominator for w in weights]
@@ -611,24 +628,18 @@ def _prime_counts(g, max_len):
     return walks, primes
 
 
-def _walk_budget(g, max_len):
-    """Number of directed paths of length <= max_len: the planner's size cap.
-
-    Sums A^k 1 for the 0/1 adjacency A, one length at a time on ints, and
-    stops at the first length that takes the total past 10^8.
-    """
-    index = {v: i for i, v in enumerate(g.vertices)}
-    succ = [[] for _ in index]
-    for src, dst in {(e.src, e.dst) for e in g.edges}:
-        succ[index[src]].append(index[dst])
-    paths = [1] * len(index)
-    total = 0
-    for _ in range(max_len):
-        paths = [sum(paths[j] for j in out) for out in succ]
-        total += sum(paths)
-        if total > 10 ** 8:
-            break
-    return total
+def _path_totals(g):
+    """The planner's size cap: the numbers of directed paths of length <= L
+    for L = 1..40, by sums of A^k 1 for the 0/1 adjacency A on ints; from
+    the first total past 10^8 on, the list repeats that total."""
+    succ = {v: {e.dst for e in g.out_map[v]} for v in g.vertices}
+    paths, total, totals = dict.fromkeys(succ, 1), 0, []
+    for _ in range(40):
+        if total <= 10 ** 8:
+            paths = {v: sum(paths[u] for u in out) for v, out in succ.items()}
+            total += sum(paths.values())
+        totals.append(total)
+    return totals
 
 
 # sample points approach 1 because the S-weights 1-t and 1-1/t shrink there,
@@ -638,54 +649,28 @@ _T0_CANDIDATES = (Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(3, 4)
                   Fraction(19, 20), Fraction(49, 50), Fraction(99, 100))
 
 
-def _screen_estimate(g, spec, t0):
-    """(max_i (|W(t0)|^16 1)_i)^(1/16), the row-sum norm of spectral_estimate
-    by 16 products of |W(t0)| with a vector over the edge list; inf where a
-    weight or a sum overflows.  Zero weights are left out, so no inf * 0
-    turns into NaN."""
-    index = {v: i for i, v in enumerate(g.vertices)}
-    try:
-        weights = {label: abs(float(spec[label].evaluate(t0)))
-                   for label in {e.label for e in g.edges}}
-    except OverflowError:
-        return math.inf
-    # one edge per ordered pair, the last, as spectral_estimate's matrix keeps it
-    edges = [(index[e.src], index[e.dst], weights[e.label])
-             for e in g.edge_map.values() if weights[e.label]]
-    sums = [1.0] * len(index)
-    for _ in range(16):
-        step = [0.0] * len(index)
-        for i, j, x in edges:
-            step[i] += x * sums[j]
-        sums = step
-    return max(sums, default=0.0) ** (1.0 / 16)
-
-
-def _planned_horizon(g, r):
+def _planned_horizon(g, totals, r):
     """The planner's horizon for the estimate r, or None where its rule
     rejects r: when r >= DIVERGENT, when no horizon up to 40 has its
     estimated tail at most TOLERANCE / 2, or when the first that does has
-    more than 4 * 10^6 paths by _walk_budget."""
+    more than 4 * 10^6 paths by totals, the _path_totals of g."""
     if r >= DIVERGENT:
         return None
     n = max(1, len(g.vertices))
     for horizon in range(2, 41):
         if n * r ** (horizon + 1) / ((horizon + 1) * (1 - r)) <= TOLERANCE / 2:
-            return horizon if _walk_budget(g, horizon) <= 4 * 10 ** 6 else None
+            return horizon if totals[horizon - 1] <= 4 * 10 ** 6 else None
     return None
 
 
 def _plan_horizon(g, spec, t0):
     """Pick (t0, max_len, estimate at t0) so the estimated Euler tail drops
-    below TOLERANCE, by the rule of _planned_horizon: max_len at most 40,
-    and at most 4 * 10^6 paths by _walk_budget.  A t0 of None lets the
+    below TOLERANCE, by the rule of _planned_horizon.  A t0 of None lets the
     planner try _T0_CANDIDATES in order and keep the first accepted.
 
-    The path cap once bounded the cost of enumerating primes.  The product
-    now counts them per label content, which costs far less; the cap stays
-    because it decides the plans.  Without it every cut of 5_1, 5_2, 6_1
-    and figure8 would get another (t0, max_len), 5_2 cut at arc 1 going from
-    (9/10, 27) to (3/4, 40), and with them other reported products.
+    The path cap stays because it decides the plans: without it every cut
+    of 5_1, 5_2, 6_1 and figure8 would get another (t0, max_len), 5_2 cut
+    at arc 1 going from (9/10, 27) to (3/4, 40).
 
     The tail of log zeta past length L is at most sum_{m>L} tr(|W|^m)/m,
     approximated through the power-norm estimate r by
@@ -693,34 +678,27 @@ def _plan_horizon(g, spec, t0):
     r = || |W|^16 ||^(1/16) bounds || |W|^m ||^(1/m) only when m is a
     multiple of 16.
 
-    Among the candidates, one exact spectral_estimate is made per plan, at
-    the point kept: a candidate is skipped on its _screen_estimate s alone
-    when the rule rejects s * (1 - 1e-9).  That skip is sound:
-    - the rule is monotone in r: below DIVERGENT a larger r has a larger
-      tail at every horizon, so a first horizon no earlier and with no
-      fewer paths, and once the rule rejects some r it rejects every
-      larger one;
-    - s and the exact estimate r are float evaluations of the same
-      nonnegative row sums of |W|^16, in other orders, each within about
-      1e-13 of them relative, so r >= s * (1 - 1e-9) and the rule rejects
-      r too;
-    - no sum underflows, as every Alexander weight at a candidate (|1 - t|,
-      |1 - 1/t|, t or 1/t) is at least 1/100.
-    Where the screen does not reject, or is not finite (as where the exact
-    estimate raises), the exact estimate decides, so the plan, its
-    estimate and the reported bits are those of estimating every
-    candidate exactly.  A given t0 gets its one exact estimate, unscreened.
+    The estimate is the running maximum of the _row_sums, to the 1/16, once
+    every row is read.  That maximum never falls, and the rule is monotone
+    in r (a larger r has a larger tail at every horizon, so a first horizon
+    no earlier, with no fewer paths), so a candidate is dropped at the
+    first row whose running maximum the rule rejects, and the plan is that
+    of estimating every candidate exactly.  A given t0 reads every row, so
+    it raises wherever spectral_estimate does.
     """
     screened = t0 is None
+    totals = _path_totals(g)
     for t0 in _T0_CANDIDATES if screened else (Fraction(t0),):
-        if screened:
-            screen = _screen_estimate(g, spec, t0)
-            if math.isfinite(screen) and _planned_horizon(g, screen * (1 - 1e-9)) is None:
-                continue
-        r = spectral_estimate(g, spec, t0)
-        horizon = _planned_horizon(g, r)
+        # the rule's horizon for the running maximum, decided at each rise
+        peak, horizon = 0.0, _planned_horizon(g, totals, 0.0)
+        for s in _row_sums(g, spec, t0):
+            if s > peak:
+                peak = s
+                horizon = _planned_horizon(g, totals, peak ** (1.0 / 16))
+                if screened and horizon is None:
+                    break
         if horizon is not None:
-            return t0, horizon, r
+            return t0, horizon, peak ** (1.0 / 16)
     return None
 
 
@@ -734,14 +712,19 @@ def determinant_formula_check(g, spec, t0=None, max_len=None):
     rounded, and the comparison with TOLERANCE is exact; certified 256-bit bounds
     settle them wherever they can, and the million-bit exact product is
     built only where they cannot (see _compare_product).
+
+    One _prime_counts run, to the longer of TRACE_HORIZON and max_len,
+    serves the trace identity and the product: it keeps every closed walk up
+    to its horizon, so its tables hold those of a run at either.
     """
-    trace_verdict = trace_identity_check(g, spec)
+    _refuse_trace(g, spec, TRACE_HORIZON)
     if t0 is None or max_len is None:
         plan = _plan_horizon(g, spec, t0=t0)
         if plan is None:
+            trace = _trace_verdict(g, spec, TRACE_HORIZON, *_prime_counts(g, TRACE_HORIZON))
             return Verdict("determinant_formula", False,
                            {"reason": "no sample point with a convergent, affordable horizon",
-                            "trace": trace_verdict.to_json()})
+                            "trace": trace.to_json()})
         t0, planned_len, estimate = plan
         max_len = max_len if max_len is not None else planned_len
     else:
@@ -752,7 +735,10 @@ def determinant_formula_check(g, spec, t0=None, max_len=None):
         raise ZeroDivisionError("det(I - W) vanishes at the sample point")
     target = 1 / det_value
     _warn_if_divergent(estimate, t0)
-    factors = _euler_factors(g, spec, t0, max_len)
+    _refuse_deeper(max_len)
+    walks, primes = _prime_counts(g, max(TRACE_HORIZON, max_len))
+    trace = _trace_verdict(g, spec, TRACE_HORIZON, walks, primes)
+    factors = _euler_factors(g, spec, t0, {c: n for c, n in primes.items() if sum(c) <= max_len})
     # on a divergent product the exact rationals grow without bound, so the
     # truncation is evaluated in log space instead; it cannot pass anyway
     if estimate >= DIVERGENT:
@@ -761,13 +747,13 @@ def determinant_formula_check(g, spec, t0=None, max_len=None):
         close = False
     else:
         partial, gap, close = _compare_product(factors, target, TOLERANCE)
-    ok = trace_verdict.passed and close
+    ok = trace.passed and close
     # convergence is a numeric statement, so the report is numeric
     return Verdict("determinant_formula", ok, {
         "t0": str(t0), "max_len": max_len, "spectral_estimate": estimate,
         "partial_product": partial, "inverse_determinant": float(target),
         "gap": gap, "tolerance": TOLERANCE,
-        "trace": trace_verdict.to_json()})
+        "trace": trace.to_json()})
 
 
 # -- path-sum lemma ----------------------------------------------------------

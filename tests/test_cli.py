@@ -305,6 +305,24 @@ CABLE_REFUSAL = "cabling copies the open strand only; arcs ['2'] lie on closed c
 KNOTS_ONLY = "Alexander polynomial here is for knots; links go through the zeta and split checks"
 
 
+def test_split_diagram_has_twisted_numerator_zero(tmp_path, validators):
+    unlink = tmp_path / "unlink.knot"
+    unlink.write_text("arcs 2\n")
+    code, obj = run_json("twisted", str(unlink))
+    assert code == EXIT_OK
+    assert obj["numerator"] == {"coeffs": {}, "unit": "1 t^0"}
+    validators["twisted"].validate(obj)
+
+
+def test_oversized_diagram_is_input_error(tmp_path, validators):
+    big = tmp_path / "big.knot"
+    big.write_text("arcs 1001\n")
+    code, obj = run_json("zeta", str(big))
+    assert (code, obj) == (EXIT_INPUT, {"error": "the diagram has 1001 arcs, more than the "
+                                                 "1000 supported"})
+    validators["error"].validate(obj)
+
+
 def test_cable_refuses_a_link(tmp_path, validators):
     # cut open along one component, the Hopf link keeps the other closed;
     # verify skips the check and runs the rest

@@ -2,7 +2,7 @@
 
 import pytest
 
-from knotzeta.knot_model import Crossing, DiagramError, KnotDiagram, Tangle, \
+from knotzeta.knot_model import MAX_ARCS, Crossing, DiagramError, KnotDiagram, Tangle, \
     cable, close_tangle, compose_tangles, connected_sum, cut, parse_diagram, \
     render_diagram, split_union, wirtinger_presentation
 
@@ -175,3 +175,19 @@ def test_cable_rejects_closed_components():
     hopf = cut(parse_diagram("X+ 2 1 1 / X+ 1 2 2\n"), [1])
     with pytest.raises(DiagramError, match=r"arcs \['2'\] lie on closed components"):
         cable(hopf, 2)
+
+
+def test_diagram_size_is_bounded(trefoil):
+    # the size is refused before anything is built: by the arcs directive,
+    # by the largest arc a crossing names, and by a cable's arc count
+    assert MAX_ARCS == 1000
+    assert parse_diagram(f"arcs {MAX_ARCS}\n").n_arcs == MAX_ARCS
+    for text in ("arcs 100000\n", "X+ 100000 1 1\n", f"arcs {MAX_ARCS + 1}\n"):
+        with pytest.raises(DiagramError, match=f"more than the {MAX_ARCS} supported"):
+            parse_diagram(text)
+    # 4 arcs and 3 crossings make 4n + 3n(n - 1) arcs: 990 for n = 18, 1102 for 19
+    t = cut(trefoil, [1])
+    assert len(cable(t, 18).arcs) == 990
+    for n in (19, 40):
+        with pytest.raises(DiagramError, match=f"the {n}-cable has .* more than the 1000"):
+            cable(t, n)

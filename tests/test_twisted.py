@@ -375,3 +375,28 @@ def test_twisted_json_is_canonical(trefoil, trefoil_rep):
     assert set(obj) == {"numerator", "denominator", "column", "field", "dim"}
     assert obj["numerator"]["coeffs"] == {"0": 6, "2": 1}
     assert obj["field"] == 7
+
+
+@pytest.mark.parametrize("text, square", [
+    ("arcs 2\n", False),
+    ("arcs 2\nX+ 1 1 1\n", True),
+    ("arcs 4\nX+ 3 1 2 / X+ 1 2 3 / X+ 2 3 1\n", True),
+    ("arcs 3\nX+ 3 1 2 / X- 3 2 1\n", True),
+], ids=["unlink", "kink-and-circle", "trefoil-and-circle", "circle-over-an-unknot"])
+def test_split_diagrams_have_numerator_zero(monkeypatch, text, square):
+    # a circle arc has no relator, so every relator stays in the minor, as
+    # in alexander._last_minor: its determinant vanishes, and where fewer
+    # rows than columns remain (two circles, no relator) the numerator is 0
+    d = parse_diagram(text)
+    seen = []
+    monkeypatch.setattr(twisted, "det", lambda mat: seen.append(mat) or det(mat))
+    reps = [trivial_representation(tuple(d.arcs))]
+    reps.append(dihedral_rep(d, 3, fox_colorings(d, 3).nonconstant()))
+    for rep in reps:
+        chain = twisted_chain(d, rep)
+        relators = len(chain.presentation.relators)
+        for pos in range(len(d.arcs)):
+            seen.clear()
+            assert chain.quotient(pos).numerator.is_zero(), (pos, rep.field)
+            minors = [(m.rows, m.cols) for m in seen[:-1]]
+            assert minors == ([(relators * rep.dim, relators * rep.dim)] if square else [])

@@ -250,7 +250,7 @@ def test_trace_identity_fails_where_one_walk_is_missing(fig8_cut, monkeypatch, p
 
 def test_trace_identity_rejects_modular_spec(trefoil_cut):
     with pytest.raises(ValueError):
-        trace_identity_check(trefoil_cut, alexander_spec(modulus=7))
+        trace_identity_check(trefoil_cut, alexander_spec(modulus=7), zeta.TRACE_HORIZON)
 
 
 def test_spectral_estimate_shrinks_near_one(fig8_cut):
@@ -265,9 +265,9 @@ PLANNER_PINS = json.loads(
 
 
 def test_planner_numbers_equal_those_of_the_dense_loops(every_cut):
-    # recorded from the dense n x n loops that the edge-list versions replaced:
-    # the estimate's repr, or "raises", at each point, and the path budget at
-    # every horizon 1..40
+    # recorded from the dense n x n loops that the row-by-row estimate and the
+    # one path count replaced: the estimate's repr, or "raises", at each
+    # point, and the path budget at every horizon 1..40
     spec = alexander_spec()
     points = [Fraction(p) for p in PLANNER_PINS["points"]]
     assert points[:len(zeta._T0_CANDIDATES)] == list(zeta._T0_CANDIDATES)
@@ -280,8 +280,7 @@ def test_planner_numbers_equal_those_of_the_dense_loops(every_cut):
                     spectral_estimate(g, spec, t0)
             else:
                 assert repr(spectral_estimate(g, spec, t0)) == pinned, (key, t0)
-        budgets = [zeta._walk_budget(g, max_len) for max_len in range(1, 41)]
-        assert budgets == PLANNER_PINS["walk_budget"][key], key
+        assert zeta._path_totals(g) == PLANNER_PINS["walk_budget"][key], key
 
 
 def test_partial_product_exact_trefoil(trefoil_cut):
@@ -307,11 +306,16 @@ def test_partial_product_warns_when_divergent(fig8_cut):
         zeta_partial_product(fig8_cut, spec, Fraction(1, 10), 4)
 
 
+def euler_factors(g, spec, t0, max_len):
+    """The Euler factors of the truncation at max_len, from its own count."""
+    return zeta._euler_factors(g, spec, t0, zeta._prime_counts(g, max_len)[1])
+
+
 def test_partial_product_float_mode(fig8_cut):
     spec = alexander_spec()
     t0 = Fraction(9, 10)
     exact = zeta_partial_product(fig8_cut, spec, t0, 14)
-    approx = zeta._log_product(zeta._euler_factors(fig8_cut, spec, t0, 14))
+    approx = zeta._log_product(euler_factors(fig8_cut, spec, t0, 14))
     assert math.isclose(float(exact), approx, rel_tol=1e-9)
 
 
@@ -328,7 +332,7 @@ def enumerated_product(g, spec, t0, max_len):
 def test_log_space_product_accuracy(fig8_cut, t0, max_len):
     # divergent points: the log-space branch is the one the check takes there
     exact = enumerated_product(fig8_cut, alexander_spec(), t0, max_len)
-    approx = zeta._log_product(zeta._euler_factors(fig8_cut, alexander_spec(), t0, max_len))
+    approx = zeta._log_product(euler_factors(fig8_cut, alexander_spec(), t0, max_len))
     assert math.isclose(approx, float(exact), rel_tol=1e-12)
 
 
@@ -402,7 +406,7 @@ def test_pole_names_shortest_weight_one_prime(corpus):
     assert lengths[:2] == [4, 5] and len(primes[0]) < 4
     # one factor list serves the exact, the bounded and the log-space product
     with pytest.raises(ZeroDivisionError, match="prime of length 4 has weight 1"):
-        zeta._euler_factors(g, spec, Fraction(1), 8)
+        euler_factors(g, spec, Fraction(1), 8)
 
 
 @pytest.mark.parametrize("max_len", [8, 10])
@@ -414,7 +418,7 @@ def test_gap_compared_exactly_with_tolerance(fig8_cut, max_len):
     target = 1 / tangle_determinant(fig8_cut, spec).evaluate(t0)
     exact_gap = abs(enumerated_product(fig8_cut, spec, t0, max_len) - target)
     gap = float(exact_gap)
-    factors = zeta._euler_factors(fig8_cut, spec, t0, max_len)
+    factors = euler_factors(fig8_cut, spec, t0, max_len)
     for tol in (math.nextafter(gap, 0), gap, math.nextafter(gap, 1), gap / 2):
         _, reported, close = zeta._compare_product(factors, target, tol)
         assert reported == gap
@@ -431,7 +435,7 @@ def planned_products(corpus):
         for arc in d.arcs:
             g = build_arc_graph(cut(d, [arc]))
             t0, max_len, _ = zeta._plan_horizon(g, spec, None)
-            factors = zeta._euler_factors(g, spec, t0, max_len)
+            factors = euler_factors(g, spec, t0, max_len)
             cuts.append((name, arc, g, t0, max_len, factors))
             # symmetric cuts share factor lists; each list is multiplied out once
             if tuple(factors) not in exact:
@@ -463,7 +467,7 @@ def test_product_bounds_enclose_the_exact_product(corpus, fig8_cut, planned_prod
     for g, t0, max_len in [(fig8_cut, Fraction(1, 10), 5), (fig8_cut, Fraction(1, 10), 6),
                            (cut_5_2, Fraction(1, 2), 5), (fig8_cut, Fraction(9, 10), 8),
                            (fig8_cut, Fraction(9, 10), 10)]:
-        factors = zeta._euler_factors(g, spec, t0, max_len)
+        factors = euler_factors(g, spec, t0, max_len)
         points.append((t0, max_len, factors, zeta._euler_product(factors)))
     negative = 0
     for t0, max_len, factors, (num, den) in points:
@@ -568,16 +572,18 @@ def test_determinant_formula_divergent_point_fails_honestly(fig8_cut):
     assert v.detail["spectral_estimate"] > 1
 
 
-def unscreened_plan(g, spec):
-    """The planner without its screen: every candidate estimated exactly."""
+def unscreened_plan(key, g, spec):
+    """The planner without its early drop: every candidate estimated
+    exactly, the path budgets read from the pins."""
     n = max(1, len(g.vertices))
+    budgets = PLANNER_PINS["walk_budget"][key]
     for t0 in zeta._T0_CANDIDATES:
         r = spectral_estimate(g, spec, t0)
         if r >= zeta.DIVERGENT:
             continue
         for horizon in range(2, 41):
             if n * r ** (horizon + 1) / ((horizon + 1) * (1 - r)) <= zeta.TOLERANCE / 2:
-                if zeta._walk_budget(g, horizon) <= 4 * 10 ** 6:
+                if budgets[horizon - 1] <= 4 * 10 ** 6:
                     return t0, horizon, r
                 break
     return None
@@ -586,63 +592,106 @@ def unscreened_plan(g, spec):
 def test_screened_planner_equals_the_unscreened_loop(every_cut):
     spec = alexander_spec()
     for key, g in every_cut.items():
-        assert zeta._plan_horizon(g, spec, None) == unscreened_plan(g, spec), key
-        for t0 in zeta._T0_CANDIDATES:
-            exact = spectral_estimate(g, spec, t0)
-            assert abs(zeta._screen_estimate(g, spec, t0) - exact) <= 1e-13 * exact, (key, t0)
+        assert zeta._plan_horizon(g, spec, None) == unscreened_plan(key, g, spec), key
 
 
 def first_rejected(g):
-    """The least float r that _planned_horizon rejects on g, by bisection."""
-    lo, hi = 0.0, zeta.DIVERGENT
-    assert zeta._planned_horizon(g, lo) is not None and zeta._planned_horizon(g, hi) is None
+    """The least row sum whose 16th root _planned_horizon rejects on g, by
+    bisection."""
+    totals = zeta._path_totals(g)
+
+    def rejects(s):
+        return zeta._planned_horizon(g, totals, s ** (1.0 / 16)) is None
+
+    lo, hi = 0.0, 1.0
+    assert not rejects(lo) and rejects(hi)
     while math.nextafter(lo, 1) < hi:
         mid = (lo + hi) / 2
-        if zeta._planned_horizon(g, mid) is None:
+        if rejects(mid):
             hi = mid
         else:
             lo = mid
     return hi
 
 
-@pytest.mark.parametrize("screen", ["threshold", "inf"])
-def test_exact_estimate_decides_inside_the_screen_margin(fig8_cut, monkeypatch, screen):
-    # a screen on the rejection threshold itself, or not finite, skips nothing
+@pytest.mark.parametrize("sums, read, kept", [
+    # the estimate is the largest row's, not the last
+    (lambda below, edge: [below / 4, below, below / 2], 3, True),
+    # no point is kept before its last row is read
+    (lambda below, edge: [below, below / 2, edge], 3, False),
+    # nor read past the first row that takes the running maximum to the edge
+    (lambda below, edge: [below / 2, edge, 0.0, below], 2, False),
+], ids=["kept", "rejected-last", "rejected-early"])
+def test_planner_drops_a_point_at_the_first_rejected_running_maximum(
+        fig8_cut, monkeypatch, sums, read, kept):
+    # the first candidate's rows are fed; the others' are the graph's own
     spec = alexander_spec()
-    if screen == "threshold":
-        value = first_rejected(fig8_cut)
-        # rejected as it stands, accepted once the margin takes it down
-        assert zeta._planned_horizon(fig8_cut, value) is None
-        assert zeta._planned_horizon(fig8_cut, value * (1 - 1e-9)) is not None
+    edge = first_rejected(fig8_cut)
+    fed = sums(math.nextafter(edge, 0), edge)
+    rows, seen = zeta._row_sums, []
+
+    def row_sums(g, s, t0):
+        if t0 != zeta._T0_CANDIDATES[0]:
+            return rows(g, s, t0)
+        return (seen.append(x) or x for x in fed)
+
+    monkeypatch.setattr(zeta, "_row_sums", row_sums)
+    plan = zeta._plan_horizon(fig8_cut, spec, None)
+    assert seen == fed[:read]
+    if kept:
+        r = max(fed) ** (1.0 / 16)
+        totals = zeta._path_totals(fig8_cut)
+        assert plan == (zeta._T0_CANDIDATES[0], zeta._planned_horizon(fig8_cut, totals, r), r)
     else:
-        value = math.inf
-    expected = unscreened_plan(fig8_cut, spec)
-    calls = []
-    estimate = zeta.spectral_estimate
-    monkeypatch.setattr(zeta, "_screen_estimate", lambda g, s, t0: value)
-    monkeypatch.setattr(zeta, "spectral_estimate",
-                        lambda g, s, t0: calls.append(t0) or estimate(g, s, t0))
-    assert zeta._plan_horizon(fig8_cut, spec, None) == expected
-    assert calls == list(zeta._T0_CANDIDATES[:zeta._T0_CANDIDATES.index(expected[0]) + 1])
+        assert plan == unscreened_plan("figure8:1", fig8_cut, spec)
+
+
+@pytest.mark.parametrize("order", [lambda xs: xs[::-1], sorted,
+                                   lambda xs: sorted(xs, reverse=True)],
+                         ids=["reversed", "ascending", "descending"])
+def test_plans_do_not_depend_on_the_row_order(every_cut, monkeypatch, order):
+    spec = alexander_spec()
+    plans = {key: zeta._plan_horizon(g, spec, None) for key, g in every_cut.items()}
+    rows = zeta._row_sums
+    monkeypatch.setattr(zeta, "_row_sums", lambda g, s, t0: iter(order(list(rows(g, s, t0)))))
+    for key, g in every_cut.items():
+        assert zeta._plan_horizon(g, spec, None) == plans[key], key
 
 
 def test_spectral_estimate_once_per_point(fig8_cut, monkeypatch):
     calls = []
-    estimate = zeta.spectral_estimate
+    rows = zeta._row_sums
 
-    def counted(*args, **kwargs):
+    def counted(*args):
         calls.append(args[2])
-        return estimate(*args, **kwargs)
+        return rows(*args)
 
-    monkeypatch.setattr(zeta, "spectral_estimate", counted)
+    monkeypatch.setattr(zeta, "_row_sums", counted)
     spec = alexander_spec()
-    # the planner screens 1/2 .. 5/6 out and keeps 9/10, the one point it
-    # estimates exactly; the check reuses that estimate
+    # the planner reads rows at 1/2 .. 5/6 until each is ruled out, and all
+    # of them at 9/10, which it keeps; the check reuses that estimate
     assert determinant_formula_check(fig8_cut, spec).passed
-    assert calls == [Fraction(9, 10)]
+    assert calls == list(zeta._T0_CANDIDATES[:zeta._T0_CANDIDATES.index(Fraction(9, 10)) + 1])
     calls.clear()
     determinant_formula_check(fig8_cut, spec, t0=Fraction(9, 10), max_len=6)
     assert calls == [Fraction(9, 10)]
+
+
+def test_euler_check_counts_closed_walks_once(every_cut, fig8_cut, monkeypatch):
+    # one run, as long as the longer of the trace horizon and the product's,
+    # gives the trace identity the tables of a run of its own
+    spec = alexander_spec()
+    counts, runs = zeta._prime_counts, []
+    monkeypatch.setattr(zeta, "_prime_counts", lambda g, n: runs.append(n) or counts(g, n))
+    checks = [(key, g, {}) for key, g in every_cut.items()]
+    checks += [("figure8:1 at 1/10", fig8_cut, {"t0": Fraction(1, 10)}),
+               ("figure8:1 to length 3", fig8_cut, {"t0": Fraction(9, 10), "max_len": 3})]
+    for key, g, point in checks:
+        runs.clear()
+        v = determinant_formula_check(g, spec, **point)
+        assert runs == [max(zeta.TRACE_HORIZON, v.detail.get("max_len", 0))], key
+        trace = trace_identity_check(g, spec, zeta.TRACE_HORIZON)
+        assert v.detail["trace"] == trace.to_json(), key
 
 
 def test_convergence_warning_names_the_caller(fig8_cut):
