@@ -199,9 +199,9 @@ def cmd_twisted(ns):
 # -- verification suites ------------------------------------------------------
 
 
-def _report(check, verdict, params=None, lhs=None, rhs=None):
+def _report(check, verdict, params, lhs, rhs):
     rep = {"check": check, "status": "pass" if verdict.passed else "fail",
-           "params": params or {}}
+           "params": params}
     if lhs is not None:
         rep["lhs"] = lhs
     if rhs is not None:
@@ -211,9 +211,8 @@ def _report(check, verdict, params=None, lhs=None, rhs=None):
     return rep
 
 
-def _skip(check, reason, params=None):
-    return {"check": check, "status": "skipped", "reason": reason,
-            "params": params or {}}
+def _skip(check, reason):
+    return {"check": check, "status": "skipped", "reason": reason, "params": {}}
 
 
 def _stamp(report, start):

@@ -33,6 +33,20 @@ def _refuse_arcs(what, count):
         raise DiagramError(f"{what} has {count} arcs, more than the {MAX_ARCS} supported")
 
 
+def _arc_number(field, lineno):
+    """int(field) for an arc number or count.  A decimal field with more
+    digits than MAX_ARCS is refused by its length alone: int() refuses
+    strings of more than 4300 digits, with a message of its own."""
+    digits = field.lstrip("+-").lstrip("0")
+    if digits.isdecimal() and len(digits) > len(str(MAX_ARCS)):
+        raise DiagramError(f"line {lineno}: an arc number of {len(digits)} digits, "
+                           f"more than the {MAX_ARCS} supported")
+    try:
+        return int(field)
+    except ValueError:
+        raise DiagramError(f"line {lineno}: arc numbers must be integers") from None
+
+
 @dataclass(frozen=True)
 class Crossing:
     """One crossing of a diagram.
@@ -155,16 +169,13 @@ def parse_diagram(text):
                     raise DiagramError(f"line {lineno}: repeated arcs directive")
                 if len(fields) != 2 or not fields[1].isdigit():
                     raise DiagramError(f"line {lineno}: expected 'arcs <count>'")
-                declared = int(fields[1])
+                declared = _arc_number(fields[1], lineno)
                 continue
             if fields[0] not in ("X+", "X-"):
                 raise DiagramError(f"line {lineno}: expected 'X+' or 'X-', got {fields[0]!r}")
             if len(fields) != 4:
                 raise DiagramError(f"line {lineno}: a crossing takes three arc numbers")
-            try:
-                over, under_in, under_out = (int(f) for f in fields[1:])
-            except ValueError:
-                raise DiagramError(f"line {lineno}: arc numbers must be integers") from None
+            over, under_in, under_out = (_arc_number(f, lineno) for f in fields[1:])
             sign = 1 if fields[0] == "X+" else -1
             crossings.append(Crossing(sign, over, under_in, under_out))
     if declared is None:
@@ -330,10 +341,12 @@ def compose_tangles(t1, t2):
 
     The terminal arc of t1 fuses with the initial arc of t2 into one arc; the
     composite runs from t1's initial arc to t2's terminal arc.  Labels gain
-    "L:" and "R:" prefixes so the two sides stay disjoint.
+    "L:" and "R:" prefixes so the two sides stay disjoint.  A composite of
+    more than MAX_ARCS arcs is refused before it is built.
     """
     i1, q1 = t1.strand_pair()
     i2, q2 = t2.strand_pair()
+    _refuse_arcs("the composite", len(t1.arcs) + len(t2.arcs) - 1)
     fused = f"L:{q1}"
     map1 = {a: f"L:{a}" for a in t1.arcs}
     map2 = {a: (fused if a == i2 else f"R:{a}") for a in t2.arcs}

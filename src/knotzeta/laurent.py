@@ -606,7 +606,7 @@ class RingMatrix:
             acc = acc + self.entries[i][i]
         return acc
 
-    def delete(self, rows=(), cols=()):
+    def delete(self, rows, cols):
         """The submatrix with the given row and column indices removed."""
         rset, cset = set(rows), set(cols)
         for r in rset:

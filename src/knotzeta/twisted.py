@@ -7,7 +7,7 @@ builds each block of one diagram under one representation once, on first
 read, and everything else reads those blocks: Wada's determinant quotient,
 and the checks of the three views of the untwisted case against each other
 (the Fox blocks of the Wirtinger presentation, the blocks of the walk matrix
-B read off crossing by crossing, and trace sums over closed walks with
+B read off crossing by crossing, and trace sums over prime cycles with
 ordered block products).
 
 Dihedral representations built from Fox p-colorings supply nontrivial test
@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 from .alexander import alexander_minor, exponent_sum, fox_derivative
 from .arc_graph import build_arc_graph
@@ -29,7 +29,7 @@ from .knot_model import DiagramError, KnotDiagram, Presentation, \
 from .laurent import LaurentPoly, PolyFraction, RingMatrix, canonicalize, det, \
     divide_exact, row_reduce
 from .verdict import Verdict
-from .zeta import closed_walk_sums, power_traces
+from .zeta import power_traces, prime_cycles
 
 
 # -- primality, and small matrices mod q eliminated by laurent.row_reduce ---
@@ -534,24 +534,28 @@ TRACE_POWER = 6
 
 
 def twisted_trace_check(chain):
-    """tr(B^m) equals the sum over based closed walks of block product traces.
+    """tr(B^m) equals the sum of |p| tr(B(p)^j) over the primes p and the
+    j with j |p| = m, B(p) the product of the blocks around p in walk order.
 
-    The blocks do not commute, so the product follows the walk in order; the
-    scalar trace identity is the dim = 1 shadow of this one.  Each edge's
-    block is read from the chain's block grid; the trace of each length's
-    summed walk products (closed_walk_sums) is the sum of their traces.
+    The |p| rotations of p^j are the based closed walks of its class, and
+    their block products, cyclic rotations of B(p)^j, share its trace.  No
+    division is involved, so this holds over F_q at every m; the scalar
+    trace identity is its dim = 1 case.
     """
-    g, grid, index = chain.graph, chain.weight_blocks, chain.graph.vertex_index
-    walk_sums = closed_walk_sums(g, TRACE_POWER,
-                                 lambda e: grid[index(e.src)][index(e.dst)],
-                                 RingMatrix.identity(chain.rep.dim, chain.rep.field),
-                                 operator.matmul)
+    grid, index = chain.weight_blocks, chain.graph.vertex_index
+    identity = RingMatrix.identity(chain.rep.dim, chain.rep.field)
     zero = LaurentPoly.zero(chain.rep.field)
+    prime_sums = [zero] * (TRACE_POWER + 1)
+    for p in prime_cycles(chain.graph, TRACE_POWER):
+        block = reduce(operator.matmul, (grid[index(e.src)][index(e.dst)] for e in p))
+        power = identity
+        for m in range(len(p), TRACE_POWER + 1, len(p)):
+            power = power @ block
+            prime_sums[m] = prime_sums[m] + power.trace().scale(len(p))
     failures = []
-    for length, tr in enumerate(power_traces(chain.weights, TRACE_POWER), 1):
-        walk_sum = walk_sums[length].trace() if length in walk_sums else zero
-        if tr != walk_sum:
-            failures.append({"m": length, "trace": str(tr), "walks": str(walk_sum)})
+    for m, tr in enumerate(power_traces(chain.weights, TRACE_POWER), 1):
+        if tr != prime_sums[m]:
+            failures.append({"m": m, "trace": str(tr), "walks": str(prime_sums[m])})
     return Verdict("twisted_trace", not failures,
                    {"max_power": TRACE_POWER, "failures": failures})
 

@@ -10,12 +10,11 @@ graphs, so primitivity and rotation are the whole story.  A walk's weight
 depends only on its label content, so the Euler product needs only the
 number of primes of each content, and the trace identity the numbers of
 based closed walks and of primes of each content; one DP run of
-_prime_counts gives both tables.  closed_walk_sums enumerates closed walks
-by DFS for the twisted block products, which do depend on the order of the
-edges; prime_cycles lists the primes themselves and stays as the tests'
-independent oracle for them.  The Euler check makes one _prime_counts run
-for its trace identity and its product, and plans its sample point and
-horizon from a float spectral estimate read row by row (see _plan_horizon).
+_prime_counts gives both tables.  prime_cycles lists the primes themselves,
+for the twisted trace check, whose ordered block products do depend on the
+order of the edges.  The Euler check makes one _prime_counts run for its
+trace identity and its product, and plans its sample point and horizon from
+a float spectral estimate read row by row (see _plan_horizon).
 
 The path-sum, composition, and cabling checks for one-strand tangles live
 here too, since all three are statements about walk weights.
@@ -43,7 +42,7 @@ class ConvergenceWarning(UserWarning):
 
 
 # the enumeration cap: on the primes listed or counted, and on the closed
-# walks that the trace oracles count or enumerate
+# walks that the scalar trace identity counts
 MAX_PRIMES = 10 ** 6
 # spectral estimates at or above this predict a divergent Euler product; the
 # margin below 1 keeps the planner off points where the tail estimate explodes
@@ -73,7 +72,7 @@ def _is_primitive(seq):
 
 def closed_walks(g, length):
     """All based closed walks of exactly the given length, as edge tuples
-    (the unpruned reference for closed_walk_sums)."""
+    (the unpruned reference for prime_cycles and _prime_counts)."""
     if length < 1:
         raise ValueError("walk length must be at least 1")
     found = []
@@ -113,9 +112,9 @@ def _return_distances(g, start, max_len, allowed):
 
 
 def _deepest_walk():
-    """The longest walk that the DFSs below follow.  They nest one call per
-    edge and keep to half of the interpreter's recursion limit, leaving the
-    rest to their callers."""
+    """The longest walk that the searches below follow: prime_cycles nests
+    one call per edge, and each search keeps to half of the interpreter's
+    recursion limit, leaving the rest to its callers."""
     return sys.getrecursionlimit() // 2
 
 
@@ -148,47 +147,6 @@ def _closed_walk_count(g, max_len):
             if total > MAX_PRIMES:
                 return total
     return total
-
-
-def _refuse_walks(g, max_len):
-    """The refusals of the closed-walk oracles, in order: RuntimeError beyond
-    MAX_PRIMES based closed walks (counted up to the horizon or
-    _deepest_walk(), whichever is shorter), then _refuse_deeper."""
-    if _closed_walk_count(g, min(max_len, _deepest_walk())) > MAX_PRIMES:
-        raise RuntimeError(f"more than {MAX_PRIMES} closed walks below length {max_len}")
-    _refuse_deeper(max_len)
-
-
-def closed_walk_sums(g, max_len, weight, one, mul):
-    """{L: sum of the weight products of the based closed walks of length L}
-    over the lengths 1 <= L <= max_len that have any.
-
-    weight(e) is an edge's weight, one the empty product, and mul(p, w)
-    extends a product (operator.mul for LaurentPoly weights,
-    operator.matmul for blocks).  The walks are enumerated, not read off
-    powers of W: one DFS per start vertex serves all lengths, each prefix's
-    product is shared by its extensions, and a prefix is cut where it cannot
-    get back within max_len.  Refuses, before enumerating, as _refuse_walks.
-    """
-    _refuse_walks(g, max_len)
-    out = {v: [(e.dst, weight(e)) for e in g.out_map[v]] for v in g.vertices}
-    sums = {}
-
-    def extend(start, v, length, prod, dist):
-        # length counts the edge about to be taken
-        for u, w in out[v]:
-            d = dist.get(u)
-            if d is None or length + d > max_len:
-                continue
-            p = mul(prod, w)
-            if u == start:
-                sums[length] = sums[length] + p if length in sums else p
-            if length < max_len:
-                extend(start, u, length + 1, p, dist)
-
-    for start in g.vertices:
-        extend(start, start, 1, one, _return_distances(g, start, max_len, lambda v: True))
-    return sums
 
 
 def prime_cycles(g, max_len):
@@ -244,12 +202,17 @@ def power_traces(w, max_power):
 
 
 def _refuse_trace(g, spec, max_power):
-    """trace_identity_check's refusals, in order, before any counting."""
+    """trace_identity_check's refusals, in order, before any counting: a
+    modular spec, a horizon below 1, more than MAX_PRIMES based closed walks
+    (counted up to the horizon or _deepest_walk(), whichever is shorter),
+    then a horizon past _deepest_walk()."""
     if spec.modulus is not None:
         raise ValueError("trace identity needs rational coefficients")
     if max_power < 1:
         raise ValueError("max_power must be at least 1")
-    _refuse_walks(g, max_power)
+    if _closed_walk_count(g, min(max_power, _deepest_walk())) > MAX_PRIMES:
+        raise RuntimeError(f"more than {MAX_PRIMES} closed walks below length {max_power}")
+    _refuse_deeper(max_power)
 
 
 def trace_identity_check(g, spec, max_power):

@@ -14,7 +14,7 @@ import pytest
 from jsonschema import Draft202012Validator
 from referencing import Registry, Resource
 
-from knotzeta import arborescence, cli, laurent, zeta
+from knotzeta import arborescence, cli, knot_model, laurent, zeta
 from knotzeta.arc_graph import alexander_spec, build_arc_graph, tangle_determinant
 from knotzeta.cli import EXIT_INCONSISTENT, EXIT_INPUT, EXIT_OK, main
 from knotzeta.knot_model import cut, render_diagram
@@ -321,6 +321,25 @@ def test_oversized_diagram_is_input_error(tmp_path, validators):
     assert (code, obj) == (EXIT_INPUT, {"error": "the diagram has 1001 arcs, more than the "
                                                  "1000 supported"})
     validators["error"].validate(obj)
+    big.write_text("arcs " + "9" * 5000 + "\n")
+    code, obj = run_json("zeta", str(big))
+    assert (code, obj) == (EXIT_INPUT, {"error": "line 1: an arc number of 5000 digits, "
+                                                 "more than the 1000 supported"})
+    validators["error"].validate(obj)
+
+
+def test_oversized_composite_is_skipped_or_input_error(monkeypatch, validators):
+    # trefoil's 4-arc cut composed with itself has 7 arcs
+    monkeypatch.setattr(knot_model, "MAX_ARCS", 6)
+    refusal = "the composite has 7 arcs, more than the 6 supported"
+    code, obj = run_json("zeta", "trefoil", "--check", "composition")
+    assert (code, obj) == (EXIT_INPUT, {"error": refusal})
+    validators["error"].validate(obj)
+    trefoil = cli.load_corpus("trefoil")
+    report = cli._timed("composition:trefoil+trefoil", cli._check_composition,
+                        trefoil, trefoil, {})
+    validators["report"].validate(report)
+    assert (report["status"], report["reason"]) == ("skipped", refusal)
 
 
 def test_cable_refuses_a_link(tmp_path, validators):

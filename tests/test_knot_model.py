@@ -2,6 +2,7 @@
 
 import pytest
 
+from knotzeta import knot_model
 from knotzeta.knot_model import MAX_ARCS, Crossing, DiagramError, KnotDiagram, Tangle, \
     cable, close_tangle, compose_tangles, connected_sum, cut, parse_diagram, \
     render_diagram, split_union, wirtinger_presentation
@@ -177,17 +178,30 @@ def test_cable_rejects_closed_components():
         cable(hopf, 2)
 
 
-def test_diagram_size_is_bounded(trefoil):
+def test_diagram_size_is_bounded(monkeypatch, trefoil):
     # the size is refused before anything is built: by the arcs directive,
-    # by the largest arc a crossing names, and by a cable's arc count
+    # by the largest arc a crossing names, by a cable's or a composite's arc
+    # count; an arc number is refused by its digits before int() sees it,
+    # which refuses more than 4300 digits with a ValueError of its own
     assert MAX_ARCS == 1000
     assert parse_diagram(f"arcs {MAX_ARCS}\n").n_arcs == MAX_ARCS
-    for text in ("arcs 100000\n", "X+ 100000 1 1\n", f"arcs {MAX_ARCS + 1}\n"):
+    huge = "9" * 5000
+    for text in ("arcs 100000\n", "X+ 100000 1 1\n", f"arcs {MAX_ARCS + 1}\n",
+                 f"arcs {huge}\n", f"X- 1 +{huge} 2\n"):
         with pytest.raises(DiagramError, match=f"more than the {MAX_ARCS} supported"):
             parse_diagram(text)
+    padded = "0" * 10 + "3"  # leading zeros are not counted
+    assert parse_diagram(f"X+ {padded} 1 2 / X+ 1 2 3 / X+ 2 3 1\n") == parse_diagram(TREFOIL)
     # 4 arcs and 3 crossings make 4n + 3n(n - 1) arcs: 990 for n = 18, 1102 for 19
     t = cut(trefoil, [1])
     assert len(cable(t, 18).arcs) == 990
     for n in (19, 40):
         with pytest.raises(DiagramError, match=f"the {n}-cable has .* more than the 1000"):
             cable(t, n)
+    # two 4-arc cuts fuse into a 7-arc composite
+    monkeypatch.setattr(knot_model, "MAX_ARCS", 7)
+    assert len(compose_tangles(t, t).arcs) == 7
+    monkeypatch.setattr(knot_model, "MAX_ARCS", 6)
+    with pytest.raises(DiagramError, match="the composite has 7 arcs, more than the 6"):
+        compose_tangles(t, t)
+

@@ -11,7 +11,7 @@ import ast
 from pathlib import Path
 
 SOURCE = Path(__file__).resolve().parents[1] / "src" / "knotzeta"
-MAX_DEFAULTS = 28
+MAX_DEFAULTS = 22
 
 
 def count_defaults(source):

@@ -1,6 +1,5 @@
 """Representations over prime fields and the twisted determinant quotient."""
 
-import operator
 import sys
 
 import pytest
@@ -10,14 +9,14 @@ from knotzeta.alexander import fox_derivative
 from knotzeta.arc_graph import build_arc_graph
 from knotzeta.knot_model import DiagramError, Presentation, parse_diagram, \
     wirtinger_presentation
-from knotzeta.laurent import RingMatrix, canonicalize, det
+from knotzeta.laurent import LaurentPoly, RingMatrix, canonicalize, det
 from knotzeta.twisted import Representation, \
     column_independence_check, dihedral_field, dihedral_rep, fox_colorings, \
     trivial_reduction_check, trivial_representation, \
     twisted_alexander_matrix, twisted_alexander_polynomial, \
     twisted_block_identity_check, twisted_chain, twisted_row_identity_check, \
     twisted_trace_check, twisted_weight_graph, verify_representation
-from knotzeta.zeta import closed_walk_sums, closed_walks
+from knotzeta.zeta import closed_walks, power_traces
 
 
 @pytest.fixture(scope="module")
@@ -30,6 +29,21 @@ def trefoil_rep(trefoil):
 def fig8_rep(figure8):
     coloring = fox_colorings(figure8, 5).nonconstant()
     return dihedral_rep(figure8, 5, coloring)
+
+
+# a prime p with a nonconstant p-coloring, for each non-trivial corpus knot;
+# verify runs the dihedral checks on trefoil and figure8 only
+DIHEDRAL = {"trefoil": 3, "figure8": 5, "5_1": 5, "5_2": 7, "6_1": 3}
+
+
+@pytest.fixture(scope="module")
+def dihedral_chains(corpus):
+    """{name: the twisted chain of its dihedral representation}."""
+    chains = {}
+    for name, p in DIHEDRAL.items():
+        d = corpus[name]
+        chains[name] = twisted_chain(d, dihedral_rep(d, p, fox_colorings(d, p).nonconstant()))
+    return chains
 
 
 def test_representation_validates_inputs():
@@ -219,44 +233,45 @@ def test_block_identity_all_corpus(corpus):
         assert v.passed, (name, v.detail)
 
 
-def test_block_identity_dihedral(trefoil, trefoil_rep, figure8, fig8_rep):
-    assert twisted_block_identity_check(twisted_chain(trefoil, trefoil_rep)).passed
-    assert twisted_block_identity_check(twisted_chain(figure8, fig8_rep)).passed
+def test_block_identity_dihedral(dihedral_chains):
+    for name, chain in dihedral_chains.items():
+        v = twisted_block_identity_check(chain)
+        assert v.passed, (name, v.detail)
 
 
-def test_row_identity(trefoil, trefoil_rep, figure8, fig8_rep):
-    assert twisted_row_identity_check(twisted_chain(trefoil, trefoil_rep)).passed
-    assert twisted_row_identity_check(twisted_chain(figure8, fig8_rep)).passed
+def test_row_identity(dihedral_chains):
+    for name, chain in dihedral_chains.items():
+        v = twisted_row_identity_check(chain)
+        assert v.passed, (name, v.detail)
 
 
-def test_twisted_trace(trefoil, trefoil_rep, figure8, fig8_rep):
-    assert twisted_trace_check(twisted_chain(trefoil, trefoil_rep)).passed
-    assert twisted_trace_check(twisted_chain(figure8, fig8_rep)).passed
+def test_twisted_trace(dihedral_chains):
+    for name, chain in dihedral_chains.items():
+        v = twisted_trace_check(chain)
+        assert v.passed, (name, v.detail)
 
 
-def test_block_walk_sums_equal_the_per_walk_products(trefoil, trefoil_rep, figure8,
-                                                     fig8_rep):
-    # the oracle: each closed walk's block product built from the identity on
-    for diagram, rep in ((trefoil, trefoil_rep), (figure8, fig8_rep)):
-        g = build_arc_graph(diagram)
-        grid = twisted_chain(diagram, rep).weight_blocks
+def test_block_walk_sums_equal_the_per_walk_products(dihedral_chains, monkeypatch):
+    # the oracle: each based closed walk's block product, built from the
+    # identity on; the prime-form sums of the trace check must equal the
+    # sums of their traces, as tr(B^m) does
+    for name, chain in dihedral_chains.items():
+        g, grid, rep = chain.graph, chain.weight_blocks, chain.rep
         assert RingMatrix.from_blocks(grid) == twisted_weight_graph(g, rep)
-
-        def block(e):
-            return grid[g.vertex_index(e.src)][g.vertex_index(e.dst)]
-
         identity = RingMatrix.identity(rep.dim, rep.field)
-        sums = closed_walk_sums(g, 6, block, identity, operator.matmul)
-        for length in range(1, 7):
-            products = []
+        walk_sums = []
+        for length in range(1, twisted.TRACE_POWER + 1):
+            total = LaurentPoly.zero(rep.field)
             for walk in closed_walks(g, length):
                 prod = identity
                 for e in walk:
-                    prod = prod @ block(e)
-                products.append(prod)
-            assert (length in sums) == bool(products)
-            if products:
-                assert sums[length] == sum(products[1:], products[0])
+                    prod = prod @ grid[g.vertex_index(e.src)][g.vertex_index(e.dst)]
+                total = total + prod.trace()
+            walk_sums.append(total)
+        assert walk_sums == power_traces(chain.weights, twisted.TRACE_POWER), name
+        monkeypatch.setattr(twisted, "power_traces", lambda w, n: walk_sums)
+        v = twisted_trace_check(chain)
+        assert v.passed, (name, v.detail)
 
 
 def test_trivial_reduction_across_corpus(corpus):
@@ -265,11 +280,10 @@ def test_trivial_reduction_across_corpus(corpus):
         assert v.passed, (name, v.detail)
 
 
-def test_column_independence(trefoil, trefoil_rep, figure8, fig8_rep):
-    v = column_independence_check(twisted_chain(trefoil, trefoil_rep))
-    assert v.passed and v.detail["columns"] == [1, 2, 3]
-    v = column_independence_check(twisted_chain(figure8, fig8_rep))
-    assert v.passed and v.detail["columns"] == [1, 2, 3, 4]
+def test_column_independence(dihedral_chains):
+    for name, chain in dihedral_chains.items():
+        v = column_independence_check(chain)
+        assert v.passed and v.detail["columns"] == list(chain.diagram.arcs), (name, v.detail)
 
 
 CHAIN_PIECES = ("wirtinger_presentation", "verify_representation",
@@ -359,7 +373,7 @@ def test_numerator_minor_is_the_reduced_jacobian_minor(monkeypatch, corpus, tref
             reduced = Presentation(pres.generators, pres.relators[:-1])
             m = rep.dim
             expected = twisted_alexander_matrix(reduced, rep).delete(
-                cols=tuple(range(pos * m, (pos + 1) * m)))
+                rows=(), cols=tuple(range(pos * m, (pos + 1) * m)))
             assert seen == [expected, chain.denominator(pos)], (d, pos)
 
 

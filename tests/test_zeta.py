@@ -2,7 +2,6 @@
 
 import json
 import math
-import operator
 import time
 import warnings
 from collections import Counter
@@ -16,8 +15,8 @@ from knotzeta.arc_graph import WeightSpec, alexander_spec, build_arc_graph, \
 from knotzeta import zeta
 from knotzeta.knot_model import DiagramError, cut
 from knotzeta.laurent import LaurentPoly
-from knotzeta.zeta import ConvergenceWarning, cabling_check, closed_walk_sums, \
-    closed_walks, composition_check, determinant_formula_check, \
+from knotzeta.zeta import ConvergenceWarning, cabling_check, closed_walks, \
+    composition_check, determinant_formula_check, \
     path_sum_check, prime_cycles, sample_points, spectral_estimate, strand_walk_sum, \
     total_strand_weight, trace_identity_check, zeta_partial_product
 
@@ -117,24 +116,16 @@ def test_incremental_content_weights_equal_the_from_scratch_product(every_cut):
                 (key, content)
 
 
-def test_closed_walk_sums_equal_the_per_length_enumeration(corpus, every_cut):
-    # the DFS's weight sums per length and the DP's walk counts per content,
-    # both against the unpruned enumeration
-    spec = alexander_spec()
-    zero = LaurentPoly.zero()
+def test_prime_counts_equal_the_per_length_enumeration(corpus, every_cut):
+    # the DP's walk counts per content against the unpruned enumeration
     graphs = list(every_cut.values()) + [build_arc_graph(d) for d in corpus.values()]
     for g in graphs:
-        sums = zeta.closed_walk_sums(g, 7, lambda e: spec[e.label], LaurentPoly.one(),
-                                     operator.mul)
         contents, _ = zeta._prime_counts(g, 7)
         labels = zeta._content_labels(g)
         enumerated = Counter()
         for m in range(1, 8):
-            walks = closed_walks(g, m)
-            assert (m in sums) == bool(walks)
-            assert sums.get(m, zero) == sum((walk_weight(w, spec) for w in walks), zero)
-            enumerated.update(
-                tuple(sum(e.label == label for e in w) for label in labels) for w in walks)
+            enumerated.update(tuple(sum(e.label == label for e in w) for label in labels)
+                              for w in closed_walks(g, m))
         assert contents == enumerated
         assert zeta._closed_walk_count(g, 7) == sum(enumerated.values())
 
@@ -173,14 +164,11 @@ def test_closed_walk_cap_raises_before_enumerating(fig8_cut, monkeypatch):
     monkeypatch.setattr(zeta, "MAX_PRIMES", total)
     assert trace_identity_check(fig8_cut, spec, 10).passed
     monkeypatch.setattr(zeta, "MAX_PRIMES", total - 1)
-    # neither the content DP nor the DFS starts
+    # the content DP does not start
     monkeypatch.setattr(zeta, "_prime_counts", lambda *args: pytest.fail("counted"))
     monkeypatch.setattr(zeta, "_return_distances", lambda *args: pytest.fail("enumerated"))
-    for search in (lambda g, n: trace_identity_check(g, spec, n),
-                   lambda g, n: closed_walk_sums(g, n, None, None, None)):
-        with pytest.raises(RuntimeError,
-                           match=f"more than {total - 1} closed walks below length 10"):
-            search(fig8_cut, 10)
+    with pytest.raises(RuntimeError, match=f"more than {total - 1} closed walks below length 10"):
+        trace_identity_check(fig8_cut, spec, 10)
 
 
 def test_horizon_past_the_search_depth_raises_before_enumerating(trefoil_cut, monkeypatch):
@@ -188,8 +176,7 @@ def test_horizon_past_the_search_depth_raises_before_enumerating(trefoil_cut, mo
     monkeypatch.setattr(zeta, "_return_distances", lambda *args: pytest.fail("enumerated"))
     monkeypatch.setattr(zeta, "_content_codes", lambda *args: pytest.fail("counted"))
     for search in (prime_cycles, zeta._prime_counts,
-                   lambda g, n: trace_identity_check(g, alexander_spec(), n),
-                   lambda g, n: closed_walk_sums(g, n, None, None, None)):
+                   lambda g, n: trace_identity_check(g, alexander_spec(), n)):
         with pytest.raises(RuntimeError, match=f"horizon {deepest + 1} is deeper than "
                                                f"the walk search reaches \\({deepest} edges"):
             search(trefoil_cut, deepest + 1)
@@ -362,7 +349,7 @@ def test_partial_product_matches_enumeration(corpus, name, t0, max_len):
 
 
 def test_determinant_formula_never_enumerates_primes(every_cut, monkeypatch):
-    # prime_cycles is the tests' oracle; the check itself only counts primes
+    # the Euler check only counts primes; prime_cycles is its oracle here
     monkeypatch.setattr(zeta, "prime_cycles", lambda *args: pytest.fail("enumerated"))
     spec = alexander_spec()
     for key, g in every_cut.items():
