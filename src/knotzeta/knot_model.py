@@ -34,13 +34,19 @@ def _refuse_arcs(what, count):
 
 
 def _arc_number(field, lineno):
-    """int(field) for an arc number or count.  A decimal field with more
-    digits than MAX_ARCS is refused by its length alone: int() refuses
-    strings of more than 4300 digits, with a message of its own."""
-    digits = field.lstrip("+-").lstrip("0")
-    if digits.isdecimal() and len(digits) > len(str(MAX_ARCS)):
-        raise DiagramError(f"line {lineno}: an arc number of {len(digits)} digits, "
-                           f"more than the {MAX_ARCS} supported")
+    """int(field) for an arc number or count.  A decimal field, with one
+    optional sign, is read from its digits after the leading zeros, and
+    refused when it has more of them than MAX_ARCS: int() refuses strings of
+    more than 4300 digits, leading zeros included, with a message of its
+    own."""
+    body = field[1:] if field.startswith(("+", "-")) else field
+    if body.isdecimal():
+        digits = body.lstrip("0")
+        if len(digits) > len(str(MAX_ARCS)):
+            raise DiagramError(f"line {lineno}: an arc number of {len(digits)} digits, "
+                               f"more than the {MAX_ARCS} supported")
+        n = int(digits or 0)
+        return -n if field.startswith("-") else n
     try:
         return int(field)
     except ValueError:

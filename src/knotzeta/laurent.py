@@ -12,10 +12,14 @@ Matrices over this ring have exact determinants by one path for every size.
 Rows and columns with a single nonzero entry are peeled off first, by Laplace
 expansion along them, until none is left; the walk matrices of cut strands
 have many (a source arc has no in-edges, a sink arc no out-edges).  What
-remains goes to fraction-free (Bareiss) elimination on dense lists of int
+remains goes to fraction-free (Bareiss) elimination on lists of int
 coefficients, after each row is cleared of negative powers of t and of
-denominators.  Cofactor expansion and the unpeeled kernel stay as the
-independent oracles.
+denominators.  Each step pivots on the row with the fewest entries among
+those that reach the pivot column, and leaves the rows that miss it as they
+are: the factor such a row would gain at each step telescopes, so one exact
+division per entry brings it up to date when it is next needed.  Cofactor
+expansion, and Gauss-Jordan elimination after evaluation at points, are the
+kernel's independent oracles; the unpeeled kernel is the peel's.
 
 Matrices of plain rationals or residues mod q have one Gauss-Jordan
 elimination, row_reduce, which serves determinants and solves over Q and
@@ -678,8 +682,23 @@ def _bareiss(rows, q):
     denominators, so that its entries are polynomials with integer (over F_q,
     residue) coefficients.  An entry is then a list of ints, lowest degree
     first; the scale factors are divided out of the result.
+
+    Step k takes as its pivot row, among the rows with an entry in column k,
+    the one with the fewest entries right of column k, then the one whose
+    entry in column k is shortest, then the first.  A row without an entry in
+    column k would only gain the factor p_k / p_(k-1), where p_k is the pivot
+    of step k and p_(-1) = 1, so it is skipped; level[i] is the step whose
+    entries row i holds.  When the row is needed again at step k, as the
+    pivot, as a row with an entry in column k, or as the last row, the
+    factors telescope: one exact division per entry, of the entry times
+    p_(k-1) by p_(s-1), brings it from level s to level k.  Every entry at
+    every level is a minor of the matrix, so the division is exact.  Such a
+    catch-up changes an entry's degree by deg p_(k-1) - deg p_(s-1), which
+    the row rule adds to the length of an entry not yet caught up.
     """
     n = len(rows)
+    if not n:
+        return LaurentPoly.one(q)
     work, shift_back, scale = [], 0, 1
     for row in rows:
         live = [e._c for e in row if e._c]
@@ -692,29 +711,50 @@ def _bareiss(rows, q):
         work.append(dense)
         shift_back += k
         scale *= m
-    sign, prev = 1, [1]
+    # pivots[s] is the pivot of step s - 1, so that pivots[0] = 1
+    sign, pivots, level = 1, [[1]], [0] * n
+
+    def catch_up(i, k):
+        if level[i] != k:
+            row, num, den = work[i], pivots[k], pivots[level[i]]
+            for j in range(k, n):
+                if row[j]:
+                    row[j] = _bareiss_entry(row[j], num, [], [], den, q)
+            level[i] = k
+
     for k in range(n - 1):
-        if not work[k][k]:
-            for r in range(k + 1, n):
-                if work[r][k]:
-                    work[k], work[r] = work[r], work[k]
-                    sign = -sign
-                    break
-            else:
-                return LaurentPoly.zero(q)
-        top = work[k]
-        for row in work[k + 1:]:
-            for j in range(k + 1, n):
-                if row[j] or (row[k] and top[j]):
-                    row[j] = _bareiss_entry(row[j], top[k], row[k], top[j], prev, q)
-        prev = top[k]
-    d = work[-1][-1] if n else [1]
+        keys = [(sum(map(bool, work[r][k + 1:])),
+                 len(work[r][k]) + len(pivots[k]) - len(pivots[level[r]]), r)
+                for r in range(k, n) if work[r][k]]
+        if not keys:
+            return LaurentPoly.zero(q)
+        best = min(keys)[2]
+        if best != k:
+            work[k], work[best] = work[best], work[k]
+            level[k], level[best] = level[best], level[k]
+            sign = -sign
+        catch_up(k, k)
+        top, prev = work[k], pivots[k]
+        for i in range(k + 1, n):
+            row = work[i]
+            if row[k]:
+                catch_up(i, k)
+                for j in range(k + 1, n):
+                    if row[j] or top[j]:
+                        row[j] = _bareiss_entry(row[j], top[k], row[k], top[j], prev, q)
+                level[i] = k + 1
+        pivots.append(top[k])
+    catch_up(n - 1, n - 1)
     return LaurentPoly({e + shift_back: sign * c if q else Fraction(sign * c, scale)
-                        for e, c in enumerate(d)}, q)
+                        for e, c in enumerate(work[-1][-1])}, q)
 
 
 def _det_bareiss(mat):
-    """The dense kernel on the whole matrix, without peeling: det's oracle."""
+    """The kernel on the whole matrix, without peeling: the peel's oracle.
+
+    It runs the same row rule and catch-ups as det, so it checks the peel
+    only; det_cofactor, and row_reduce after evaluation, check the kernel.
+    """
     return _bareiss(mat.entries, mat.modulus)
 
 

@@ -21,7 +21,7 @@ READERS = PACKAGE + sorted((ROOT / "perfbench").glob("*.py"))
 
 # the reference implementations that only the tests read, as "module.name"
 ORACLES = (
-    # the dense kernel without peeling: det's oracle, beside det_cofactor
+    # the kernel without peeling: the oracle of det's peel
     "laurent._det_bareiss",
     # a content's weight from scratch: the oracle of _content_weigher's cache
     "zeta._content_weight",

@@ -328,6 +328,21 @@ def test_oversized_diagram_is_input_error(tmp_path, validators):
     validators["error"].validate(obj)
 
 
+def test_arc_numbers_padded_past_the_int_limit(tmp_path):
+    # 5000 leading zeros, which int() alone refuses, before a count and
+    # before an arc number: the answers of the unpadded diagrams
+    zeros = "0" * 5000
+    trefoil = "X+ 3 1 2\nX+ 1 2 3\nX+ 2 3 1\n"
+    for cmd, plain, padded in (("twisted", "arcs 3\n", f"arcs {zeros}3\n"),
+                               ("alexander", trefoil, trefoil.replace(" 1 2\n", f" 1 {zeros}2\n"))):
+        outs = []
+        for text in (plain, padded):
+            path = tmp_path / "padded.knot"
+            path.write_text(text)
+            outs.append(run_json(cmd, str(path)))
+        assert outs[0][0] == EXIT_OK and outs[1] == outs[0], cmd
+
+
 def test_oversized_composite_is_skipped_or_input_error(monkeypatch, validators):
     # trefoil's 4-arc cut composed with itself has 7 arcs
     monkeypatch.setattr(knot_model, "MAX_ARCS", 6)

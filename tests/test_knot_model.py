@@ -178,6 +178,16 @@ def test_cable_rejects_closed_components():
         cable(hopf, 2)
 
 
+def test_arc_numbers_are_read_past_leading_zeros():
+    # int() refuses a field of more than 4300 digits, leading zeros included
+    zeros = "0" * 5000
+    assert parse_diagram(f"arcs {zeros}3\n") == parse_diagram("arcs 3\n")
+    assert parse_diagram(f"X+ 3 1 {zeros}2 / X+ 1 2 3 / X+ 2 3 1\n") == parse_diagram(TREFOIL)
+    assert parse_diagram(f"X+ 3 1 +{zeros}2 / X+ 1 2 3 / X+ 2 3 1\n") == parse_diagram(TREFOIL)
+    with pytest.raises(DiagramError, match="arc numbers must be integers"):
+        parse_diagram(f"X+ 3 1 --{zeros}2 / X+ 1 2 3 / X+ 2 3 1\n")
+
+
 def test_diagram_size_is_bounded(monkeypatch, trefoil):
     # the size is refused before anything is built: by the arcs directive,
     # by the largest arc a crossing names, by a cable's or a composite's arc

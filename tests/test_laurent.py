@@ -7,8 +7,9 @@ from fractions import Fraction
 import pytest
 
 from knotzeta import laurent
+from knotzeta.alexander import alexander_matrix
 from knotzeta.arc_graph import alexander_spec, build_arc_graph, tangle_matrix
-from knotzeta.knot_model import cable, cut
+from knotzeta.knot_model import cable, compose_tangles, cut, wirtinger_presentation
 from knotzeta.laurent import CanonicalPoly, CoefficientError, LaurentPoly, \
     PolyFraction, RingMatrix, _bareiss_entry, _det_bareiss, canonicalize, det, \
     det_cofactor, div_exact, divide_exact, poly_divmod, poly_gcd, rational_det, \
@@ -568,12 +569,109 @@ def test_det_of_rows_with_negative_exponents():
 @pytest.mark.parametrize("name, order, size", [
     ("figure8", 2, 18), ("trefoil", 3, 30), ("figure8", 3, 39)])
 def test_det_of_cable_matrices_at_rational_points(corpus, name, order, size):
+    # rational_det (Gauss-Jordan by row_reduce) shares no code with the
+    # kernel, and reaches sizes that det_cofactor does not
     tangle = cable(cut(corpus[name], [1]), order)
     m = tangle_matrix(build_arc_graph(tangle), alexander_spec())
     assert m.rows == size
     d = det(m)
-    for t0 in (Fraction(3, 5), Fraction(-7, 2)):
+    for t0 in (Fraction(3, 5), Fraction(-7, 2), Fraction(2)):
         assert d.evaluate(t0) == rational_det(m.evaluate(t0))
+
+
+def test_det_of_composite_and_fox_matrices_matches_gauss_jordan(corpus):
+    # as for the cables: the 6_1+6_1 composite's I - W and 6_1's Fox minor
+    six = cut(corpus["6_1"], [1])
+    fox = alexander_matrix(wirtinger_presentation(corpus["6_1"]))
+    matrices = [tangle_matrix(build_arc_graph(compose_tangles(six, six)), alexander_spec()),
+                fox.delete(rows=(fox.rows - 1,), cols=(fox.cols - 1,))]
+    assert [m.rows for m in matrices] == [13, 5]
+    for m in matrices:
+        d = det(m)
+        assert not d.is_zero()
+        for t0 in (Fraction(3, 5), Fraction(-7, 2), Fraction(2), Fraction(-1, 3)):
+            assert d.evaluate(t0) == rational_det(m.evaluate(t0)), (m.rows, t0)
+
+
+# support patterns ("x" a nonzero entry) that steer the kernel, on generic
+# constant entries, through its row rule and its telescoped scaling
+KERNEL_PATTERNS = (
+    # step 0 takes row 4 (one entry right of column 0, against row 2's five);
+    # steps 1 and 3 break ties in entry counts by row index; rows 0 and 6
+    # are caught up over two pivots, and row 1 over three, as the pivot of
+    # the last step, which swaps; the last row, row 5, over four
+    ("..xxxxx", ".x...xx", "x.xxxxx", ".x....x", "x.x....", ".x....x", "..x..xx"),
+    # swaps at step 0 and at the last step; the last row, row 3, misses
+    # every pivot column and is caught up over all four pivots at the end
+    ("..x..", "xx...", ".xxx.", "....x", "..xxx"),
+)
+
+DOMAINS = {"Z": None, "Q": None, "F7": 7}
+
+
+def _nonzero(rng, domain):
+    """A random nonzero constant over Z, over Q with a denominator, or over F_7."""
+    if domain == "F7":
+        return rng.randrange(1, 7)
+    num = rng.choice((-1, 1)) * rng.randint(1, 9)
+    return num if domain == "Z" else Fraction(num, rng.choice((2, 3, 5, 7)))
+
+
+@pytest.mark.parametrize("domain", sorted(DOMAINS))
+def test_kernel_row_rule_and_catch_ups_match_cofactor(domain):
+    rng, q = random.Random(domain), DOMAINS[domain]
+
+    def x():
+        return _nonzero(rng, domain)
+
+    for pattern in KERNEL_PATTERNS:
+        nonzero = 0
+        for _ in range(6):
+            m = RingMatrix([[x() if c == "x" else 0 for c in row] for row in pattern], q)
+            d = _det_bareiss(m)
+            assert d == det_cofactor(m) == det(m), (pattern, m)
+            nonzero += not d.is_zero()
+        assert nonzero >= 3, pattern
+    # rows 0 and 1 tie on entries right of column 0, and row 1's pivot entry
+    # is the shorter, so step 0 swaps
+    for _ in range(4):
+        m = RingMatrix([[P({0: x(), 1: x()}, q), x(), 0],
+                        [x(), 0, x()],
+                        [0, x(), P({1: x()}, q)]], q)
+        assert _det_bareiss(m) == det_cofactor(m), m
+
+
+@pytest.mark.parametrize("domain", sorted(DOMAINS))
+def test_kernel_finds_singularity_only_elimination_shows(domain):
+    # no zero line and no single-entry line: column 1 is t times column 0,
+    # so step 0 empties column 1 and step 1 has no pivot; or the last row is
+    # the first plus t times the second, which elimination reduces to zero
+    rng, q = random.Random(domain), DOMAINS[domain]
+    for _ in range(4):
+        rows = [[_nonzero(rng, domain) for _ in range(5)] for _ in range(5)]
+        columns = [[r[0], P({1: r[0]}, q)] + r[2:] for r in rows]
+        last = [P({0: a, 1: b}, q) for a, b in zip(rows[0], rows[1])]
+        for m in (RingMatrix(columns, q), RingMatrix(rows[:4] + [last], q)):
+            assert _det_bareiss(m).is_zero() and det(m).is_zero()
+            assert det_cofactor(m).is_zero()
+
+
+def test_kernel_work_on_the_figure8_3_cable(corpus, monkeypatch):
+    # coefficient products in _bareiss_entry on figure8's 3-cable I - W:
+    # 15,388 with the sparsest pivot row and telescoped scaling; 22,900 when
+    # every row below the pivot is scaled at every step, 63,507 with the
+    # first row that has an entry as the pivot, and 69,525 with both
+    products = []
+    entry = laurent._bareiss_entry
+
+    def counted(a, b, c, d, prev, q):
+        products.append(len(a) * len(b) + len(c) * len(d))
+        return entry(a, b, c, d, prev, q)
+
+    monkeypatch.setattr(laurent, "_bareiss_entry", counted)
+    m = tangle_matrix(build_arc_graph(cable(cut(corpus["figure8"], [1]), 3)), alexander_spec())
+    assert det(m) == P({-3: -1, 0: 3, 3: -1})
+    assert sum(products) <= 20_000
 
 
 def test_bareiss_entry_rejects_inexact_division():

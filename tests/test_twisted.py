@@ -9,7 +9,7 @@ from knotzeta.alexander import fox_derivative
 from knotzeta.arc_graph import build_arc_graph
 from knotzeta.knot_model import DiagramError, Presentation, parse_diagram, \
     wirtinger_presentation
-from knotzeta.laurent import LaurentPoly, RingMatrix, canonicalize, det
+from knotzeta.laurent import LaurentPoly, RingMatrix, canonicalize, det, row_reduce
 from knotzeta.twisted import Representation, \
     column_independence_check, dihedral_field, dihedral_rep, fox_colorings, \
     trivial_reduction_check, trivial_representation, \
@@ -284,6 +284,29 @@ def test_column_independence(dihedral_chains):
     for name, chain in dihedral_chains.items():
         v = column_independence_check(chain)
         assert v.passed and v.detail["columns"] == list(chain.diagram.arcs), (name, v.detail)
+
+
+def test_twisted_minors_match_gauss_jordan_mod_q(dihedral_chains, monkeypatch):
+    # every quotient's numerator minor, evaluated entry by entry at points
+    # of F_q^x, against the determinant from row_reduce, which shares no
+    # code with the kernel
+    minors = []
+    monkeypatch.setattr(twisted, "det", lambda mat: minors.append(mat) or det(mat))
+    for chain in dihedral_chains.values():
+        for pos in range(len(chain.presentation.generators)):
+            chain.quotient(pos)
+    minors = [m for m in minors if m.rows > 2]
+    assert sorted({m.rows for m in minors}) == [4, 6, 8, 10]
+
+    def at(p, t0, q):
+        return sum(c * pow(t0, e, q) for e, c in p.coeffs.items()) % q
+
+    for m in minors:
+        q, n, d = m.modulus, m.rows, det(m)
+        for t0 in (2, 3, q - 1):
+            rows = [[at(a, t0, q) for a in row] for row in m.entries]
+            _, pivots, product = row_reduce(rows, n, q)
+            assert at(d, t0, q) == (product if len(pivots) == n else 0), (m, t0)
 
 
 CHAIN_PIECES = ("wirtinger_presentation", "verify_representation",
