@@ -51,6 +51,13 @@ class ArcGraph:
             out[e.src].append(e)
         return {v: tuple(es) for v, es in out.items()}
 
+    @cached_property
+    def in_map(self):
+        into = {v: [] for v in self.vertices}
+        for e in self.edges:
+            into[e.dst].append(e)
+        return {v: tuple(es) for v, es in into.items()}
+
     def vertex_index(self, v):
         try:
             return self._index[v]

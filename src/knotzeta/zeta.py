@@ -12,9 +12,11 @@ number of primes of each content, and the trace identity the numbers of
 based closed walks and of primes of each content; one DP run of
 _prime_counts gives both tables.  prime_cycles lists the primes themselves,
 for the twisted trace check, whose ordered block products do depend on the
-order of the edges.  The Euler check makes one _prime_counts run for its
-trace identity and its product, and plans its sample point and horizon from
-a float spectral estimate read row by row (see _plan_horizon).
+order of the edges.  Both routes are capped by what they count, MAX_PRIMES
+primes, and refuse a horizon deeper than _deepest_walk() before counting.
+The Euler check makes one _prime_counts run for its trace identity and its
+product, and plans its sample point and horizon from a float spectral
+estimate read row by row (see _plan_horizon).
 
 The path-sum, composition, and cabling checks for one-strand tangles live
 here too, since all three are statements about walk weights.
@@ -41,8 +43,8 @@ class ConvergenceWarning(UserWarning):
     """Signals that a truncated Euler product is not expected to converge."""
 
 
-# the enumeration cap: on the primes listed or counted, and on the closed
-# walks that the scalar trace identity counts
+# the cap on the primes listed or counted: past the depth refusal, the only
+# size refusal of the Euler product and of the scalar trace identity
 MAX_PRIMES = 10 ** 6
 # spectral estimates at or above this predict a divergent Euler product; the
 # margin below 1 keeps the planner off points where the tail estimate explodes
@@ -94,17 +96,14 @@ def closed_walks(g, length):
 
 def _return_distances(g, start, max_len, allowed):
     """{v: fewest edges from v back to start, under max_len}, by BFS on the
-    reversed edges between vertices v with allowed(v)."""
-    into = {}
-    for e in g.edges:
-        if allowed(e.src) and allowed(e.dst):
-            into.setdefault(e.dst, []).append(e.src)
+    reversed edges between vertices v with allowed(v); start is allowed."""
     dist, frontier = {start: 0}, [start]
     for d in range(1, max_len):
         reached = []
         for v in frontier:
-            for u in into.get(v, ()):
-                if u not in dist:
+            for e in g.in_map[v]:
+                u = e.src
+                if u not in dist and allowed(u):
                     dist[u] = d
                     reached.append(u)
         frontier = reached
@@ -125,28 +124,6 @@ def _refuse_deeper(max_len):
     if max_len > _deepest_walk():
         raise RuntimeError(f"horizon {max_len} is deeper than the walk search "
                            f"reaches ({_deepest_walk()} edges)")
-
-
-def _closed_walk_count(g, max_len):
-    """Sum of tr(A^m) over m <= max_len for the adjacency A: the number of
-    based closed walks up to max_len, counted per start vertex on ints.
-    A start vertex stops where no walk from it goes further; the count
-    stops once past MAX_PRIMES."""
-    total = 0
-    for start in g.vertices:
-        reach = {start: 1}
-        for _ in range(max_len):
-            step = {}
-            for v, n in reach.items():
-                for e in g.out_map[v]:
-                    step[e.dst] = step.get(e.dst, 0) + n
-            reach = step
-            if not reach:
-                break
-            total += reach.get(start, 0)
-            if total > MAX_PRIMES:
-                return total
-    return total
 
 
 def prime_cycles(g, max_len):
@@ -201,18 +178,13 @@ def power_traces(w, max_power):
     return traces
 
 
-def _refuse_trace(g, spec, max_power):
-    """trace_identity_check's refusals, in order, before any counting: a
-    modular spec, a horizon below 1, more than MAX_PRIMES based closed walks
-    (counted up to the horizon or _deepest_walk(), whichever is shorter),
-    then a horizon past _deepest_walk()."""
+def _refuse_trace(spec, max_power):
+    """trace_identity_check's own refusals, in order: a modular spec, then a
+    horizon below 1."""
     if spec.modulus is not None:
         raise ValueError("trace identity needs rational coefficients")
     if max_power < 1:
         raise ValueError("max_power must be at least 1")
-    if _closed_walk_count(g, min(max_power, _deepest_walk())) > MAX_PRIMES:
-        raise RuntimeError(f"more than {MAX_PRIMES} closed walks below length {max_power}")
-    _refuse_deeper(max_power)
 
 
 def trace_identity_check(g, spec, max_power):
@@ -221,9 +193,11 @@ def trace_identity_check(g, spec, max_power):
     Also checks the prime-power log truncation: the sum of weight(p)^j / j
     over pairs with j*len(p) <= max_power equals the sum of tr(W^m)/m,
     exactly, as Laurent polynomials over the rationals (see _trace_verdict).
-    Refuses, before counting, as _refuse_trace.
+    Refuses as _refuse_trace, then as _prime_counts: a horizon past
+    _deepest_walk() before counting, and more than MAX_PRIMES primes as
+    soon as a length takes the total past it.
     """
-    _refuse_trace(g, spec, max_power)
+    _refuse_trace(spec, max_power)
     return _trace_verdict(g, spec, max_power, *_prime_counts(g, max_power))
 
 
@@ -680,7 +654,14 @@ def determinant_formula_check(g, spec, t0=None, max_len=None):
     serves the trace identity and the product: it keeps every closed walk up
     to its horizon, so its tables hold those of a run at either.
     """
-    _refuse_trace(g, spec, TRACE_HORIZON)
+    _refuse_trace(spec, TRACE_HORIZON)
+    determinant = tangle_determinant(g, spec)
+    # a given t0 is tested before planning; a planned one cannot be a zero,
+    # where W(t0) has eigenvalue 1 and the estimate is at least 1
+    if t0 is not None:
+        t0 = Fraction(t0)
+        if determinant.evaluate(t0) == 0:
+            raise ZeroDivisionError("det(I - W) vanishes at the sample point")
     if t0 is None or max_len is None:
         plan = _plan_horizon(g, spec, t0=t0)
         if plan is None:
@@ -691,12 +672,8 @@ def determinant_formula_check(g, spec, t0=None, max_len=None):
         t0, planned_len, estimate = plan
         max_len = max_len if max_len is not None else planned_len
     else:
-        t0 = Fraction(t0)
         estimate = spectral_estimate(g, spec, t0)
-    det_value = tangle_determinant(g, spec).evaluate(t0)
-    if det_value == 0:
-        raise ZeroDivisionError("det(I - W) vanishes at the sample point")
-    target = 1 / det_value
+    target = 1 / determinant.evaluate(t0)
     _warn_if_divergent(estimate, t0)
     _refuse_deeper(max_len)
     walks, primes = _prime_counts(g, max(TRACE_HORIZON, max_len))

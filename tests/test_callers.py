@@ -1,15 +1,19 @@
 """No helper that only its own tests read.
 
 ROADMAP "Quality of design" asks for no dead helpers: a function stays only
-if a production path or the benchmark reads it, or if the tests keep it as
-an independent oracle for a faster route (ORACLES).  The scan reads every
-src/knotzeta/*.py and perfbench/*.py by AST.  Every top-level function and
-every method of a top-level class in src/knotzeta must be read somewhere
-outside its own def: as a loaded name, an attribute, or a string constant
-(the tracer's name lists and `__all__` name functions by string).  Dunder
-methods are called by the interpreter and are exempt.  The scan goes by
-name, so a helper is taken as read wherever any object's attribute of the
-same name is.
+if a production path or the benchmark calls it, or if the tests keep it as
+an independent oracle for a faster route (ORACLES) or as a check that only
+Tier-1 runs (TIER1_CHECKS).  The scan reads every src/knotzeta/*.py and
+perfbench/*.py by AST.  Every top-level function and every method of a
+top-level class in src/knotzeta must be read somewhere outside its own def:
+as a loaded name or an attribute, or, in src/knotzeta only, as a string
+constant (`__all__` names functions by string).  The string constants of
+perfbench/*.py do not count: the tracer's name lists wrap what is there and
+call nothing.  Dunder methods are called by the interpreter and are exempt.
+The scan goes by name, so a helper is taken as read wherever any object's
+attribute of the same name is.  An entry of the two lists is stale, and
+fails the scan, when it names no function, when src/knotzeta reads it
+outside its own def, or when no file in tests/ reads it.
 """
 
 import ast
@@ -18,19 +22,46 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = sorted((ROOT / "src" / "knotzeta").glob("*.py"))
 READERS = PACKAGE + sorted((ROOT / "perfbench").glob("*.py"))
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 
 # the reference implementations that only the tests read, as "module.name"
 ORACLES = (
     # the kernel without peeling: the oracle of det's peel
     "laurent._det_bareiss",
+    # first-row cofactor expansion: the oracle of det on small matrices
+    "laurent.det_cofactor",
+    # Gauss-Jordan on rationals: the oracle of det after evaluation
+    "laurent.rational_det",
     # a content's weight from scratch: the oracle of _content_weigher's cache
     "zeta._content_weight",
+    # every based closed walk of one length, unpruned: the oracle of
+    # prime_cycles and _prime_counts
+    "zeta.closed_walks",
+    # one rational solve per sample: the oracle of strand_walk_sum
+    "zeta.total_strand_weight",
     # one constant on every label: at 1, W is the adjacency matrix and its
     # traces count closed walks
     "arc_graph.constant_spec",
     # every coloring of the space: the oracle of nonconstant and of the
     # coloring dimension
     "twisted.ColoringSpace.vectors",
+    # the whole twisted Fox Jacobian at once: the reference for the blocks
+    # that TwistedChain builds one at a time
+    "twisted.twisted_alexander_matrix",
+    # B flattened from the blocks of a graph: the reference for
+    # TwistedChain.weights
+    "twisted.twisted_weight_graph",
+    # the knot determinant as a signed arborescence sum: an oracle of
+    # knot_determinant
+    "arborescence.determinant_via_trees",
+)
+
+# independent checks that only Tier-1 runs, until a regeneration of the
+# verify reference output adds their reports
+TIER1_CHECKS = (
+    "alexander.fox_equals_arcgraph_check",
+    "alexander.multiplicativity_check",
+    "alexander.split_check",
 )
 
 
@@ -50,22 +81,24 @@ def definitions(source):
     return found
 
 
-def reads(source):
-    """[(name, line)] for every loaded name, attribute and string constant."""
+def reads(source, strings):
+    """[(name, line)] for every loaded name and attribute, and for every
+    string constant when strings is true."""
     out = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             out.append((node.id, node.lineno))
         elif isinstance(node, ast.Attribute):
             out.append((node.attr, node.lineno))
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
             out.append((node.value, node.lineno))
     return out
 
 
-def unread(sources):
-    """The functions of the defining sources that no source reads outside
-    their own defs and ORACLES does not list, as sorted "module.name".
+def read_names(sources):
+    """(defined, seen): the definitions of each defining source by module,
+    and the names that the sources read outside the defining sources' own
+    defs, string constants counted in the defining sources only.
 
     sources maps a path to (source text, defines), defines true for the
     package's files."""
@@ -74,29 +107,80 @@ def unread(sources):
     seen = set()
     for path, (text, defines) in sources.items():
         spans = defined[Path(path).stem] if defines else ()
-        for name, line in reads(text):
+        for name, line in reads(text, strings=defines):
             if not any(name == n and a <= line <= b for _, n, a, b in spans):
                 seen.add(name)
+    return defined, seen
+
+
+def unread(sources, listed):
+    """The functions of the defining sources that no source reads outside
+    their own defs and listed does not name, as sorted "module.name"."""
+    defined, seen = read_names(sources)
     found = (f"{module}.{qualified}" for module, defs in defined.items()
              for qualified, name, _, _ in defs if name not in seen)
-    return sorted(name for name in found if name not in ORACLES)
+    return sorted(name for name in found if name not in listed)
+
+
+def stale(package, tests, listed):
+    """The entries of listed that name no function of the package, that the
+    package reads outside their own defs, or that no test reads by a loaded
+    name or an attribute, as sorted "module.name".
+
+    package maps a path to its source text, and tests is a list of texts."""
+    defined, seen = read_names({path: (text, True) for path, text in package.items()})
+    in_tests = {name for text in tests for name, _ in reads(text, strings=False)}
+    out = []
+    for entry in listed:
+        module, _, qualified = entry.partition(".")
+        name = qualified.rpartition(".")[2]
+        if qualified not in {q for q, _, _, _ in defined.get(module, ())} \
+                or name in seen or name not in in_tests:
+            out.append(entry)
+    return sorted(out)
 
 
 def test_scan_sees_unread_functions_outside_their_own_defs():
-    package = ("def used(): pass\n"
+    package = ("__all__ = ['exported']\n"
+               "def used(): pass\n"
                "def recursive(n): return recursive(n - 1)\n"
                "def named(): pass\n"
+               "def exported(): pass\n"
+               "def oracle(): pass\n"
                "class C:\n"
                "    def __init__(self): pass\n"
                "    def method(self): pass\n"
                "    def dead(self): pass\n"
                "used()\n"
                "C().method()\n")
+    # a benchmark's name list wraps a function but calls nothing
     reader = "TRACED = {'named': 'span'}\n"
-    assert unread({"pkg.py": (package, True), "bench.py": (reader, False)}) == \
-        ["pkg.C.dead", "pkg.recursive"]
+    sources = {"pkg.py": (package, True), "bench.py": (reader, False)}
+    assert unread(sources, ("pkg.oracle",)) == ["pkg.C.dead", "pkg.named", "pkg.recursive"]
+
+
+def test_scan_sees_stale_list_entries():
+    package = {"pkg.py": "def used(): pass\n"
+                         "def oracle(): pass\n"
+                         "def untested(): pass\n"
+                         "class C:\n"
+                         "    def check(self): pass\n"
+                         "used()\n"}
+    # a string in a test names nothing: only loaded names and attributes count
+    tests = ["from pkg import C, oracle, used\n"
+             "oracle(); used(); C().check()\n"
+             "LISTED = ('pkg.untested',)\n"]
+    listed = ("pkg.oracle", "pkg.C.check", "pkg.used", "pkg.untested", "pkg.gone",
+              "other.oracle")
+    assert stale(package, tests, listed) == ["other.oracle", "pkg.gone", "pkg.untested",
+                                             "pkg.used"]
 
 
 def test_every_function_is_read_outside_its_def():
     sources = {str(path): (path.read_text(), path in PACKAGE) for path in READERS}
-    assert unread(sources) == []
+    assert unread(sources, ORACLES + TIER1_CHECKS) == []
+
+
+def test_every_listed_function_is_a_live_test_reference():
+    package = {str(path): path.read_text() for path in PACKAGE}
+    assert stale(package, [path.read_text() for path in TESTS], ORACLES + TIER1_CHECKS) == []

@@ -119,6 +119,17 @@ def test_zeta_euler_passes_and_fails(validators):
     validators["verdict"].validate(obj)
 
 
+@pytest.mark.parametrize("knot, t", [("6_1", "1/2"), ("6_1", "2"), ("5_2", "0")])
+@pytest.mark.parametrize("horizon", [(), ("--max-len", "10")], ids=["planned", "given"])
+def test_euler_at_a_zero_of_the_determinant_is_input_error(knot, t, horizon, validators):
+    # 1/2 and 2 are the roots of 6_1's 2t^2 - 5t + 2; a given point is
+    # tested before any planning, with or without a horizon
+    code, obj = run_json("zeta", knot, "--check", "euler", "--t", t, *horizon)
+    assert code == EXIT_INPUT
+    assert obj == {"error": "det(I - W) vanishes at the sample point"}
+    validators["error"].validate(obj)
+
+
 @pytest.mark.parametrize("knot, gap, partial", [
     ("figure8", 2.2452261878883314e-13, 1.0112359550564043),
     ("5_2", 3.589645464553257e-10, 1.2077294682400692),
@@ -468,14 +479,22 @@ def test_enumeration_cap_is_input_error(module, cap, argv, monkeypatch, validato
 
 
 def test_trace_horizon_beyond_the_cap_fails_fast(validators):
-    # 6_1 has more than 10^6 closed walks up to length 30; the count comes
-    # before any walk is enumerated
-    for max_len in ("30", "40", "1000"):
+    # the prime counts are the trace check's only size cap: 6_1 has more
+    # than 10^6 closed walks up to length 30 but fewer primes, and passes;
+    # at 40 the count stops once the primes pass 10^6, and 1000 is deeper
+    # than the walk searches go
+    code, obj = run_json("zeta", "6_1", "--check", "trace", "--max-len", "30")
+    assert code == EXIT_OK
+    assert obj["passed"] is True
+    validators["verdict"].validate(obj)
+    for max_len, error in (("40", "more than 1000000 primes below length 40"),
+                           ("1000", "horizon 1000 is deeper than the walk search reaches "
+                                    f"({sys.getrecursionlimit() // 2} edges)")):
         start = time.perf_counter()
         code, obj = run_json("zeta", "6_1", "--check", "trace", "--max-len", max_len)
         assert time.perf_counter() - start < 1
         assert code == EXIT_INPUT
-        assert obj == {"error": f"more than 1000000 closed walks below length {max_len}"}
+        assert obj == {"error": error}
         validators["error"].validate(obj)
 
 

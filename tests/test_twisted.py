@@ -286,6 +286,25 @@ def test_column_independence(dihedral_chains):
         assert v.passed and v.detail["columns"] == list(chain.diagram.arcs), (name, v.detail)
 
 
+def test_determinant_formula_on_the_block_walk_matrix(dihedral_chains):
+    # Wada's invariant from the graph side: I - B less block row a and the
+    # block column of generator k, over det(t rho(x_k) - I), is the
+    # quotient at k up to units, for every a and k
+    pairs = 0
+    for name, chain in dihedral_chains.items():
+        m, index = chain.rep.dim, chain.graph.vertex_index
+        i_minus_b = RingMatrix.identity(chain.weights.rows, chain.rep.field) - chain.weights
+        for k, gen in enumerate(chain.presentation.generators):
+            quotient, col = chain.quotient(k), index(gen)
+            right = canonicalize(quotient.numerator * det(chain.denominator(k))).poly
+            for a in range(len(chain.graph.vertices)):
+                minor = det(i_minus_b.delete(range(a * m, a * m + m), range(col * m, col * m + m)))
+                left = canonicalize(minor * quotient.denominator).poly
+                assert left == right, (name, a, gen)
+                pairs += 1
+    assert pairs == 111
+
+
 def test_twisted_minors_match_gauss_jordan_mod_q(dihedral_chains, monkeypatch):
     # every quotient's numerator minor, evaluated entry by entry at points
     # of F_q^x, against the determinant from row_reduce, which shares no

@@ -2,7 +2,6 @@
 
 import json
 import math
-import time
 import warnings
 from collections import Counter
 from fractions import Fraction
@@ -10,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from knotzeta.arc_graph import WeightSpec, alexander_spec, build_arc_graph, \
+from knotzeta.arc_graph import ArcGraph, WeightSpec, alexander_spec, build_arc_graph, \
     tangle_determinant
 from knotzeta import zeta
 from knotzeta.knot_model import DiagramError, cut
@@ -127,14 +126,13 @@ def test_prime_counts_equal_the_per_length_enumeration(corpus, every_cut):
             enumerated.update(tuple(sum(e.label == label for e in w) for label in labels)
                               for w in closed_walks(g, m))
         assert contents == enumerated
-        assert zeta._closed_walk_count(g, 7) == sum(enumerated.values())
 
 
 def test_trace_oracle_multiplies_per_content_not_per_walk(corpus, monkeypatch):
     # a DFS that multiplies polynomials along every walk makes more products
     # than there are closed walks; weighing each content once makes far fewer
     g = build_arc_graph(cut(corpus["6_1"], [1]))
-    walks = zeta._closed_walk_count(g, 20)
+    walks = sum(zeta._prime_counts(g, 20)[0].values())
     assert walks == 39600
     products = []
     mul = LaurentPoly.__mul__
@@ -158,16 +156,36 @@ def test_pruned_prime_cycles_equal_the_filtered_closed_walks(corpus, every_cut):
         assert prime_cycles(g, 7) == [walk for _, _, walk in expected]
 
 
-def test_closed_walk_cap_raises_before_enumerating(fig8_cut, monkeypatch):
+def test_counts_pass_over_the_edge_list_a_fixed_number_of_times(corpus, every_cut):
+    # the return distances read the graph's cached in_map, not a reversed
+    # edge list rebuilt for every start vertex
+    passes = []
+
+    class Edges(tuple):
+        def __iter__(self):
+            passes.append(1)
+            return super().__iter__()
+
+    graphs = list(every_cut.values()) + [build_arc_graph(d) for d in corpus.values()]
+    for count in (zeta._prime_counts, prime_cycles):
+        seen = set()
+        for g in graphs:
+            passes.clear()
+            count(ArcGraph(g.vertices, Edges(g.edges), g.crossings), 8)
+            seen.add(len(passes))
+        assert len(seen) == 1 and seen.pop() <= 3, count
+
+
+def test_prime_cap_refuses_the_trace_check(fig8_cut, monkeypatch):
+    # the content DP's own cap is the trace check's only size refusal: the
+    # figure-eight cut has 14 primes (124 based closed walks) up to length 10
     spec = alexander_spec()
-    total = zeta._closed_walk_count(fig8_cut, 10)
-    monkeypatch.setattr(zeta, "MAX_PRIMES", total)
+    walks, primes = zeta._prime_counts(fig8_cut, 10)
+    assert (sum(primes.values()), sum(walks.values())) == (14, 124)
+    monkeypatch.setattr(zeta, "MAX_PRIMES", 14)
     assert trace_identity_check(fig8_cut, spec, 10).passed
-    monkeypatch.setattr(zeta, "MAX_PRIMES", total - 1)
-    # the content DP does not start
-    monkeypatch.setattr(zeta, "_prime_counts", lambda *args: pytest.fail("counted"))
-    monkeypatch.setattr(zeta, "_return_distances", lambda *args: pytest.fail("enumerated"))
-    with pytest.raises(RuntimeError, match=f"more than {total - 1} closed walks below length 10"):
+    monkeypatch.setattr(zeta, "MAX_PRIMES", 13)
+    with pytest.raises(RuntimeError, match="more than 13 primes below length 10"):
         trace_identity_check(fig8_cut, spec, 10)
 
 
@@ -180,16 +198,6 @@ def test_horizon_past_the_search_depth_raises_before_enumerating(trefoil_cut, mo
         with pytest.raises(RuntimeError, match=f"horizon {deepest + 1} is deeper than "
                                                f"the walk search reaches \\({deepest} edges"):
             search(trefoil_cut, deepest + 1)
-
-
-def test_closed_walk_count_stops_where_no_walk_goes_further(corpus, trefoil_cut):
-    # every walk of the unknot's cut ends at once; the trefoil cut's one
-    # cycle is 2 -> 3 -> 2, closed from 2 and from 3 at every even length
-    unknot_cut = build_arc_graph(cut(corpus["unknot"], [1]))
-    start = time.perf_counter()
-    assert zeta._closed_walk_count(unknot_cut, 10 ** 7) == 0
-    assert time.perf_counter() - start < 1
-    assert zeta._closed_walk_count(trefoil_cut, 10) == 10
 
 
 def test_trace_identity_on_corpus_cuts(corpus):
