@@ -18,7 +18,7 @@ from .laurent import (
     divide_exact,
 )
 from .knot_model import Crossing, KnotDiagram, Tangle, parse_diagram, render_diagram
-from .arc_graph import ArcGraph, WeightSpec, alexander_spec, build_arc_graph
+from .arc_graph import ArcGraph, alexander_spec, build_arc_graph
 from .arborescence import enumerate_arborescences, matrix_tree_check, tree_polynomial
 from .alexander import alexander_matrix, alexander_polynomial, knot_determinant
 from .zeta import prime_cycles, trace_identity_check, zeta_partial_product
@@ -36,7 +36,6 @@ __all__ = [
     "Representation",
     "RingMatrix",
     "Tangle",
-    "WeightSpec",
     "alexander_matrix",
     "alexander_polynomial",
     "alexander_spec",

@@ -74,22 +74,21 @@ def exponent_sum(word):
     return sum(e for _, e in word)
 
 
-def abelianize(elem, modulus):
+def abelianize(elem):
     """Send every generator to t: a group ring element becomes a Laurent poly."""
     coeffs = {}
     for word, c in elem.items():
         k = exponent_sum(word)
         coeffs[k] = coeffs.get(k, 0) + c
-    return LaurentPoly(coeffs, modulus)
+    return LaurentPoly(coeffs)
 
 
-def alexander_matrix(presentation, modulus=None):
+def alexander_matrix(presentation):
     """Abelianized Fox Jacobian: one row per relator, one column per generator."""
     rows = []
     for r in presentation.relators:
-        rows.append([abelianize(fox_derivative(r, g), modulus)
-                     for g in presentation.generators])
-    return RingMatrix(rows, modulus, cols=len(presentation.generators))
+        rows.append([abelianize(fox_derivative(r, g)) for g in presentation.generators])
+    return RingMatrix(rows, cols=len(presentation.generators))
 
 
 def _last_minor(mat):
@@ -99,13 +98,13 @@ def _last_minor(mat):
     return mat.delete(rows=(n - 1,) if mat.rows == n else (), cols=(n - 1,))
 
 
-def alexander_minor(diagram, modulus=None):
+def alexander_minor(diagram):
     """Determinant of _last_minor of the Alexander matrix; the unknot has no
     relators, so only its column goes and the empty determinant is 1."""
     if not diagram.is_knot():
         raise DiagramError("Alexander polynomial here is for knots; "
                            "links go through the zeta and split checks")
-    return det(_last_minor(alexander_matrix(wirtinger_presentation(diagram), modulus)))
+    return det(_last_minor(alexander_matrix(wirtinger_presentation(diagram))))
 
 
 def alexander_polynomial(diagram):

@@ -7,9 +7,10 @@ out-degree Laplacian with the root rows and columns removed, which is the
 identity the rest of the library leans on, so this module keeps both sides
 independently computable.
 
-Every function takes an `ArcGraph` plus a `WeightSpec` mapping its edge
-labels to weights.  Arc graphs of diagrams carry the T/S labels; the
-randomized cross-checks build arc graphs with one label per edge.
+Every function takes an `ArcGraph` plus a dict mapping its edge labels to
+Laurent polynomial weights over Q.  Arc graphs of diagrams carry the T/S
+labels; the randomized cross-checks build arc graphs with one label per
+edge.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .arc_graph import ArcGraph, GraphEdge, WeightSpec, alexander_spec, \
-    build_arc_graph, laplacian
+from .arc_graph import ArcGraph, GraphEdge, alexander_spec, build_arc_graph, \
+    laplacian
 from .knot_model import DiagramError
 from .laurent import LaurentPoly, det
 from .verdict import Verdict
@@ -85,8 +86,8 @@ def enumerate_arborescences(g, roots, spec):
     return found
 
 
-def arborescence_weight(arb, modulus=None):
-    w = LaurentPoly.one(modulus)
+def arborescence_weight(arb):
+    w = LaurentPoly.one()
     for e in arb:
         w = w * e[2]
     return w
@@ -94,9 +95,9 @@ def arborescence_weight(arb, modulus=None):
 
 def tree_polynomial(g, roots, spec):
     """Sum of edge-weight products over all arborescences, exact."""
-    total = LaurentPoly.zero(spec.modulus)
+    total = LaurentPoly.zero()
     for arb in enumerate_arborescences(g, roots, spec):
-        total = total + arborescence_weight(arb, spec.modulus)
+        total = total + arborescence_weight(arb)
     return total
 
 
@@ -137,7 +138,7 @@ def random_matrix_tree_check(count, seed):
                         weights[label] = LaurentPoly.constant(w)
         roots = tuple(sorted(rng.sample(vertices, rng.randint(1, n))))
         g = ArcGraph(vertices, tuple(edges), ())
-        verdict = matrix_tree_check(g, roots, WeightSpec(weights, None))
+        verdict = matrix_tree_check(g, roots, weights)
         if not verdict.passed:
             failures.append({"instance": i, **verdict.detail})
     return Verdict("matrix_tree_random", not failures,

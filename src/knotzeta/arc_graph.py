@@ -3,8 +3,10 @@
 Every crossing contributes two edges out of its incoming under arc: a
 go-under edge to the outgoing under arc and a jump-up edge to the over arc.
 Edge labels T1/T2 (go-under at a positive/negative crossing) and S1/S2
-(jump-up) stay symbolic until a weight specialization is applied, after
-which weight matrices and Laplacians live over exact Laurent polynomials.
+(jump-up) stay symbolic until a weight specialization, a dict from label
+to Laurent polynomial over Q, is applied, after which weight matrices and
+Laplacians live over exact Laurent polynomials.  Prime fields enter only
+in the twisted layer.
 """
 
 from __future__ import annotations
@@ -92,56 +94,35 @@ def build_arc_graph(source):
     return ArcGraph(tuple(source.arcs), tuple(edges), tuple(source.crossings))
 
 
-@dataclass(frozen=True)
-class WeightSpec:
-    """Edge label -> Laurent polynomial weight, over one coefficient domain.
-
-    Arc graphs use the four labels T1, T2, S1, S2; any other graph may give
-    every edge its own label.  `modulus` is the domain of the weights (None
-    for the rationals).
-    """
-
-    weights: dict
-    modulus: int | None
-
-    def __getitem__(self, label):
-        try:
-            return self.weights[label]
-        except KeyError:
-            raise KeyError(f"unknown weight label {label!r}") from None
-
-
-def alexander_spec(modulus=None):
-    """The specialization t1=t, t2=1/t, s1=1-t, s2=1-1/t.
+def alexander_spec():
+    """The specialization t1=t, t2=1/t, s1=1-t, s2=1-1/t, as a label ->
+    weight dict.
 
     This is the unique assignment with row sum t^e + (1-t^e) = 1 at every
     crossing, and it makes I - W coincide with the abelianized Fox matrix.
     """
-    t = LaurentPoly.t_power(1, modulus)
-    t_inv = LaurentPoly.t_power(-1, modulus)
-    one = LaurentPoly.one(modulus)
-    return WeightSpec({"T1": t, "T2": t_inv, "S1": one - t, "S2": one - t_inv},
-                      modulus)
+    t = LaurentPoly.t_power(1)
+    t_inv = LaurentPoly.t_power(-1)
+    one = LaurentPoly.one()
+    return {"T1": t, "T2": t_inv, "S1": one - t, "S2": one - t_inv}
 
 
-def constant_spec(value=1, modulus=None):
+def constant_spec(value=1):
     """All four labels mapped to one constant; weight 1 counts walks."""
-    c = LaurentPoly.constant(value, modulus)
-    return WeightSpec(dict.fromkeys(LABELS, c), modulus)
+    return dict.fromkeys(LABELS, LaurentPoly.constant(value))
 
 
 def weight_matrix(g, spec):
     """Adjacency-style matrix W with W[u][v] = weight of the edge u -> v."""
     index = {v: i for i, v in enumerate(g.vertices)}
-    modulus = spec.modulus
-    zero = LaurentPoly.zero(modulus)
+    zero = LaurentPoly.zero()
     n = len(index)
     rows = [[zero] * n for _ in range(n)]
     for e in g.edges:
         i, j = index[e.src], index[e.dst]
         assert rows[i][j].is_zero(), "duplicate edge survived construction"
         rows[i][j] = spec[e.label]
-    return RingMatrix(rows, modulus, cols=n)
+    return RingMatrix(rows, cols=n)
 
 
 def _diagonal_minus_weights(g, spec, vertices, diagonal):
@@ -149,7 +130,7 @@ def _diagonal_minus_weights(g, spec, vertices, diagonal):
     matrix of `diagonal`.  Entries off the diagonal and the edges are one
     shared zero, and each label's negated weight is built once."""
     index = {v: i for i, v in enumerate(vertices)}
-    zero = LaurentPoly.zero(spec.modulus)
+    zero = LaurentPoly.zero()
     n = len(vertices)
     rows = [[zero] * n for _ in range(n)]
     for i, d in enumerate(diagonal):
@@ -166,7 +147,7 @@ def _diagonal_minus_weights(g, spec, vertices, diagonal):
         if e.label not in negated:
             negated[e.label] = -spec[e.label]
         rows[i][j] = negated[e.label]
-    return RingMatrix(rows, spec.modulus, cols=n)
+    return RingMatrix(rows, cols=n)
 
 
 def laplacian(g, spec, roots):
@@ -179,7 +160,7 @@ def laplacian(g, spec, roots):
     for r in roots:
         g.vertex_index(r)  # raises on an unknown root
     drop = set(roots)
-    zero = LaurentPoly.zero(spec.modulus)
+    zero = LaurentPoly.zero()
     keep = [v for v in g.vertices if v not in drop]
     totals = [sum((spec[e.label] for e in g.out_map[v]), zero) for v in keep]
     return _diagonal_minus_weights(g, spec, keep, totals)
@@ -191,7 +172,7 @@ def tangle_matrix(g, spec, vertices=None):
     and each edge u -> v between chosen vertices puts -w at (u, v)."""
     if vertices is None:
         vertices = g.vertices
-    one = LaurentPoly.one(spec.modulus)
+    one = LaurentPoly.one()
     return _diagonal_minus_weights(g, spec, vertices, [one] * len(vertices))
 
 

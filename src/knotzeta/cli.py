@@ -142,6 +142,10 @@ def cmd_tree_poly(ns):
 
 
 def cmd_zeta(ns):
+    reads = {"trace": ("max_len",), "euler": ("t", "max_len"), "cable": ("t", "n")}
+    for flag in ("t", "max_len", "n"):
+        if getattr(ns, flag) is not None and flag not in reads.get(ns.check, ()):
+            raise InputError(f"--{flag.replace('_', '-')} does not apply to --check {ns.check}")
     _, d = resolve_diagram(ns.diagram)
     arc = ns.cut if ns.cut is not None else 1
     tangle = cut(d, [arc])

@@ -120,12 +120,12 @@ class LaurentPoly:
         return _shared(1, modulus)
 
     @classmethod
-    def t_power(cls, e, modulus=None):
-        return cls({e: 1}, modulus)
+    def t_power(cls, e):
+        return cls({e: 1})
 
     @classmethod
-    def constant(cls, c, modulus=None):
-        return cls({0: c}, modulus)
+    def constant(cls, c):
+        return cls({0: c})
 
     # -- inspection --------------------------------------------------------
 

@@ -572,7 +572,8 @@ def trivial_reduction_check(diagram):
     """
     rep = trivial_representation(tuple(diagram.arcs))
     tw = twisted_alexander_polynomial(diagram, rep)
-    plain = alexander_minor(diagram, modulus=TRIVIAL_FIELD)
+    # the minor is integral, and det commutes with reduction mod q
+    plain = LaurentPoly(alexander_minor(diagram).coeffs, TRIVIAL_FIELD)
     t_minus_1 = LaurentPoly({1: 1, 0: -1}, TRIVIAL_FIELD)
     lhs = canonicalize(tw.fraction.numerator * t_minus_1).poly
     rhs = canonicalize(plain * tw.fraction.denominator).poly

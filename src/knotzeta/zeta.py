@@ -178,26 +178,18 @@ def power_traces(w, max_power):
     return traces
 
 
-def _refuse_trace(spec, max_power):
-    """trace_identity_check's own refusals, in order: a modular spec, then a
-    horizon below 1."""
-    if spec.modulus is not None:
-        raise ValueError("trace identity needs rational coefficients")
-    if max_power < 1:
-        raise ValueError("max_power must be at least 1")
-
-
 def trace_identity_check(g, spec, max_power):
     """tr(W^m) equals the closed-walk weight sum for every m <= max_power.
 
     Also checks the prime-power log truncation: the sum of weight(p)^j / j
     over pairs with j*len(p) <= max_power equals the sum of tr(W^m)/m,
     exactly, as Laurent polynomials over the rationals (see _trace_verdict).
-    Refuses as _refuse_trace, then as _prime_counts: a horizon past
+    Refuses a horizon below 1, then as _prime_counts: a horizon past
     _deepest_walk() before counting, and more than MAX_PRIMES primes as
     soon as a length takes the total past it.
     """
-    _refuse_trace(spec, max_power)
+    if max_power < 1:
+        raise ValueError("max_power must be at least 1")
     return _trace_verdict(g, spec, max_power, *_prime_counts(g, max_power))
 
 
@@ -654,7 +646,6 @@ def determinant_formula_check(g, spec, t0=None, max_len=None):
     serves the trace identity and the product: it keeps every closed walk up
     to its horizon, so its tables hold those of a run at either.
     """
-    _refuse_trace(spec, TRACE_HORIZON)
     determinant = tangle_determinant(g, spec)
     # a given t0 is tested before planning; a planned one cannot be a zero,
     # where W(t0) has eigenvalue 1 and the estimate is at least 1

@@ -8,8 +8,8 @@ from knotzeta import arborescence
 from knotzeta.arborescence import arborescence_weight, \
     determinant_via_trees, enumerate_arborescences, matrix_tree_check, \
     random_matrix_tree_check, tree_polynomial
-from knotzeta.arc_graph import ArcGraph, GraphEdge, WeightSpec, \
-    alexander_spec, build_arc_graph, laplacian
+from knotzeta.arc_graph import ArcGraph, GraphEdge, alexander_spec, \
+    build_arc_graph, laplacian
 from knotzeta.knot_model import DiagramError
 from knotzeta.laurent import LaurentPoly, det
 
@@ -21,7 +21,7 @@ def C(v):
 def weighted(vertices, edges):
     """An arc graph with one label per (src, dst, weight) edge, and its spec."""
     graph_edges = tuple(GraphEdge(s, d, f"e{k}") for k, (s, d, _) in enumerate(edges))
-    spec = WeightSpec({f"e{k}": C(w) for k, (_, _, w) in enumerate(edges)}, None)
+    spec = {f"e{k}": C(w) for k, (_, _, w) in enumerate(edges)}
     return ArcGraph(tuple(vertices), graph_edges, ()), spec
 
 

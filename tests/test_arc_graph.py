@@ -145,8 +145,8 @@ def test_tangle_determinant_is_the_internal_vertex_determinant(corpus):
 def _dense_tangle_matrix(g, spec, vertices):
     w = weight_matrix(g, spec).entries
     at = [g.vertex_index(v) for v in vertices]
-    sub = RingMatrix([[w[i][j] for j in at] for i in at], spec.modulus, cols=len(at))
-    return RingMatrix.identity(len(vertices), spec.modulus) - sub
+    sub = RingMatrix([[w[i][j] for j in at] for i in at], cols=len(at))
+    return RingMatrix.identity(len(vertices)) - sub
 
 
 def _dense_laplacian(g, spec, roots):
@@ -154,15 +154,15 @@ def _dense_laplacian(g, spec, roots):
     n = len(g.vertices)
     rows = []
     for i, v in enumerate(g.vertices):
-        out_total = sum((spec[e.label] for e in g.out_map[v]), LaurentPoly.zero(spec.modulus))
+        out_total = sum((spec[e.label] for e in g.out_map[v]), LaurentPoly.zero())
         rows.append([out_total - w.entries[i][j] if i == j else -w.entries[i][j]
                      for j in range(n)])
     drop = [g.vertex_index(r) for r in roots]
-    return RingMatrix(rows, spec.modulus, cols=n).delete(rows=drop, cols=drop)
+    return RingMatrix(rows, cols=n).delete(rows=drop, cols=drop)
 
 
-@pytest.mark.parametrize("spec", [alexander_spec(), alexander_spec(7), constant_spec(3)],
-                         ids=["alexander", "mod7", "constant"])
+@pytest.mark.parametrize("spec", [alexander_spec(), constant_spec(3)],
+                         ids=["alexander", "constant"])
 def test_matrices_from_edges_equal_the_dense_forms(corpus, spec):
     # every cut and every closed diagram, over several vertex subsets and orders
     graphs = [build_arc_graph(d) for d in corpus.values()]

@@ -466,6 +466,21 @@ def test_invalid_flag_value_is_input_error(argv, validators):
     validators["error"].validate(obj)
 
 
+@pytest.mark.parametrize("argv, error", [
+    (("zeta", "6_1", "--check", "trace", "--t", "1/2"), "--t does not apply to --check trace"),
+    (("zeta", "6_1", "--check", "composition", "--max-len", "3", "--t", "5"),
+     "--t does not apply to --check composition"),
+    (("zeta", "trefoil", "--check", "euler", "--n", "2"), "--n does not apply to --check euler"),
+    (("zeta", "trefoil", "--check", "path-sum", "--max-len", "3"),
+     "--max-len does not apply to --check path-sum"),
+])
+def test_flag_that_the_check_does_not_read_is_input_error(argv, error, validators):
+    code, obj = run_json(*argv)
+    assert code == EXIT_INPUT
+    assert obj == {"error": error}
+    validators["error"].validate(obj)
+
+
 @pytest.mark.parametrize("module, cap, argv", [
     (arborescence, "MAX_ARBORESCENCES", ("tree-poly", "5_2")),
     (zeta, "MAX_PRIMES", ("zeta", "figure8", "--check", "euler")),

@@ -11,7 +11,7 @@ import ast
 from pathlib import Path
 
 SOURCE = Path(__file__).resolve().parents[1] / "src" / "knotzeta"
-MAX_DEFAULTS = 22
+MAX_DEFAULTS = 15
 
 
 def count_defaults(source):

@@ -1,12 +1,14 @@
 """Representations over prime fields and the twisted determinant quotient."""
 
+import operator
 import sys
+from functools import reduce
 
 import pytest
 
 from knotzeta import cli, twisted
 from knotzeta.alexander import fox_derivative
-from knotzeta.arc_graph import build_arc_graph
+from knotzeta.arc_graph import alexander_spec, build_arc_graph, weight_matrix
 from knotzeta.knot_model import DiagramError, Presentation, parse_diagram, \
     wirtinger_presentation
 from knotzeta.laurent import LaurentPoly, RingMatrix, canonicalize, det, row_reduce
@@ -16,7 +18,7 @@ from knotzeta.twisted import Representation, \
     twisted_alexander_matrix, twisted_alexander_polynomial, \
     twisted_block_identity_check, twisted_chain, twisted_row_identity_check, \
     twisted_trace_check, twisted_weight_graph, verify_representation
-from knotzeta.zeta import closed_walks, power_traces
+from knotzeta.zeta import closed_walks, power_traces, prime_cycles
 
 
 @pytest.fixture(scope="module")
@@ -303,6 +305,61 @@ def test_determinant_formula_on_the_block_walk_matrix(dihedral_chains):
                 assert left == right, (name, a, gen)
                 pairs += 1
     assert pairs == 111
+
+
+# primes of length <= 6 and <= 8 on each dihedral chain's arc graph
+EULER_PRIMES = {"trefoil": (23, 71), "figure8": (30, 90), "5_1": (22, 67),
+                "5_2": (23, 74), "6_1": (23, 71)}
+
+
+def _z_coefficients(chain):
+    """[c_0, c_1, ...] with det(I - zB) = sum c_k z^k, from one determinant
+    at z = t^K.  Every entry of B has t-exponents in {-1, 0, 1}, so c_k has
+    exponents in [-k, k]; with K = 2N + 2 for N rows the terms of c_k z^k
+    keep apart, and an exponent e belongs to the nearest multiple of K."""
+    b, q = chain.weights, chain.rep.field
+    k_step = 2 * b.rows + 2
+    full = det(RingMatrix.identity(b.rows, q) - b.scale(LaurentPoly({k_step: 1}, q)))
+    coeffs = [{} for _ in range(b.rows + 1)]
+    for e, c in full.coeffs.items():
+        k = (e + k_step // 2) // k_step
+        coeffs[k][e - k * k_step] = c
+    return [LaurentPoly(c, q) for c in coeffs]
+
+
+def test_matrix_weighted_euler_product(dihedral_chains):
+    # det(I - zB) = prod_p det(I - z^|p| B(p)) mod z^(L+1) over F_q[t^+-1]
+    # (Amitsur's identity), B(p) the blocks of chain.weight_blocks around p
+    # in walk order; for 2 x 2 blocks det(I - sM) = 1 - s tr M + s^2 det M
+    for name, chain in dihedral_chains.items():
+        grid, index, q = chain.weight_blocks, chain.graph.vertex_index, chain.rep.field
+        zero, one = LaurentPoly.zero(q), LaurentPoly.one(q)
+        det_side = _z_coefficients(chain)
+        primes = prime_cycles(chain.graph, 8)
+        assert tuple(sum(len(p) <= horizon for p in primes) for horizon in (6, 8)) \
+            == EULER_PRIMES[name]
+        for horizon in (6, 8):
+            product = [one] + [zero] * horizon
+            for p in primes:
+                if len(p) > horizon:
+                    continue
+                block = reduce(operator.matmul, (grid[index(e.src)][index(e.dst)] for e in p))
+                factor = {0: one, len(p): -block.trace(), 2 * len(p): det(block)}
+                product = [sum((product[k - j] * c for j, c in factor.items() if j <= k), zero)
+                           for k in range(horizon + 1)]
+            expected = (det_side + [zero] * horizon)[:horizon + 1]
+            assert product == expected, (name, horizon)
+
+
+def test_trivial_chain_is_the_alexander_walk_matrix_mod_q(corpus):
+    # the scalar walk matrix is the twisted one at dim 1: B of the trivial
+    # representation is W under alexander_spec() reduced mod TRIVIAL_FIELD
+    q = twisted.TRIVIAL_FIELD
+    for name, d in corpus.items():
+        w = weight_matrix(build_arc_graph(d), alexander_spec())
+        reduced = RingMatrix([[LaurentPoly(a.coeffs, q) for a in row] for row in w.entries],
+                             q, cols=w.cols)
+        assert twisted_chain(d, trivial_representation(tuple(d.arcs))).weights == reduced, name
 
 
 def test_twisted_minors_match_gauss_jordan_mod_q(dihedral_chains, monkeypatch):

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from knotzeta.arc_graph import ArcGraph, WeightSpec, alexander_spec, build_arc_graph, \
+from knotzeta.arc_graph import ArcGraph, alexander_spec, build_arc_graph, \
     tangle_determinant
 from knotzeta import zeta
 from knotzeta.knot_model import DiagramError, cut
@@ -243,9 +243,19 @@ def test_trace_identity_fails_where_one_walk_is_missing(fig8_cut, monkeypatch, p
     assert [f["m"] for f in v.detail["failures"]] == [sum(content)]
 
 
+def _mod7_spec():
+    """alexander_spec() with every weight reduced mod 7."""
+    return {label: LaurentPoly(w.coeffs, 7) for label, w in alexander_spec().items()}
+
+
 def test_trace_identity_rejects_modular_spec(trefoil_cut):
     with pytest.raises(ValueError):
-        trace_identity_check(trefoil_cut, alexander_spec(modulus=7), zeta.TRACE_HORIZON)
+        trace_identity_check(trefoil_cut, _mod7_spec(), zeta.TRACE_HORIZON)
+
+
+def test_determinant_formula_rejects_modular_spec(trefoil_cut):
+    with pytest.raises(ValueError):
+        determinant_formula_check(trefoil_cut, _mod7_spec())
 
 
 def test_spectral_estimate_shrinks_near_one(fig8_cut):
@@ -395,7 +405,7 @@ def test_pole_names_shortest_weight_one_prime(corpus):
     # S2 T1^2 T2 (length 4) and S1^3 T1 T2 (length 5), and to no shorter one
     g = build_arc_graph(cut(corpus["6_1"], [1]))
     weights = {"S1": 2, "S2": 3, "T1": Fraction(8, 3), "T2": Fraction(3, 64)}
-    spec = WeightSpec({k: LaurentPoly.constant(v) for k, v in weights.items()}, None)
+    spec = {k: LaurentPoly.constant(v) for k, v in weights.items()}
     primes = prime_cycles(g, 8)
     lengths = sorted({len(p) for p in primes if walk_weight(p, spec) == 1})
     assert lengths[:2] == [4, 5] and len(primes[0]) < 4
@@ -788,7 +798,7 @@ def test_path_sum_skips_roots_of_the_determinant(corpus):
 def test_path_sum_exact_comparison_catches_a_broken_spec(trefoil, monkeypatch):
     def broken():
         spec = alexander_spec()
-        return WeightSpec({**spec.weights, "S1": 1 - 2 * LaurentPoly.t_power(1)}, None)
+        return {**spec, "S1": 1 - 2 * LaurentPoly.t_power(1)}
 
     monkeypatch.setattr(zeta, "alexander_spec", broken)
     tangle = cut(trefoil, [1])
