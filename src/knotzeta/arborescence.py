@@ -15,6 +15,7 @@ edge.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -87,10 +88,9 @@ def enumerate_arborescences(g, roots, spec):
 
 
 def arborescence_weight(arb):
-    w = LaurentPoly.one()
-    for e in arb:
-        w = w * e[2]
-    return w
+    """The product of a tree's edge weights, from the first; 1 for no edge."""
+    weights = [e[2] for e in arb] or [LaurentPoly.one()]
+    return math.prod(weights[1:], start=weights[0])
 
 
 def tree_polynomial(g, roots, spec):

@@ -342,9 +342,9 @@ def _twisted_dihedral_reports(name, diagram, p):
     return reports
 
 
-def _suite_reports(suites, diagrams, extras, ns):
+def _suite_reports(suites, diagrams, extras, ns, samples):
     """Run the checks of the suites one after another, yielding each timed
-    report as it is made."""
+    report as it is made; the cable checks sample at samples."""
     seed = ns.seed
     named = list(diagrams) + list(extras)
 
@@ -373,7 +373,6 @@ def _suite_reports(suites, diagrams, extras, ns):
     if "cable" in suites:
         cable_named = [(n, d) for n, d in diagrams if n in CABLE_CORPUS] + list(extras)
         orders = (2, 3) if ns.n is None else (ns.n,)
-        samples = CABLE_SAMPLES if ns.t is None else (parse_rational(ns.t),)
         for name, d in cable_named:
             for n_order in orders:
                 yield _timed(f"cable:{name}:n{n_order}", _check_cable, d, n_order, samples)
@@ -390,9 +389,14 @@ def cmd_verify(ns):
     all_suites = ("matrix-tree", "triple", "zeta", "path-sum", "composition",
                   "cable", "twisted")
     suites = all_suites if ns.suite == "all" else (ns.suite,)
+    # only the cable checks read --n and --t, refused or parsed before any check runs
+    for flag in ("n", "t"):
+        if getattr(ns, flag) is not None and "cable" not in suites:
+            raise InputError(f"--{flag} does not apply to suite {ns.suite}")
+    samples = CABLE_SAMPLES if ns.t is None else (parse_rational(ns.t),)
     diagrams = [(name, load_corpus(name)) for name in corpus_names()]
     extras = [resolve_diagram(token) for token in ns.diagrams]
-    results = sorted(_suite_reports(suites, diagrams, extras, ns), key=lambda r: r["check"])
+    results = sorted(_suite_reports(suites, diagrams, extras, ns, samples), key=lambda r: r["check"])
 
     failures = sum(r["status"] == "fail" for r in results)
     if ns.json:

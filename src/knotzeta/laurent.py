@@ -65,6 +65,11 @@ def _normal_form(c, modulus):
              for e, v in sorted(c.items()) if v}
     else:
         c = {e: r for e, v in sorted(c.items()) if (r := v % modulus)}
+    return _of_sorted(c, modulus)
+
+
+def _of_sorted(c, modulus):
+    """A LaurentPoly from a dict already in normal form, exponents sorted."""
     p = object.__new__(LaurentPoly)
     object.__setattr__(p, "_c", c)
     object.__setattr__(p, "modulus", modulus)
@@ -198,9 +203,20 @@ class LaurentPoly:
         return other + (-self)
 
     def __mul__(self, other):
+        """The product; by a one-term operand c*t^k, one pass in order that
+        shifts the other's exponents by k and scales them by c."""
         other = self._lift(other)
         if other is None:
             return NotImplemented
+        term, rest = (self._c, other._c) if len(self._c) == 1 else (other._c, self._c)
+        if len(term) == 1:
+            ((k, c),) = term.items()
+            q = self.modulus
+            if q is None:
+                terms = ((e + k, v * c) for e, v in rest.items())
+                return _of_sorted({e: v if type(v) is int or v.denominator != 1 else v.numerator
+                                   for e, v in terms}, q)
+            return _of_sorted({e + k: r for e, v in rest.items() if (r := v * c % q)}, q)
         c = {}
         for e1, v1 in self._c.items():
             for e2, v2 in other._c.items():
@@ -587,9 +603,6 @@ class RingMatrix:
             out.append(out_row)
         return RingMatrix._of(out, self.modulus, other.cols)
 
-    def scale(self, p):
-        return RingMatrix([[a * p for a in row] for row in self.entries], self.modulus, cols=self.cols)
-
     def power(self, k):
         if self.rows != self.cols:
             raise ValueError("matrix power needs a square matrix")
@@ -767,6 +780,8 @@ def det(mat):
     row, and (-1)^(i+j) a joins a factor (Laplace expansion along it).  Each
     removal can leave new single-entry lines, so peeling repeats until none
     is left; an empty row or column makes the determinant zero at once.
+    Only the factors other than 1 are multiplied in: most peeled lines of a
+    cut strand's I - W meet it on the unit diagonal.
     """
     if mat.rows != mat.cols:
         raise ValueError("determinant needs a square matrix")
@@ -805,7 +820,8 @@ def det(mat):
     cols = [j for j in range(n) if live_cols[j]]
     out = _bareiss([[ents[i][j] for j in cols] for i in range(n) if live_rows[i]], q)
     for a in factors:
-        out = out * a
+        if not a.is_one():
+            out = out * a
     return -out if sign < 0 else out
 
 

@@ -288,11 +288,17 @@ def twisted_image(rep, word):
 
 
 def _twisted_element(rep, elem):
-    """Image of a group ring element: sum of coeff * twisted_image(word)."""
-    out = RingMatrix.zeros(rep.dim, rep.dim, rep.field)
+    """Image of a group ring element, sum of coeff * twisted_image(word), as
+    one block: each word adds coeff * rho(word)[i][j] t^(exponent sum)."""
+    m = rep.dim
+    sums = [[{} for _ in range(m)] for _ in range(m)]
     for word, coeff in elem.items():
-        out = out + twisted_image(rep, word).scale(coeff)
-    return out
+        k = exponent_sum(word)
+        for row, image_row in zip(sums, rep.word_image(word)):
+            for d, x in zip(row, image_row):
+                d[k] = d.get(k, 0) + coeff * x
+    return RingMatrix([[LaurentPoly(d, rep.field) for d in row] for row in sums],
+                      rep.field, cols=m)
 
 
 def twisted_alexander_matrix(presentation, rep):

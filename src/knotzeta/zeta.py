@@ -16,7 +16,8 @@ order of the edges.  Both routes are capped by what they count, MAX_PRIMES
 primes, and refuse a horizon deeper than _deepest_walk() before counting.
 The Euler check makes one _prime_counts run for its trace identity and its
 product, and plans its sample point and horizon from a float spectral
-estimate read row by row (see _plan_horizon).
+estimate read row by row (see _plan_horizon); its certified bounds raise
+every factor to its power in one Straus ladder (see _product_bounds).
 
 The path-sum, composition, and cabling checks for one-strand tangles live
 here too, since all three are statements about walk weights.
@@ -375,28 +376,24 @@ def _bound_mul(a, b, up):
     return _truncate(a[0] * b[0], a[1] + b[1], up)
 
 
-def _bound_pow(a, n, up):
-    """a^n by square-and-multiply, every product cut in one direction."""
-    out = (1, 0)
-    while n:
-        if n & 1:
-            out = _bound_mul(out, a, up)
-        n >>= 1
-        if n:
-            a = _bound_mul(a, a, up)
-    return out
+def _bound_ends(a, b):
+    """The (lo, hi) pair of a times that of b, lo cut down and hi up."""
+    return _bound_mul(a[0], b[0], False), _bound_mul(a[1], b[1], True)
 
 
 def _product_bounds(factors):
     """Dyadic rationals lo <= P <= hi around the product P of _euler_factors.
 
     Each |1/(1 - w)| is rounded down for lo and up for hi to a mantissa of
-    _BOUND_BITS bits, raised to its power by square-and-multiply, and
-    multiplied in; every product is truncated toward -inf for lo and toward
-    +inf for hi.  All of that runs on magnitudes, and the sign comes from
-    the parity of the negative factors.
+    _BOUND_BITS bits.  The powers are then taken together by one ladder
+    (simultaneous exponentiation, Straus 1964), not one square-and-multiply
+    per factor: each rounded factor is multiplied into the bit-plane
+    product Q_b of every set bit b of its count, and from the top bit down
+    the product becomes its square times Q_b.  Every product is truncated
+    toward -inf for lo and toward +inf for hi.  All of that runs on
+    magnitudes, and the sign comes from the parity of the negative factors.
     """
-    lo = hi = (1, 0)
+    planes = {}  # bit b -> the (lo, hi) pair of Q_b
     negatives = 0
     for f, n in factors:
         # |1/f| = q/p lies in [m, m + 1) * 2^-s, at m * 2^-s exactly when r
@@ -404,11 +401,19 @@ def _product_bounds(factors):
         p, q = abs(f.numerator), f.denominator
         s = _BOUND_BITS + p.bit_length() - q.bit_length()
         m, r = divmod(q << s, p) if s >= 0 else divmod(q, p << -s)
-        lo = _bound_mul(lo, _bound_pow(_truncate(m, -s, False), n, False), False)
-        hi = _bound_mul(hi, _bound_pow(_truncate(m + (r > 0), -s, True), n, True), True)
+        ends = _truncate(m, -s, False), _truncate(m + (r > 0), -s, True)
+        for b in range(n.bit_length()):
+            if n >> b & 1:
+                planes[b] = _bound_ends(planes[b], ends) if b in planes else ends
         if f < 0:
             negatives += n
-    lo, hi = (Fraction(m << e) if e >= 0 else Fraction(m, 1 << -e) for m, e in (lo, hi))
+    top = max(planes, default=0)
+    acc = planes.get(top, ((1, 0), (1, 0)))
+    for b in range(top - 1, -1, -1):
+        acc = _bound_ends(acc, acc)
+        if b in planes:
+            acc = _bound_ends(acc, planes[b])
+    lo, hi = (Fraction(m << e) if e >= 0 else Fraction(m, 1 << -e) for m, e in acc)
     return (-hi, -lo) if negatives % 2 else (lo, hi)
 
 
@@ -767,9 +772,11 @@ def path_sum_check(tangle, seed):
     reported and replaced, up to 3 * PATH_SUM_SAMPLES draws.  The walk sum
     is also compared with 1 as a ratio of Laurent polynomials (N == D),
     which no choice of samples can miss; only a mismatch adds a failure
-    entry.
+    entry.  Where N and D are the same polynomial, N(t0) is D(t0), so only
+    D is evaluated: it decides whether a sample is skipped or verified.
     """
     num, den = strand_walk_sum(tangle)
+    same = num == den
     verified = []
     skipped = []
     failures = []
@@ -780,11 +787,12 @@ def path_sum_check(tangle, seed):
         if den_value == 0:
             skipped.append(str(t0))
             continue
-        value = num.evaluate(t0) / den_value
-        if value != 1:
-            failures.append({"t0": str(t0), "value": str(value)})
+        if not same:
+            value = num.evaluate(t0) / den_value
+            if value != 1:
+                failures.append({"t0": str(t0), "value": str(value)})
         verified.append(str(t0))
-    if num != den:
+    if not same:
         failures.append({"exact": "walk sum", "difference": str(num - den)})
     passed = not failures and len(verified) == PATH_SUM_SAMPLES
     return Verdict("path_sum", passed,

@@ -473,11 +473,26 @@ def test_invalid_flag_value_is_input_error(argv, validators):
     (("zeta", "trefoil", "--check", "euler", "--n", "2"), "--n does not apply to --check euler"),
     (("zeta", "trefoil", "--check", "path-sum", "--max-len", "3"),
      "--max-len does not apply to --check path-sum"),
+    (("verify", "triple", "--n", "5"), "--n does not apply to suite triple"),
+    (("verify", "triple", "--t", "abc"), "--t does not apply to suite triple"),
+    (("verify", "zeta", "--n", "0"), "--n does not apply to suite zeta"),
+    (("verify", "twisted", "--n", "2", "--t", "1/2"), "--n does not apply to suite twisted"),
 ])
 def test_flag_that_the_check_does_not_read_is_input_error(argv, error, validators):
     code, obj = run_json(*argv)
     assert code == EXIT_INPUT
     assert obj == {"error": error}
+    validators["error"].validate(obj)
+
+
+def test_verify_parses_its_sample_point_before_any_check(monkeypatch, validators):
+    def unreachable(*args):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(cli, "_timed", unreachable)
+    code, obj = run_json("verify", "all", "--t", "abc")
+    assert code == EXIT_INPUT
+    assert obj == {"error": "not a rational number: 'abc'"}
     validators["error"].validate(obj)
 
 

@@ -372,6 +372,25 @@ def test_arithmetic_results_are_built_in_normal_form(modulus):
                     assert_normal_form(e, modulus)
 
 
+@pytest.mark.parametrize("modulus", [None, 7])
+def test_one_term_products_equal_the_convolution(modulus):
+    # a one-term operand shifts and scales the other in one pass; the oracle
+    # multiplies term by term and goes through the validating constructor
+    rng = random.Random(5)
+    for _ in range(200):
+        p = random_laurent(rng, modulus, (1, 2, 3), (-3, 3))
+        c = rng.randint(1, modulus - 1) if modulus else \
+            Fraction(rng.choice((-4, -1, 2, 3)), rng.choice((1, 2, 3)))
+        term = P({rng.randint(-3, 3): c}, modulus)
+        products = {}
+        for e1, v1 in p.coeffs.items():
+            for e2, v2 in term.coeffs.items():
+                products[e1 + e2] = products.get(e1 + e2, 0) + v1 * v2
+        for r in (p * term, term * p):
+            assert r == P(products, modulus)
+            assert_normal_form(r, modulus)
+
+
 @pytest.mark.parametrize("q", [7, 11, 101])
 def test_det_over_prime_fields_matches_cofactor(q):
     rng = random.Random(q)

@@ -521,6 +521,18 @@ def test_exact_product_built_only_when_bounds_cannot_decide(corpus, monkeypatch)
         determinant_formula_check(trefoil, spec)
 
 
+def test_euler_bounds_take_one_ladder(corpus, monkeypatch):
+    # bounded products on 6_1's arc-1 cut: 2,004 with one ladder for every
+    # factor, 5,202 with a square-and-multiply per factor
+    calls = []
+    bound_mul = zeta._bound_mul
+    monkeypatch.setattr(zeta, "_bound_mul",
+                        lambda a, b, up: calls.append(up) or bound_mul(a, b, up))
+    g = build_arc_graph(cut(corpus["6_1"], [1]))
+    assert determinant_formula_check(g, alexander_spec()).passed
+    assert len(calls) <= 2100
+
+
 # hand-made factor lists whose product P or gap sits exactly on a tie that
 # no 256-bit bound can settle: (factors, target, tol)
 THIRD = (Fraction(3), 1)  # contributes 1/3, which no dyadic bound hits
@@ -795,12 +807,13 @@ def test_path_sum_skips_roots_of_the_determinant(corpus):
                         "skipped": ["2", "1/2"], "failures": []}
 
 
-def test_path_sum_exact_comparison_catches_a_broken_spec(trefoil, monkeypatch):
-    def broken():
-        spec = alexander_spec()
-        return {**spec, "S1": 1 - 2 * LaurentPoly.t_power(1)}
+def broken_spec():
+    """alexander_spec with a wrong S1 weight, so that N != D on a cut trefoil."""
+    return {**alexander_spec(), "S1": 1 - 2 * LaurentPoly.t_power(1)}
 
-    monkeypatch.setattr(zeta, "alexander_spec", broken)
+
+def test_path_sum_exact_comparison_catches_a_broken_spec(trefoil, monkeypatch):
+    monkeypatch.setattr(zeta, "alexander_spec", broken_spec)
     tangle = cut(trefoil, [1])
     num, den = strand_walk_sum(tangle)
     v = path_sum_check(tangle, seed=0)
@@ -812,6 +825,43 @@ def test_path_sum_exact_comparison_catches_a_broken_spec(trefoil, monkeypatch):
         assert f["value"] == str(total_strand_weight(tangle, Fraction(f["t0"])))
     assert exact == {"exact": "walk sum", "difference": str(num - den)}
     assert num != den
+
+
+@pytest.fixture
+def evaluations(monkeypatch):
+    """A list that gets (polynomial, point) for every LaurentPoly.evaluate."""
+    calls = []
+    evaluate = LaurentPoly.evaluate
+    monkeypatch.setattr(LaurentPoly, "evaluate",
+                        lambda p, t0: calls.append((p, t0)) or evaluate(p, t0))
+    return calls
+
+
+def test_path_sum_evaluates_only_d_where_n_equals_d(corpus, evaluations):
+    # N(t0) is D(t0) there: one evaluation per sample drawn
+    for name in ("figure8", "6_1"):
+        d = corpus[name]
+        for arc in d.arcs:
+            evaluations.clear()
+            v = path_sum_check(cut(d, [arc]), seed=0)
+            assert v.passed, (name, arc)
+            drawn = len(v.detail["verified"]) + len(v.detail["skipped"])
+            assert len(evaluations) == drawn, (name, arc)
+
+
+def test_path_sum_evaluates_n_where_it_differs_from_d(trefoil, monkeypatch, evaluations):
+    # N at every verified sample, D at every sample drawn; the failures this
+    # reports are pinned by test_path_sum_exact_comparison_catches_a_broken_spec
+    monkeypatch.setattr(zeta, "alexander_spec", broken_spec)
+    tangle = cut(trefoil, [1])
+    num, den = strand_walk_sum(tangle)
+    evaluations.clear()
+    v = path_sum_check(tangle, seed=0)
+    verified = [Fraction(t) for t in v.detail["verified"]]
+    assert [t0 for p, t0 in evaluations if p == num] == verified
+    drawn = sample_points(60, 0)[:len(verified) + len(v.detail["skipped"])]
+    assert [t0 for p, t0 in evaluations if p == den] == list(drawn)
+    assert len(v.detail["failures"]) == 21
 
 
 def test_composition_multiplies_determinants(trefoil, figure8):
