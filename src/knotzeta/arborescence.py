@@ -22,7 +22,7 @@ from fractions import Fraction
 from .arc_graph import ArcGraph, GraphEdge, alexander_spec, build_arc_graph, \
     laplacian
 from .knot_model import DiagramError
-from .laurent import LaurentPoly, det
+from .laurent import LaurentPoly, det, linear_combination
 from .verdict import Verdict
 
 
@@ -88,17 +88,36 @@ def enumerate_arborescences(g, roots, spec):
 
 
 def arborescence_weight(arb):
-    """The product of a tree's edge weights, from the first; 1 for no edge."""
+    """The product of a tree's edge weights, from the first; 1 for no edge
+    (tree_sum's oracle, from scratch per tree)."""
     weights = [e[2] for e in arb] or [LaurentPoly.one()]
     return math.prod(weights[1:], start=weights[0])
 
 
+def tree_sum(arbs):
+    """The sum of arborescence_weight over the trees, exact.
+
+    Consecutive trees of enumerate_arborescences share their leading edge
+    rows, the same tuple objects.  A stack keeps the products of the current
+    tree's leading rows, so each tree multiplies only past the prefix it
+    shares with the tree before, and the sum is normalized once.
+    """
+    rows, products, terms = [], [], []
+    for arb in arbs:
+        k = 0
+        while k < min(len(rows), len(arb)) and rows[k] is arb[k]:
+            k += 1
+        del rows[k:], products[k:]
+        for edge in arb[k:]:
+            products.append(products[-1] * edge[2] if products else edge[2])
+            rows.append(edge)
+        terms.append((1, products[-1] if products else LaurentPoly.one()))
+    return linear_combination(terms, None)
+
+
 def tree_polynomial(g, roots, spec):
     """Sum of edge-weight products over all arborescences, exact."""
-    total = LaurentPoly.zero()
-    for arb in enumerate_arborescences(g, roots, spec):
-        total = total + arborescence_weight(arb)
-    return total
+    return tree_sum(enumerate_arborescences(g, roots, spec))
 
 
 def matrix_tree_check(g, roots, spec):

@@ -25,8 +25,8 @@ from importlib import resources
 from pathlib import Path
 
 from .alexander import alexander_polynomial, determinant_of, knot_determinant
-from .arborescence import arborescence_weight, enumerate_arborescences, \
-    matrix_tree_check, random_matrix_tree_check, tree_polynomial
+from .arborescence import enumerate_arborescences, matrix_tree_check, \
+    random_matrix_tree_check, tree_polynomial, tree_sum
 from .arc_graph import alexander_spec, build_arc_graph, tangle_determinant
 from .knot_model import DiagramError, cut, parse_diagram
 from .laurent import LaurentPoly, canonicalize, divide_exact
@@ -131,12 +131,22 @@ def cmd_tree_poly(ns):
     # at the terminal half of the cut arc, the one vertex without out-edges
     default = source.strand_pair()[1] if ns.cut is not None else d.arcs[0]
     labels = {str(v): v for v in g.vertices}
-    roots = tuple(labels.get(str(r), r) for r in ns.root) if ns.root else (default,)
-    for r in roots:
-        if r not in g.vertices:
-            raise InputError(f"root {r!r} is not a vertex of the arc graph")
+    roots = []
+    for token in ns.root or ():
+        # a root names a vertex by its printed label; an integer token as
+        # its value, so that 01 names arc 1
+        try:
+            label = str(int(token))
+        except ValueError:
+            label = token
+        if label not in labels:
+            raise InputError(f"root {label} is not a vertex of the arc graph")
+        if labels[label] in roots:
+            raise InputError(f"root {label} given twice")
+        roots.append(labels[label])
+    roots = tuple(roots) or (default,)
     arbs = enumerate_arborescences(g, roots, alexander_spec())
-    poly = sum(map(arborescence_weight, arbs), LaurentPoly.zero())
+    poly = tree_sum(arbs)
     emit({"poly": poly.to_json(), "roots": [str(r) for r in roots], "count": len(arbs)})
     return EXIT_OK
 
@@ -437,9 +447,10 @@ def build_parser():
 
     p = sub.add_parser("tree-poly", help="arborescence-sum polynomial")
     diagram_arg(p)
-    p.add_argument("--root", type=int, action="append",
-                   help="root arc (repeatable; default arc 1, or with --cut "
-                        "the terminal half of the cut arc)")
+    p.add_argument("--root", action="append",
+                   help="root vertex, by the label that the output prints, "
+                        "such as 2 or 1'' (repeatable; default arc 1, or with "
+                        "--cut the terminal half of the cut arc)")
     p.add_argument("--cut", type=int, help="cut this arc first")
 
     p = sub.add_parser("zeta", help="cycle-expansion checks on a cut diagram")

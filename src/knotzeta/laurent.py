@@ -68,6 +68,22 @@ def _normal_form(c, modulus):
     return _of_sorted(c, modulus)
 
 
+def linear_combination(terms, modulus):
+    """sum(c * p for c, p in terms) in the domain of the given modulus: every
+    term's coefficients go into one dict, which is normalized once, where a
+    running sum would normalize once per term.  Raises CoefficientError for
+    a term p of another domain."""
+    acc = {}
+    for c, p in terms:
+        if p.modulus != modulus:
+            raise CoefficientError(
+                f"mixed coefficient domains: {modulus!r} vs {p.modulus!r}")
+        c = _coerce(c, modulus)
+        for e, v in p._c.items():
+            acc[e] = acc.get(e, 0) + v * c
+    return _normal_form(acc, modulus)
+
+
 def _of_sorted(c, modulus):
     """A LaurentPoly from a dict already in normal form, exponents sorted."""
     p = object.__new__(LaurentPoly)
@@ -618,10 +634,29 @@ class RingMatrix:
     def trace(self):
         if self.rows != self.cols:
             raise ValueError("trace needs a square matrix")
-        acc = LaurentPoly.zero(self.modulus)
-        for i in range(self.rows):
-            acc = acc + self.entries[i][i]
-        return acc
+        return linear_combination(((1, row[i]) for i, row in enumerate(self.entries)),
+                                  self.modulus)
+
+    def product_trace(self, other):
+        """tr(self @ other) without forming the product: the terms
+        self[i][k] * other[k][i] over the nonzero pairs, summed in one
+        coefficient dict."""
+        if self.cols != other.rows or self.rows != other.cols:
+            raise ValueError(f"no square product of {self.rows}x{self.cols} "
+                             f"and {other.rows}x{other.cols}")
+        if self.modulus != other.modulus:
+            raise CoefficientError("mixed coefficient domains in matrix arithmetic")
+        acc = {}
+        for i, row in enumerate(self.entries):
+            for k, a in enumerate(row):
+                b = other.entries[k][i]._c
+                if not (a._c and b):
+                    continue
+                for e1, v1 in a._c.items():
+                    for e2, v2 in b.items():
+                        e = e1 + e2
+                        acc[e] = acc.get(e, 0) + v1 * v2
+        return _normal_form(acc, self.modulus)
 
     def delete(self, rows, cols):
         """The submatrix with the given row and column indices removed."""

@@ -18,16 +18,15 @@ Alexander polynomial divided by t - 1.
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 
 from .alexander import alexander_minor, exponent_sum, fox_derivative
 from .arc_graph import build_arc_graph
 from .knot_model import DiagramError, KnotDiagram, Presentation, \
     wirtinger_presentation
 from .laurent import LaurentPoly, PolyFraction, RingMatrix, canonicalize, det, \
-    divide_exact, row_reduce
+    divide_exact, linear_combination, row_reduce
 from .verdict import Verdict
 from .zeta import power_traces, prime_cycles
 
@@ -547,21 +546,33 @@ def twisted_trace_check(chain):
     their block products, cyclic rotations of B(p)^j, share its trace.  No
     division is involved, so this holds over F_q at every m; the scalar
     trace identity is its dim = 1 case.
+
+    Each B(p) is built on the product of its longest walk prefix built
+    before (the primes come sorted by vertex sequence, so neighbours share
+    prefixes), and each m's sum is normalized once.  tr(B^m) comes from
+    power_traces, which forms B^m only up to m = ceil(TRACE_POWER / 2).
     """
     grid, index = chain.weight_blocks, chain.graph.vertex_index
-    identity = RingMatrix.identity(chain.rep.dim, chain.rep.field)
-    zero = LaurentPoly.zero(chain.rep.field)
-    prime_sums = [zero] * (TRACE_POWER + 1)
+    # the block product of every walk prefix built so far, by its edges
+    products = {}
+    prime_terms = [[] for _ in range(TRACE_POWER + 1)]
     for p in prime_cycles(chain.graph, TRACE_POWER):
-        block = reduce(operator.matmul, (grid[index(e.src)][index(e.dst)] for e in p))
-        power = identity
+        block = None
+        for i, e in enumerate(p, 1):
+            if p[:i] not in products:
+                step = grid[index(e.src)][index(e.dst)]
+                products[p[:i]] = step if block is None else block @ step
+            block = products[p[:i]]
+        power = block
         for m in range(len(p), TRACE_POWER + 1, len(p)):
-            power = power @ block
-            prime_sums[m] = prime_sums[m] + power.trace().scale(len(p))
+            if m > len(p):
+                power = power @ block
+            prime_terms[m].append((len(p), power.trace()))
     failures = []
     for m, tr in enumerate(power_traces(chain.weights, TRACE_POWER), 1):
-        if tr != prime_sums[m]:
-            failures.append({"m": m, "trace": str(tr), "walks": str(prime_sums[m])})
+        prime_sum = linear_combination(prime_terms[m], chain.rep.field)
+        if tr != prime_sum:
+            failures.append({"m": m, "trace": str(tr), "walks": str(prime_sum)})
     return Verdict("twisted_trace", not failures,
                    {"max_power": TRACE_POWER, "failures": failures})
 

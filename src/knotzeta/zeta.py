@@ -18,6 +18,8 @@ The Euler check makes one _prime_counts run for its trace identity and its
 product, and plans its sample point and horizon from a float spectral
 estimate read row by row (see _plan_horizon); its certified bounds raise
 every factor to its power in one Straus ladder (see _product_bounds).
+The traces tr(W^m), m <= M, are read off the powers up to ceil(M/2) only
+(power_traces), and every sum of the trace identity is normalized once.
 
 The path-sum, composition, and cabling checks for one-strand tangles live
 here too, since all three are statements about walk weights.
@@ -36,7 +38,7 @@ from fractions import Fraction
 from .arc_graph import alexander_spec, build_arc_graph, tangle_determinant, \
     tangle_matrix, weight_matrix
 from .knot_model import DiagramError, cable, compose_tangles
-from .laurent import LaurentPoly, RingMatrix, det, rational_solve
+from .laurent import LaurentPoly, RingMatrix, det, linear_combination, rational_solve
 from .verdict import Verdict
 
 
@@ -171,12 +173,19 @@ def prime_cycles(g, max_len):
 
 
 def power_traces(w, max_power):
-    """[tr(W), tr(W^2), ..., tr(W^max_power)], one product per power."""
-    traces, power = [w.trace()], w
-    for _ in range(max_power - 1):
-        power = power @ w
-        traces.append(power.trace())
-    return traces
+    """[tr(W), tr(W^2), ..., tr(W^max_power)] from the half powers.
+
+    W, W^2, ..., W^h, h = ceil(max_power / 2), take h - 1 products and give
+    the traces up to m = h; each higher one is tr(W^h W^(m - h)), summed
+    over the entries of the two factors without forming their product.
+    """
+    half = (max_power + 1) // 2
+    powers = [w]
+    for _ in range(half - 1):
+        powers.append(powers[-1] @ w)
+    return ([power.trace() for power in powers]
+            + [powers[-1].product_trace(powers[m - half - 1])
+               for m in range(half + 1, max_power + 1)])
 
 
 def trace_identity_check(g, spec, max_power):
@@ -202,28 +211,34 @@ def _trace_verdict(g, spec, max_power, walks, primes):
     the based closed walks per content, a content of m edges counting
     towards tr(W^m), and the log side the primes per content.  Each content
     is weighed once, for both sides.
+
+    The traces come from power_traces, independently of the tables.  Each
+    side is one sum normalized once (laurent.linear_combination): the walk
+    sum of each m, the trace side sum(tr(W^m) / m), and the log side, where
+    the shares n/j of a prime content c and its powers j are gathered per
+    content j*c of p^j, whose weight the content weigher already holds.
     """
-    walks, primes = ({c: n for c, n in table.items() if sum(c) <= max_power}
-                     for table in (walks, primes))
     weight_of = _content_weigher([spec[label] for label in _content_labels(g)])
-    zero = LaurentPoly.zero()
-    walk_sums = {}
+    walk_terms = {m: [] for m in range(1, max_power + 1)}
     for content, n in walks.items():
         m = sum(content)
-        walk_sums[m] = walk_sums.get(m, zero) + weight_of(content).scale(n)
+        if m <= max_power:
+            walk_terms[m].append((n, weight_of(content)))
+    traces = power_traces(weight_matrix(g, spec), max_power)
     failures = []
-    trace_side = zero
-    for m, tr in enumerate(power_traces(weight_matrix(g, spec), max_power), 1):
-        walk_sum = walk_sums.get(m, zero)
+    for m, tr in enumerate(traces, 1):
+        walk_sum = linear_combination(walk_terms[m], None)
         if tr != walk_sum:
             failures.append({"m": m, "trace": str(tr), "walks": str(walk_sum)})
-        trace_side = trace_side + tr.scale(Fraction(1, m))
-    prime_side = zero
+    trace_side = linear_combination(((Fraction(1, m), tr) for m, tr in enumerate(traces, 1)),
+                                    None)
+    shares = {}
     for content, n in primes.items():
-        weight, weight_j = weight_of(content), LaurentPoly.one()
         for j in range(1, max_power // sum(content) + 1):
-            weight_j = weight_j * weight
-            prime_side = prime_side + weight_j.scale(Fraction(n, j))
+            power = tuple(j * k for k in content)
+            shares[power] = shares.get(power, 0) + Fraction(n, j)
+    prime_side = linear_combination(((share, weight_of(content))
+                                     for content, share in shares.items()), None)
     if prime_side != trace_side:
         failures.append({"m": "log-truncation", "trace": str(trace_side),
                          "walks": str(prime_side)})

@@ -1,6 +1,7 @@
 import pytest
 
 from knotzeta.cli import corpus_names, load_corpus
+from knotzeta.laurent import LaurentPoly
 
 # small twist knots get exercised everywhere; bigger corpus entries only in
 # the tests that need breadth
@@ -21,6 +22,18 @@ KNOWN_DET = {
     "trefoil": 3, "trefoil_left": 3, "figure8": 5,
     "5_1": 5, "5_2": 7, "6_1": 9,
 }
+
+
+def traces_of_repeated_products(w, max_power):
+    """The oracle of zeta.power_traces: every power W^m formed, one product
+    per power, and its diagonal summed entry by entry."""
+    zero = LaurentPoly.zero(w.modulus)
+    traces, power = [], w
+    for m in range(1, max_power + 1):
+        if m > 1:
+            power = power @ w
+        traces.append(sum((power.entries[i][i] for i in range(w.rows)), zero))
+    return traces
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,6 @@
 """Arborescence enumeration against the directed matrix-tree determinant."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,10 +8,10 @@ import pytest
 from knotzeta import arborescence
 from knotzeta.arborescence import arborescence_weight, \
     determinant_via_trees, enumerate_arborescences, matrix_tree_check, \
-    random_matrix_tree_check, tree_polynomial
+    random_matrix_tree_check, tree_polynomial, tree_sum
 from knotzeta.arc_graph import ArcGraph, GraphEdge, alexander_spec, \
     build_arc_graph, laplacian
-from knotzeta.knot_model import DiagramError
+from knotzeta.knot_model import DiagramError, cut
 from knotzeta.laurent import LaurentPoly, det
 
 
@@ -149,3 +150,59 @@ def test_random_matrix_tree_fixed_seed():
 def test_random_matrix_tree_other_seeds():
     for seed in (1, 2, 3):
         assert random_matrix_tree_check(count=25, seed=seed).passed
+
+
+def from_scratch(arbs):
+    """The oracle of tree_sum: each tree's weight built on its own, summed."""
+    return sum(map(arborescence_weight, arbs), LaurentPoly.zero())
+
+
+def random_digraph(rng):
+    """A random arc graph on up to MAX_RANDOM_VERTICES vertices, with small
+    rational weights, and a random nonempty root set."""
+    vertices = tuple(range(rng.randint(1, arborescence.MAX_RANDOM_VERTICES)))
+    g, spec = weighted(vertices, [(s, d, Fraction(rng.randint(-6, 6), rng.randint(1, 6)))
+                                  for s in vertices for d in vertices
+                                  if s != d and rng.random() < 0.5])
+    return g, spec, tuple(sorted(rng.sample(vertices, rng.randint(1, len(vertices)))))
+
+
+def test_tree_sum_equals_the_from_scratch_weights(corpus):
+    spec = alexander_spec()
+    cases = 0
+    for name, d in corpus.items():
+        g = build_arc_graph(d)
+        for root in d.arcs:
+            arbs = enumerate_arborescences(g, (root,), spec)
+            assert tree_sum(arbs) == from_scratch(arbs), (name, root)
+            cases += 1
+        for arc in d.arcs:
+            tangle = cut(d, [arc])
+            arbs = enumerate_arborescences(build_arc_graph(tangle), (tangle.strand_pair()[1],),
+                                           spec)
+            assert tree_sum(arbs) == from_scratch(arbs), (name, arc)
+    assert cases == 31
+    rng = random.Random(0)
+    for i in range(200):
+        g, weights, roots = random_digraph(rng)
+        arbs = enumerate_arborescences(g, roots, weights)
+        assert tree_sum(arbs) == from_scratch(arbs), i
+        # the shared prefixes are found, not assumed: any order gives the same sum
+        rng.shuffle(arbs)
+        assert tree_sum(arbs) == from_scratch(arbs), i
+
+
+def test_tree_sum_of_no_tree_and_of_the_empty_tree():
+    g, spec = weighted(("r", "x"), [("r", "x", 3)])
+    assert tree_sum(enumerate_arborescences(g, ("r",), spec)).is_zero()
+    assert tree_sum(enumerate_arborescences(g, ("r", "x"), spec)) == LaurentPoly.one()
+
+
+def test_random_matrix_tree_multiplies_past_the_shared_prefixes(monkeypatch):
+    # building every tree's product from scratch makes 889 products here
+    products = []
+    mul = LaurentPoly.__mul__
+    for name in ("__mul__", "__rmul__"):
+        monkeypatch.setattr(LaurentPoly, name, lambda a, b: products.append(1) or mul(a, b))
+    assert random_matrix_tree_check(50, 0).passed
+    assert len(products) <= 450

@@ -54,6 +54,8 @@ ORACLES = (
     # the knot determinant as a signed arborescence sum: an oracle of
     # knot_determinant
     "arborescence.determinant_via_trees",
+    # one tree's weight from scratch: the oracle of tree_sum's shared prefixes
+    "arborescence.arborescence_weight",
 )
 
 # independent checks that only Tier-1 runs, until a regeneration of the

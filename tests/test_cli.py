@@ -311,6 +311,33 @@ def test_tree_poly_on_a_cut_is_rooted_at_the_terminal_arc(validators):
     assert (code, obj) == (EXIT_INPUT, {"error": "root 1 is not a vertex of the arc graph"})
 
 
+def test_tree_poly_roots_take_the_printed_labels(validators):
+    # --root takes back the labels that the output prints, the cut halves too
+    for name in cli.corpus_names():
+        d = cli.load_corpus(name)
+        for arc in d.arcs:
+            code, out = run("tree-poly", name, "--cut", str(arc))
+            root = json.loads(out)["roots"][0]
+            assert run("tree-poly", name, "--cut", str(arc), "--root", root) == (code, out)
+    code, obj = run_json("tree-poly", "trefoil", "--cut", "1", "--root", "1'")
+    assert (code, obj["roots"], obj["count"]) == (EXIT_OK, ["1'"], 0)
+    validators["tree-poly"].validate(obj)
+    # an integer token names the vertex of its value, and an error message
+    # prints it so; any other token as it was typed
+    assert run("tree-poly", "trefoil", "--root", "01") == run("tree-poly", "trefoil")
+    for argv, error in [
+            (("trefoil", "--root", "9"), "root 9 is not a vertex of the arc graph"),
+            (("trefoil", "--root", "09"), "root 9 is not a vertex of the arc graph"),
+            (("trefoil", "--root=-1"), "root -1 is not a vertex of the arc graph"),
+            (("trefoil", "--root", "1''"), "root 1'' is not a vertex of the arc graph"),
+            (("trefoil", "--cut", "1", "--root", "x"), "root x is not a vertex of the arc graph"),
+            (("trefoil", "--root", "1", "--root", "1"), "root 1 given twice"),
+            (("trefoil", "--root", "2", "--root", "1", "--root", "02"), "root 2 given twice"),
+            (("trefoil", "--cut", "1", "--root", "1''", "--root", "1''"),
+             "root 1'' given twice")]:
+        assert run_json("tree-poly", *argv) == (EXIT_INPUT, {"error": error}), argv
+
+
 HOPF = "X+ 2 1 1 / X+ 1 2 2\n"
 CABLE_REFUSAL = "cabling copies the open strand only; arcs ['2'] lie on closed components"
 KNOTS_ONLY = "Alexander polynomial here is for knots; links go through the zeta and split checks"

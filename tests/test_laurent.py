@@ -12,8 +12,8 @@ from knotzeta.arc_graph import alexander_spec, build_arc_graph, tangle_matrix
 from knotzeta.knot_model import cable, compose_tangles, cut, wirtinger_presentation
 from knotzeta.laurent import CanonicalPoly, CoefficientError, LaurentPoly, \
     PolyFraction, RingMatrix, _bareiss_entry, _det_bareiss, canonicalize, det, \
-    det_cofactor, div_exact, divide_exact, poly_divmod, poly_gcd, rational_det, \
-    rational_solve, row_reduce
+    det_cofactor, div_exact, divide_exact, linear_combination, poly_divmod, poly_gcd, \
+    rational_det, rational_solve, row_reduce
 
 
 def P(coeffs, modulus=None):
@@ -425,6 +425,63 @@ def test_matmul_matches_sum_of_products(modulus):
         assert (product.rows, product.cols) == (rows, cols)
         assert product == RingMatrix(expected, modulus, cols=cols)
         assert all(e.modulus == modulus for row in product.entries for e in row)
+
+
+@pytest.mark.parametrize("modulus", [None, 7, 101])
+def test_product_trace_is_the_trace_of_the_product(modulus):
+    # the oracle: the diagonal of the formed product, summed entry by entry
+    rng = random.Random(modulus or 0)
+    zero = LaurentPoly.zero(modulus)
+    for trial in range(60):
+        density = 1.0 if trial < 30 else rng.choice((0.05, 0.15, 0.3))
+        n, inner = rng.randint(0, 6), rng.randint(0, 6)
+        a, b = (RingMatrix([[random_laurent(rng, modulus, (1, 2, 3)) if rng.random() < density
+                             else zero for _ in range(cols)] for _ in range(rows)],
+                           modulus, cols=cols)
+                for rows, cols in ((n, inner), (inner, n)))
+        product = a @ b
+        expected = sum((product.entries[i][i] for i in range(n)), zero)
+        got = a.product_trace(b)
+        assert got == expected == product.trace()
+        assert_normal_form(got, modulus)
+    with pytest.raises(ValueError):
+        RingMatrix.zeros(2, 3, modulus).product_trace(RingMatrix.zeros(3, 3, modulus))
+    with pytest.raises(CoefficientError):
+        RingMatrix.zeros(2, 2, 7).product_trace(RingMatrix.zeros(2, 2))
+
+
+@pytest.mark.parametrize("modulus", [None, 7])
+def test_linear_combination_equals_repeated_sums(modulus):
+    # the oracle: a running sum of scaled terms, normalized at every step
+    rng = random.Random(modulus or 0)
+    zero = LaurentPoly.zero(modulus)
+
+    def coefficient():
+        if modulus:
+            return rng.randrange(-9, 9)
+        return rng.choice((rng.randint(-9, 9), Fraction(rng.randint(-9, 9), rng.randint(1, 6))))
+
+    for _ in range(100):
+        terms = [(coefficient(), random_laurent(rng, modulus, (1, 2, 3)))
+                 for _ in range(rng.randint(0, 6))]
+        expected = zero
+        for c, p in terms:
+            expected = expected + p.scale(c)
+        got = linear_combination(terms, modulus)
+        assert got == expected
+        assert_normal_form(got, modulus)
+    assert linear_combination([], modulus) == zero
+    p = P({-1: 3, 0: 1, 2: 5}, modulus)
+    cancelling = ([(2, p), (1, p), (-3, p)] if modulus
+                  else [(Fraction(1, 2), p), (Fraction(-1, 2), p)])
+    assert linear_combination(cancelling, modulus).is_zero()
+    # one surviving coefficient where the others cancel
+    q = P({0: 1, 1: 1}, modulus)
+    survivor = linear_combination([(1, p), (1, q), (-1, p)], modulus)
+    assert survivor == q
+    assert_normal_form(survivor, modulus)
+    with pytest.raises(CoefficientError):
+        linear_combination([(1, P({0: 1}, 5 if modulus else 7))], modulus)
 
 
 def test_det_scales_rows_with_denominators():

@@ -19,6 +19,7 @@ from knotzeta.twisted import Representation, \
     twisted_block_identity_check, twisted_chain, twisted_row_identity_check, \
     twisted_trace_check, twisted_weight_graph, verify_representation
 from knotzeta.zeta import closed_walks, power_traces, prime_cycles
+from tests.conftest import traces_of_repeated_products
 
 
 @pytest.fixture(scope="module")
@@ -275,6 +276,24 @@ def test_twisted_trace(dihedral_chains):
     for name, chain in dihedral_chains.items():
         v = twisted_trace_check(chain)
         assert v.passed, (name, v.detail)
+
+
+def test_power_traces_of_the_block_walk_matrices(dihedral_chains):
+    for name, chain in dihedral_chains.items():
+        for max_power in range(1, 10):
+            assert power_traces(chain.weights, max_power) \
+                == traces_of_repeated_products(chain.weights, max_power), (name, max_power)
+
+
+def test_twisted_trace_builds_prime_blocks_on_shared_prefixes(dihedral_chains, monkeypatch):
+    # each B(p) from scratch, its powers from the identity and every B^m up
+    # to m = 6 formed made 165 products on figure8
+    chain = dihedral_chains["figure8"]
+    products = []
+    matmul = RingMatrix.__matmul__
+    monkeypatch.setattr(RingMatrix, "__matmul__", lambda a, b: products.append(1) or matmul(a, b))
+    assert twisted_trace_check(chain).passed
+    assert len(products) <= 120
 
 
 def test_block_walk_sums_equal_the_per_walk_products(dihedral_chains, monkeypatch):

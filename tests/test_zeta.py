@@ -10,14 +10,15 @@ from pathlib import Path
 import pytest
 
 from knotzeta.arc_graph import ArcGraph, alexander_spec, build_arc_graph, \
-    tangle_determinant
+    tangle_determinant, weight_matrix
 from knotzeta import zeta
 from knotzeta.knot_model import DiagramError, cut
-from knotzeta.laurent import LaurentPoly
+from knotzeta.laurent import LaurentPoly, RingMatrix
 from knotzeta.zeta import ConvergenceWarning, cabling_check, closed_walks, \
-    composition_check, determinant_formula_check, \
-    path_sum_check, prime_cycles, sample_points, spectral_estimate, strand_walk_sum, \
+    composition_check, determinant_formula_check, path_sum_check, power_traces, \
+    prime_cycles, sample_points, spectral_estimate, strand_walk_sum, \
     total_strand_weight, trace_identity_check, zeta_partial_product
+from tests.conftest import traces_of_repeated_products
 
 
 def walk_weight(walk, spec):
@@ -198,6 +199,27 @@ def test_horizon_past_the_search_depth_raises_before_enumerating(trefoil_cut, mo
         with pytest.raises(RuntimeError, match=f"horizon {deepest + 1} is deeper than "
                                                f"the walk search reaches \\({deepest} edges"):
             search(trefoil_cut, deepest + 1)
+
+
+def test_power_traces_equal_the_repeated_products(corpus):
+    for name, d in corpus.items():
+        w = weight_matrix(build_arc_graph(cut(d, [1])), alexander_spec())
+        for max_power in range(1, 10):
+            assert power_traces(w, max_power) == traces_of_repeated_products(w, max_power), \
+                (name, max_power)
+
+
+def test_power_traces_form_only_the_half_powers(corpus, monkeypatch):
+    # the traces above ceil(M/2) are read off two formed powers, so W^h is
+    # the highest power formed; 6_1's arc-1 cut at M = 8 took 7 products
+    w = weight_matrix(build_arc_graph(cut(corpus["6_1"], [1])), alexander_spec())
+    products = []
+    matmul = RingMatrix.__matmul__
+    monkeypatch.setattr(RingMatrix, "__matmul__", lambda a, b: products.append(1) or matmul(a, b))
+    for max_power in range(1, 10):
+        products.clear()
+        assert len(power_traces(w, max_power)) == max_power
+        assert len(products) == (max_power + 1) // 2 - 1, max_power
 
 
 def test_trace_identity_on_corpus_cuts(corpus):
