@@ -298,9 +298,7 @@ def _check_path_sum(check_id, diagram, arc, seed):
                    lhs={"failures": verdict.detail["failures"]}, rhs="1")
 
 
-def _check_composition(check_id, d1, d2, factor_dets):
-    t1 = cut(d1, [d1.arcs[0]])
-    t2 = cut(d2, [d2.arcs[0]])
+def _check_composition(check_id, t1, t2, factor_dets):
     verdict = composition_check(t1, t2, factor_dets)
     return _report(check_id, verdict, {},
                    lhs=verdict.detail["composite"], rhs=verdict.detail["product"])
@@ -373,13 +371,14 @@ def _suite_reports(suites, diagrams, extras, ns, samples):
             for arc in d.arcs:
                 yield _timed(f"path-sum:{name}:arc{arc}", _check_path_sum, d, arc, seed)
     if "composition" in suites:
-        # one pass computes each factor's determinant once, charged to the
-        # first check that needs it
+        # one pass cuts each diagram at its first arc once, and computes each
+        # factor's determinant once, charged to the first check that needs it
+        strands = [(name, cut(d, [d.arcs[0]])) for name, d in named]
         factor_dets = {}
-        for i, (name1, d1) in enumerate(named):
-            for name2, d2 in named[i:]:
+        for i, (name1, t1) in enumerate(strands):
+            for name2, t2 in strands[i:]:
                 yield _timed(f"composition:{name1}+{name2}", _check_composition,
-                             d1, d2, factor_dets)
+                             t1, t2, factor_dets)
     if "cable" in suites:
         cable_named = [(n, d) for n, d in diagrams if n in CABLE_CORPUS] + list(extras)
         orders = (2, 3) if ns.n is None else (ns.n,)
@@ -406,6 +405,12 @@ def cmd_verify(ns):
     samples = CABLE_SAMPLES if ns.t is None else (parse_rational(ns.t),)
     diagrams = [(name, load_corpus(name)) for name in corpus_names()]
     extras = [resolve_diagram(token) for token in ns.diagrams]
+    # a check id names its diagram, so two diagrams of one name would share ids
+    seen = set()
+    for name, _ in diagrams + extras:
+        if name in seen:
+            raise InputError(f"diagram {name} given twice")
+        seen.add(name)
     results = sorted(_suite_reports(suites, diagrams, extras, ns, samples), key=lambda r: r["check"])
 
     failures = sum(r["status"] == "fail" for r in results)

@@ -17,9 +17,13 @@ coefficients, after each row is cleared of negative powers of t and of
 denominators.  Each step pivots on the row with the fewest entries among
 those that reach the pivot column, and leaves the rows that miss it as they
 are: the factor such a row would gain at each step telescopes, so one exact
-division per entry brings it up to date when it is next needed.  Cofactor
-expansion, and Gauss-Jordan elimination after evaluation at points, are the
-kernel's independent oracles; the unpeeled kernel is the peel's.
+division per entry brings it up to date when it is next needed.  The kernel
+also takes a bordered matrix, n rows of n + 1 entries, and returns both
+minors that share its first n - 1 columns: column_replaced_dets gets the
+pair det(A), det(A with one column replaced) of Cramer's rule from one
+elimination.  Cofactor expansion, and Gauss-Jordan elimination after
+evaluation at points, are the kernel's independent oracles; the unpeeled
+kernel is the peel's, and two calls of det are column_replaced_dets'.
 
 Matrices of plain rationals or residues mod q have one Gauss-Jordan
 elimination, row_reduce, which serves determinants and solves over Q and
@@ -726,10 +730,18 @@ def _bareiss_entry(a, b, c, d, prev, q):
 def _bareiss(rows, q):
     """Fraction-free (Bareiss) elimination on dense coefficient lists.
 
+    Takes n rows of n + e entries and returns the e + 1 minors of order n
+    built from the first n - 1 columns and one of the last e + 1: the
+    determinant alone when e = 0, and a Cramer pair from one elimination
+    of the bordered matrix when e = 1.  Eliminating the first n - 1 columns
+    serves every minor; what the last row is left with in the last e + 1
+    columns are the minors, by Sylvester's identity.
+
     Each row is first multiplied by a power of t, and over Q by the lcm of its
     denominators, so that its entries are polynomials with integer (over F_q,
     residue) coefficients.  An entry is then a list of ints, lowest degree
-    first; the scale factors are divided out of the result.
+    first; the scale factors, common to every minor, are divided out of the
+    results.
 
     Step k takes as its pivot row, among the rows with an entry in column k,
     the one with the fewest entries right of column k, then the one whose
@@ -746,7 +758,8 @@ def _bareiss(rows, q):
     """
     n = len(rows)
     if not n:
-        return LaurentPoly.one(q)
+        return [LaurentPoly.one(q)]
+    width = len(rows[0])
     work, shift_back, scale = [], 0, 1
     for row in rows:
         live = [e._c for e in row if e._c]
@@ -765,7 +778,7 @@ def _bareiss(rows, q):
     def catch_up(i, k):
         if level[i] != k:
             row, num, den = work[i], pivots[k], pivots[level[i]]
-            for j in range(k, n):
+            for j in range(k, width):
                 if row[j]:
                     row[j] = _bareiss_entry(row[j], num, [], [], den, q)
             level[i] = k
@@ -775,7 +788,7 @@ def _bareiss(rows, q):
                  len(work[r][k]) + len(pivots[k]) - len(pivots[level[r]]), r)
                 for r in range(k, n) if work[r][k]]
         if not keys:
-            return LaurentPoly.zero(q)
+            return [LaurentPoly.zero(q)] * (width - n + 1)
         best = min(keys)[2]
         if best != k:
             work[k], work[best] = work[best], work[k]
@@ -787,14 +800,15 @@ def _bareiss(rows, q):
             row = work[i]
             if row[k]:
                 catch_up(i, k)
-                for j in range(k + 1, n):
+                for j in range(k + 1, width):
                     if row[j] or top[j]:
                         row[j] = _bareiss_entry(row[j], top[k], row[k], top[j], prev, q)
                 level[i] = k + 1
         pivots.append(top[k])
     catch_up(n - 1, n - 1)
-    return LaurentPoly({e + shift_back: sign * c if q else Fraction(sign * c, scale)
-                        for e, c in enumerate(work[-1][-1])}, q)
+    return [LaurentPoly({e + shift_back: sign * c if q else Fraction(sign * c, scale)
+                         for e, c in enumerate(minor)}, q)
+            for minor in work[-1][n - 1:]]
 
 
 def _det_bareiss(mat):
@@ -803,7 +817,8 @@ def _det_bareiss(mat):
     It runs the same row rule and catch-ups as det, so it checks the peel
     only; det_cofactor, and row_reduce after evaluation, check the kernel.
     """
-    return _bareiss(mat.entries, mat.modulus)
+    (out,) = _bareiss(mat.entries, mat.modulus)
+    return out
 
 
 def det(mat):
@@ -853,11 +868,33 @@ def det(mat):
             if live_rows[ii] and len(row_nz[ii]) < 2:
                 todo.append((True, ii))
     cols = [j for j in range(n) if live_cols[j]]
-    out = _bareiss([[ents[i][j] for j in cols] for i in range(n) if live_rows[i]], q)
+    (out,) = _bareiss([[ents[i][j] for j in cols] for i in range(n) if live_rows[i]], q)
     for a in factors:
         if not a.is_one():
             out = out * a
     return -out if sign < 0 else out
+
+
+def column_replaced_dets(mat, col, vector):
+    """(det(mat), det(mat with column col replaced by vector)), the pair of
+    Cramer's rule, from one run of the kernel without peeling.
+
+    The kernel takes the n x (n + 1) matrix of mat's other columns in order,
+    then column col, then vector, and returns the two minors that share the
+    first n - 1 columns.  Moving column col to position n - 1 flips the sign
+    of both alike.
+    """
+    if mat.rows != mat.cols or len(vector) != mat.rows:
+        raise ValueError("a Cramer pair needs a square matrix and a vector of its size")
+    if not 0 <= col < mat.cols:
+        raise IndexError(f"column {col} outside 0..{mat.cols - 1}")
+    if any(v.modulus != mat.modulus for v in vector):
+        raise CoefficientError("mixed coefficient domains in matrix arithmetic")
+    rows = [[*row[:col], *row[col + 1:], row[col], v] for row, v in zip(mat.entries, vector)]
+    whole, replaced = _bareiss(rows, mat.modulus)
+    if (mat.cols - 1 - col) % 2:
+        return -whole, -replaced
+    return whole, replaced
 
 
 # -- exact linear algebra over Q and F_q --------------------------------------

@@ -549,8 +549,11 @@ def twisted_trace_check(chain):
 
     Each B(p) is built on the product of its longest walk prefix built
     before (the primes come sorted by vertex sequence, so neighbours share
-    prefixes), and each m's sum is normalized once.  tr(B^m) comes from
-    power_traces, which forms B^m only up to m = ceil(TRACE_POWER / 2).
+    prefixes).  The last power of B(p) that the horizon reaches is not
+    formed: its trace is read from the power before it and B(p).  The other
+    powers give their diagonal entries as terms, so that each m's sum is
+    normalized once.  tr(B^m) comes from power_traces, which forms B^m only
+    up to m = ceil(TRACE_POWER / 2).
     """
     grid, index = chain.weight_blocks, chain.graph.vertex_index
     # the block product of every walk prefix built so far, by its edges
@@ -563,11 +566,14 @@ def twisted_trace_check(chain):
                 step = grid[index(e.src)][index(e.dst)]
                 products[p[:i]] = step if block is None else block @ step
             block = products[p[:i]]
-        power = block
+        power = None
         for m in range(len(p), TRACE_POWER + 1, len(p)):
-            if m > len(p):
-                power = power @ block
-            prime_terms[m].append((len(p), power.trace()))
+            if power is not None and m + len(p) > TRACE_POWER:
+                # the last power is read only for its trace
+                prime_terms[m].append((len(p), power.product_trace(block)))
+            else:
+                power = block if power is None else power @ block
+                prime_terms[m] += ((len(p), row[i]) for i, row in enumerate(power.entries))
     failures = []
     for m, tr in enumerate(power_traces(chain.weights, TRACE_POWER), 1):
         prime_sum = linear_combination(prime_terms[m], chain.rep.field)

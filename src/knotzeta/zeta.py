@@ -38,7 +38,7 @@ from fractions import Fraction
 from .arc_graph import alexander_spec, build_arc_graph, tangle_determinant, \
     tangle_matrix, weight_matrix
 from .knot_model import DiagramError, cable, compose_tangles
-from .laurent import LaurentPoly, RingMatrix, det, linear_combination, rational_solve
+from .laurent import LaurentPoly, column_replaced_dets, linear_combination, rational_solve
 from .verdict import Verdict
 
 
@@ -214,9 +214,12 @@ def _trace_verdict(g, spec, max_power, walks, primes):
 
     The traces come from power_traces, independently of the tables.  Each
     side is one sum normalized once (laurent.linear_combination): the walk
-    sum of each m, the trace side sum(tr(W^m) / m), and the log side, where
-    the shares n/j of a prime content c and its powers j are gathered per
-    content j*c of p^j, whose weight the content weigher already holds.
+    sum of each m, the trace side and the log side.  The log truncation is
+    compared times s = lcm(1, ..., max_power), so that both of its sides
+    have integer factors: the trace side sum((s/m) tr(W^m)), and the log
+    side, where the shares n (s/j) of a prime content c and its powers j
+    are gathered per content j*c of p^j, whose weight the content weigher
+    already holds.  A failure entry divides both sides back by s.
     """
     weight_of = _content_weigher([spec[label] for label in _content_labels(g)])
     walk_terms = {m: [] for m in range(1, max_power + 1)}
@@ -230,18 +233,19 @@ def _trace_verdict(g, spec, max_power, walks, primes):
         walk_sum = linear_combination(walk_terms[m], None)
         if tr != walk_sum:
             failures.append({"m": m, "trace": str(tr), "walks": str(walk_sum)})
-    trace_side = linear_combination(((Fraction(1, m), tr) for m, tr in enumerate(traces, 1)),
-                                    None)
+    s = math.lcm(*range(1, max_power + 1))
+    trace_side = linear_combination(((s // m, tr) for m, tr in enumerate(traces, 1)), None)
     shares = {}
     for content, n in primes.items():
         for j in range(1, max_power // sum(content) + 1):
             power = tuple(j * k for k in content)
-            shares[power] = shares.get(power, 0) + Fraction(n, j)
+            shares[power] = shares.get(power, 0) + n * (s // j)
     prime_side = linear_combination(((share, weight_of(content))
                                      for content, share in shares.items()), None)
     if prime_side != trace_side:
-        failures.append({"m": "log-truncation", "trace": str(trace_side),
-                         "walks": str(prime_side)})
+        failures.append({"m": "log-truncation",
+                         "trace": str(trace_side.scale(Fraction(1, s))),
+                         "walks": str(prime_side.scale(Fraction(1, s)))})
     return Verdict("trace_identity", not failures,
                    {"max_power": max_power, "failures": failures})
 
@@ -767,16 +771,18 @@ def strand_walk_sum(tangle):
     The system of total_strand_weight, solved once symbolically by Cramer's
     rule: D = det(I - W) over the vertices other than the terminal one, and N
     is the same determinant with the initial vertex's column replaced by the
-    one-step weights into the terminal.  At any t0 with D(t0) != 0 the walk
-    sum is N(t0) / D(t0), and D(t0) = 0 exactly where the solve is singular.
+    one-step weights into the terminal.  Both come from one fraction-free
+    elimination (laurent.column_replaced_dets).  At any t0 with D(t0) != 0
+    the walk sum is N(t0) / D(t0), and D(t0) = 0 exactly where the solve is
+    singular.
     """
     init, term = tangle.strand_pair()
     if init == term:
         one = LaurentPoly.one()
         return one, one
     col, inner, into = _strand_system(tangle, init, term)
-    rows = [row[:col] + (w,) + row[col + 1:] for row, w in zip(inner.entries, into)]
-    return det(RingMatrix(rows, cols=len(rows))), det(inner)
+    den, num = column_replaced_dets(inner, col, into)
+    return num, den
 
 
 def path_sum_check(tangle, seed):

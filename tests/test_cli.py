@@ -389,8 +389,9 @@ def test_oversized_composite_is_skipped_or_input_error(monkeypatch, validators):
     assert (code, obj) == (EXIT_INPUT, {"error": refusal})
     validators["error"].validate(obj)
     trefoil = cli.load_corpus("trefoil")
+    strand = knot_model.cut(trefoil, [trefoil.arcs[0]])
     report = cli._timed("composition:trefoil+trefoil", cli._check_composition,
-                        trefoil, trefoil, {})
+                        strand, strand, {})
     validators["report"].validate(report)
     assert (report["status"], report["reason"]) == ("skipped", refusal)
 
@@ -644,6 +645,41 @@ def test_verify_includes_extra_diagram(tmp_path, trefoil):
     assert "triple:extra" in checks
 
 
+def test_verify_refuses_a_repeated_diagram_name(tmp_path, figure8, monkeypatch, validators):
+    # a check id names its diagram: a file named like a corpus diagram (here
+    # holding figure8), a corpus name given as an extra, and two files of
+    # one stem would each repeat ids, so verify exits 2 before any check
+    def unreachable(*args):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(cli, "_suite_reports", unreachable)
+    for folder in ("x", "y"):
+        (tmp_path / folder).mkdir()
+        for stem in ("trefoil", "own"):
+            (tmp_path / folder / f"{stem}.knot").write_text(render_diagram(figure8))
+    shadow = str(tmp_path / "x" / "trefoil.knot")
+    for argv, name in ((("triple", shadow), "trefoil"),
+                       (("composition", shadow), "trefoil"),
+                       (("triple", "trefoil"), "trefoil"),
+                       (("all", str(tmp_path / "x" / "own.knot"),
+                         str(tmp_path / "y" / "own.knot")), "own")):
+        code, obj = run_json("verify", *argv, "--json")
+        assert (code, obj) == (EXIT_INPUT, {"error": f"diagram {name} given twice"}), argv
+        validators["error"].validate(obj)
+
+
+def test_verify_all_with_extras_gives_each_report_its_own_id(tmp_path, figure8, trefoil):
+    # two extras beside the nine corpus diagrams: 2 matrix-tree, 2 triple,
+    # 2 zeta, 4 + 3 path-sum, 21 composition, 4 cable and 2 twisted reports
+    for stem, d in (("a", figure8), ("b", trefoil)):
+        (tmp_path / f"{stem}.knot").write_text(render_diagram(d))
+    code, out = run("verify", "all", str(tmp_path / "a.knot"), str(tmp_path / "b.knot"),
+                    "--seed", "0", "--json")
+    assert code == EXIT_OK
+    checks = [json.loads(line)["check"] for line in out.splitlines()]
+    assert len(checks) == len(set(checks)) == 129 + 40
+
+
 def test_verify_reports_deterministic_modulo_seconds():
     def normalized():
         _, out = run("verify", "triple", "--json")
@@ -696,6 +732,30 @@ def test_verify_passes_repeat_without_replaying(det_calls):
         passes.append((re.sub(r',"seconds":[-+.0-9eE]+', "", out), len(det_calls) - before))
     assert passes[0] == passes[1]
     assert passes[0][1] > 0
+
+
+def test_verify_pass_work_counts(monkeypatch):
+    # one verify all --seed 0 pass: 243 kernel runs and 145 cuts while each
+    # path sum took N and D from two eliminations and each composition check
+    # cut both of its diagrams
+    counts = {"kernel": 0, "cut": 0}
+    kernel, original_cut = laurent._bareiss, knot_model.cut
+
+    def counted_kernel(rows, q):
+        counts["kernel"] += 1
+        return kernel(rows, q)
+
+    def counted_cut(*args):
+        counts["cut"] += 1
+        return original_cut(*args)
+
+    monkeypatch.setattr(laurent, "_bareiss", counted_kernel)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("knotzeta") and getattr(module, "cut", None) is original_cut:
+            monkeypatch.setattr(module, "cut", counted_cut)
+    code, _ = run("verify", "all", "--seed", "0", "--json")
+    assert code == EXIT_OK
+    assert counts["kernel"] <= 213 and counts["cut"] <= 64, counts
 
 
 def test_alexander_takes_the_determinant_from_its_polynomial(det_calls, corpus):

@@ -6,13 +6,13 @@ from fractions import Fraction
 
 import pytest
 
-from knotzeta import laurent
+from knotzeta import laurent, zeta
 from knotzeta.alexander import alexander_matrix
 from knotzeta.arc_graph import alexander_spec, build_arc_graph, tangle_matrix
 from knotzeta.knot_model import cable, compose_tangles, cut, wirtinger_presentation
 from knotzeta.laurent import CanonicalPoly, CoefficientError, LaurentPoly, \
-    PolyFraction, RingMatrix, _bareiss_entry, _det_bareiss, canonicalize, det, \
-    det_cofactor, div_exact, divide_exact, linear_combination, poly_divmod, poly_gcd, \
+    PolyFraction, RingMatrix, _bareiss_entry, _det_bareiss, canonicalize, \
+    column_replaced_dets, det, det_cofactor, div_exact, divide_exact, linear_combination, poly_divmod, poly_gcd, \
     rational_det, rational_solve, row_reduce
 
 
@@ -748,6 +748,81 @@ def test_kernel_work_on_the_figure8_3_cable(corpus, monkeypatch):
     m = tangle_matrix(build_arc_graph(cable(cut(corpus["figure8"], [1]), 3)), alexander_spec())
     assert det(m) == P({-3: -1, 0: 3, 3: -1})
     assert sum(products) <= 20_000
+
+
+def _replaced(mat, col, vector):
+    """mat with column col replaced by vector."""
+    return RingMatrix([[*row[:col], v, *row[col + 1:]] for row, v in zip(mat.entries, vector)],
+                      mat.modulus, cols=mat.cols)
+
+
+def assert_cramer_pair(mat, col, vector):
+    """column_replaced_dets against its oracle, two calls of det."""
+    pair = column_replaced_dets(mat, col, vector)
+    assert pair == (det(mat), det(_replaced(mat, col, vector))), (mat, col, vector)
+    return pair
+
+
+@pytest.mark.parametrize("modulus", [None, 7])
+def test_column_replaced_dets_equal_two_determinants(modulus):
+    # sizes 1-7 and every column; over Q with Fraction coefficients and
+    # negative exponents, and over F_7; a zero vector, the replaced column
+    # itself, a first row held by the replaced column alone (so the leading
+    # block of the other columns is singular and the kernel must swap), and
+    # two other columns in proportion (both determinants vanish)
+    rng = random.Random(modulus or 0)
+    zero = LaurentPoly.zero(modulus)
+
+    def entry():
+        return random_laurent(rng, modulus, denominators=(1, 2, 3, 5))
+
+    nonzero = 0
+    for n in range(1, 8):
+        for _ in range(2):
+            rows = [[entry() for _ in range(n)] for _ in range(n)]
+            vector = [entry() for _ in range(n)]
+            for col in range(n):
+                mat = RingMatrix(rows, modulus, cols=n)
+                whole, replaced = assert_cramer_pair(mat, col, vector)
+                nonzero += not (whole.is_zero() or replaced.is_zero())
+                assert assert_cramer_pair(mat, col, [zero] * n) == (whole, zero)
+                column = [row[col] for row in rows]
+                assert assert_cramer_pair(mat, col, column) == (whole, whole)
+                if n >= 2:
+                    lone = [[e if j == col else zero for j, e in enumerate(rows[0])]]
+                    assert_cramer_pair(RingMatrix(lone + rows[1:], modulus, cols=n), col, vector)
+                if n >= 3:
+                    a, b = [j for j in range(n) if j != col][:2]
+                    tied = [[row[a].shift(1) if j == b else e for j, e in enumerate(row)]
+                            for row in rows]
+                    pair = assert_cramer_pair(RingMatrix(tied, modulus, cols=n), col, vector)
+                    assert pair == (zero, zero)
+    assert nonzero >= 40
+
+
+def test_column_replaced_dets_on_every_corpus_strand(corpus):
+    # the strand systems of the path sums: I - W without the terminal
+    # vertex, and the one-step weights into it
+    systems = 0
+    for name, d in corpus.items():
+        for arc in d.arcs:
+            tangle = cut(d, [arc])
+            init, term = tangle.strand_pair()
+            if init != term:
+                col, inner, into = zeta._strand_system(tangle, init, term)
+                assert_cramer_pair(inner, col, into)
+                systems += 1
+    assert systems == 30
+
+
+def test_column_replaced_dets_refuse_mismatched_input():
+    m = M([[1, 2], [3, 4]])
+    for col, vector, error in ((0, [P({0: 1})], ValueError), (2, [P({}), P({})], IndexError),
+                               (0, [P({0: 1}, 7), P({}, 7)], CoefficientError)):
+        with pytest.raises(error):
+            column_replaced_dets(m, col, vector)
+    with pytest.raises(ValueError):
+        column_replaced_dets(RingMatrix([[P({0: 1}), P({})]], cols=2), 0, [P({})])
 
 
 def test_bareiss_entry_rejects_inexact_division():

@@ -245,6 +245,34 @@ def test_log_truncation_fails_without_one_prime(fig8_cut, monkeypatch):
     assert [f["m"] for f in v.detail["failures"]] == ["log-truncation"]
 
 
+def test_log_truncation_failure_reads_as_the_fraction_sums(fig8_cut, monkeypatch):
+    # the check compares both sides times lcm(1, ..., 6) on integer factors;
+    # its failure entry must still print the sums sum(tr(W^m) / m) and
+    # sum(n weight(p)^j / j), here built on Fractions term by term
+    spec, counts, tables = alexander_spec(), zeta._prime_counts, []
+
+    def one_more(g, max_len):
+        walks, primes = counts(g, max_len)
+        primes[min(primes, key=sum)] += 1
+        tables.append(primes)
+        return walks, primes
+
+    monkeypatch.setattr(zeta, "_prime_counts", one_more)
+    v = trace_identity_check(fig8_cut, spec, 6)
+    [primes] = tables
+    weights = [spec[label] for label in zeta._content_labels(fig8_cut)]
+    traces = traces_of_repeated_products(weight_matrix(fig8_cut, spec), 6)
+    trace_side = sum((tr * Fraction(1, m) for m, tr in enumerate(traces, 1)),
+                     LaurentPoly.zero())
+    prime_side = sum((math.prod(w ** (j * k) for w, k in zip(weights, content))
+                      * Fraction(n, j)
+                      for content, n in primes.items()
+                      for j in range(1, 6 // sum(content) + 1)), LaurentPoly.zero())
+    assert trace_side != prime_side
+    assert v.detail["failures"] == [{"m": "log-truncation", "trace": str(trace_side),
+                                     "walks": str(prime_side)}]
+
+
 @pytest.mark.parametrize("pick", [min, max])
 def test_trace_identity_fails_where_one_walk_is_missing(fig8_cut, monkeypatch, pick):
     # both sides read one _prime_counts run; one walk fewer in one content
