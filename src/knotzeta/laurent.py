@@ -6,18 +6,22 @@ form: an `int` when it is an integer, else a `fractions.Fraction` with
 denominator above 1.  With a prime modulus q attached, coefficients are plain
 ints in [1, q).  Both cases share one interface; mixing moduli raises.  The
 public constructor checks and coerces outside input; arithmetic builds its
-results in normal form directly (_normal_form).
+results in normal form directly (_normal_form).  Sums, differences and
+negations are linear combinations, and shifts and scalings products by one
+term.
 
-Matrices over this ring have exact determinants by one path for every size.
-Rows and columns with a single nonzero entry are peeled off first, by Laplace
-expansion along them, until none is left; the walk matrices of cut strands
-have many (a source arc has no in-edges, a sink arc no out-edges).  What
-remains goes to fraction-free (Bareiss) elimination on lists of int
-coefficients, after each row is cleared of negative powers of t and of
-denominators.  Each step pivots on the row with the fewest entries among
-those that reach the pivot column, and leaves the rows that miss it as they
-are: the factor such a row would gain at each step telescopes, so one exact
-division per entry brings it up to date when it is next needed.  The kernel
+Matrices over this ring have exact determinants by one path for every size
+and both domains.  Rows and columns with a single nonzero entry are peeled
+off first, by Laplace expansion along them, until none is left; the walk
+matrices of cut strands have many (a source arc has no in-edges, a sink arc
+no out-edges).  What remains goes to one fraction-free (Bareiss) kernel over
+Z[t], on lists of int coefficients, after each row is cleared of negative
+powers of t and of denominators; an F_q determinant is the reduced integer
+determinant of the residues.  Each step pivots on the row with the fewest
+entries among those that reach the pivot column, and leaves the rows that
+miss it as they are: the factor such a row would gain at each step
+telescopes, so one exact division per entry brings it up to date when it is
+next needed.  The kernel
 also takes a bordered matrix, n rows of n + 1 entries, and returns both
 minors that share its first n - 1 columns: column_replaced_dets gets the
 pair det(A), det(A with one column replaced) of Cramer's rule from one
@@ -197,30 +201,24 @@ class LaurentPoly:
         other = self._lift(other)
         if other is None:
             return NotImplemented
-        c = dict(self._c)
-        for e, v in other._c.items():
-            c[e] = c.get(e, 0) + v
-        return _normal_form(c, self.modulus)
+        return linear_combination(((1, self), (1, other)), self.modulus)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _normal_form({e: -v for e, v in self._c.items()}, self.modulus)
+        return linear_combination(((-1, self),), self.modulus)
 
     def __sub__(self, other):
         other = self._lift(other)
         if other is None:
             return NotImplemented
-        c = dict(self._c)
-        for e, v in other._c.items():
-            c[e] = c.get(e, 0) - v
-        return _normal_form(c, self.modulus)
+        return linear_combination(((1, self), (-1, other)), self.modulus)
 
     def __rsub__(self, other):
         other = self._lift(other)
         if other is None:
             return NotImplemented
-        return other + (-self)
+        return other - self
 
     def __mul__(self, other):
         """The product; by a one-term operand c*t^k, one pass in order that
@@ -261,11 +259,10 @@ class LaurentPoly:
 
     def shift(self, k):
         """Multiply by t^k."""
-        return _normal_form({e + k: v for e, v in self._c.items()}, self.modulus)
+        return self * LaurentPoly({k: 1}, self.modulus)
 
     def scale(self, c):
-        c = _coerce(c, self.modulus)
-        return _normal_form({e: v * c for e, v in self._c.items()}, self.modulus)
+        return self * LaurentPoly({0: c}, self.modulus)
 
     def substitute_power(self, n):
         """The polynomial with t replaced by t^n (n a nonzero integer)."""
@@ -699,8 +696,8 @@ def det_cofactor(mat):
     return acc
 
 
-def _bareiss_entry(a, b, c, d, prev, q):
-    """(a*b - c*d) / prev for dense coefficient lists, by exact long division."""
+def _bareiss_entry(a, b, c, d, prev):
+    """(a*b - c*d) / prev for dense integer coefficient lists, by exact long division."""
     num = [0] * (max(len(a) + len(b), len(c) + len(d)) - 1)
     for i, x in enumerate(a):
         for j, y in enumerate(b, i):
@@ -708,22 +705,16 @@ def _bareiss_entry(a, b, c, d, prev, q):
     for i, x in enumerate(c):
         for j, y in enumerate(d, i):
             num[j] -= x * y
-    if q:
-        num = [x % q for x in num]
     while num and not num[-1]:
         num.pop()
     lead, dd = prev[-1], len(prev) - 1
-    inv = pow(lead, -1, q) if q else None
     out = [0] * max(len(num) - dd, 0)
     for i in range(len(out) - 1, -1, -1):
-        if q:
-            out[i] = num[i + dd] * inv % q
-        else:
-            out[i], r = divmod(num[i + dd], lead)
-            assert not r, "fraction-free elimination produced a nonexact division"
+        out[i], r = divmod(num[i + dd], lead)
+        assert not r, "fraction-free elimination produced a nonexact division"
         for j, y in enumerate(prev, i):
             num[j] -= out[i] * y
-    assert not any(x % q if q else x for x in num), "nonzero remainder in fraction-free elimination"
+    assert not any(num), "nonzero remainder in fraction-free elimination"
     return out
 
 
@@ -737,11 +728,13 @@ def _bareiss(rows, q):
     serves every minor; what the last row is left with in the last e + 1
     columns are the minors, by Sylvester's identity.
 
-    Each row is first multiplied by a power of t, and over Q by the lcm of its
-    denominators, so that its entries are polynomials with integer (over F_q,
-    residue) coefficients.  An entry is then a list of ints, lowest degree
-    first; the scale factors, common to every minor, are divided out of the
-    results.
+    Each row is first multiplied by a power of t and by the lcm of its
+    denominators (1 over F_q, whose residues are read as ints), so that its
+    entries are polynomials with integer coefficients.  An entry is then a
+    list of ints, lowest degree first; the scale factors, common to every
+    minor, are divided out of the results.  Over F_q each minor is then
+    reduced mod q: the divisions are exact over Z[t], and reduction mod q is
+    a ring map, so it commutes with every minor.
 
     Step k takes as its pivot row, among the rows with an entry in column k,
     the one with the fewest entries right of column k, then the one whose
@@ -764,11 +757,11 @@ def _bareiss(rows, q):
     for row in rows:
         live = [e._c for e in row if e._c]
         k = min((next(iter(c)) for c in live), default=0)
-        m = 1 if q else math.lcm(*(v.denominator for c in live for v in c.values()))
+        m = math.lcm(*(v.denominator for c in live for v in c.values()))
         dense = [[0] * (max(e._c, default=k - 1) - k + 1) for e in row]
         for d, e in zip(dense, row):
             for x, v in e._c.items():
-                d[x - k] = v if q else v.numerator * (m // v.denominator)
+                d[x - k] = v.numerator * (m // v.denominator)
         work.append(dense)
         shift_back += k
         scale *= m
@@ -780,7 +773,7 @@ def _bareiss(rows, q):
             row, num, den = work[i], pivots[k], pivots[level[i]]
             for j in range(k, width):
                 if row[j]:
-                    row[j] = _bareiss_entry(row[j], num, [], [], den, q)
+                    row[j] = _bareiss_entry(row[j], num, [], [], den)
             level[i] = k
 
     for k in range(n - 1):
@@ -802,11 +795,11 @@ def _bareiss(rows, q):
                 catch_up(i, k)
                 for j in range(k + 1, width):
                     if row[j] or top[j]:
-                        row[j] = _bareiss_entry(row[j], top[k], row[k], top[j], prev, q)
+                        row[j] = _bareiss_entry(row[j], top[k], row[k], top[j], prev)
                 level[i] = k + 1
         pivots.append(top[k])
     catch_up(n - 1, n - 1)
-    return [LaurentPoly({e + shift_back: sign * c if q else Fraction(sign * c, scale)
+    return [LaurentPoly({e + shift_back: sign * c if scale == 1 else Fraction(sign * c, scale)
                          for e, c in enumerate(minor)}, q)
             for minor in work[-1][n - 1:]]
 

@@ -277,18 +277,10 @@ def dihedral_rep(diagram, p, coloring):
 # -- the twisted chain: Fox blocks with matrix coefficients -------------------
 
 
-def twisted_image(rep, word):
-    """t^(exponent sum) times the representation image, over F_q[t, 1/t]."""
-    k = exponent_sum(word)
-    mat = rep.word_image(word)
-    q = rep.field
-    return RingMatrix([[LaurentPoly({k: x}, q) for x in row] for row in mat],
-                      q, cols=rep.dim)
-
-
 def _twisted_element(rep, elem):
-    """Image of a group ring element, sum of coeff * twisted_image(word), as
-    one block: each word adds coeff * rho(word)[i][j] t^(exponent sum)."""
+    """Image of a group ring element over F_q[t, 1/t], as one block: each
+    word adds coeff * rho(word)[i][j] t^(exponent sum).  Every twisted block
+    is built here."""
     m = rep.dim
     sums = [[{} for _ in range(m)] for _ in range(m)]
     for word, coeff in elem.items():
@@ -455,14 +447,12 @@ def _crossing_blocks(rep, crossing):
     """
     i, j, k = crossing.under_in, crossing.over, crossing.under_out
     if crossing.sign > 0:
-        under = twisted_image(rep, ((i, 1), (j, 1), (k, -1)))
-        jump = twisted_image(rep, ((i, 1), (j, 1), (k, -1), (j, -1))) \
-            - twisted_image(rep, ((i, 1),))
+        under = ((i, 1), (j, 1), (k, -1))
+        jump = {under + ((j, -1),): 1, ((i, 1),): -1}
     else:
-        under = twisted_image(rep, ((i, 1), (j, -1), (k, -1)))
-        jump = twisted_image(rep, ((i, 1), (j, -1))) \
-            - twisted_image(rep, ((i, 1), (j, -1), (k, -1)))
-    return under, jump
+        under = ((i, 1), (j, -1), (k, -1))
+        jump = {((i, 1), (j, -1)): 1, under: -1}
+    return _twisted_element(rep, {under: 1}), _twisted_element(rep, jump)
 
 
 def _weight_blocks(graph, rep):
@@ -520,7 +510,7 @@ def twisted_row_identity_check(chain):
     vector of images minus identities.
 
     For each relator r: sum over generators k of (dr/dx_k under the twist)
-    times (twisted_image(x_k) - I) equals twisted_image(r) - I = 0 exactly.
+    times (the image of x_k - 1) equals the image of r - 1 = 0 exactly.
     """
     pres = chain.presentation
     zero = RingMatrix.zeros(chain.rep.dim, chain.rep.dim, chain.rep.field)

@@ -659,12 +659,14 @@ def determinant_formula_check(g, spec, t0=None, max_len=None):
     """Zeta equals 1/det(I - W): exact traces plus a numeric Euler product.
 
     When t0 or max_len is unspecified, a horizon whose estimated tail falls
-    below TOLERANCE is selected automatically (see _plan_horizon).  The
-    verdict rests on the measured gap, not on that estimate.  At a convergent
-    point the reported floats are those of the exact product, correctly
-    rounded, and the comparison with TOLERANCE is exact; certified 256-bit bounds
-    settle them wherever they can, and the million-bit exact product is
-    built only where they cannot (see _compare_product).
+    below TOLERANCE is selected automatically (see _plan_horizon); with no
+    t0 given and no candidate planned, it raises DiagramError, a size limit
+    like a non-finite estimate.  The verdict rests on the measured gap, not
+    on that estimate.  At a convergent point the reported floats are those
+    of the exact product, correctly rounded, and the comparison with
+    TOLERANCE is exact; certified 256-bit bounds settle them wherever they
+    can, and the million-bit exact product is built only where they cannot
+    (see _compare_product).
 
     One _prime_counts run, to the longer of TRACE_HORIZON and max_len,
     serves the trace identity and the product: it keeps every closed walk up
@@ -680,10 +682,12 @@ def determinant_formula_check(g, spec, t0=None, max_len=None):
     if t0 is None or max_len is None:
         plan = _plan_horizon(g, spec, t0=t0)
         if plan is None:
+            reason = "no sample point with a convergent, affordable horizon"
+            if t0 is None:
+                raise DiagramError(reason)
             trace = _trace_verdict(g, spec, TRACE_HORIZON, *_prime_counts(g, TRACE_HORIZON))
             return Verdict("determinant_formula", False,
-                           {"reason": "no sample point with a convergent, affordable horizon",
-                            "trace": trace.to_json()})
+                           {"reason": reason, "trace": trace.to_json()})
         t0, planned_len, estimate = plan
         max_len = max_len if max_len is not None else planned_len
     else:

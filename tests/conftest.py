@@ -23,6 +23,19 @@ KNOWN_DET = {
     "5_1": 5, "5_2": 7, "6_1": 9,
 }
 
+# the closure of the torus knot T(3,4), 8 crossings: the Euler check's
+# planner accepts none of its candidate points
+T34 = """X+ 2 4 5
+X+ 8 5 6
+X+ 8 2 3
+X+ 6 3 4
+X+ 6 8 1
+X+ 4 1 2
+X+ 4 6 7
+X+ 2 7 8
+"""
+NO_PLANNED_POINT = "no sample point with a convergent, affordable horizon"
+
 
 def traces_of_repeated_products(w, max_power):
     """The oracle of zeta.power_traces: every power W^m formed, one product

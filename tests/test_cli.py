@@ -18,6 +18,7 @@ from knotzeta import arborescence, cli, knot_model, laurent, zeta
 from knotzeta.arc_graph import alexander_spec, build_arc_graph, tangle_determinant
 from knotzeta.cli import EXIT_INCONSISTENT, EXIT_INPUT, EXIT_OK, main
 from knotzeta.knot_model import cut, render_diagram
+from tests.conftest import NO_PLANNED_POINT, T34
 
 
 @pytest.fixture(scope="session")
@@ -414,6 +415,19 @@ def test_cable_refuses_a_link(tmp_path, validators):
         assert (report["status"], report["reason"]) == ("skipped", CABLE_REFUSAL)
 
 
+def reports_beside_the_reference(out):
+    """The reports of a `verify all --json` output whose ids the reference
+    lacks, once every reference report is found in it with its bytes apart
+    from `seconds`."""
+    reference = {json.loads(line)["check"]: line
+                 for line in REFERENCE.read_text().splitlines()}
+    lines = {json.loads(line)["check"]: line for line in out.splitlines()}
+    assert {check: re.sub(r',"seconds":[-+.0-9eE]+', "", lines[check])
+            for check in reference} == reference
+    return {check: json.loads(line) for check, line in lines.items()
+            if check not in reference}
+
+
 def test_verify_all_keeps_every_report_beside_a_link(tmp_path, validators):
     # a DiagramError ends one check, not the run: every corpus report is
     # the reference's, and each Hopf check passes or is skipped with its error
@@ -421,13 +435,7 @@ def test_verify_all_keeps_every_report_beside_a_link(tmp_path, validators):
     hopf.write_text(HOPF)
     code, out = run("verify", "all", str(hopf), "--seed", "0", "--json")
     assert code == EXIT_OK
-    reference = {json.loads(line)["check"]: line
-                 for line in REFERENCE.read_text().splitlines()}
-    lines = {json.loads(line)["check"]: line for line in out.splitlines()}
-    assert {check: re.sub(r',"seconds":[-+.0-9eE]+', "", lines[check])
-            for check in reference} == reference
-    extra = {check: json.loads(line) for check, line in lines.items()
-             if check not in reference}
+    extra = reports_beside_the_reference(out)
     corpus = sorted(cli.corpus_names())
     assert sorted(extra) == sorted(
         ["matrix-tree:hopf", "triple:hopf", "zeta:hopf", "path-sum:hopf:arc1",
@@ -439,6 +447,30 @@ def test_verify_all_keeps_every_report_beside_a_link(tmp_path, validators):
     for check, report in extra.items():
         validators["report"].validate(report)
         assert report["status"] in ("pass", "skipped"), check
+
+
+def test_unplanned_euler_check_is_refused_and_skipped(tmp_path, validators):
+    # zeta refuses T(3,4), on which no point is planned, as an input error,
+    # and fails it at a given point; verify skips its zeta check and runs
+    # the rest, every corpus report as in the reference
+    path = tmp_path / "t34.knot"
+    path.write_text(T34)
+    for argv in (("zeta", str(path)), ("zeta", str(path), "--check", "euler")):
+        code, obj = run_json(*argv)
+        assert (code, obj) == (EXIT_INPUT, {"error": NO_PLANNED_POINT}), argv
+        validators["error"].validate(obj)
+    code, obj = run_json("zeta", str(path), "--check", "euler", "--t", "1/2")
+    assert code == EXIT_INCONSISTENT and obj["detail"]["reason"] == NO_PLANNED_POINT
+    code, out = run("verify", "all", str(path), "--seed", "0", "--json")
+    assert code == EXIT_OK
+    extra = reports_beside_the_reference(out)
+    assert len(extra) == 24
+    for check, report in extra.items():
+        validators["report"].validate(report)
+        if check == "zeta:t34":
+            assert (report["status"], report["reason"]) == ("skipped", NO_PLANNED_POINT)
+        else:
+            assert report["status"] == "pass", check
 
 
 def test_unknown_corpus_name(validators):

@@ -7,7 +7,7 @@ from functools import reduce
 import pytest
 
 from knotzeta import cli, twisted
-from knotzeta.alexander import fox_derivative
+from knotzeta.alexander import exponent_sum, fox_derivative
 from knotzeta.arc_graph import alexander_spec, build_arc_graph, weight_matrix
 from knotzeta.knot_model import DiagramError, Presentation, parse_diagram, \
     wirtinger_presentation
@@ -237,13 +237,14 @@ def test_block_identity_all_corpus(corpus):
 
 
 def test_twisted_element_is_the_sum_of_its_word_images(corpus, dihedral_chains):
-    # the block built word by word: one twisted_image, scale and sum per word
+    # the block built word by word: coeff * t^(exponent sum) * rho(word),
+    # one matrix per word, summed
     def summed(rep, elem):
         out = RingMatrix.zeros(rep.dim, rep.dim, rep.field)
         for word, coeff in elem.items():
-            image = twisted.twisted_image(rep, word)
-            out = out + RingMatrix([[a.scale(coeff) for a in row] for row in image.entries],
-                                   rep.field, cols=rep.dim)
+            k = exponent_sum(word)
+            out = out + RingMatrix([[LaurentPoly({k: coeff * x}, rep.field) for x in row]
+                                    for row in rep.word_image(word)], rep.field, cols=rep.dim)
         return out
 
     chains = list(dihedral_chains.values())
@@ -456,12 +457,15 @@ def piece_calls(monkeypatch):
 @pytest.mark.parametrize("name,p", [("figure8", 5), ("trefoil", 3)])
 def test_dihedral_reports_build_each_piece_once(corpus, piece_calls, name, p):
     # the reports read every Fox block and every denominator, each a twisted
-    # image of a group ring element; as many images as blocks means one each
+    # image of a group ring element, and the one run of _weight_blocks builds
+    # two blocks per crossing; as many other images as blocks means one each
     pres = wirtinger_presentation(corpus[name])
     reports = cli._twisted_dihedral_reports(name, corpus[name], p)
     assert [r["status"] for r in reports] == ["pass"] * 5
     blocks = (len(pres.relators) + 1) * len(pres.generators)
-    assert piece_calls == {**dict.fromkeys(CHAIN_PIECES, 1), "_twisted_element": blocks}
+    crossing_blocks = 2 * len(corpus[name].crossings)
+    assert piece_calls == {**dict.fromkeys(CHAIN_PIECES, 1),
+                           "_twisted_element": blocks + crossing_blocks}
 
 
 def test_quotients_build_no_arc_graph(corpus, trefoil, trefoil_rep, piece_calls):

@@ -12,13 +12,13 @@ import pytest
 from knotzeta.arc_graph import ArcGraph, alexander_spec, build_arc_graph, \
     tangle_determinant, weight_matrix
 from knotzeta import zeta
-from knotzeta.knot_model import DiagramError, cut
+from knotzeta.knot_model import DiagramError, cut, parse_diagram
 from knotzeta.laurent import LaurentPoly, RingMatrix
 from knotzeta.zeta import ConvergenceWarning, cabling_check, closed_walks, \
     composition_check, determinant_formula_check, path_sum_check, power_traces, \
     prime_cycles, sample_points, spectral_estimate, strand_walk_sum, \
     total_strand_weight, trace_identity_check, zeta_partial_product
-from tests.conftest import traces_of_repeated_products
+from tests.conftest import NO_PLANNED_POINT, T34, traces_of_repeated_products
 
 
 def walk_weight(walk, spec):
@@ -759,6 +759,20 @@ def test_euler_check_counts_closed_walks_once(every_cut, fig8_cut, monkeypatch):
         assert runs == [max(zeta.TRACE_HORIZON, v.detail.get("max_len", 0))], key
         trace = trace_identity_check(g, spec, zeta.TRACE_HORIZON)
         assert v.detail["trace"] == trace.to_json(), key
+
+
+def test_euler_check_refuses_a_diagram_with_no_planned_point():
+    # no candidate point plans a horizon on T(3,4)'s cut, although nothing
+    # disagrees: that is a size limit, so the check raises, as it does for a
+    # non-finite estimate; at a given t0 it keeps its failing verdict
+    g = build_arc_graph(cut(parse_diagram(T34), [1]))
+    spec = alexander_spec()
+    for max_len in (None, 12):
+        with pytest.raises(DiagramError, match=NO_PLANNED_POINT):
+            determinant_formula_check(g, spec, max_len=max_len)
+    v = determinant_formula_check(g, spec, t0=Fraction(1, 2))
+    assert not v.passed and v.detail["reason"] == NO_PLANNED_POINT
+    assert v.detail["trace"]["passed"]
 
 
 def test_convergence_warning_names_the_caller(fig8_cut):
