@@ -46,6 +46,8 @@ EXIT_INCONSISTENT = 3
 # are always included
 CABLE_CORPUS = ("kink_pm", "trefoil", "figure8")
 DIHEDRAL_CASES = {"trefoil": 3, "figure8": 5}
+# the suites of `verify`, in the order they run
+SUITES = ("matrix-tree", "triple", "zeta", "path-sum", "composition", "cable", "twisted")
 
 
 class InputError(ValueError):
@@ -215,11 +217,7 @@ def cmd_twisted(ns):
 
 def _report(check, verdict, params, lhs, rhs):
     rep = {"check": check, "status": "pass" if verdict.passed else "fail",
-           "params": params}
-    if lhs is not None:
-        rep["lhs"] = lhs
-    if rhs is not None:
-        rep["rhs"] = rhs
+           "params": params, "lhs": lhs, "rhs": rhs}
     if not verdict.passed:
         rep["detail"] = verdict.detail
     return rep
@@ -285,10 +283,10 @@ def _check_triple(check_id, diagram):
 def _check_zeta(check_id, diagram):
     g = build_arc_graph(cut(diagram, [diagram.arcs[0]]))
     verdict = determinant_formula_check(g, alexander_spec())
-    params = {k: verdict.detail.get(k) for k in ("t0", "max_len", "tolerance")}
+    params = {k: verdict.detail[k] for k in ("t0", "max_len", "tolerance")}
     return _report(check_id, verdict, params,
-                   lhs=verdict.detail.get("partial_product"),
-                   rhs=verdict.detail.get("inverse_determinant"))
+                   lhs=verdict.detail["partial_product"],
+                   rhs=verdict.detail["inverse_determinant"])
 
 
 def _check_path_sum(check_id, diagram, arc, seed):
@@ -395,9 +393,7 @@ def _suite_reports(suites, diagrams, extras, ns, samples):
 
 
 def cmd_verify(ns):
-    all_suites = ("matrix-tree", "triple", "zeta", "path-sum", "composition",
-                  "cable", "twisted")
-    suites = all_suites if ns.suite == "all" else (ns.suite,)
+    suites = SUITES if ns.suite == "all" else (ns.suite,)
     # only the cable checks read --n and --t, refused or parsed before any check runs
     for flag in ("n", "t"):
         if getattr(ns, flag) is not None and "cable" not in suites:
@@ -422,7 +418,7 @@ def cmd_verify(ns):
             mark = {"pass": "ok", "fail": "FAIL", "skipped": "skip"}[r["status"]]
             line = f"[{mark}] {r['check']} ({r['seconds']:.2f}s)"
             if r["status"] == "fail":
-                line += f"\n       lhs={r.get('lhs')!r} rhs={r.get('rhs')!r}"
+                line += f"\n       lhs={r['lhs']!r} rhs={r['rhs']!r}"
             if r["status"] == "skipped":
                 line += f"  reason: {r['reason']}"
             sys.stdout.write(line + "\n")
@@ -441,7 +437,6 @@ def build_parser():
 
     def diagram_arg(p):
         p.add_argument("diagram", help="diagram file or corpus name")
-        p.add_argument("--json", action="store_true", help="JSON output (default)")
 
     p = sub.add_parser("alexander", help="canonical Alexander polynomial")
     diagram_arg(p)
@@ -475,8 +470,7 @@ def build_parser():
     p.add_argument("--rep", help="representation JSON (or @file)")
 
     p = sub.add_parser("verify", help="run consistency suites")
-    p.add_argument("suite", choices=("matrix-tree", "triple", "zeta", "path-sum",
-                                     "composition", "cable", "twisted", "all"))
+    p.add_argument("suite", choices=SUITES + ("all",))
     p.add_argument("diagrams", nargs="*",
                    help="extra diagram files to include")
     p.add_argument("--seed", type=int, default=0)

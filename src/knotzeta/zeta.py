@@ -16,8 +16,9 @@ order of the edges.  Both routes are capped by what they count, MAX_PRIMES
 primes, and refuse a horizon deeper than _deepest_walk() before counting.
 The Euler check makes one _prime_counts run for its trace identity and its
 product, and plans its sample point and horizon from a float spectral
-estimate read row by row (see _plan_horizon); its certified bounds raise
-every factor to its power in one Straus ladder (see _product_bounds).
+estimate read row by row (see _plan_horizon); its certified bounds, rounded
+by decimal, raise every factor to its power in one Straus ladder (see
+_product_bounds).
 The traces tr(W^m), m <= M, are read off the powers up to ceil(M/2) only
 (power_traces), and every sum of the trace identity is normalized once.
 
@@ -27,6 +28,7 @@ here too, since all three are statements about walk weights.
 
 from __future__ import annotations
 
+import decimal
 import functools
 import math
 import operator
@@ -376,63 +378,49 @@ def _log_product(factors):
         return sign * math.inf
 
 
-# mantissa bits of the dyadic bounds of _product_bounds; enough that the
-# bounds settle a float almost everywhere, few enough that each product of
-# two mantissas stays cheap
-_BOUND_BITS = 256
-
-
-def _truncate(m, e, up):
-    """m * 2^e (m > 0) with m cut to _BOUND_BITS bits, rounded down or up."""
-    # rounding up can carry into one more bit, so the cut may repeat once
-    while m.bit_length() > _BOUND_BITS:
-        k = m.bit_length() - _BOUND_BITS
-        m, e = (-(-m >> k) if up else m >> k), e + k
-    return m, e
-
-
-def _bound_mul(a, b, up):
-    return _truncate(a[0] * b[0], a[1] + b[1], up)
+# the roundings of _product_bounds: 80 digits settle a float almost
+# everywhere, and each product stays cheap; the exponent range never overflows
+_DOWN = decimal.Context(prec=80, rounding=decimal.ROUND_FLOOR,
+                        Emin=decimal.MIN_EMIN, Emax=decimal.MAX_EMAX)
+_UP = decimal.Context(prec=80, rounding=decimal.ROUND_CEILING,
+                      Emin=decimal.MIN_EMIN, Emax=decimal.MAX_EMAX)
 
 
 def _bound_ends(a, b):
-    """The (lo, hi) pair of a times that of b, lo cut down and hi up."""
-    return _bound_mul(a[0], b[0], False), _bound_mul(a[1], b[1], True)
+    """The (lo, hi) pair of a times that of b, lo rounded down and hi up."""
+    return _DOWN.multiply(a[0], b[0]), _UP.multiply(a[1], b[1])
 
 
 def _product_bounds(factors):
-    """Dyadic rationals lo <= P <= hi around the product P of _euler_factors.
+    """Decimal fractions lo <= P <= hi around the product P of _euler_factors.
 
-    Each |1/(1 - w)| is rounded down for lo and up for hi to a mantissa of
-    _BOUND_BITS bits.  The powers are then taken together by one ladder
+    Each |1/(1 - w)| = q/p is rounded down for lo and up for hi to 80
+    digits.  The powers are then taken together by one ladder
     (simultaneous exponentiation, Straus 1964), not one square-and-multiply
     per factor: each rounded factor is multiplied into the bit-plane
     product Q_b of every set bit b of its count, and from the top bit down
-    the product becomes its square times Q_b.  Every product is truncated
-    toward -inf for lo and toward +inf for hi.  All of that runs on
-    magnitudes, and the sign comes from the parity of the negative factors.
+    the product becomes its square times Q_b.  decimal takes its int
+    operands exactly and rounds every quotient and product correctly, toward
+    -inf for lo and toward +inf for hi.  All of that runs on magnitudes, and
+    the sign comes from the parity of the negative factors.
     """
     planes = {}  # bit b -> the (lo, hi) pair of Q_b
     negatives = 0
     for f, n in factors:
-        # |1/f| = q/p lies in [m, m + 1) * 2^-s, at m * 2^-s exactly when r
-        # is 0, and m has _BOUND_BITS or _BOUND_BITS + 1 bits
         p, q = abs(f.numerator), f.denominator
-        s = _BOUND_BITS + p.bit_length() - q.bit_length()
-        m, r = divmod(q << s, p) if s >= 0 else divmod(q, p << -s)
-        ends = _truncate(m, -s, False), _truncate(m + (r > 0), -s, True)
+        ends = _DOWN.divide(q, p), _UP.divide(q, p)
         for b in range(n.bit_length()):
             if n >> b & 1:
                 planes[b] = _bound_ends(planes[b], ends) if b in planes else ends
         if f < 0:
             negatives += n
     top = max(planes, default=0)
-    acc = planes.get(top, ((1, 0), (1, 0)))
+    acc = planes.get(top, (decimal.Decimal(1), decimal.Decimal(1)))
     for b in range(top - 1, -1, -1):
         acc = _bound_ends(acc, acc)
         if b in planes:
             acc = _bound_ends(acc, planes[b])
-    lo, hi = (Fraction(m << e) if e >= 0 else Fraction(m, 1 << -e) for m, e in acc)
+    lo, hi = map(Fraction, acc)
     return (-hi, -lo) if negatives % 2 else (lo, hi)
 
 
@@ -619,7 +607,9 @@ def _planned_horizon(g, totals, r):
 def _plan_horizon(g, spec, t0):
     """Pick (t0, max_len, estimate at t0) so the estimated Euler tail drops
     below TOLERANCE, by the rule of _planned_horizon.  A t0 of None lets the
-    planner try _T0_CANDIDATES in order and keep the first accepted.
+    planner try _T0_CANDIDATES in order and keep the first accepted, or
+    return None where it accepts none; a given t0 is always kept, with a
+    max_len of None where the rule rejects it.
 
     The path cap stays because it decides the plans: without it every cut
     of 5_1, 5_2, 6_1 and figure8 would get another (t0, max_len), 5_2 cut
@@ -637,7 +627,7 @@ def _plan_horizon(g, spec, t0):
     no earlier, with no fewer paths), so a candidate is dropped at the
     first row whose running maximum the rule rejects, and the plan is that
     of estimating every candidate exactly.  A given t0 reads every row, so
-    it raises wherever spectral_estimate does.
+    its estimate is spectral_estimate's, and it raises wherever that does.
     """
     screened = t0 is None
     totals = _path_totals(g)
@@ -650,7 +640,7 @@ def _plan_horizon(g, spec, t0):
                 horizon = _planned_horizon(g, totals, peak ** (1.0 / 16))
                 if screened and horizon is None:
                     break
-        if horizon is not None:
+        if horizon is not None or not screened:
             return t0, horizon, peak ** (1.0 / 16)
     return None
 
@@ -658,15 +648,17 @@ def _plan_horizon(g, spec, t0):
 def determinant_formula_check(g, spec, t0=None, max_len=None):
     """Zeta equals 1/det(I - W): exact traces plus a numeric Euler product.
 
-    When t0 or max_len is unspecified, a horizon whose estimated tail falls
-    below TOLERANCE is selected automatically (see _plan_horizon); with no
-    t0 given and no candidate planned, it raises DiagramError, a size limit
-    like a non-finite estimate.  The verdict rests on the measured gap, not
-    on that estimate.  At a convergent point the reported floats are those
-    of the exact product, correctly rounded, and the comparison with
-    TOLERANCE is exact; certified 256-bit bounds settle them wherever they
-    can, and the million-bit exact product is built only where they cannot
-    (see _compare_product).
+    One _plan_horizon call gives the spectral estimate at t0 and, when t0
+    or max_len is unspecified, the missing one, so that the estimated tail
+    falls below TOLERANCE.  With no t0 given and no candidate planned, it
+    raises DiagramError, a size limit like a non-finite estimate; with a
+    given t0 that the rule rejects and no max_len, the verdict fails with
+    that reason and the trace identity.  The verdict rests on the measured
+    gap, not on the estimate.  At a convergent point the reported floats
+    are those of the exact product, correctly rounded, and the comparison
+    with TOLERANCE is exact; certified 80-digit decimal bounds settle them
+    wherever they can, and the million-bit exact product is built only
+    where they cannot (see _compare_product).
 
     One _prime_counts run, to the longer of TRACE_HORIZON and max_len,
     serves the trace identity and the product: it keeps every closed walk up
@@ -679,19 +671,16 @@ def determinant_formula_check(g, spec, t0=None, max_len=None):
         t0 = Fraction(t0)
         if determinant.evaluate(t0) == 0:
             raise ZeroDivisionError("det(I - W) vanishes at the sample point")
-    if t0 is None or max_len is None:
-        plan = _plan_horizon(g, spec, t0=t0)
-        if plan is None:
-            reason = "no sample point with a convergent, affordable horizon"
-            if t0 is None:
-                raise DiagramError(reason)
-            trace = _trace_verdict(g, spec, TRACE_HORIZON, *_prime_counts(g, TRACE_HORIZON))
-            return Verdict("determinant_formula", False,
-                           {"reason": reason, "trace": trace.to_json()})
-        t0, planned_len, estimate = plan
-        max_len = max_len if max_len is not None else planned_len
-    else:
-        estimate = spectral_estimate(g, spec, t0)
+    plan = _plan_horizon(g, spec, t0)
+    reason = "no sample point with a convergent, affordable horizon"
+    if plan is None:
+        raise DiagramError(reason)
+    t0, planned_len, estimate = plan
+    max_len = planned_len if max_len is None else max_len
+    if max_len is None:
+        trace = _trace_verdict(g, spec, TRACE_HORIZON, *_prime_counts(g, TRACE_HORIZON))
+        return Verdict("determinant_formula", False,
+                       {"reason": reason, "trace": trace.to_json()})
     target = 1 / determinant.evaluate(t0)
     _warn_if_divergent(estimate, t0)
     _refuse_deeper(max_len)
@@ -799,8 +788,14 @@ def path_sum_check(tangle, seed):
     which no choice of samples can miss; only a mismatch adds a failure
     entry.  Where N and D are the same polynomial, N(t0) is D(t0), so only
     D is evaluated: it decides whether a sample is skipped or verified.
+    Raises DiagramError where D is the zero polynomial (a split diagram,
+    whose closed component's rows of W sum to 1): the walk sum then has no
+    value at any t0.
     """
     num, den = strand_walk_sum(tangle)
+    if not den:
+        raise DiagramError("det(I - W) off the terminal vanishes identically: "
+                           "the walk sum has no value")
     same = num == den
     verified = []
     skipped = []

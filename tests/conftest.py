@@ -36,6 +36,17 @@ X+ 2 7 8
 """
 NO_PLANNED_POINT = "no sample point with a convergent, affordable horizon"
 
+# two corpus trefoils side by side: off the terminal of any cut, the other
+# trefoil's rows of W sum to 1, so det(I - W) there is the zero polynomial
+SPLIT = """X+ 3 1 2
+X+ 1 2 3
+X+ 2 3 1
+X+ 6 4 5
+X+ 4 5 6
+X+ 5 6 4
+"""
+NO_WALK_SUM = "det(I - W) off the terminal vanishes identically: the walk sum has no value"
+
 
 def traces_of_repeated_products(w, max_power):
     """The oracle of zeta.power_traces: every power W^m formed, one product

@@ -1,5 +1,6 @@
 """Command-line contract: JSON shapes, schemas, exit codes, determinism."""
 
+import argparse
 import io
 import json
 import re
@@ -18,7 +19,8 @@ from knotzeta import arborescence, cli, knot_model, laurent, zeta
 from knotzeta.arc_graph import alexander_spec, build_arc_graph, tangle_determinant
 from knotzeta.cli import EXIT_INCONSISTENT, EXIT_INPUT, EXIT_OK, main
 from knotzeta.knot_model import cut, render_diagram
-from tests.conftest import NO_PLANNED_POINT, T34
+from knotzeta.verdict import Verdict
+from tests.conftest import NO_PLANNED_POINT, NO_WALK_SUM, SPLIT, T34
 
 
 @pytest.fixture(scope="session")
@@ -413,6 +415,12 @@ def test_cable_refuses_a_link(tmp_path, validators):
         report = reports[f"cable:hopf:n{n}"]
         validators["report"].validate(report)
         assert (report["status"], report["reason"]) == ("skipped", CABLE_REFUSAL)
+    # the text mode names the reason after the check
+    code, out = run("verify", "cable", str(hopf))
+    assert code == EXIT_OK
+    for n in (2, 3):
+        assert re.search(rf"^\[skip\] cable:hopf:n{n} \([0-9.]+s\)  reason: "
+                         rf"{re.escape(CABLE_REFUSAL)}$", out, re.M), n
 
 
 def reports_beside_the_reference(out):
@@ -471,6 +479,66 @@ def test_unplanned_euler_check_is_refused_and_skipped(tmp_path, validators):
             assert (report["status"], report["reason"]) == ("skipped", NO_PLANNED_POINT)
         else:
             assert report["status"] == "pass", check
+
+
+def test_path_sum_refuses_a_split_diagram(tmp_path, validators):
+    # D vanishes identically off the terminal of every cut: zeta exits 2, and
+    # verify skips the six path-sum checks, every corpus report unchanged
+    path = tmp_path / "split.knot"
+    path.write_text(SPLIT)
+    code, obj = run_json("zeta", str(path), "--check", "path-sum")
+    assert (code, obj) == (EXIT_INPUT, {"error": NO_WALK_SUM})
+    validators["error"].validate(obj)
+    code, out = run("verify", "all", str(path), "--seed", "0", "--json")
+    assert code == EXIT_OK
+    extra = reports_beside_the_reference(out)
+    for arc in range(1, 7):
+        report = extra[f"path-sum:split:arc{arc}"]
+        assert (report["status"], report["reason"]) == ("skipped", NO_WALK_SUM), arc
+    for check, report in extra.items():
+        validators["report"].validate(report)
+        assert report["status"] in ("pass", "skipped"), check
+
+
+def test_verify_reports_a_failing_check(monkeypatch, validators):
+    # a failing report carries the verdict's detail, and the text mode adds
+    # a line with both sides under its [FAIL] line
+    failing = Verdict("composition", False, {"composite": "1", "product": "2"})
+    monkeypatch.setattr(cli, "composition_check", lambda *args: failing)
+    code, out = run("verify", "composition", "--json")
+    assert code == EXIT_INCONSISTENT
+    reports = [json.loads(line) for line in out.splitlines()]
+    assert len(reports) == 45
+    for report in reports:
+        validators["report"].validate(report)
+        assert report["status"] == "fail"
+        assert (report["lhs"], report["rhs"], report["detail"]) == ("1", "2", failing.detail)
+    code, out = run("verify", "composition")
+    assert code == EXIT_INCONSISTENT
+    assert re.search(r"^\[FAIL\] composition:5_1\+5_1 \([0-9.]+s\)\n       lhs='1' rhs='2'$",
+                     out, re.M)
+    assert out.endswith("45 checks, 45 failures\n")
+
+
+def test_verify_skips_a_dihedral_case_without_a_coloring(tmp_path, monkeypatch, validators):
+    # a one-arc diagram under the name trefoil has no nonconstant 3-coloring
+    (tmp_path / "trefoil.knot").write_text("arcs 1\n")
+    monkeypatch.setenv("KNOTZETA_CORPUS", str(tmp_path))
+    code, out = run("verify", "twisted", "--json")
+    assert code == EXIT_OK
+    reports = {r["check"]: r for r in map(json.loads, out.splitlines())}
+    assert sorted(reports) == ["twisted:dihedral:trefoil:rep", "twisted:trivial:trefoil"]
+    report = reports["twisted:dihedral:trefoil:rep"]
+    validators["report"].validate(report)
+    assert (report["status"], report["reason"]) == ("skipped", "no nonconstant 3-coloring")
+
+
+def test_verify_without_a_corpus_directory_is_input_error(tmp_path, monkeypatch, validators):
+    monkeypatch.setenv("KNOTZETA_CORPUS", str(tmp_path / "missing"))
+    code, obj = run_json("verify", "all")
+    assert code == EXIT_INPUT
+    assert obj["error"].startswith("corpus directory unavailable: ")
+    validators["error"].validate(obj)
 
 
 def test_unknown_corpus_name(validators):
@@ -835,6 +903,41 @@ def test_module_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout == '{"det":1}\n'
+
+
+class ReadRecorder(argparse.Namespace):
+    """A namespace that records the names of the attributes read from it."""
+
+    def __init__(self):
+        super().__init__()
+        self._reads = set()
+
+    def __getattribute__(self, name):
+        if not name.startswith("_"):
+            object.__getattribute__(self, "_reads").add(name)
+        return object.__getattribute__(self, name)
+
+
+@pytest.mark.parametrize("argv", [("alexander", "trefoil"), ("det", "trefoil"),
+                                  ("tree-poly", "trefoil"),
+                                  ("zeta", "trefoil", "--check", "path-sum"),
+                                  ("twisted", "trefoil"), ("verify", "triple")],
+                         ids=lambda argv: argv[0])
+def test_every_parsed_flag_is_read_by_its_handler(argv, capsys):
+    # a flag that no handler reads does nothing, whatever the user gives
+    ns = cli.build_parser().parse_args(list(argv), namespace=ReadRecorder())
+    handler = cli.HANDLERS[ns.command]
+    parsed = {name for name in vars(ns) if not name.startswith("_")} - {"command"}
+    ns._reads.clear()
+    assert handler(ns) == EXIT_OK
+    assert parsed - ns._reads == set()
+
+
+@pytest.mark.parametrize("command", ["alexander", "det", "tree-poly", "zeta", "twisted"])
+def test_compute_subcommands_take_no_json_flag(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(command, "trefoil", "--json")
+    assert exc.value.code == 2
 
 
 def test_missing_subcommand_is_usage_error():

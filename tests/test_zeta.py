@@ -18,7 +18,8 @@ from knotzeta.zeta import ConvergenceWarning, cabling_check, closed_walks, \
     composition_check, determinant_formula_check, path_sum_check, power_traces, \
     prime_cycles, sample_points, spectral_estimate, strand_walk_sum, \
     total_strand_weight, trace_identity_check, zeta_partial_product
-from tests.conftest import NO_PLANNED_POINT, T34, traces_of_repeated_products
+from tests.conftest import NO_PLANNED_POINT, NO_WALK_SUM, SPLIT, T34, \
+    traces_of_repeated_products
 
 
 def walk_weight(walk, spec):
@@ -534,8 +535,7 @@ def test_product_bounds_enclose_the_exact_product(corpus, fig8_cut, planned_prod
         assert lo.numerator * den <= num * lo.denominator, (t0, max_len)
         assert num * hi.denominator <= hi.numerator * den, (t0, max_len)
         for end in (lo, hi):
-            assert abs(end.numerator).bit_length() <= 256
-            assert end.denominator & (end.denominator - 1) == 0  # a power of 2
+            assert 10 ** 1000 % end.denominator == 0  # a decimal fraction
         assert hi - lo <= abs(lo) * Fraction(1, 2 ** 200)
     assert negative  # the sign of a negative product is covered too
 
@@ -572,20 +572,19 @@ def test_exact_product_built_only_when_bounds_cannot_decide(corpus, monkeypatch)
 
 
 def test_euler_bounds_take_one_ladder(corpus, monkeypatch):
-    # bounded products on 6_1's arc-1 cut: 2,004 with one ladder for every
-    # factor, 5,202 with a square-and-multiply per factor
+    # bounded pair products on 6_1's arc-1 cut: 1,002 with one ladder for
+    # every factor, 2,601 with a square-and-multiply per factor
     calls = []
-    bound_mul = zeta._bound_mul
-    monkeypatch.setattr(zeta, "_bound_mul",
-                        lambda a, b, up: calls.append(up) or bound_mul(a, b, up))
+    bound_ends = zeta._bound_ends
+    monkeypatch.setattr(zeta, "_bound_ends", lambda a, b: calls.append(1) or bound_ends(a, b))
     g = build_arc_graph(cut(corpus["6_1"], [1]))
     assert determinant_formula_check(g, alexander_spec()).passed
-    assert len(calls) <= 2100
+    assert len(calls) <= 1050
 
 
 # hand-made factor lists whose product P or gap sits exactly on a tie that
-# no 256-bit bound can settle: (factors, target, tol)
-THIRD = (Fraction(3), 1)  # contributes 1/3, which no dyadic bound hits
+# no 80-digit bound can settle: (factors, target, tol)
+THIRD = (Fraction(3), 1)  # contributes 1/3, which no decimal bound hits
 TIES = {
     # P = 1 + 2^-53 lies halfway between two floats
     "partial": ([(Fraction(2 ** 53, 3 * (2 ** 53 + 1)), 1), THIRD], Fraction(2), 1e-6),
@@ -869,6 +868,18 @@ def test_path_sum_skips_roots_of_the_determinant(corpus):
     assert v.passed
     assert v.detail == {"verified": [t for t in drawn if t not in ("2", "1/2")],
                         "skipped": ["2", "1/2"], "failures": []}
+
+
+def test_path_sum_refuses_a_walk_sum_without_value():
+    # every cut of the split diagram has D = 0: no sample could be verified,
+    # and no sample could disagree
+    d = parse_diagram(SPLIT)
+    for arc in d.arcs:
+        tangle = cut(d, [arc])
+        assert not strand_walk_sum(tangle)[1], arc
+        with pytest.raises(DiagramError) as refusal:
+            path_sum_check(tangle, seed=0)
+        assert str(refusal.value) == NO_WALK_SUM
 
 
 def broken_spec():
