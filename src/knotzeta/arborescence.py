@@ -41,8 +41,7 @@ def enumerate_arborescences(g, roots, spec):
     Raises RuntimeError beyond MAX_ARBORESCENCES results: enumeration is the
     exponential oracle side of matrix-tree, not the fast path.
     """
-    vertices = g.vertices
-    index = {v: i for i, v in enumerate(vertices)}
+    vertices, index = g.vertices, g.index
     roots = tuple(roots)
     if not roots:
         raise ValueError("root set must be nonempty")
@@ -154,7 +153,7 @@ def random_matrix_tree_check(count, seed):
                     if w:
                         label = f"e{len(edges)}"
                         edges.append(GraphEdge(src, dst, label))
-                        weights[label] = LaurentPoly.constant(w)
+                        weights[label] = LaurentPoly({0: w})
         roots = tuple(sorted(rng.sample(vertices, rng.randint(1, n))))
         g = ArcGraph(vertices, tuple(edges), ())
         verdict = matrix_tree_check(g, roots, weights)

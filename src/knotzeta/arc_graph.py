@@ -39,7 +39,8 @@ class ArcGraph:
     crossings: tuple
 
     @cached_property
-    def _index(self):
+    def index(self):
+        """{vertex: its position in vertices}."""
         return {v: i for i, v in enumerate(self.vertices)}
 
     @cached_property
@@ -62,7 +63,7 @@ class ArcGraph:
 
     def vertex_index(self, v):
         try:
-            return self._index[v]
+            return self.index[v]
         except KeyError:
             raise DiagramError(f"unknown vertex {v!r}") from None
 
@@ -101,20 +102,20 @@ def alexander_spec():
     This is the unique assignment with row sum t^e + (1-t^e) = 1 at every
     crossing, and it makes I - W coincide with the abelianized Fox matrix.
     """
-    t = LaurentPoly.t_power(1)
-    t_inv = LaurentPoly.t_power(-1)
+    t = LaurentPoly({1: 1})
+    t_inv = LaurentPoly({-1: 1})
     one = LaurentPoly.one()
     return {"T1": t, "T2": t_inv, "S1": one - t, "S2": one - t_inv}
 
 
 def constant_spec(value=1):
     """All four labels mapped to one constant; weight 1 counts walks."""
-    return dict.fromkeys(LABELS, LaurentPoly.constant(value))
+    return dict.fromkeys(LABELS, LaurentPoly({0: value}))
 
 
 def weight_matrix(g, spec):
     """Adjacency-style matrix W with W[u][v] = weight of the edge u -> v."""
-    index = {v: i for i, v in enumerate(g.vertices)}
+    index = g.index
     zero = LaurentPoly.zero()
     n = len(index)
     rows = [[zero] * n for _ in range(n)]

@@ -4,11 +4,13 @@ A Laurent polynomial is stored sparsely as a map from integer exponents to
 nonzero coefficients.  In characteristic zero a coefficient has one normal
 form: an `int` when it is an integer, else a `fractions.Fraction` with
 denominator above 1.  With a prime modulus q attached, coefficients are plain
-ints in [1, q).  Both cases share one interface; mixing moduli raises.  The
-public constructor checks and coerces outside input; arithmetic builds its
-results in normal form directly (_normal_form).  Sums, differences and
-negations are linear combinations, and shifts and scalings products by one
-term.
+ints in [1, q).  Both cases share one interface; mixing moduli raises.  One
+routine (_normalized) puts a coefficient dict in that normal form, for the
+public constructor, which checks the types of outside input first, and for
+arithmetic results, which need no check.  One loop (_convolve) adds the
+products of two coefficient dicts into a third, under polynomial products,
+matrix products and product traces.  Sums, differences and negations are
+linear combinations, and shifts and scalings products by one term.
 
 Matrices over this ring have exact determinants by one path for every size
 and both domains.  Rows and columns with a single nonzero entry are peeled
@@ -47,33 +49,37 @@ class CoefficientError(ValueError):
 
 
 def _coerce(c, modulus):
+    """c itself if it is a coefficient of the domain, an int or a Fraction
+    over Q or an int mod q, unreduced; else CoefficientError."""
     if modulus is None:
-        # integers stay ints, so that integral work never runs Fraction arithmetic
-        if type(c) is int:
-            return c
-        if isinstance(c, Fraction):
-            return c.numerator if c.denominator == 1 else c
-        if isinstance(c, int):
-            return int(c)
-        raise CoefficientError(f"rational coefficient expected, got {type(c).__name__}")
-    if isinstance(c, int):
-        return c % modulus
-    raise CoefficientError(f"integer coefficient expected mod {modulus}, got {type(c).__name__}")
+        if not isinstance(c, (int, Fraction)):
+            raise CoefficientError(f"rational coefficient expected, got {type(c).__name__}")
+    elif not isinstance(c, int):
+        raise CoefficientError(f"integer coefficient expected mod {modulus}, got {type(c).__name__}")
+    return c
+
+
+def _normalized(c, modulus):
+    """The coefficient dict c, of ints or Fractions of the domain, in normal
+    form: zeros dropped, integral Fractions turned into ints, residues
+    reduced mod q, exponents sorted."""
+    if modulus is None:
+        return {e: v if type(v) is int or v.denominator != 1 else v.numerator
+                for e, v in sorted(c.items()) if v}
+    return {e: r for e, v in sorted(c.items()) if (r := v % modulus)}
 
 
 def _normal_form(c, modulus):
-    """A LaurentPoly from {exponent: coefficient} whose coefficients are
-    already ints or Fractions of the right domain, as sums and products of
-    stored coefficients are: zeros dropped, integral Fractions turned into
-    ints, residues reduced mod q, exponents sorted.  The public constructor
-    checks outside input; arithmetic results come here instead.
-    """
-    if modulus is None:
-        c = {e: v if type(v) is int or v.denominator != 1 else v.numerator
-             for e, v in sorted(c.items()) if v}
-    else:
-        c = {e: r for e, v in sorted(c.items()) if (r := v % modulus)}
-    return _of_sorted(c, modulus)
+    """A LaurentPoly from an unchecked coefficient dict that arithmetic built."""
+    return _of_sorted(_normalized(c, modulus), modulus)
+
+
+def _convolve(acc, a, b):
+    """Add the product of the coefficient dicts a and b into the dict acc."""
+    for e1, v1 in a.items():
+        for e2, v2 in b.items():
+            e = e1 + e2
+            acc[e] = acc.get(e, 0) + v1 * v2
 
 
 def linear_combination(terms, modulus):
@@ -127,10 +133,9 @@ class LaurentPoly:
         c = {}
         if coeffs:
             for e, v in coeffs.items():
-                v = _coerce(v, modulus)
-                if v:
-                    c[int(e)] = v
-        object.__setattr__(self, "_c", dict(sorted(c.items())))
+                c[int(e)] = _coerce(v, modulus)
+            c = _normalized(c, modulus)
+        object.__setattr__(self, "_c", c)
         object.__setattr__(self, "modulus", modulus)
 
     def __setattr__(self, *a):
@@ -148,14 +153,6 @@ class LaurentPoly:
         """1, one shared instance per modulus."""
         return _shared(1, modulus)
 
-    @classmethod
-    def t_power(cls, e):
-        return cls({e: 1})
-
-    @classmethod
-    def constant(cls, c):
-        return cls({0: c})
-
     # -- inspection --------------------------------------------------------
 
     @property
@@ -166,7 +163,7 @@ class LaurentPoly:
         return not self._c
 
     def is_one(self):
-        return self._c == {0: _coerce(1, self.modulus)}
+        return self._c == {0: 1}
 
     def min_exp(self):
         if not self._c:
@@ -236,10 +233,7 @@ class LaurentPoly:
                                    for e, v in terms}, q)
             return _of_sorted({e + k: r for e, v in rest.items() if (r := v * c % q)}, q)
         c = {}
-        for e1, v1 in self._c.items():
-            for e2, v2 in other._c.items():
-                e = e1 + e2
-                c[e] = c.get(e, 0) + v1 * v2
+        _convolve(c, self._c, other._c)
         return _normal_form(c, self.modulus)
 
     __rmul__ = __mul__
@@ -391,7 +385,7 @@ def canonicalize(p):
     to zero with unit 1.
     """
     if p.is_zero():
-        return CanonicalPoly(p, _coerce(1, p.modulus), 0)
+        return CanonicalPoly(p, 1, 0)
     shift = p.min_exp()
     q = p.shift(-shift)
     if p.modulus is None:
@@ -437,14 +431,11 @@ def div_exact(a, b):
 
 
 def poly_gcd(a, b):
-    """Monic (positive-leading over Q) gcd in R[t], as a min-exponent-0 poly."""
-    a = a if a.is_zero() else a.shift(-a.min_exp())
-    b = b if b.is_zero() else b.shift(-b.min_exp())
+    """Monic (positive-leading over Q) gcd in R[t], as a min-exponent-0 poly,
+    by Euclid on canonical associates: units change no associate class."""
+    a, b = canonicalize(a).poly, canonicalize(b).poly
     while not b.is_zero():
-        _, r = poly_divmod(a, b)
-        a, b = b, r
-        if not a.is_zero():
-            a = a.shift(-a.min_exp())
+        a, b = b, canonicalize(poly_divmod(a, b)[1]).poly
     if a.is_zero():
         return a
     return a.scale(_inv_scalar(a.leading(), a.modulus))
@@ -609,11 +600,7 @@ class RingMatrix:
                 if not a._c:
                     continue
                 for j, bc in other_rows[k]:
-                    d = acc.setdefault(j, {})
-                    for e1, v1 in a._c.items():
-                        for e2, v2 in bc.items():
-                            e = e1 + e2
-                            d[e] = d.get(e, 0) + v1 * v2
+                    _convolve(acc.setdefault(j, {}), a._c, bc)
             out_row = [zero] * other.cols
             for j, d in acc.items():
                 out_row[j] = _normal_form(d, self.modulus)
@@ -640,8 +627,8 @@ class RingMatrix:
 
     def product_trace(self, other):
         """tr(self @ other) without forming the product: the terms
-        self[i][k] * other[k][i] over the nonzero pairs, summed in one
-        coefficient dict."""
+        self[i][k] * other[k][i], summed in one coefficient dict (a zero
+        entry adds none)."""
         if self.cols != other.rows or self.rows != other.cols:
             raise ValueError(f"no square product of {self.rows}x{self.cols} "
                              f"and {other.rows}x{other.cols}")
@@ -650,13 +637,7 @@ class RingMatrix:
         acc = {}
         for i, row in enumerate(self.entries):
             for k, a in enumerate(row):
-                b = other.entries[k][i]._c
-                if not (a._c and b):
-                    continue
-                for e1, v1 in a._c.items():
-                    for e2, v2 in b.items():
-                        e = e1 + e2
-                        acc[e] = acc.get(e, 0) + v1 * v2
+                _convolve(acc, a._c, other.entries[k][i]._c)
         return _normal_form(acc, self.modulus)
 
     def delete(self, rows, cols):

@@ -144,7 +144,7 @@ def prime_cycles(g, max_len):
     before enumerating, past _deepest_walk().
     """
     _refuse_deeper(max_len)
-    index = {v: i for i, v in enumerate(g.vertices)}
+    index = g.index
     primes = []
 
     def extend(start, cur, path, dist):
@@ -263,7 +263,7 @@ def _row_sums(g, spec, t0):
     column in row order: every sum is the dense product's to the bit.
     Raises DiagramError when |W(t0)|, a row or a sum is not a finite float.
     """
-    index = {v: i for i, v in enumerate(g.vertices)}
+    index = g.index
     n = len(index)
     t0 = Fraction(t0)
     not_finite = f"spectral estimate at t={t0} is not finite"
@@ -650,10 +650,12 @@ def determinant_formula_check(g, spec, t0=None, max_len=None):
 
     One _plan_horizon call gives the spectral estimate at t0 and, when t0
     or max_len is unspecified, the missing one, so that the estimated tail
-    falls below TOLERANCE.  With no t0 given and no candidate planned, it
-    raises DiagramError, a size limit like a non-finite estimate; with a
-    given t0 that the rule rejects and no max_len, the verdict fails with
-    that reason and the trace identity.  The verdict rests on the measured
+    falls below TOLERANCE.  It raises DiagramError first where det(I - W) is
+    the zero polynomial (a split diagram), which no point or horizon serves.
+    With no t0 given and no candidate planned, it raises DiagramError, a
+    size limit like a non-finite estimate; with a given t0 that the rule
+    rejects and no max_len, the verdict fails with that reason and the
+    trace identity.  The verdict rests on the measured
     gap, not on the estimate.  At a convergent point the reported floats
     are those of the exact product, correctly rounded, and the comparison
     with TOLERANCE is exact; certified 80-digit decimal bounds settle them
@@ -665,6 +667,9 @@ def determinant_formula_check(g, spec, t0=None, max_len=None):
     to its horizon, so its tables hold those of a run at either.
     """
     determinant = tangle_determinant(g, spec)
+    if not determinant:
+        raise DiagramError("det(I - W) vanishes identically: "
+                           "the zeta function 1/det(I - W) has no value")
     # a given t0 is tested before planning; a planned one cannot be a zero,
     # where W(t0) has eigenvalue 1 and the estimate is at least 1
     if t0 is not None:

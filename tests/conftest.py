@@ -46,6 +46,8 @@ X+ 4 5 6
 X+ 5 6 4
 """
 NO_WALK_SUM = "det(I - W) off the terminal vanishes identically: the walk sum has no value"
+NO_ZETA_VALUE = ("det(I - W) vanishes identically: "
+                 "the zeta function 1/det(I - W) has no value")
 
 
 def traces_of_repeated_products(w, max_power):

@@ -31,6 +31,17 @@ def test_negative_crossing_labels(figure8):
     assert labels == {"T1", "T2", "S1", "S2"}
 
 
+def test_vertex_index_follows_the_vertex_order(corpus):
+    # one cached {vertex: position} per graph, which vertex_index reads
+    for d in corpus.values():
+        for g in (build_arc_graph(d), build_arc_graph(cut(d, [d.arcs[-1]]))):
+            assert list(g.index.items()) == [(v, i) for i, v in enumerate(g.vertices)]
+            assert g.index is g.index
+            assert [g.vertex_index(v) for v in g.vertices] == list(range(len(g.vertices)))
+            with pytest.raises(DiagramError):
+                g.vertex_index("nowhere")
+
+
 def test_unknot_graph_is_empty(unknot):
     g = build_arc_graph(unknot)
     assert g.vertices == (1,)

@@ -20,7 +20,7 @@ from knotzeta.arc_graph import alexander_spec, build_arc_graph, tangle_determina
 from knotzeta.cli import EXIT_INCONSISTENT, EXIT_INPUT, EXIT_OK, main
 from knotzeta.knot_model import cut, render_diagram
 from knotzeta.verdict import Verdict
-from tests.conftest import NO_PLANNED_POINT, NO_WALK_SUM, SPLIT, T34
+from tests.conftest import NO_PLANNED_POINT, NO_WALK_SUM, NO_ZETA_VALUE, SPLIT, T34
 
 
 @pytest.fixture(scope="session")
@@ -482,19 +482,25 @@ def test_unplanned_euler_check_is_refused_and_skipped(tmp_path, validators):
 
 
 def test_path_sum_refuses_a_split_diagram(tmp_path, validators):
-    # D vanishes identically off the terminal of every cut: zeta exits 2, and
-    # verify skips the six path-sum checks, every corpus report unchanged
+    # D vanishes identically off the terminal of every cut, and so does
+    # det(I - W) on the cut: zeta exits 2 for the path sum and for the Euler
+    # check, with or without a sample point, and verify skips the six
+    # path-sum checks and the zeta check, every corpus report unchanged
     path = tmp_path / "split.knot"
     path.write_text(SPLIT)
-    code, obj = run_json("zeta", str(path), "--check", "path-sum")
-    assert (code, obj) == (EXIT_INPUT, {"error": NO_WALK_SUM})
-    validators["error"].validate(obj)
+    for args, error in ((("--check", "path-sum"), NO_WALK_SUM), ((), NO_ZETA_VALUE),
+                        (("--t", "1/2"), NO_ZETA_VALUE)):
+        code, obj = run_json("zeta", str(path), *args)
+        assert (code, obj) == (EXIT_INPUT, {"error": error}), args
+        validators["error"].validate(obj)
     code, out = run("verify", "all", str(path), "--seed", "0", "--json")
     assert code == EXIT_OK
     extra = reports_beside_the_reference(out)
     for arc in range(1, 7):
         report = extra[f"path-sum:split:arc{arc}"]
         assert (report["status"], report["reason"]) == ("skipped", NO_WALK_SUM), arc
+    report = extra["zeta:split"]
+    assert (report["status"], report["reason"]) == ("skipped", NO_ZETA_VALUE)
     for check, report in extra.items():
         validators["report"].validate(report)
         assert report["status"] in ("pass", "skipped"), check

@@ -190,6 +190,37 @@ def test_poly_gcd_normalizes():
     assert g.coeffs == {1: 1, 0: 1}
 
 
+@pytest.mark.parametrize("modulus", [None, 7, 101])
+def test_poly_gcd_is_the_common_factor_made_monic(modulus):
+    # gcd(f g u, f h u') = f for coprime linear g != h and units u, u' = c t^k;
+    # the expected f / lead(f) is written out from f's own coefficients, and
+    # g, h = t - x with x != 0, as t alone is a unit
+    rng = random.Random(modulus or 2)
+
+    def scalar():
+        if modulus:
+            return rng.randrange(1, modulus)
+        return Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 4))
+
+    def unit():
+        return P({rng.randint(-4, 4): scalar()}, modulus)
+
+    for _ in range(40):
+        degree = rng.randint(0, 4)
+        f = P({0: scalar(), degree: scalar(),
+               **{e: scalar() for e in range(1, degree) if rng.random() < 0.6}}, modulus)
+        lead = f.leading()
+        inverse = pow(lead, -1, modulus) if modulus else 1 / Fraction(lead)
+        monic = P({e: v * inverse for e, v in f.coeffs.items()}, modulus)
+        x, y = rng.sample([-5, -3, -1, 1, 2, 4] if modulus is None else range(1, modulus), 2)
+        g, h = P({1: 1, 0: -x}, modulus), P({1: 1, 0: -y}, modulus)
+        assert poly_gcd(f * g * unit(), f * h * unit()) == monic
+        assert poly_gcd(f * unit(), LaurentPoly.zero(modulus)) == monic
+        assert poly_gcd(LaurentPoly.zero(modulus), f * g * unit()) == monic * g
+    zero = LaurentPoly.zero(modulus)
+    assert poly_gcd(zero, zero) == zero
+
+
 def test_divide_exact_builds_reduced_fraction():
     num = P({2: 1, 1: -2, 0: 1})
     den = P({1: 1, 0: -1})
@@ -538,6 +569,99 @@ def test_product_trace_is_the_trace_of_the_product(modulus):
         RingMatrix.zeros(2, 3, modulus).product_trace(RingMatrix.zeros(3, 3, modulus))
     with pytest.raises(CoefficientError):
         RingMatrix.zeros(2, 2, 7).product_trace(RingMatrix.zeros(2, 2))
+
+
+def normal_by_hand(d, modulus):
+    """A coefficient dict in normal form, written out: exponents sorted,
+    zeros dropped, residues in [1, q), integral rationals as ints."""
+    out = {}
+    for e in sorted(d):
+        v = d[e] % modulus if modulus else Fraction(d[e])
+        if v:
+            out[e] = v if modulus is None and v.denominator > 1 else int(v)
+    return out
+
+
+def convolution(pairs, modulus):
+    """sum(a * b) over pairs of coefficient dicts, term by term, in one dict."""
+    d = {}
+    for a, b in pairs:
+        for e1, v1 in a.items():
+            for e2, v2 in b.items():
+                d[e1 + e2] = d.get(e1 + e2, 0) + v1 * v2
+    return normal_by_hand(d, modulus)
+
+
+@pytest.mark.parametrize("modulus", [None, 7, 101])
+def test_products_match_a_dict_convolution(modulus):
+    # polynomial products, matrix products and product traces share one
+    # coefficient-product loop; the oracle convolves the coefficient dicts
+    # here, with ints, Fractions and negative exponents over Q, and with
+    # zero entries and all-zero rows, down to matrices without rows
+    rng = random.Random(modulus or 3)
+    zero = LaurentPoly.zero(modulus)
+
+    def poly(density=1.0):
+        if rng.random() >= density:
+            return zero
+        return P({rng.randint(-4, 4): rng.randrange(1, modulus) if modulus else
+                  rng.choice((rng.randint(-9, 9), Fraction(rng.randint(-9, 9), rng.randint(1, 4))))
+                  for _ in range(rng.randint(1, 4))}, modulus)
+
+    def check(r, expected):
+        assert r.modulus == modulus
+        assert list(r.coeffs.items()) == list(expected.items()), (r, expected)
+        assert [type(v) for v in r.coeffs.values()] == [type(v) for v in expected.values()]
+
+    def matrix(rows, cols, density):
+        return RingMatrix([[poly(density) for _ in range(cols)] if rng.random() < 0.8
+                           else [zero] * cols for _ in range(rows)], modulus, cols=cols)
+
+    for _ in range(300):
+        p, q = poly(0.9), poly(0.9)
+        check(p * q, convolution([(p.coeffs, q.coeffs)], modulus))
+    for trial in range(80):
+        density = 1.0 if trial < 40 else rng.choice((0.1, 0.3))
+        rows, inner, cols = (rng.randint(0, 5) for _ in range(3))
+        a, b, c = matrix(rows, inner, density), matrix(inner, cols, density), \
+            matrix(inner, rows, density)
+        product = a @ b
+        assert (product.rows, product.cols) == (rows, cols)
+        for i in range(rows):
+            for j in range(cols):
+                check(product.entries[i][j], convolution(
+                    [(a.entries[i][k].coeffs, b.entries[k][j].coeffs) for k in range(inner)],
+                    modulus))
+        check(a.product_trace(c), convolution(
+            [(a.entries[i][k].coeffs, c.entries[k][i].coeffs)
+             for i in range(rows) for k in range(inner)], modulus))
+
+
+@pytest.mark.parametrize("modulus, value", [
+    (None, 1.5), (None, 0.0), (None, "1"), (None, None),
+    (7, 1.0), (7, "1"), (7, None), (7, Fraction(1, 2)), (7, Fraction(2))])
+def test_constructor_and_scalars_refuse_other_coefficient_types(modulus, value):
+    expected = (f"rational coefficient expected, got {type(value).__name__}" if modulus is None
+                else f"integer coefficient expected mod 7, got {type(value).__name__}")
+    p = P({0: 1, 1: 2}, modulus)
+    for build in (lambda: P({0: 1, 2: value}, modulus),
+                  lambda: linear_combination([(1, p), (value, p)], modulus)):
+        with pytest.raises(CoefficientError) as refusal:
+            build()
+        assert str(refusal.value) == expected
+
+
+def test_constructor_builds_the_normal_form():
+    p = P({3: Fraction(6, 3), -2: Fraction(-1, 2), 0: Fraction(0, 5), 1: 4, 2: Fraction(-8, 4)})
+    assert list(p.coeffs.items()) == [(-2, Fraction(-1, 2)), (1, 4), (2, -2), (3, 2)]
+    assert [type(v) for v in p.coeffs.values()] == [Fraction, int, int, int]
+    q = P({5: -1, -3: 15, 0: 14, 2: 7 * 10**20 + 3, 1: -7}, 7)
+    assert list(q.coeffs.items()) == [(-3, 1), (2, 3), (5, 6)]
+    assert all(type(v) is int and 1 <= v < 7 for v in q.coeffs.values())
+    assert P({0: True}, 7).coeffs == {0: 1}
+    for modulus in (None, 7):
+        assert P({0: 1}, modulus).is_one() and not P({0: 1, 1: 1}, modulus).is_one()
+        assert canonicalize(P({}, modulus)) == CanonicalPoly(P({}, modulus), 1, 0)
 
 
 @pytest.mark.parametrize("modulus", [None, 7])

@@ -18,7 +18,7 @@ from knotzeta.zeta import ConvergenceWarning, cabling_check, closed_walks, \
     composition_check, determinant_formula_check, path_sum_check, power_traces, \
     prime_cycles, sample_points, spectral_estimate, strand_walk_sum, \
     total_strand_weight, trace_identity_check, zeta_partial_product
-from tests.conftest import NO_PLANNED_POINT, NO_WALK_SUM, SPLIT, T34, \
+from tests.conftest import NO_PLANNED_POINT, NO_WALK_SUM, NO_ZETA_VALUE, SPLIT, T34, \
     traces_of_repeated_products
 
 
@@ -456,7 +456,7 @@ def test_pole_names_shortest_weight_one_prime(corpus):
     # S2 T1^2 T2 (length 4) and S1^3 T1 T2 (length 5), and to no shorter one
     g = build_arc_graph(cut(corpus["6_1"], [1]))
     weights = {"S1": 2, "S2": 3, "T1": Fraction(8, 3), "T2": Fraction(3, 64)}
-    spec = {k: LaurentPoly.constant(v) for k, v in weights.items()}
+    spec = {k: LaurentPoly({0: v}) for k, v in weights.items()}
     primes = prime_cycles(g, 8)
     lengths = sorted({len(p) for p in primes if walk_weight(p, spec) == 1})
     assert lengths[:2] == [4, 5] and len(primes[0]) < 4
@@ -882,9 +882,26 @@ def test_path_sum_refuses_a_walk_sum_without_value():
         assert str(refusal.value) == NO_WALK_SUM
 
 
+@pytest.mark.parametrize("t0", [None, Fraction(1, 2)])
+def test_euler_check_refuses_a_split_diagram(t0, monkeypatch):
+    # det(I - W) is the zero polynomial on every cut of the split diagram:
+    # the check refuses before evaluating it at a given point or planning
+    def unreachable(*args):
+        raise AssertionError("planned a zeta function without value")
+
+    monkeypatch.setattr(zeta, "_plan_horizon", unreachable)
+    d = parse_diagram(SPLIT)
+    for arc in d.arcs:
+        g = build_arc_graph(cut(d, [arc]))
+        assert not tangle_determinant(g, alexander_spec()), arc
+        with pytest.raises(DiagramError) as refusal:
+            determinant_formula_check(g, alexander_spec(), t0=t0)
+        assert str(refusal.value) == NO_ZETA_VALUE, arc
+
+
 def broken_spec():
     """alexander_spec with a wrong S1 weight, so that N != D on a cut trefoil."""
-    return {**alexander_spec(), "S1": 1 - 2 * LaurentPoly.t_power(1)}
+    return {**alexander_spec(), "S1": 1 - 2 * LaurentPoly({1: 1})}
 
 
 def test_path_sum_exact_comparison_catches_a_broken_spec(trefoil, monkeypatch):
