@@ -73,25 +73,22 @@ def build_arc_graph(source):
 
     Per crossing (sign e, over j, under_in i, under_out k): edge i->k labeled
     T1 (e=+) or T2, and edge i->j labeled S1 or S2.  Terminal cut arcs are
-    never an under_in, so they emit nothing.  A repeated ordered pair (which
-    a kink with over == under_out would produce) is rejected: the cycle
-    combinatorics downstream assume at most one edge per pair.
+    never an under_in, so they emit nothing.  No arc ends at two crossings,
+    so only a crossing with over == under_out (a kink) can repeat an ordered
+    pair; it is rejected: the cycle combinatorics downstream assume at most
+    one edge per pair.
     """
     if not isinstance(source, (KnotDiagram, Tangle)):
         raise TypeError(f"expected KnotDiagram or Tangle, got {type(source).__name__}")
     edges = []
-    seen = set()
     for c in source.crossings:
-        t_label = "T1" if c.sign > 0 else "T2"
-        s_label = "S1" if c.sign > 0 else "S2"
-        for dst, label in ((c.under_out, t_label), (c.over, s_label)):
-            pair = (c.under_in, dst)
-            if pair in seen:
-                raise DiagramError(
-                    f"two edges on ordered pair {pair}: diagram too degenerate "
-                    "for the one-edge-per-pair convention")
-            seen.add(pair)
-            edges.append(GraphEdge(c.under_in, dst, label))
+        if c.over == c.under_out:
+            raise DiagramError(
+                f"two edges on ordered pair {(c.under_in, c.over)}: diagram too degenerate "
+                "for the one-edge-per-pair convention")
+        t_label, s_label = ("T1", "S1") if c.sign > 0 else ("T2", "S2")
+        edges += (GraphEdge(c.under_in, c.under_out, t_label),
+                  GraphEdge(c.under_in, c.over, s_label))
     return ArcGraph(tuple(source.arcs), tuple(edges), tuple(source.crossings))
 
 

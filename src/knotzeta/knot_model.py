@@ -10,6 +10,10 @@ Tangles are diagrams with some arcs cut open; their arcs carry string labels
 and each open strand is recorded as an (initial, terminal) pair.  Cutting,
 composing along strands, cabling, and closing back up are all provided here,
 as is the Wirtinger presentation of a diagram's group.
+
+Every under strand is read one way: `_successors` maps each crossing's
+under_in to its under_out, refusing an arc that ends or starts at two
+crossings, and `_strand` walks that map.
 """
 
 from __future__ import annotations
@@ -53,6 +57,31 @@ def _arc_number(field, lineno):
         raise DiagramError(f"line {lineno}: arc numbers must be integers") from None
 
 
+def _successors(crossings):
+    """{under_in: under_out} over the crossings: the successor map of the
+    under strands.  An arc that ends or starts at two crossings is refused,
+    so the map is one to one."""
+    succ, starts = {}, set()
+    for c in crossings:
+        if c.under_in in succ:
+            raise DiagramError(f"arc {c.under_in!r} ends at two crossings")
+        if c.under_out in starts:
+            raise DiagramError(f"arc {c.under_out!r} starts at two crossings")
+        succ[c.under_in] = c.under_out
+        starts.add(c.under_out)
+    return succ
+
+
+def _strand(succ, start):
+    """The arcs from start along the under strand of the successor map succ,
+    up to an arc without a successor (the end of an open strand, or a circle
+    arc) or up to the arc whose successor is start (a closed component)."""
+    walk = [start]
+    while (nxt := succ.get(walk[-1], start)) != start:
+        walk.append(nxt)
+    return walk
+
+
 @dataclass(frozen=True)
 class Crossing:
     """One crossing of a diagram.
@@ -82,7 +111,8 @@ class KnotDiagram:
 
     Crossings are kept sorted by `under_in`, which is unique per crossing, so
     equal diagrams compare equal regardless of input order.  `components`
-    lists the arc ranges (start, end) of the link components.
+    lists the arc ranges (start, end) of the link components, the `_strand`
+    walks of the successor map.
     """
 
     n_arcs: int
@@ -94,42 +124,25 @@ class KnotDiagram:
             raise DiagramError("a diagram needs at least one arc")
         crossings = tuple(sorted(self.crossings, key=lambda c: c.under_in))
         object.__setattr__(self, "crossings", crossings)
-        seen_in, seen_out = set(), set()
         for c in crossings:
             for a in (c.over, c.under_in, c.under_out):
                 if not isinstance(a, int) or not 1 <= a <= self.n_arcs:
                     raise DiagramError(f"arc reference {a!r} outside 1..{self.n_arcs}")
-            if c.under_in in seen_in:
-                raise DiagramError(f"arc {c.under_in} ends at two crossings")
-            if c.under_out in seen_out:
-                raise DiagramError(f"arc {c.under_out} starts at two crossings")
-            seen_in.add(c.under_in)
-            seen_out.add(c.under_out)
-        if seen_in != seen_out:
-            stray = seen_in.symmetric_difference(seen_out)
+        succ = _successors(crossings)
+        stray = succ.keys() ^ set(succ.values())
+        if stray:
             raise DiagramError(f"under strand does not close up at arcs {sorted(stray)}")
-        object.__setattr__(self, "components", self._component_blocks())
-
-    def _component_blocks(self):
-        # successor along the orientation; circle arcs are fixed points
-        succ = {c.under_in: c.under_out for c in self.crossings}
-        blocks = []
-        visited = set()
-        for a in range(1, self.n_arcs + 1):
-            if a in visited:
-                continue
-            cur = a
-            while True:
-                visited.add(cur)
-                nxt = succ.get(cur, cur)
-                if nxt == a:
-                    break
+        # a component is a cycle of succ or a circle arc, numbered consecutively
+        blocks, a = [], 1
+        while a <= self.n_arcs:
+            walk = _strand(succ, a)
+            for cur, nxt in zip(walk, walk[1:]):
                 if nxt != cur + 1:
                     raise DiagramError(
                         f"arcs are not numbered consecutively: {cur} is followed by {nxt}")
-                cur = nxt
-            blocks.append((a, cur))
-        return tuple(blocks)
+            blocks.append((a, walk[-1]))
+            a = walk[-1] + 1
+        object.__setattr__(self, "components", tuple(blocks))
 
     @property
     def arcs(self):
@@ -246,7 +259,8 @@ class Tangle:
     half-arcs: the initial half keeps the cut arc's underpass exit (its
     under_in role) and the terminal half keeps its entrance (under_out role)
     together with every overpass of the cut arc.  A cut circle arc collapses
-    to a single half with initial == terminal.
+    to a single half with initial == terminal.  Each strand is the `_strand`
+    walk of the successor map from its initial arc.
     """
 
     arcs: tuple[str, ...]
@@ -259,41 +273,31 @@ class Tangle:
             raise DiagramError("duplicate arc labels in tangle")
         if not self.cut_pairs:
             raise DiagramError("a tangle needs at least one cut pair")
-        under_in, under_out = {}, set()
         for c in self.crossings:
             for a in (c.over, c.under_in, c.under_out):
                 if a not in arcset:
                     raise DiagramError(f"crossing references unknown arc {a!r}")
-            if c.under_in in under_in:
-                raise DiagramError(f"arc {c.under_in!r} ends at two crossings")
-            if c.under_out in under_out:
-                raise DiagramError(f"arc {c.under_out!r} starts at two crossings")
-            under_in[c.under_in] = c.under_out
-            under_out.add(c.under_out)
-        on_strand = set()
+        succ = _successors(self.crossings)
+        exits = set(succ.values())
         inits = [p for p, _ in self.cut_pairs]
         terms = [q for _, q in self.cut_pairs]
         if len(set(inits)) != len(inits) or len(set(terms)) != len(terms):
             raise DiagramError("cut pairs reuse an endpoint")
+        on_strand = set()
         for p, q in self.cut_pairs:
             if p not in arcset or q not in arcset:
                 raise DiagramError(f"cut pair ({p!r}, {q!r}) references unknown arcs")
-            if p in under_out:
+            if p in exits:
                 raise DiagramError(f"initial arc {p!r} exits a crossing")
-            if q in under_in:
+            if q in succ:
                 raise DiagramError(f"terminal arc {q!r} enters a crossing")
-            cur = p
-            walk = [cur]
-            while cur in under_in:
-                cur = under_in[cur]
-                walk.append(cur)
-                if len(walk) > len(self.arcs):
-                    raise DiagramError("under strand does not terminate")
-            if cur != q:
-                raise DiagramError(f"strand from {p!r} ends at {cur!r}, not {q!r}")
+            # nothing exits into p and succ is one to one, so the walk ends
+            walk = _strand(succ, p)
+            if walk[-1] != q:
+                raise DiagramError(f"strand from {p!r} ends at {walk[-1]!r}, not {q!r}")
             on_strand.update(walk)
-        for a in arcset - on_strand:
-            if (a in under_in) != (a in under_out):
+        for a in sorted(arcset - on_strand):
+            if (a in succ) != (a in exits):
                 raise DiagramError(f"arc {a!r} is neither on a strand nor on a closed loop")
 
     def strand_pair(self):
@@ -384,19 +388,12 @@ def close_tangle(tangle):
     mapping = {a: fuse.get(a, a) for a in tangle.arcs}
     crossings = [c.relabel(mapping) for c in tangle.crossings]
     labels = sorted(set(mapping.values()))
-    succ = {c.under_in: c.under_out for c in crossings}
+    succ = _successors(crossings)
     number = {}
-    nxt = 1
     for a in labels:
-        if a in number:
-            continue
-        cur = a
-        while True:
-            number[cur] = nxt
-            nxt += 1
-            cur = succ.get(cur, cur)
-            if cur == a:
-                break
+        if a not in number:
+            for b in _strand(succ, a):
+                number[b] = len(number) + 1
     renum = tuple(c.relabel(number) for c in crossings)
     return KnotDiagram(len(labels), renum)
 
@@ -419,10 +416,7 @@ def cable(tangle, n):
     if not isinstance(n, int) or n < 1:
         raise DiagramError("cable order must be a positive integer")
     init, term = tangle.strand_pair()
-    succ = {c.under_in: c.under_out for c in tangle.crossings}
-    strand = [init]
-    while strand[-1] in succ:
-        strand.append(succ[strand[-1]])
+    strand = _strand(_successors(tangle.crossings), init)
     off = sorted(set(tangle.arcs) - set(strand))
     if off:
         raise DiagramError(f"cabling copies the open strand only; arcs {off} "

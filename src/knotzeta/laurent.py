@@ -133,7 +133,9 @@ class LaurentPoly:
         c = {}
         if coeffs:
             for e, v in coeffs.items():
-                c[int(e)] = _coerce(v, modulus)
+                if type(e) is not int:
+                    raise CoefficientError(f"integer exponent expected, got {type(e).__name__}")
+                c[e] = _coerce(v, modulus)
             c = _normalized(c, modulus)
         object.__setattr__(self, "_c", c)
         object.__setattr__(self, "modulus", modulus)

@@ -337,8 +337,8 @@ def _euler_factors(g, spec, t0, counts):
     factors = []
     for content in sorted(counts, key=sum):
         # the weight is p/q, weighed on ints (q > 0, not necessarily in lowest terms)
-        p = math.prod(map(operator.pow, nums, content))
-        q = math.prod(map(operator.pow, dens, content))
+        p = _content_weight(nums, content)
+        q = _content_weight(dens, content)
         if p == q:
             raise ZeroDivisionError(
                 f"Euler factor pole: prime of length {sum(content)} has weight 1")
@@ -474,7 +474,8 @@ def _content_codes(g, max_len):
 def _content_weight(weights, content):
     """The weight of every walk of a label content: the product of
     weights[i] ** content[i], weights in _content_labels order, from
-    scratch (the oracle of _content_weigher)."""
+    scratch (_euler_factors weighs on ints with it, and it is the oracle of
+    _content_weigher)."""
     return math.prod(map(operator.pow, weights, content))
 
 

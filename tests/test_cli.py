@@ -369,6 +369,48 @@ def test_oversized_diagram_is_input_error(tmp_path, validators):
     validators["error"].validate(obj)
 
 
+def _tangle(arcs, crossings, pairs):
+    return lambda: knot_model.Tangle(tuple(arcs), tuple(knot_model.Crossing(1, *c)
+                                                         for c in crossings), pairs)
+
+
+# one fault each: diagram text, read by `alexander`, or a call that must raise
+DIAGRAM_FAULTS = [
+    ("arcs 3\nX+ 4 1 2 / X+ 1 2 3 / X+ 2 3 1\n", "arc reference 4 outside 1..3"),
+    ("X+ 3 1 2 / X+ 2 1 3 / X+ 2 3 1\n", "arc 1 ends at two crossings"),
+    ("X+ 3 1 2 / X+ 1 3 2 / X+ 2 2 1\n", "arc 2 starts at two crossings"),
+    ("arcs 3\nX+ 3 1 2 / X+ 1 2 3\n", "under strand does not close up at arcs [1, 3]"),
+    ("X+ 3 1 3 / X+ 1 3 1\n", "arcs are not numbered consecutively: 1 is followed by 3"),
+    (_tangle("aa", [], (("a", "a"),)), "duplicate arc labels in tangle"),
+    (_tangle("a", [], ()), "a tangle needs at least one cut pair"),
+    (_tangle("ab", ["xab"], (("a", "b"),)), "crossing references unknown arc 'x'"),
+    (_tangle("abc", ["bab", "bac"], (("a", "c"),)), "arc 'a' ends at two crossings"),
+    (_tangle("abc", ["aab", "acb"], (("a", "b"),)), "arc 'b' starts at two crossings"),
+    (_tangle("ab", ["aab"], (("a", "b"), ("a", "b"))), "cut pairs reuse an endpoint"),
+    (_tangle("ab", [], (("a", "z"),)), "cut pair ('a', 'z') references unknown arcs"),
+    (_tangle("abc", ["aca"], (("a", "b"),)), "initial arc 'a' exits a crossing"),
+    (_tangle("abc", ["aab", "abc"], (("a", "b"),)), "terminal arc 'b' enters a crossing"),
+    (_tangle("abc", ["cab"], (("a", "c"),)), "strand from 'a' ends at 'b', not 'c'"),
+    (lambda: build_arc_graph(cut(knot_model.parse_diagram("X+ 1 1 1\n"), [1])),
+     "two edges on ordered pair (\"1'\", \"1''\"): diagram too degenerate for the "
+     "one-edge-per-pair convention"),
+]
+
+
+@pytest.mark.parametrize("fault, message", DIAGRAM_FAULTS)
+def test_diagram_faults_are_named_word_for_word(fault, message, tmp_path, validators):
+    if callable(fault):
+        with pytest.raises(knot_model.DiagramError) as refusal:
+            fault()
+        assert str(refusal.value) == message
+        return
+    path = tmp_path / "fault.knot"
+    path.write_text(fault)
+    code, obj = run_json("alexander", str(path))
+    assert (code, obj) == (EXIT_INPUT, {"error": message})
+    validators["error"].validate(obj)
+
+
 def test_arc_numbers_padded_past_the_int_limit(tmp_path):
     # 5000 leading zeros, which int() alone refuses, before a count and
     # before an arc number: the answers of the unpadded diagrams

@@ -1,5 +1,9 @@
 """Diagram parsing, validation, presentations, and tangle surgery."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from knotzeta import knot_model
@@ -81,6 +85,30 @@ def test_components_of_split_diagram(corpus):
     assert both.n_arcs == 7
     assert both.components == ((1, 3), (4, 7))
     assert not both.is_knot()
+
+
+def test_components_of_a_knot_beside_circles():
+    d = parse_diagram("arcs 5\n" + TREFOIL)
+    assert d.components == ((1, 3), (4, 4), (5, 5))
+    assert close_tangle(cut(d, [4])) == d
+
+
+def test_off_strand_fault_names_the_least_arc_under_every_hash_seed():
+    # 'c' enters a crossing but exits none and 'd' the reverse: the message
+    # names 'c' whatever order a set of strings iterates in
+    script = ("from knotzeta.knot_model import Crossing as C, DiagramError, Tangle\n"
+              "try:\n"
+              "    Tangle(('a', 'b', 'c', 'd'), (C(1, 'a', 'a', 'b'), C(1, 'a', 'c', 'd')),\n"
+              "           (('a', 'b'),))\n"
+              "except DiagramError as exc:\n"
+              "    print(exc)\n")
+    messages = set()
+    for seed in ("0", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": seed}
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env, check=True)
+        messages.add(proc.stdout)
+    assert messages == {"arc 'c' is neither on a strand nor on a closed loop\n"}
 
 
 def test_render_parse_roundtrip(corpus):

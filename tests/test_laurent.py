@@ -665,6 +665,22 @@ def test_constructor_builds_the_normal_form():
 
 
 @pytest.mark.parametrize("modulus", [None, 7])
+@pytest.mark.parametrize("key", [1.5, 1.0, "2", True, None], ids=repr)
+def test_constructor_refuses_other_exponent_types(modulus, key):
+    # int() would truncate 1.5, parse '2' and read True as 1
+    with pytest.raises(CoefficientError) as refusal:
+        P({0: 1, key: 3}, modulus)
+    assert str(refusal.value) == f"integer exponent expected, got {type(key).__name__}"
+
+
+def test_constructor_keeps_colliding_exponents_apart():
+    # int(1.9) would overwrite the coefficient at 1 and give 5*t
+    with pytest.raises(CoefficientError, match="integer exponent expected, got float"):
+        P({1: 2, 1.9: 5})
+    assert P({1: 2, -1: 5}).coeffs == {-1: 5, 1: 2}
+
+
+@pytest.mark.parametrize("modulus", [None, 7])
 def test_linear_combination_equals_repeated_sums(modulus):
     # the oracle: a running sum of scaled terms, normalized at every step
     rng = random.Random(modulus or 0)
