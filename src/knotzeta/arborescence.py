@@ -21,7 +21,6 @@ from fractions import Fraction
 
 from .arc_graph import ArcGraph, GraphEdge, alexander_spec, build_arc_graph, \
     laplacian
-from .knot_model import DiagramError
 from .laurent import LaurentPoly, det, linear_combination
 from .verdict import Verdict
 
@@ -41,21 +40,18 @@ def enumerate_arborescences(g, roots, spec):
     Raises RuntimeError beyond MAX_ARBORESCENCES results: enumeration is the
     exponential oracle side of matrix-tree, not the fast path.
     """
-    vertices, index = g.vertices, g.index
     roots = tuple(roots)
     if not roots:
         raise ValueError("root set must be nonempty")
     for r in roots:
-        if r not in index:
-            raise DiagramError(f"unknown root {r!r}")
-    rootset = set(roots)
-    nonroots = [v for v in vertices if v not in rootset]
-    out = {v: [] for v in vertices}
-    for pos, e in enumerate(g.edges):
-        if e.src not in rootset and e.src != e.dst:
-            out[e.src].append((index[e.dst], pos, (e.src, e.dst, spec[e.label], e.label)))
-    for v in out:
-        out[v].sort(key=lambda item: (item[0], item[1]))
+        g.vertex_index(r)  # raises on an unknown root
+    rootset, index = set(roots), g.index
+    nonroots = [v for v in g.vertices if v not in rootset]
+    # out_map lists edges in edge order and sorted() is stable, so the
+    # choices come in (target position, edge position) order
+    out = {v: [(e.src, e.dst, spec[e.label], e.label)
+               for e in sorted(g.out_map[v], key=lambda e: index[e.dst]) if e.dst != v]
+           for v in nonroots}
 
     found = []
     choice = {}
@@ -70,15 +66,15 @@ def enumerate_arborescences(g, roots, spec):
 
     def extend(i):
         if i == len(nonroots):
-            found.append(tuple(choice[v][2] for v in nonroots))
+            found.append(tuple(choice[v] for v in nonroots))
             if len(found) > MAX_ARBORESCENCES:
                 raise RuntimeError(f"more than {MAX_ARBORESCENCES} arborescences")
             return
         v = nonroots[i]
-        for _, _, edge in out[v]:
+        for edge in out[v]:
             if creates_cycle(v, edge[1]):
                 continue
-            choice[v] = (edge[0], edge[1], edge)
+            choice[v] = edge
             extend(i + 1)
             del choice[v]
 
@@ -155,7 +151,7 @@ def random_matrix_tree_check(count, seed):
                         edges.append(GraphEdge(src, dst, label))
                         weights[label] = LaurentPoly({0: w})
         roots = tuple(sorted(rng.sample(vertices, rng.randint(1, n))))
-        g = ArcGraph(vertices, tuple(edges), ())
+        g = ArcGraph(vertices, tuple(edges))
         verdict = matrix_tree_check(g, roots, weights)
         if not verdict.passed:
             failures.append({"instance": i, **verdict.detail})

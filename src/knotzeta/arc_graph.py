@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .knot_model import DiagramError, KnotDiagram, Tangle
-from .laurent import LaurentPoly, RingMatrix, det
+from .laurent import LaurentPoly, RingMatrix, det, linear_combination
 
 LABELS = ("T1", "T2", "S1", "S2")
 
@@ -31,21 +31,17 @@ class GraphEdge:
 
 @dataclass(frozen=True)
 class ArcGraph:
-    """Arc diagram of a tangle: one vertex per arc, two out-edges per
-    underpass, and the source crossings, which the twisted block weights read."""
+    """Arc diagram of a tangle: one vertex per arc and two out-edges per
+    underpass, with cached views of them: the vertex index and the out- and
+    in-edges of every vertex, in edge order."""
 
     vertices: tuple
     edges: tuple[GraphEdge, ...]
-    crossings: tuple
 
     @cached_property
     def index(self):
         """{vertex: its position in vertices}."""
         return {v: i for i, v in enumerate(self.vertices)}
-
-    @cached_property
-    def edge_map(self):
-        return {(e.src, e.dst): e for e in self.edges}
 
     @cached_property
     def out_map(self):
@@ -89,7 +85,7 @@ def build_arc_graph(source):
         t_label, s_label = ("T1", "S1") if c.sign > 0 else ("T2", "S2")
         edges += (GraphEdge(c.under_in, c.under_out, t_label),
                   GraphEdge(c.under_in, c.over, s_label))
-    return ArcGraph(tuple(source.arcs), tuple(edges), tuple(source.crossings))
+    return ArcGraph(tuple(source.arcs), tuple(edges))
 
 
 def alexander_spec():
@@ -158,9 +154,9 @@ def laplacian(g, spec, roots):
     for r in roots:
         g.vertex_index(r)  # raises on an unknown root
     drop = set(roots)
-    zero = LaurentPoly.zero()
     keep = [v for v in g.vertices if v not in drop]
-    totals = [sum((spec[e.label] for e in g.out_map[v]), zero) for v in keep]
+    totals = [linear_combination(((1, spec[e.label]) for e in g.out_map[v]), None)
+              for v in keep]
     return _diagonal_minus_weights(g, spec, keep, totals)
 
 

@@ -19,7 +19,6 @@ crossings, and `_strand` walks that map.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 
 class DiagramError(ValueError):
@@ -122,12 +121,12 @@ class KnotDiagram:
     def __post_init__(self):
         if not isinstance(self.n_arcs, int) or self.n_arcs < 1:
             raise DiagramError("a diagram needs at least one arc")
+        for c in self.crossings:
+            for a in (c.over, c.under_in, c.under_out):
+                if type(a) is not int or not 1 <= a <= self.n_arcs:
+                    raise DiagramError(f"arc reference {a!r} outside 1..{self.n_arcs}")
         crossings = tuple(sorted(self.crossings, key=lambda c: c.under_in))
         object.__setattr__(self, "crossings", crossings)
-        for c in crossings:
-            for a in (c.over, c.under_in, c.under_out):
-                if not isinstance(a, int) or not 1 <= a <= self.n_arcs:
-                    raise DiagramError(f"arc reference {a!r} outside 1..{self.n_arcs}")
         succ = _successors(crossings)
         stray = succ.keys() ^ set(succ.values())
         if stray:
@@ -150,14 +149,6 @@ class KnotDiagram:
 
     def is_knot(self):
         return len(self.components) == 1
-
-    @cached_property
-    def _under_in_map(self):
-        return {c.under_in: c for c in self.crossings}
-
-    def crossing_at(self, under_in):
-        """The crossing where the given arc ends, or None for a circle arc."""
-        return self._under_in_map.get(under_in)
 
 
 # -- text format -------------------------------------------------------------
@@ -321,7 +312,8 @@ def cut(diagram, cut_arcs):
     for a in chosen:
         if a not in diagram.arcs:
             raise DiagramError(f"cannot cut unknown arc {a!r}")
-    circle = {a for a in chosen if diagram.crossing_at(a) is None}
+    # a circle arc is the under_in of no crossing
+    circle = set(chosen) - _successors(diagram.crossings).keys()
 
     def as_in(a):
         return f"{a}'" if a in chosen else str(a)

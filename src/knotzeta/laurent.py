@@ -48,6 +48,13 @@ class CoefficientError(ValueError):
     """Raised for incompatible or malformed coefficient domains."""
 
 
+def _same_domain(a, b):
+    """Refuse the moduli a and b of two coefficient domains unless they are
+    equal (None is Q)."""
+    if a != b:
+        raise CoefficientError(f"mixed coefficient domains: {a!r} vs {b!r}")
+
+
 def _coerce(c, modulus):
     """c itself if it is a coefficient of the domain, an int or a Fraction
     over Q or an int mod q, unreduced; else CoefficientError."""
@@ -89,9 +96,7 @@ def linear_combination(terms, modulus):
     a term p of another domain."""
     acc = {}
     for c, p in terms:
-        if p.modulus != modulus:
-            raise CoefficientError(
-                f"mixed coefficient domains: {modulus!r} vs {p.modulus!r}")
+        _same_domain(modulus, p.modulus)
         c = _coerce(c, modulus)
         for e, v in p._c.items():
             acc[e] = acc.get(e, 0) + v * c
@@ -183,14 +188,9 @@ class LaurentPoly:
 
     # -- arithmetic --------------------------------------------------------
 
-    def _check(self, other):
-        if self.modulus != other.modulus:
-            raise CoefficientError(
-                f"mixed coefficient domains: {self.modulus!r} vs {other.modulus!r}")
-
     def _lift(self, other):
         if type(other) is LaurentPoly or isinstance(other, LaurentPoly):
-            self._check(other)
+            _same_domain(self.modulus, other.modulus)
             return other
         if isinstance(other, (int, Fraction)):
             return LaurentPoly({0: other}, self.modulus)
@@ -501,8 +501,7 @@ class RingMatrix:
                 raise ValueError("ragged rows in matrix")
         for row in rows:
             for e in row:
-                if e.modulus != modulus:
-                    raise CoefficientError("matrix entry in wrong coefficient domain")
+                _same_domain(modulus, e.modulus)
         object.__setattr__(self, "cols", ncols)
         object.__setattr__(self, "modulus", modulus)
 
@@ -578,8 +577,7 @@ class RingMatrix:
     def _same_shape(self, other):
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError(f"shape mismatch: {self.rows}x{self.cols} vs {other.rows}x{other.cols}")
-        if self.modulus != other.modulus:
-            raise CoefficientError("mixed coefficient domains in matrix arithmetic")
+        _same_domain(self.modulus, other.modulus)
 
     def __matmul__(self, other):
         """The matrix product over the nonzeros of both factors.
@@ -591,8 +589,7 @@ class RingMatrix:
         """
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        if self.modulus != other.modulus:
-            raise CoefficientError("mixed coefficient domains in matrix arithmetic")
+        _same_domain(self.modulus, other.modulus)
         zero = LaurentPoly.zero(self.modulus)
         other_rows = [[(j, b._c) for j, b in enumerate(row) if b._c] for row in other.entries]
         out = []
@@ -634,8 +631,7 @@ class RingMatrix:
         if self.cols != other.rows or self.rows != other.cols:
             raise ValueError(f"no square product of {self.rows}x{self.cols} "
                              f"and {other.rows}x{other.cols}")
-        if self.modulus != other.modulus:
-            raise CoefficientError("mixed coefficient domains in matrix arithmetic")
+        _same_domain(self.modulus, other.modulus)
         acc = {}
         for i, row in enumerate(self.entries):
             for k, a in enumerate(row):
@@ -864,8 +860,8 @@ def column_replaced_dets(mat, col, vector):
         raise ValueError("a Cramer pair needs a square matrix and a vector of its size")
     if not 0 <= col < mat.cols:
         raise IndexError(f"column {col} outside 0..{mat.cols - 1}")
-    if any(v.modulus != mat.modulus for v in vector):
-        raise CoefficientError("mixed coefficient domains in matrix arithmetic")
+    for v in vector:
+        _same_domain(mat.modulus, v.modulus)
     rows = [[*row[:col], *row[col + 1:], row[col], v] for row, v in zip(mat.entries, vector)]
     whole, replaced = _bareiss(rows, mat.modulus)
     if (mat.cols - 1 - col) % 2:

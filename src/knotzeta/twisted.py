@@ -355,7 +355,7 @@ class TwistedChain:
     @cached_property
     def weight_blocks(self):
         """B as a grid of m x m blocks, in the arc graph's vertex order."""
-        return _weight_blocks(self.graph, self.rep)
+        return _weight_blocks(self.graph, self.diagram.crossings, self.rep)
 
     @cached_property
     def weights(self):
@@ -455,32 +455,33 @@ def _crossing_blocks(rep, crossing):
     return _twisted_element(rep, {under: 1}), _twisted_element(rep, jump)
 
 
-def _weight_blocks(graph, rep):
-    """B on an arc graph as a grid of m x m blocks, in vertex order.
+def _weight_blocks(graph, crossings, rep):
+    """B on the arc graph of the crossings as a grid of m x m blocks, in vertex order.
 
     Block row a holds the two blocks of the crossing under which arc a ends,
     at the block columns of the under-out and over arcs; every other block
     is zero.  Arcs of crossing-free components contribute zero rows.
     """
-    n = len(graph.vertices)
+    n, index = len(graph.vertices), graph.index
     zero = RingMatrix.zeros(rep.dim, rep.dim, rep.field)
     grid = [[zero] * n for _ in range(n)]
-    for c in graph.crossings:
+    for c in crossings:
         # the arc graph has one edge per ordered pair: no cell is set twice
         under, jump = _crossing_blocks(rep, c)
-        row = grid[graph.vertex_index(c.under_in)]
-        row[graph.vertex_index(c.under_out)] = under
-        row[graph.vertex_index(c.over)] = jump
+        row = grid[index[c.under_in]]
+        row[index[c.under_out]] = under
+        row[index[c.over]] = jump
     return tuple(map(tuple, grid))
 
 
-def twisted_weight_graph(graph, rep):
-    """The block weight matrix B on an arc graph, flattened from its blocks.
+def twisted_weight_graph(diagram, rep):
+    """The block weight matrix B on a diagram's arc graph, flattened from its blocks.
 
     Setting t = 1 and the representation trivial recovers the plain walk
     matrix.
     """
-    return RingMatrix.from_blocks(_weight_blocks(graph, rep))
+    return RingMatrix.from_blocks(
+        _weight_blocks(build_arc_graph(diagram), diagram.crossings, rep))
 
 
 def twisted_block_identity_check(chain):
@@ -492,12 +493,12 @@ def twisted_block_identity_check(chain):
     """
     ident = RingMatrix.identity(chain.rep.dim, chain.rep.field)
     mismatches = []
-    index = chain.graph.vertex_index
+    index = chain.graph.index
     for ridx, c in enumerate(chain.diagram.crossings):
-        row = chain.weight_blocks[index(c.under_in)]
+        row = chain.weight_blocks[index[c.under_in]]
         for gpos, gen in enumerate(chain.presentation.generators):
             left = chain.fox_block(ridx, gpos)
-            right = ident - row[index(gen)] if gen == c.under_in else -row[index(gen)]
+            right = ident - row[index[gen]] if gen == c.under_in else -row[index[gen]]
             if left != right:
                 mismatches.append({"relator": ridx, "generator": gen,
                                    "jacobian": repr(left), "graph": repr(right)})
@@ -545,7 +546,7 @@ def twisted_trace_check(chain):
     normalized once.  tr(B^m) comes from power_traces, which forms B^m only
     up to m = ceil(TRACE_POWER / 2).
     """
-    grid, index = chain.weight_blocks, chain.graph.vertex_index
+    grid, index = chain.weight_blocks, chain.graph.index
     # the block product of every walk prefix built so far, by its edges
     products = {}
     prime_terms = [[] for _ in range(TRACE_POWER + 1)]
@@ -553,7 +554,7 @@ def twisted_trace_check(chain):
         block = None
         for i, e in enumerate(p, 1):
             if p[:i] not in products:
-                step = grid[index(e.src)][index(e.dst)]
+                step = grid[index[e.src]][index[e.dst]]
                 products[p[:i]] = step if block is None else block @ step
             block = products[p[:i]]
         power = None

@@ -574,11 +574,10 @@ def _path_totals(g):
     """The planner's size cap: the numbers of directed paths of length <= L
     for L = 1..40, by sums of A^k 1 for the 0/1 adjacency A on ints; from
     the first total past 10^8 on, the list repeats that total."""
-    succ = {v: {e.dst for e in g.out_map[v]} for v in g.vertices}
-    paths, total, totals = dict.fromkeys(succ, 1), 0, []
+    paths, total, totals = dict.fromkeys(g.vertices, 1), 0, []
     for _ in range(40):
         if total <= 10 ** 8:
-            paths = {v: sum(paths[u] for u in out) for v, out in succ.items()}
+            paths = {v: sum(paths[e.dst] for e in es) for v, es in g.out_map.items()}
             total += sum(paths.values())
         totals.append(total)
     return totals
@@ -738,9 +737,10 @@ def _strand_system(tangle, init, term):
     g = build_arc_graph(tangle)
     spec = alexander_spec()
     keep = [v for v in g.vertices if v != term]
+    # term has no out-edges, so none of its in-edges is a self-loop
+    weight = {e.src: spec[e.label] for e in g.in_map[term]}
     zero = LaurentPoly.zero()
-    edges = [g.edge_map.get((v, term)) for v in keep]
-    into = [spec[e.label] if e else zero for e in edges]
+    into = [weight.get(v, zero) for v in keep]
     return keep.index(init), tangle_matrix(g, spec, keep), into
 
 

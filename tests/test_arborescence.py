@@ -23,7 +23,7 @@ def weighted(vertices, edges):
     """An arc graph with one label per (src, dst, weight) edge, and its spec."""
     graph_edges = tuple(GraphEdge(s, d, f"e{k}") for k, (s, d, _) in enumerate(edges))
     spec = {f"e{k}": C(w) for k, (_, _, w) in enumerate(edges)}
-    return ArcGraph(tuple(vertices), graph_edges, ()), spec
+    return ArcGraph(tuple(vertices), graph_edges), spec
 
 
 def triangle():
@@ -58,8 +58,10 @@ def test_roots_keep_no_out_edges():
 
 def test_unknown_root_rejected():
     g, spec = triangle()
-    with pytest.raises(DiagramError):
+    with pytest.raises(DiagramError, match="unknown vertex 'z'"):
         enumerate_arborescences(g, ("z",), spec)
+    with pytest.raises(DiagramError, match="unknown vertex 'z'"):
+        laplacian(g, spec, ("z",))
     with pytest.raises(DiagramError):
         matrix_tree_check(g, ("z",), spec)
     with pytest.raises(ValueError):
@@ -89,6 +91,18 @@ def test_self_loops_never_chosen():
     # the loop's weight cancels out of the Laplacian as well
     assert det(laplacian(g, spec, ("r",))).coeffs == {0: 1}
     assert matrix_tree_check(g, ("r",), spec).passed
+
+
+def test_choices_follow_target_then_edge_position():
+    # edges out of target order, with a -> r twice (e1 and e3): a's choices
+    # are e1, e3 (to r, in edge order), then e0 (to b); b's are e2, then e4
+    g, spec = weighted(("r", "a", "b"), [("a", "b", 1), ("a", "r", 2), ("b", "r", 3),
+                                         ("a", "r", 4), ("b", "a", 5)])
+    arbs = enumerate_arborescences(g, ("r",), spec)
+    assert [tuple(e[3] for e in arb) for arb in arbs] == [
+        ("e1", "e2"), ("e1", "e4"), ("e3", "e2"), ("e3", "e4"), ("e0", "e2")]
+    # consecutive trees share the row objects of their common prefix
+    assert arbs[0][0] is arbs[1][0]
 
 
 def test_trefoil_arc_graph_arborescences(trefoil):

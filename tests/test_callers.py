@@ -51,7 +51,7 @@ ORACLES = (
     # the whole twisted Fox Jacobian at once: the reference for the blocks
     # that TwistedChain builds one at a time
     "twisted.twisted_alexander_matrix",
-    # B flattened from the blocks of a graph: the reference for
+    # B built from a diagram, on an arc graph of its own: the reference for
     # TwistedChain.weights
     "twisted.twisted_weight_graph",
     # the knot determinant as a signed arborescence sum: an oracle of

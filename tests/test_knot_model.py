@@ -61,6 +61,14 @@ def test_diagram_rejects_nonconsecutive_numbering():
         parse_diagram("X+ 3 1 3 / X+ 1 3 1\n")
 
 
+@pytest.mark.parametrize("bad", ["a", None, True], ids=repr)
+def test_diagram_refuses_arc_references_that_are_not_ints(bad):
+    # checked before the crossings are sorted, so the sort never compares them
+    with pytest.raises(DiagramError) as refusal:
+        KnotDiagram(3, (Crossing(1, 1, bad, 2), Crossing(1, 1, 2, 3)))
+    assert str(refusal.value) == f"arc reference {bad!r} outside 1..3"
+
+
 def test_diagram_rejects_open_under_strand():
     with pytest.raises(DiagramError):
         KnotDiagram(3, (Crossing(1, 3, 1, 2),))
@@ -70,14 +78,6 @@ def test_crossings_sorted_by_under_in():
     d = parse_diagram("X+ 2 3 1 / X+ 3 1 2 / X+ 1 2 3\n")
     assert [c.under_in for c in d.crossings] == [1, 2, 3]
     assert d == parse_diagram(TREFOIL)
-
-
-def test_crossing_at(corpus):
-    d = corpus["trefoil"]
-    assert d.crossing_at(1).under_out == 2
-    assert d.crossing_at(3).under_out == 1
-    assert d.crossing_at(2).over == 1
-    assert corpus["unknot"].crossing_at(1) is None
 
 
 def test_components_of_split_diagram(corpus):
@@ -90,7 +90,10 @@ def test_components_of_split_diagram(corpus):
 def test_components_of_a_knot_beside_circles():
     d = parse_diagram("arcs 5\n" + TREFOIL)
     assert d.components == ((1, 3), (4, 4), (5, 5))
-    assert close_tangle(cut(d, [4])) == d
+    for arcs, pairs in (([4], (("4'", "4'"),)), ([1, 4], (("1'", "1''"), ("4'", "4'")))):
+        t = cut(d, arcs)
+        assert t.cut_pairs == pairs
+        assert close_tangle(t) == d
 
 
 def test_off_strand_fault_names_the_least_arc_under_every_hash_seed():

@@ -117,7 +117,7 @@ def test_modular_coefficients_wrap():
 
 
 def test_modulus_mismatch_rejected():
-    with pytest.raises(CoefficientError):
+    with pytest.raises(CoefficientError, match="mixed coefficient domains: 5 vs 7"):
         P({0: 1}, modulus=5) + P({0: 1}, modulus=7)
 
 
@@ -303,6 +303,13 @@ def test_from_blocks_rejects_mixed_sizes():
         RingMatrix.from_blocks([[M([[1]]), M([[1, 0], [0, 1]])]])
 
 
+def test_matrices_refuse_mixed_domains_with_one_message():
+    q, q7 = RingMatrix.zeros(2, 2), RingMatrix.zeros(2, 2, 7)
+    for build in (lambda: RingMatrix([[P({0: 1}, 7)]]), lambda: q + q7, lambda: q @ q7):
+        with pytest.raises(CoefficientError, match="mixed coefficient domains: None vs 7"):
+            build()
+
+
 def test_det_small_and_empty():
     assert det(RingMatrix([], cols=0)).is_one()
     assert det(M([[5]])).coeffs == {0: 5}
@@ -484,9 +491,9 @@ def test_sums_shifts_and_scalings_match_a_dict_reference(modulus):
         check(Fraction(1, 3) - half.scale(Fraction(2, 3)), {1: -1})
         other = P({0: 1}, 7)
     for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
-        with pytest.raises(CoefficientError):
+        with pytest.raises(CoefficientError, match="mixed coefficient domains"):
             op(p, other)
-        with pytest.raises(CoefficientError):
+        with pytest.raises(CoefficientError, match="mixed coefficient domains"):
             op(other, p)
 
 
@@ -567,7 +574,7 @@ def test_product_trace_is_the_trace_of_the_product(modulus):
         assert_normal_form(got, modulus)
     with pytest.raises(ValueError):
         RingMatrix.zeros(2, 3, modulus).product_trace(RingMatrix.zeros(3, 3, modulus))
-    with pytest.raises(CoefficientError):
+    with pytest.raises(CoefficientError, match="mixed coefficient domains: 7 vs None"):
         RingMatrix.zeros(2, 2, 7).product_trace(RingMatrix.zeros(2, 2))
 
 
@@ -710,7 +717,7 @@ def test_linear_combination_equals_repeated_sums(modulus):
     survivor = linear_combination([(1, p), (1, q), (-1, p)], modulus)
     assert survivor == q
     assert_normal_form(survivor, modulus)
-    with pytest.raises(CoefficientError):
+    with pytest.raises(CoefficientError, match="mixed coefficient domains"):
         linear_combination([(1, P({0: 1}, 5 if modulus else 7))], modulus)
 
 
@@ -1049,9 +1056,11 @@ def test_column_replaced_dets_on_every_corpus_strand(corpus):
 
 def test_column_replaced_dets_refuse_mismatched_input():
     m = M([[1, 2], [3, 4]])
-    for col, vector, error in ((0, [P({0: 1})], ValueError), (2, [P({}), P({})], IndexError),
-                               (0, [P({0: 1}, 7), P({}, 7)], CoefficientError)):
-        with pytest.raises(error):
+    for col, vector, error, text in (
+            (0, [P({0: 1})], ValueError, "a Cramer pair needs"),
+            (2, [P({}), P({})], IndexError, "column 2 outside"),
+            (0, [P({0: 1}, 7), P({}, 7)], CoefficientError, "mixed coefficient domains: None vs 7")):
+        with pytest.raises(error, match=text):
             column_replaced_dets(m, col, vector)
     with pytest.raises(ValueError):
         column_replaced_dets(RingMatrix([[P({0: 1}), P({})]], cols=2), 0, [P({})])

@@ -223,7 +223,7 @@ def test_twisted_rejects_nonrepresentation(trefoil):
 
 
 def test_twisted_weight_graph_blocks(trefoil, trefoil_rep):
-    b = twisted_weight_graph(build_arc_graph(trefoil), trefoil_rep)
+    b = twisted_weight_graph(trefoil, trefoil_rep)
     assert b.rows == b.cols == 6
     # vertices without an underpass exit keep zero block rows elsewhere
     assert b.modulus == 7
@@ -304,7 +304,7 @@ def test_block_walk_sums_equal_the_per_walk_products(dihedral_chains, monkeypatc
     # sums of their traces, as tr(B^m) does
     for name, chain in dihedral_chains.items():
         g, grid, rep = chain.graph, chain.weight_blocks, chain.rep
-        assert RingMatrix.from_blocks(grid) == twisted_weight_graph(g, rep)
+        assert RingMatrix.from_blocks(grid) == twisted_weight_graph(chain.diagram, rep)
         identity = RingMatrix.identity(rep.dim, rep.field)
         walk_sums = []
         for length in range(1, twisted.TRACE_POWER + 1):

@@ -173,7 +173,7 @@ def test_counts_pass_over_the_edge_list_a_fixed_number_of_times(corpus, every_cu
         seen = set()
         for g in graphs:
             passes.clear()
-            count(ArcGraph(g.vertices, Edges(g.edges), g.crossings), 8)
+            count(ArcGraph(g.vertices, Edges(g.edges)), 8)
             seen.add(len(passes))
         assert len(seen) == 1 and seen.pop() <= 3, count
 
