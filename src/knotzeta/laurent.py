@@ -23,9 +23,11 @@ determinant of the residues.  Each step pivots on the row with the fewest
 entries among those that reach the pivot column, and leaves the rows that
 miss it as they are: the factor such a row would gain at each step
 telescopes, so one exact division per entry brings it up to date when it is
-next needed.  The kernel
-also takes a bordered matrix, n rows of n + 1 entries, and returns both
-minors that share its first n - 1 columns: column_replaced_dets gets the
+next needed.  Each entry update (_bareiss_entry) pays only for nonzero
+coefficients: a zero coefficient adds no products, a one-term pivot c * t^d
+divides in one pass, and long division skips zero quotient terms.  The
+kernel also takes a bordered matrix, n rows of n + 1 entries, and returns
+both minors that share its first n - 1 columns: column_replaced_dets gets the
 pair det(A), det(A with one column replaced) of Cramer's rule from one
 elimination.  Cofactor expansion, and Gauss-Jordan elimination after
 evaluation at points, are the kernel's independent oracles; the unpeeled
@@ -676,23 +678,48 @@ def det_cofactor(mat):
 
 
 def _bareiss_entry(a, b, c, d, prev):
-    """(a*b - c*d) / prev for dense integer coefficient lists, by exact long division."""
+    """(a*b - c*d) / prev for dense integer coefficient lists, by exact division.
+
+    The work follows the nonzero coefficients: a zero coefficient of a or c
+    (row shifts and fill-in leave many, t^3 is [0, 0, 0, 1]) adds no
+    products, and long division skips the zero terms of the quotient.  A
+    one-term divisor lead * t^dd divides in one pass: the quotient is
+    num[dd:] divided by lead, and the dd coefficients below must be zero.
+    An inexact division raises AssertionError on either path.
+    """
     num = [0] * (max(len(a) + len(b), len(c) + len(d)) - 1)
     for i, x in enumerate(a):
-        for j, y in enumerate(b, i):
-            num[j] += x * y
+        if x:
+            for j, y in enumerate(b, i):
+                num[j] += x * y
     for i, x in enumerate(c):
-        for j, y in enumerate(d, i):
-            num[j] -= x * y
+        if x:
+            for j, y in enumerate(d, i):
+                num[j] -= x * y
     while num and not num[-1]:
         num.pop()
     lead, dd = prev[-1], len(prev) - 1
+    if prev.count(0) == dd:
+        assert not any(num[:dd]), "nonzero remainder in fraction-free elimination"
+        out = num[dd:]
+        if lead == 1:
+            return out
+        if lead == -1:
+            return [-x for x in out]
+        for i, x in enumerate(out):
+            if x:
+                out[i], r = divmod(x, lead)
+                assert not r, "fraction-free elimination produced a nonexact division"
+        return out
     out = [0] * max(len(num) - dd, 0)
     for i in range(len(out) - 1, -1, -1):
-        out[i], r = divmod(num[i + dd], lead)
-        assert not r, "fraction-free elimination produced a nonexact division"
-        for j, y in enumerate(prev, i):
-            num[j] -= out[i] * y
+        x = num[i + dd]
+        if x:
+            x, r = divmod(x, lead)
+            assert not r, "fraction-free elimination produced a nonexact division"
+            out[i] = x
+            for j, y in enumerate(prev, i):
+                num[j] -= x * y
     assert not any(num), "nonzero remainder in fraction-free elimination"
     return out
 

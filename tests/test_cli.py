@@ -885,9 +885,11 @@ def test_verify_passes_repeat_without_replaying(det_calls):
 def test_verify_pass_work_counts(monkeypatch):
     # one verify all --seed 0 pass: 243 kernel runs and 145 cuts while each
     # path sum took N and D from two eliminations and each composition check
-    # cut both of its diagrams
-    counts = {"kernel": 0, "cut": 0}
+    # cut both of its diagrams; 799 evaluations before the path sums screened
+    # their samples for rational roots of D
+    counts = {"kernel": 0, "cut": 0, "evaluate": 0}
     kernel, original_cut = laurent._bareiss, knot_model.cut
+    evaluate = laurent.LaurentPoly.evaluate
 
     def counted_kernel(rows, q):
         counts["kernel"] += 1
@@ -897,13 +899,18 @@ def test_verify_pass_work_counts(monkeypatch):
         counts["cut"] += 1
         return original_cut(*args)
 
+    def counted_evaluate(poly, t0):
+        counts["evaluate"] += 1
+        return evaluate(poly, t0)
+
     monkeypatch.setattr(laurent, "_bareiss", counted_kernel)
+    monkeypatch.setattr(laurent.LaurentPoly, "evaluate", counted_evaluate)
     for name, module in list(sys.modules.items()):
         if name.startswith("knotzeta") and getattr(module, "cut", None) is original_cut:
             monkeypatch.setattr(module, "cut", counted_cut)
     code, _ = run("verify", "all", "--seed", "0", "--json")
     assert code == EXIT_OK
-    assert counts["kernel"] <= 213 and counts["cut"] <= 64, counts
+    assert counts["kernel"] <= 213 and counts["cut"] <= 64 and counts["evaluate"] <= 226, counts
 
 
 def test_alexander_takes_the_determinant_from_its_polynomial(det_calls, corpus):

@@ -970,21 +970,26 @@ def test_kernel_finds_singularity_only_elimination_shows(domain):
 
 
 def test_kernel_work_on_the_figure8_3_cable(corpus, monkeypatch):
-    # coefficient products in _bareiss_entry on figure8's 3-cable I - W:
-    # 15,388 with the sparsest pivot row and telescoped scaling; 22,900 when
-    # every row below the pivot is scaled at every step, 63,507 with the
-    # first row that has an entry as the pivot, and 69,525 with both
-    products = []
+    # the multiplications _bareiss_entry performs on figure8's 3-cable I - W,
+    # len(b) per nonzero coefficient of a and len(d) per nonzero of c: 9,191,
+    # where the list lengths alone give 15,388 with the sparsest pivot row and
+    # telescoped scaling (22,900 when every row below the pivot is scaled at
+    # every step, 63,507 with the first row that has an entry as the pivot,
+    # 69,525 with both); 179 of its 389 calls divide by a one-term pivot in
+    # one pass, and the other 210 by long division
+    work = {"products": 0, "calls": 0, "long": 0}
     entry = laurent._bareiss_entry
 
     def counted(a, b, c, d, prev):
-        products.append(len(a) * len(b) + len(c) * len(d))
+        work["products"] += sum(len(b) for x in a if x) + sum(len(d) for x in c if x)
+        work["calls"] += 1
+        work["long"] += any(prev[:-1])
         return entry(a, b, c, d, prev)
 
     monkeypatch.setattr(laurent, "_bareiss_entry", counted)
     m = tangle_matrix(build_arc_graph(cable(cut(corpus["figure8"], [1]), 3)), alexander_spec())
     assert det(m) == P({-3: -1, 0: 3, 3: -1})
-    assert sum(products) <= 20_000
+    assert work["products"] <= 9_650 and work["calls"] <= 408 and work["long"] <= 220, work
 
 
 def _replaced(mat, col, vector):
@@ -1075,6 +1080,85 @@ def test_bareiss_entry_rejects_inexact_division():
         _bareiss_entry([1, 0, 1], [1], [], [], [1, 1])
     with pytest.raises(AssertionError):
         _bareiss_entry([0, 2], [1], [], [], [3])
+    # one-term divisors: a coefficient of num below the divisor's degree, or
+    # one that the divisor's coefficient does not divide
+    for num, prev in (([1, 0, 1], [0, 1]), ([0, 1, 0, 2], [0, 0, 1]),
+                      ([0, 0, 4], [0, 0, -3]), ([0, 0, 3, 2], [0, 0, -3])):
+        with pytest.raises(AssertionError):
+            _bareiss_entry(num, [1], [], [], prev)
+
+
+def _dense_product(x, y):
+    """The product of two dense coefficient lists, lowest degree first."""
+    out = [0] * (len(x) + len(y) - 1)
+    for i, u in enumerate(x):
+        for j, v in enumerate(y, i):
+            out[j] += u * v
+    return out
+
+
+@pytest.mark.parametrize("prev", [[1], [-1], [0, 0, 1], [0, 0, -3], [1, 1], [2, 0, 0, -1]])
+def test_bareiss_entry_divides_products_with_zero_coefficients(prev):
+    # a = prev * x and c = prev * y, so (a*b - c*d) / prev = x*b - y*d; the
+    # lists carry zeros low down and inside, and the quotient has zero terms
+    rng = random.Random(str(prev))
+
+    def dense():
+        out = [rng.choice((0, 0, 0, 1, -1, 2, -5)) for _ in range(rng.randint(0, 4))]
+        return out + [rng.choice((1, -1, 3))]
+
+    for _ in range(40):
+        x, b, y, d = dense(), dense(), dense(), dense()
+        if rng.random() < 0.2:
+            y, d = [], []
+        xb, yd = _dense_product(x, b), _dense_product(y, d)
+        want = [u - v for u, v in zip(xb + [0] * len(yd), yd + [0] * len(xb))]
+        while want and not want[-1]:
+            want.pop()
+        a, c = _dense_product(prev, x), _dense_product(prev, y) if y else []
+        assert _bareiss_entry(a, b, c, d, prev) == want, (x, b, y, d)
+    # a*b = c*d: the quotient is the empty list
+    assert _bareiss_entry([0, 0, 2], [1, 1], [0, 0, 1], [2, 2], prev) == []
+
+
+@pytest.mark.parametrize("modulus", [None, 2, 5, 101])
+def test_kernel_on_one_term_and_zero_laden_entries_matches_cofactor(modulus, monkeypatch):
+    # sizes 1-6, entries c * t^k and t^a - t^b (whose dense lists are mostly
+    # zeros), over Q with Fraction coefficients and over F_2, F_5 and F_101:
+    # det, the unpeeled kernel and the Cramer pair against cofactor expansion
+    rng = random.Random(f"one-term/{modulus}")
+    zero = LaurentPoly.zero(modulus)
+    divisors = {"one-term": 0, "long": 0}
+    entry_fn = laurent._bareiss_entry
+
+    def counted(a, b, c, d, prev):
+        divisors["long" if any(prev[:-1]) else "one-term"] += 1
+        return entry_fn(a, b, c, d, prev)
+
+    monkeypatch.setattr(laurent, "_bareiss_entry", counted)
+
+    def entry():
+        kind = rng.random()
+        if kind < 0.3:
+            return zero
+        if kind < 0.65:
+            c = (rng.randrange(1, modulus) if modulus
+                 else Fraction(rng.choice((-3, -1, 1, 2, 7)), rng.choice((1, 1, 2, 3))))
+            return P({rng.randint(-3, 3): c}, modulus)
+        a, b = rng.sample(range(-3, 4), 2)
+        return P({a: 1, b: -1 % modulus if modulus else -1}, modulus)
+
+    nonzero = 0
+    for n in range(1, 7):
+        for _ in range(5):
+            m = RingMatrix([[entry() for _ in range(n)] for _ in range(n)], modulus)
+            want = det_cofactor(m)
+            assert det(m) == _det_bareiss(m) == want, m
+            col, vector = rng.randrange(n), [entry() for _ in range(n)]
+            assert column_replaced_dets(m, col, vector) == (
+                want, det_cofactor(_replaced(m, col, vector))), (m, col, vector)
+            nonzero += not want.is_zero()
+    assert nonzero >= 20 and min(divisors.values()) >= 300, (nonzero, divisors)
 
 
 def test_row_reduce_pivot_product_is_the_determinant_mod_7():

@@ -2,6 +2,7 @@
 
 import json
 import math
+import random
 import warnings
 from collections import Counter
 from fractions import Fraction
@@ -930,15 +931,48 @@ def evaluations(monkeypatch):
 
 
 def test_path_sum_evaluates_only_d_where_n_equals_d(corpus, evaluations):
-    # N(t0) is D(t0) there: one evaluation per sample drawn
+    # N(t0) is D(t0) there: D is evaluated once at each sample drawn that the
+    # rational root screen leaves, and at no other
     for name in ("figure8", "6_1"):
         d = corpus[name]
         for arc in d.arcs:
+            tangle = cut(d, [arc])
+            den = strand_walk_sum(tangle)[1]
             evaluations.clear()
-            v = path_sum_check(cut(d, [arc]), seed=0)
+            v = path_sum_check(tangle, seed=0)
             assert v.passed, (name, arc)
-            drawn = len(v.detail["verified"]) + len(v.detail["skipped"])
-            assert len(evaluations) == drawn, (name, arc)
+            drawn = sample_points(60, 0)[:len(v.detail["verified"]) + len(v.detail["skipped"])]
+            may_vanish = zeta._root_screen(den)
+            assert evaluations == [(den, t0) for t0 in drawn if may_vanish(t0)], (name, arc)
+
+
+def test_root_screen_keeps_every_root(corpus):
+    # the screen is False only where D(t0) != 0: on every corpus strand at the
+    # 60 seed-0 samples, and on integer polynomials with planted roots
+    # +-a/b, b > 1, with Fraction coefficients and negative exponents; it
+    # keeps 95 of the 1,860 strand samples
+    samples = sample_points(60, 0)
+    kept = checked = 0
+    for name, d in corpus.items():
+        for arc in d.arcs:
+            den = strand_walk_sum(cut(d, [arc]))[1]
+            may_vanish = zeta._root_screen(den)
+            for t0 in samples:
+                assert may_vanish(t0) or den.evaluate(t0) != 0, (name, arc, t0)
+                kept += may_vanish(t0)
+                checked += 1
+    assert (kept, checked) == (95, 31 * 60)
+    rng = random.Random(5)
+    for _ in range(60):
+        a, b = rng.randint(1, 12), rng.randint(2, 12)
+        root = Fraction(rng.choice((-a, a)), b)
+        cofactor = LaurentPoly({e: rng.randint(-9, 9) for e in range(-2, 3)} | {3: 1})
+        poly = LaurentPoly({1: Fraction(root.denominator, 7), 0: Fraction(-root.numerator, 7)})
+        poly = (poly * cofactor).shift(rng.randint(-3, 3))
+        may_vanish = zeta._root_screen(poly)
+        assert poly.evaluate(root) == 0 and may_vanish(root), (poly, root)
+        for t0 in samples:
+            assert may_vanish(t0) or poly.evaluate(t0) != 0, (poly, t0)
 
 
 def test_path_sum_evaluates_n_where_it_differs_from_d(trefoil, monkeypatch, evaluations):
