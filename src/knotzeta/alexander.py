@@ -1,12 +1,15 @@
 """Fox free differential calculus and the Alexander invariants.
 
 The free derivative of a relator with respect to each generator, abelianized
-by sending every generator to t, gives the Alexander matrix.  Deleting one
-row and one column and taking the determinant yields the Alexander
-polynomial up to a unit; its value at t = -1 is the knot determinant.  The
-same matrix equals I - W of the arc graph under the standard weight
-specialization, and that equality is checked here entry by entry rather than
-assumed.
+by sending every generator to t, gives the Alexander matrix.  fox_gradient
+takes all of a relator's derivatives in one walk over its letters, with an
+entry only for the generators it contains (a Wirtinger relator names three
+of them; every other derivative is 0), and fox_derivative, one generator per
+walk, is its oracle.  Deleting one row and one column and taking the
+determinant yields the Alexander polynomial up to a unit; its value at
+t = -1 is the knot determinant.  The same matrix equals I - W of the arc
+graph under the standard weight specialization, and that equality is checked
+here entry by entry rather than assumed.
 """
 
 from __future__ import annotations
@@ -70,6 +73,26 @@ def fox_derivative(word, gen):
     return elem
 
 
+def fox_gradient(word):
+    """{generator: the free derivative of word by it} for the generators
+    that word contains, in one walk over its letters.
+
+    The rules and the freely reduced prefixes of fox_derivative; each prefix
+    is reduced where a letter is added (only the new letter can cancel), not
+    from scratch.  A generator absent from word has derivative 0 and no
+    entry.
+    """
+    grad = {}
+    prefix = ()
+    for g, e in _letters(word):
+        if e == 1:
+            _add_term(grad.setdefault(g, {}), prefix, 1)
+        prefix = prefix[:-1] if prefix and prefix[-1] == (g, -e) else prefix + ((g, e),)
+        if e == -1:
+            _add_term(grad.setdefault(g, {}), prefix, -1)
+    return grad
+
+
 def exponent_sum(word):
     return sum(e for _, e in word)
 
@@ -84,10 +107,15 @@ def abelianize(elem):
 
 
 def alexander_matrix(presentation):
-    """Abelianized Fox Jacobian: one row per relator, one column per generator."""
+    """Abelianized Fox Jacobian: one row per relator, one column per
+    generator, from one gradient per relator; the generators a relator
+    lacks share one zero."""
+    zero = LaurentPoly.zero()
     rows = []
     for r in presentation.relators:
-        rows.append([abelianize(fox_derivative(r, g)) for g in presentation.generators])
+        grad = fox_gradient(r)
+        rows.append([abelianize(grad[g]) if g in grad else zero
+                     for g in presentation.generators])
     return RingMatrix(rows, cols=len(presentation.generators))
 
 

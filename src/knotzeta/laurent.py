@@ -535,19 +535,26 @@ class RingMatrix:
 
     @classmethod
     def from_blocks(cls, blocks):
-        """Assemble from a 2-d grid of equally sized square RingMatrix blocks."""
+        """Assemble from a 2-d grid of equally sized square RingMatrix blocks.
+
+        The blocks were checked when they were built, so each block's shape
+        and modulus is checked here, not each entry."""
         if not blocks or not blocks[0]:
             raise ValueError("empty block grid")
         m = blocks[0][0].rows
         modulus = blocks[0][0].modulus
+        width = len(blocks[0])
         rows = []
         for brow in blocks:
+            if len(brow) != width:
+                raise ValueError("ragged rows in block grid")
             for b in brow:
                 if b.rows != m or b.cols != m:
                     raise ValueError("blocks must share one square size")
+                _same_domain(modulus, b.modulus)
             for r in range(m):
-                rows.append([b.entries[r][c] for b in brow for c in range(m)])
-        return cls(rows, modulus)
+                rows.append([e for b in brow for e in b.entries[r]])
+        return cls._of(rows, modulus, width * m)
 
     def __eq__(self, other):
         if not isinstance(other, RingMatrix):
@@ -651,7 +658,7 @@ class RingMatrix:
                 raise IndexError(f"column index {c} out of range")
         ents = [[self.entries[i][j] for j in range(self.cols) if j not in cset]
                 for i in range(self.rows) if i not in rset]
-        return RingMatrix(ents, self.modulus, cols=self.cols - len(cset))
+        return RingMatrix._of(ents, self.modulus, self.cols - len(cset))
 
     def evaluate(self, t0):
         """Entrywise exact evaluation at a rational point."""

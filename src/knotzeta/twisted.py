@@ -21,7 +21,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
-from .alexander import alexander_minor, exponent_sum, fox_derivative
+from .alexander import alexander_minor, exponent_sum, fox_gradient
 from .arc_graph import build_arc_graph
 from .knot_model import DiagramError, KnotDiagram, Presentation, \
     wirtinger_presentation
@@ -301,9 +301,9 @@ def twisted_alexander_matrix(presentation, rep):
     """
     if not presentation.relators:
         raise DiagramError("presentation has no relators")
-    return RingMatrix.from_blocks([[_twisted_element(rep, fox_derivative(r, g))
+    return RingMatrix.from_blocks([[_twisted_element(rep, grad.get(g, {}))
                                     for g in presentation.generators]
-                                   for r in presentation.relators])
+                                   for grad in map(fox_gradient, presentation.relators)])
 
 
 @dataclass(frozen=True)
@@ -312,10 +312,11 @@ class TwistedChain:
 
     `verdict` says that every Wirtinger relator maps to the identity.  The
     other pieces are built on first read and kept: the twisted Fox block of
-    each (relator, generator) pair, the blocks t rho(x_k) - I, the arc
-    graph, and B as a grid of blocks, flattened on first read.  A quotient
-    reads only its minor's Fox blocks and its own denominator, so it never
-    builds the arc graph.
+    each (relator, generator) pair, from one Fox gradient per relator (the
+    generators a relator lacks share one zero block), the blocks
+    t rho(x_k) - I, the arc graph, and B as a grid of blocks, flattened on
+    first read.  A quotient reads only its minor's Fox blocks and its own
+    denominator, so it never builds the arc graph.
     """
 
     diagram: KnotDiagram
@@ -336,12 +337,24 @@ class TwistedChain:
             self._images[key] = _twisted_element(self.rep, element())
         return self._images[key]
 
+    @cached_property
+    def gradients(self):
+        """The Fox gradient of each relator, by relator position."""
+        return tuple(map(fox_gradient, self.presentation.relators))
+
+    @cached_property
+    def zero_block(self):
+        """The m x m zero block: every absent Fox block, and the row
+        check's empty sum."""
+        return RingMatrix.zeros(self.rep.dim, self.rep.dim, self.rep.field)
+
     def fox_block(self, r, k):
         """The twisted Fox derivative of relator r by generator k, both
-        given by position."""
-        pres = self.presentation
-        return self._image((r, k), lambda: fox_derivative(pres.relators[r],
-                                                           pres.generators[k]))
+        given by position; the one zero block where relator r lacks k."""
+        grad, gen = self.gradients[r], self.presentation.generators[k]
+        if gen not in grad:
+            return self.zero_block
+        return self._image((r, k), lambda: grad[gen])
 
     def denominator(self, k):
         """t rho(x_k) - I, the image of x_k - 1, for generator position k."""
@@ -511,14 +524,17 @@ def twisted_row_identity_check(chain):
     vector of images minus identities.
 
     For each relator r: sum over generators k of (dr/dx_k under the twist)
-    times (the image of x_k - 1) equals the image of r - 1 = 0 exactly.
+    times (the image of x_k - 1) equals the image of r - 1 = 0 exactly.  The
+    sum runs over the generators that r's gradient holds, since every other
+    Fox block is zero.
     """
     pres = chain.presentation
-    zero = RingMatrix.zeros(chain.rep.dim, chain.rep.dim, chain.rep.field)
+    zero = chain.zero_block
+    position = {g: k for k, g in enumerate(pres.generators)}
     failures = []
-    for r in range(len(pres.relators)):
-        total = sum((chain.fox_block(r, k) @ chain.denominator(k)
-                     for k in range(len(pres.generators))), zero)
+    for r, grad in enumerate(chain.gradients):
+        total = sum((chain.fox_block(r, position[g]) @ chain.denominator(position[g])
+                     for g in grad), zero)
         if total != zero:
             failures.append({"relator": r, "value": repr(total)})
     return Verdict("twisted_row_identity", not failures,

@@ -31,6 +31,8 @@ TESTS = sorted((ROOT / "tests").glob("*.py"))
 
 # the reference implementations that only the tests read, as "module.name"
 ORACLES = (
+    # one generator per walk over the word: the oracle of fox_gradient
+    "alexander.fox_derivative",
     # the kernel without peeling: the oracle of det's peel
     "laurent._det_bareiss",
     # first-row cofactor expansion: the oracle of det on small matrices

@@ -301,11 +301,14 @@ def test_matrix_delete_and_block():
 def test_from_blocks_rejects_mixed_sizes():
     with pytest.raises(ValueError):
         RingMatrix.from_blocks([[M([[1]]), M([[1, 0], [0, 1]])]])
+    with pytest.raises(ValueError, match="ragged rows in block grid"):
+        RingMatrix.from_blocks([[M([[1]]), M([[2]])], [M([[3]])]])
 
 
 def test_matrices_refuse_mixed_domains_with_one_message():
     q, q7 = RingMatrix.zeros(2, 2), RingMatrix.zeros(2, 2, 7)
-    for build in (lambda: RingMatrix([[P({0: 1}, 7)]]), lambda: q + q7, lambda: q @ q7):
+    for build in (lambda: RingMatrix([[P({0: 1}, 7)]]), lambda: q + q7, lambda: q @ q7,
+                  lambda: RingMatrix.from_blocks([[q, q], [q, q7]])):
         with pytest.raises(CoefficientError, match="mixed coefficient domains: None vs 7"):
             build()
 

@@ -6,11 +6,12 @@ from functools import reduce
 
 import pytest
 
-from knotzeta import cli, twisted
-from knotzeta.alexander import exponent_sum, fox_derivative
+from knotzeta import alexander, cli, twisted
+from knotzeta.alexander import alexander_matrix, alexander_minor, exponent_sum, \
+    fox_derivative
 from knotzeta.arc_graph import alexander_spec, build_arc_graph, weight_matrix
-from knotzeta.knot_model import DiagramError, Presentation, parse_diagram, \
-    wirtinger_presentation
+from knotzeta.knot_model import DiagramError, Presentation, cable, close_tangle, cut, \
+    parse_diagram, wirtinger_presentation
 from knotzeta.laurent import LaurentPoly, RingMatrix, canonicalize, det, row_reduce
 from knotzeta.twisted import Representation, \
     column_independence_check, dihedral_field, dihedral_rep, fox_colorings, \
@@ -456,13 +457,16 @@ def piece_calls(monkeypatch):
 
 @pytest.mark.parametrize("name,p", [("figure8", 5), ("trefoil", 3)])
 def test_dihedral_reports_build_each_piece_once(corpus, piece_calls, name, p):
-    # the reports read every Fox block and every denominator, each a twisted
-    # image of a group ring element, and the one run of _weight_blocks builds
-    # two blocks per crossing; as many other images as blocks means one each
+    # the reports read every Fox block and every denominator; each Fox block
+    # of a generator its relator names and each denominator is a twisted
+    # image of a group ring element (the others are the chain's one zero
+    # block), and the one run of _weight_blocks builds two blocks per
+    # crossing; as many other images as blocks means one each
     pres = wirtinger_presentation(corpus[name])
     reports = cli._twisted_dihedral_reports(name, corpus[name], p)
     assert [r["status"] for r in reports] == ["pass"] * 5
-    blocks = (len(pres.relators) + 1) * len(pres.generators)
+    named = sum(len({g for g, _ in r}) for r in pres.relators)
+    blocks = named + len(pres.generators)
     crossing_blocks = 2 * len(corpus[name].crossings)
     assert piece_calls == {**dict.fromkeys(CHAIN_PIECES, 1),
                            "_twisted_element": blocks + crossing_blocks}
@@ -481,7 +485,8 @@ def test_quotients_build_no_arc_graph(corpus, trefoil, trefoil_rep, piece_calls)
 
 def test_twisted_query_builds_only_the_column_it_reads(monkeypatch, corpus, trefoil,
                                                        trefoil_rep, figure8, fig8_rep):
-    # the (n - 1)^2 Fox blocks of the first column's minor, then that
+    # the Fox blocks of the first column's minor whose generator the
+    # relator names (the rest are the chain's one zero block), then that
     # column's denominator (never zero: det(t rho(x) - I) has constant term
     # det(-I)); neither the rest of the Jacobian nor the arc graph
     built = []
@@ -497,8 +502,41 @@ def test_twisted_query_builds_only_the_column_it_reads(monkeypatch, corpus, tref
         pres = wirtinger_presentation(d)
         first = pres.generators[0]
         assert tw.column == first
-        minor = [fox_derivative(r, g) for r in pres.relators[:-1] for g in pres.generators[1:]]
+        minor = [fox_derivative(r, g) for r in pres.relators[:-1] for g in pres.generators[1:]
+                 if g in {x for x, _ in r}]
         assert built == minor + [{((first, 1),): 1, (): -1}]
+
+
+@pytest.mark.parametrize("name,n", [("6_1", 1), ("figure8", 3)])
+def test_fox_work_is_one_gradient_per_relator(monkeypatch, corpus, name, n):
+    # the Fox minor (alexander_minor on the knot 6_1; on the closed 3-cable
+    # of figure8, a 3-component link that alexander_minor refuses, the
+    # alexander_matrix it reads) and two quotients of a chain (its dihedral
+    # one on 6_1, the trivial one on the cable) walk each relator once,
+    # through fox_gradient, and never take a derivative one generator at a time
+    d = corpus[name] if n == 1 else close_tangle(cable(cut(corpus[name], [1]), n))
+    walked, derivatives = [], []
+    gradient, derivative = alexander.fox_gradient, alexander.fox_derivative
+    for module in (alexander, twisted):
+        monkeypatch.setattr(module, "fox_gradient",
+                            lambda word: walked.append(word) or gradient(word))
+    monkeypatch.setattr(alexander, "fox_derivative",
+                        lambda word, gen: derivatives.append(word) or derivative(word, gen))
+    pres = wirtinger_presentation(d)
+    relators = list(pres.relators)
+    if n == 1:
+        alexander_minor(d)
+    else:
+        alexander_matrix(pres)
+    assert walked == relators and not derivatives
+    rep = dihedral_rep(d, 3, fox_colorings(d, 3).nonconstant()) if n == 1 \
+        else trivial_representation(tuple(d.arcs))
+    chain = twisted_chain(d, rep)
+    walked.clear()
+    chain.quotient(0)
+    chain.quotient(len(d.arcs) - 1)
+    assert walked == relators and not derivatives
+    assert len(relators) == (6 if n == 1 else 36)
 
 
 def test_numerator_minor_is_the_reduced_jacobian_minor(monkeypatch, corpus, trefoil,
