@@ -109,14 +109,15 @@ def abelianize(elem):
 def alexander_matrix(presentation):
     """Abelianized Fox Jacobian: one row per relator, one column per
     generator, from one gradient per relator; the generators a relator
-    lacks share one zero."""
+    lacks share one zero.  The entries come from abelianize, so the matrix
+    is assembled unchecked."""
     zero = LaurentPoly.zero()
     rows = []
     for r in presentation.relators:
         grad = fox_gradient(r)
         rows.append([abelianize(grad[g]) if g in grad else zero
                      for g in presentation.generators])
-    return RingMatrix(rows, cols=len(presentation.generators))
+    return RingMatrix._of(rows, None, len(presentation.generators))
 
 
 def _last_minor(mat):

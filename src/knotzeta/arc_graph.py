@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .knot_model import DiagramError, KnotDiagram, Tangle
-from .laurent import LaurentPoly, RingMatrix, det, linear_combination
+from .laurent import CoefficientError, LaurentPoly, RingMatrix, _same_domain, det, \
+    linear_combination
 
 LABELS = ("T1", "T2", "S1", "S2")
 
@@ -106,8 +107,19 @@ def constant_spec(value=1):
     return dict.fromkeys(LABELS, LaurentPoly({0: value}))
 
 
+def _check_weights(g, spec):
+    """Refuse, with CoefficientError, a weight of a label on g's edges that
+    is not a LaurentPoly over Q; each label is checked once."""
+    for label in dict.fromkeys(e.label for e in g.edges):
+        w = spec[label]
+        if not isinstance(w, LaurentPoly):
+            raise CoefficientError(f"Laurent polynomial weight expected, got {type(w).__name__}")
+        _same_domain(None, w.modulus)
+
+
 def weight_matrix(g, spec):
     """Adjacency-style matrix W with W[u][v] = weight of the edge u -> v."""
+    _check_weights(g, spec)
     index = g.index
     zero = LaurentPoly.zero()
     n = len(index)
@@ -153,6 +165,7 @@ def laplacian(g, spec, roots):
     """
     for r in roots:
         g.vertex_index(r)  # raises on an unknown root
+    _check_weights(g, spec)
     drop = set(roots)
     keep = [v for v in g.vertices if v not in drop]
     totals = [linear_combination(((1, spec[e.label]) for e in g.out_map[v]), None)
@@ -166,6 +179,7 @@ def tangle_matrix(g, spec, vertices=None):
     and each edge u -> v between chosen vertices puts -w at (u, v)."""
     if vertices is None:
         vertices = g.vertices
+    _check_weights(g, spec)
     one = LaurentPoly.one()
     return _diagonal_minus_weights(g, spec, vertices, [one] * len(vertices))
 

@@ -19,19 +19,22 @@ matrices of cut strands have many (a source arc has no in-edges, a sink arc
 no out-edges).  What remains goes to one fraction-free (Bareiss) kernel over
 Z[t], on lists of int coefficients, after each row is cleared of negative
 powers of t and of denominators; an F_q determinant is the reduced integer
-determinant of the residues.  Each step pivots on the row with the fewest
-entries among those that reach the pivot column, and leaves the rows that
-miss it as they are: the factor such a row would gain at each step
-telescopes, so one exact division per entry brings it up to date when it is
-next needed.  Each entry update (_bareiss_entry) pays only for nonzero
-coefficients: a zero coefficient adds no products, a one-term pivot c * t^d
-divides in one pass, and long division skips zero quotient terms.  The
-kernel also takes a bordered matrix, n rows of n + 1 entries, and returns
-both minors that share its first n - 1 columns: column_replaced_dets gets the
-pair det(A), det(A with one column replaced) of Cramer's rule from one
-elimination.  Cofactor expansion, and Gauss-Jordan elimination after
-evaluation at points, are the kernel's independent oracles; the unpeeled
-kernel is the peel's, and two calls of det are column_replaced_dets'.
+determinant of the residues.  Each row is kept as a map of its nonzero
+entries, so every step touches only those.  Each step pivots on the row
+with the fewest entries among those that reach the pivot column, and leaves
+the rows that miss it as they are: the factor such a row would gain at each
+step telescopes, so one exact division per entry brings it up to date when
+it is next needed.  Each entry update (_bareiss_entry) pays only for
+nonzero coefficients: its operands other than the entry it updates come as
+(position, coefficient) pairs of their nonzero coefficients, prepared once
+per step or per row, a one-term pivot c * t^d divides in one pass, and long
+division skips zero quotient terms.  The kernel also takes a bordered
+matrix, n rows of n + 1 entries, and returns both minors that share its
+first n - 1 columns: column_replaced_dets gets the pair det(A), det(A with
+one column replaced) of Cramer's rule from one elimination.  Cofactor
+expansion, and Gauss-Jordan elimination after evaluation at points, are the
+kernel's independent oracles; the unpeeled kernel is the peel's, and two
+calls of det are column_replaced_dets'.
 
 Matrices of plain rationals or residues mod q have one Gauss-Jordan
 elimination, row_reduce, which serves determinants and solves over Q and
@@ -684,29 +687,43 @@ def det_cofactor(mat):
     return acc
 
 
-def _bareiss_entry(a, b, c, d, prev):
-    """(a*b - c*d) / prev for dense integer coefficient lists, by exact division.
+def _operand(entry):
+    """A nonzero dense coefficient list as the entry updates read it, built
+    once for all of them: (pairs, degree, lead, one_term), where pairs are
+    its nonzero (position, coefficient) pairs, lead its leading coefficient
+    and one_term whether it has one nonzero coefficient."""
+    pairs = [(i, x) for i, x in enumerate(entry) if x]
+    return pairs, len(entry) - 1, entry[-1], len(pairs) == 1
 
-    The work follows the nonzero coefficients: a zero coefficient of a or c
-    (row shifts and fill-in leave many, t^3 is [0, 0, 0, 1]) adds no
-    products, and long division skips the zero terms of the quotient.  A
+
+def _bareiss_entry(a, b, c, d, prev):
+    """(a*b - c*d) / prev by exact division, on integer coefficients.
+
+    a is a dense coefficient list, lowest degree first, empty for zero; b, c
+    and d are the nonzero (position, coefficient) pairs of the other three
+    factors, empty for zero; prev is the divisor as an _operand.  The work
+    follows the nonzero coefficients: the products pay nonzeros(a) *
+    len(b) + len(c) * len(d) multiplications, and long division skips the
+    zero terms of the quotient and the zero coefficients of prev.  A
     one-term divisor lead * t^dd divides in one pass: the quotient is
     num[dd:] divided by lead, and the dd coefficients below must be zero.
     An inexact division raises AssertionError on either path.
     """
-    num = [0] * (max(len(a) + len(b), len(c) + len(d)) - 1)
+    size = (len(a) + b[-1][0]) if a else 0
+    if c and d:
+        size = max(size, c[-1][0] + d[-1][0] + 1)
+    num = [0] * size
     for i, x in enumerate(a):
         if x:
-            for j, y in enumerate(b, i):
-                num[j] += x * y
-    for i, x in enumerate(c):
-        if x:
-            for j, y in enumerate(d, i):
-                num[j] -= x * y
+            for j, y in b:
+                num[i + j] += x * y
+    for i, x in c:
+        for j, y in d:
+            num[i + j] -= x * y
     while num and not num[-1]:
         num.pop()
-    lead, dd = prev[-1], len(prev) - 1
-    if prev.count(0) == dd:
+    pairs, dd, lead, one_term = prev
+    if one_term:
         assert not any(num[:dd]), "nonzero remainder in fraction-free elimination"
         out = num[dd:]
         if lead == 1:
@@ -725,14 +742,14 @@ def _bareiss_entry(a, b, c, d, prev):
             x, r = divmod(x, lead)
             assert not r, "fraction-free elimination produced a nonexact division"
             out[i] = x
-            for j, y in enumerate(prev, i):
-                num[j] -= x * y
+            for j, y in pairs:
+                num[i + j] -= x * y
     assert not any(num), "nonzero remainder in fraction-free elimination"
     return out
 
 
 def _bareiss(rows, q):
-    """Fraction-free (Bareiss) elimination on dense coefficient lists.
+    """Fraction-free (Bareiss) elimination on rows kept as sparse maps.
 
     Takes n rows of n + e entries and returns the e + 1 minors of order n
     built from the first n - 1 columns and one of the last e + 1: the
@@ -744,10 +761,11 @@ def _bareiss(rows, q):
     Each row is first multiplied by a power of t and by the lcm of its
     denominators (1 over F_q, whose residues are read as ints), so that its
     entries are polynomials with integer coefficients.  An entry is then a
-    list of ints, lowest degree first; the scale factors, common to every
-    minor, are divided out of the results.  Over F_q each minor is then
-    reduced mod q: the divisions are exact over Z[t], and reduction mod q is
-    a ring map, so it commutes with every minor.
+    list of ints, lowest degree first, and a row is a map {column: entry}
+    of its nonzero entries; the scale factors, common to every minor, are
+    divided out of the results.  Over F_q each minor is then reduced mod q:
+    the divisions are exact over Z[t], and reduction mod q is a ring map,
+    so it commutes with every minor.
 
     Step k takes as its pivot row, among the rows with an entry in column k,
     the one with the fewest entries right of column k, then the one whose
@@ -761,6 +779,14 @@ def _bareiss(rows, q):
     every level is a minor of the matrix, so the division is exact.  Such a
     catch-up changes an entry's degree by deg p_(k-1) - deg p_(s-1), which
     the row rule adds to the length of an entry not yet caught up.
+
+    The work follows the nonzero entries: a row's map holds only columns at
+    or right of the current step, so the row rule reads its length, a
+    catch-up runs over its entries, and an update over the columns of the
+    row and of the pivot row, dropping an entry that cancels to zero.  The
+    operands of _bareiss_entry are prepared once: each pivot, and each
+    entry of the pivot row, once per step, and each row's entry in the
+    pivot column once per row.
     """
     n = len(rows)
     if not n:
@@ -768,31 +794,30 @@ def _bareiss(rows, q):
     width = len(rows[0])
     work, shift_back, scale = [], 0, 1
     for row in rows:
-        live = [e._c for e in row if e._c]
-        k = min((next(iter(c)) for c in live), default=0)
-        m = math.lcm(*(v.denominator for c in live for v in c.values()))
-        dense = [[0] * (max(e._c, default=k - 1) - k + 1) for e in row]
-        for d, e in zip(dense, row):
-            for x, v in e._c.items():
+        live = [(j, e._c) for j, e in enumerate(row) if e._c]
+        k = min((next(iter(c)) for _, c in live), default=0)
+        m = math.lcm(*(v.denominator for _, c in live for v in c.values()))
+        sparse = {}
+        for j, c in live:
+            d = sparse[j] = [0] * (max(c) - k + 1)
+            for x, v in c.items():
                 d[x - k] = v.numerator * (m // v.denominator)
-        work.append(dense)
+        work.append(sparse)
         shift_back += k
         scale *= m
-    # pivots[s] is the pivot of step s - 1, so that pivots[0] = 1
-    sign, pivots, level = 1, [[1]], [0] * n
+    # pivots[s] is the pivot of step s - 1, as an _operand, so that pivots[0] = 1
+    sign, pivots, level = 1, [_operand([1])], [0] * n
 
     def catch_up(i, k):
         if level[i] != k:
-            row, num, den = work[i], pivots[k], pivots[level[i]]
-            for j in range(k, width):
-                if row[j]:
-                    row[j] = _bareiss_entry(row[j], num, [], [], den)
+            row, num, den = work[i], pivots[k][0], pivots[level[i]]
+            for j, e in row.items():
+                row[j] = _bareiss_entry(e, num, (), (), den)
             level[i] = k
 
     for k in range(n - 1):
-        keys = [(sum(map(bool, work[r][k + 1:])),
-                 len(work[r][k]) + len(pivots[k]) - len(pivots[level[r]]), r)
-                for r in range(k, n) if work[r][k]]
+        keys = [(len(work[r]), len(work[r][k]) + pivots[k][1] - pivots[level[r]][1], r)
+                for r in range(k, n) if k in work[r]]
         if not keys:
             return [LaurentPoly.zero(q)] * (width - n + 1)
         best = min(keys)[2]
@@ -801,20 +826,26 @@ def _bareiss(rows, q):
             level[k], level[best] = level[best], level[k]
             sign = -sign
         catch_up(k, k)
-        top, prev = work[k], pivots[k]
+        prev, pivot = pivots[k], _operand(work[k][k])
+        top = {j: _operand(e)[0] for j, e in work[k].items() if j != k}
         for i in range(k + 1, n):
             row = work[i]
-            if row[k]:
+            if k in row:
                 catch_up(i, k)
-                for j in range(k + 1, width):
-                    if row[j] or top[j]:
-                        row[j] = _bareiss_entry(row[j], top[k], row[k], top[j], prev)
+                c = _operand(row.pop(k))[0]
+                for j in top.keys() | row.keys():
+                    e = _bareiss_entry(row.get(j, ()), pivot[0], c, top.get(j, ()), prev)
+                    if e:
+                        row[j] = e
+                    else:
+                        del row[j]
                 level[i] = k + 1
-        pivots.append(top[k])
+        pivots.append(pivot)
     catch_up(n - 1, n - 1)
+    last = work[-1]
     return [LaurentPoly({e + shift_back: sign * c if scale == 1 else Fraction(sign * c, scale)
-                         for e, c in enumerate(minor)}, q)
-            for minor in work[-1][n - 1:]]
+                         for e, c in enumerate(last.get(j, ()))}, q)
+            for j in range(n - 1, width)]
 
 
 def _det_bareiss(mat):
@@ -829,7 +860,7 @@ def _det_bareiss(mat):
 
 def det(mat):
     """Exact determinant: peel single-entry rows and columns, then run the
-    dense fraction-free kernel on what remains.
+    fraction-free kernel on what remains.
 
     A row or column of the current submatrix with one nonzero entry a at
     current position (i, j) is removed together with that entry's column or

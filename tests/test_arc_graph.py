@@ -7,7 +7,7 @@ import pytest
 from knotzeta.arc_graph import alexander_spec, build_arc_graph, constant_spec, \
     laplacian, tangle_determinant, tangle_matrix, weight_matrix
 from knotzeta.knot_model import DiagramError, cut, parse_diagram
-from knotzeta.laurent import LaurentPoly, RingMatrix, det
+from knotzeta.laurent import CoefficientError, LaurentPoly, RingMatrix, det
 
 
 def test_two_edges_per_crossing(trefoil):
@@ -194,3 +194,21 @@ def test_constant_spec_counts_walks(trefoil):
     for row in w.evaluate(Fraction(1)):
         total += sum(row)
     assert total == len(g.edges)
+
+
+@pytest.mark.parametrize("weight, message", [
+    (2, "Laurent polynomial weight expected, got int"),
+    (Fraction(1, 2), "Laurent polynomial weight expected, got Fraction"),
+    (LaurentPoly({0: 1, 1: 3}, 7), "mixed coefficient domains: None vs 7")],
+    ids=["int", "Fraction", "F7"])
+def test_builders_refuse_weights_that_are_not_laurent_polynomials_over_q(trefoil, weight, message):
+    # each label's weight is checked once, before any entry is built; the
+    # Laplacian once raised AttributeError on an int where the other two
+    # builders took it
+    g = build_arc_graph(cut(trefoil, [1]))
+    spec = {**alexander_spec(), "S1": weight}
+    for build in (lambda: weight_matrix(g, spec), lambda: tangle_matrix(g, spec),
+                  lambda: laplacian(g, spec, (g.vertices[0],))):
+        with pytest.raises(CoefficientError) as refusal:
+            build()
+        assert str(refusal.value) == message

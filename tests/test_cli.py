@@ -883,17 +883,23 @@ def test_verify_passes_repeat_without_replaying(det_calls):
 
 
 def test_verify_pass_work_counts(monkeypatch):
-    # one verify all --seed 0 pass: 243 kernel runs and 145 cuts while each
-    # path sum took N and D from two eliminations and each composition check
-    # cut both of its diagrams; 799 evaluations before the path sums screened
-    # their samples for rational roots of D
-    counts = {"kernel": 0, "cut": 0, "evaluate": 0}
-    kernel, original_cut = laurent._bareiss, knot_model.cut
+    # one verify all --seed 0 pass: 213 kernel runs (243 while each path sum
+    # took N and D from two eliminations), 3,053 entry updates in them, 64
+    # cuts (145 while each composition check cut both of its diagrams), and
+    # 226 evaluations (799 before the path sums screened their samples for
+    # rational roots of D); the updates are counted exactly, so the hooks
+    # cannot pass without being called
+    counts = {"kernel": 0, "entry": 0, "cut": 0, "evaluate": 0}
+    kernel, entry, original_cut = laurent._bareiss, laurent._bareiss_entry, knot_model.cut
     evaluate = laurent.LaurentPoly.evaluate
 
     def counted_kernel(rows, q):
         counts["kernel"] += 1
         return kernel(rows, q)
+
+    def counted_entry(*args):
+        counts["entry"] += 1
+        return entry(*args)
 
     def counted_cut(*args):
         counts["cut"] += 1
@@ -904,12 +910,14 @@ def test_verify_pass_work_counts(monkeypatch):
         return evaluate(poly, t0)
 
     monkeypatch.setattr(laurent, "_bareiss", counted_kernel)
+    monkeypatch.setattr(laurent, "_bareiss_entry", counted_entry)
     monkeypatch.setattr(laurent.LaurentPoly, "evaluate", counted_evaluate)
     for name, module in list(sys.modules.items()):
         if name.startswith("knotzeta") and getattr(module, "cut", None) is original_cut:
             monkeypatch.setattr(module, "cut", counted_cut)
     code, _ = run("verify", "all", "--seed", "0", "--json")
     assert code == EXIT_OK
+    assert counts["entry"] == 3_053, counts
     assert counts["kernel"] <= 213 and counts["cut"] <= 64 and counts["evaluate"] <= 226, counts
 
 

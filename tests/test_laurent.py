@@ -11,7 +11,7 @@ from knotzeta.alexander import alexander_matrix
 from knotzeta.arc_graph import alexander_spec, build_arc_graph, tangle_matrix
 from knotzeta.knot_model import cable, compose_tangles, cut, wirtinger_presentation
 from knotzeta.laurent import CanonicalPoly, CoefficientError, LaurentPoly, \
-    PolyFraction, RingMatrix, _bareiss_entry, _det_bareiss, canonicalize, \
+    PolyFraction, RingMatrix, _bareiss_entry, _det_bareiss, _operand, canonicalize, \
     column_replaced_dets, det, det_cofactor, div_exact, divide_exact, linear_combination, poly_divmod, poly_gcd, \
     rational_det, rational_solve, row_reduce
 
@@ -974,25 +974,158 @@ def test_kernel_finds_singularity_only_elimination_shows(domain):
 
 def test_kernel_work_on_the_figure8_3_cable(corpus, monkeypatch):
     # the multiplications _bareiss_entry performs on figure8's 3-cable I - W,
-    # len(b) per nonzero coefficient of a and len(d) per nonzero of c: 9,191,
-    # where the list lengths alone give 15,388 with the sparsest pivot row and
-    # telescoped scaling (22,900 when every row below the pivot is scaled at
-    # every step, 63,507 with the first row that has an entry as the pivot,
-    # 69,525 with both); 179 of its 389 calls divide by a one-term pivot in
-    # one pass, and the other 210 by long division
+    # len(b) per nonzero coefficient of a and len(c) * len(d), now that b, c
+    # and d are pairs of nonzero coefficients: 5,493 (9,191 when b and d
+    # were dense lists, 15,388 by list lengths alone with the sparsest pivot
+    # row and telescoped scaling, 22,900 when every row below the pivot is
+    # scaled at every step, 63,507 with the first row that has an entry as
+    # the pivot, 69,525 with both); 179 of its 389 calls divide by a
+    # one-term pivot in one pass, and the other 210 by long division
     work = {"products": 0, "calls": 0, "long": 0}
     entry = laurent._bareiss_entry
 
     def counted(a, b, c, d, prev):
-        work["products"] += sum(len(b) for x in a if x) + sum(len(d) for x in c if x)
+        work["products"] += sum(len(b) for x in a if x) + len(c) * len(d)
         work["calls"] += 1
-        work["long"] += any(prev[:-1])
+        work["long"] += not prev[3]
         return entry(a, b, c, d, prev)
 
     monkeypatch.setattr(laurent, "_bareiss_entry", counted)
     m = tangle_matrix(build_arc_graph(cable(cut(corpus["figure8"], [1]), 3)), alexander_spec())
     assert det(m) == P({-3: -1, 0: 3, 3: -1})
-    assert work["products"] <= 9_650 and work["calls"] <= 408 and work["long"] <= 220, work
+    assert work["calls"] == 389, work
+    assert work["products"] <= 5_770 and work["long"] <= 220, work
+
+
+def test_kernel_drops_cancelled_entries_from_its_row_maps(monkeypatch):
+    # step 0 cancels row 1's entry in column 2, so at step 1 row 1 has two
+    # entries and ties row 2, which wins only if the cancelled entry is still
+    # counted; updates reach columns the pivot row lacks (row 1, column 3 at
+    # step 0) and columns the row lacks (row 4, columns 1 and 2 at step 0),
+    # and step 3's pivot row has no entry right of its pivot.  Worked by
+    # hand: 7, 4, 2 and 1 updates at steps 0-3 on the pivots 1, 2, 2 and
+    # -29, 6 catch-up divisions, one swap (at step 2) and det = 87
+    m = M([[1, 1, 1, 0, 0],
+           [1, 3, 1, 5, 0],
+           [0, 7, 0, 3, 0],
+           [0, 0, 1, 1, 1],
+           [2, 0, 0, 4, 1]])
+    pivots, catch_ups = [], []
+    entry = laurent._bareiss_entry
+
+    def counted(a, b, c, d, prev):
+        if c:
+            pivots.append(b)
+        else:
+            catch_ups.append(a)
+        return entry(a, b, c, d, prev)
+
+    monkeypatch.setattr(laurent, "_bareiss_entry", counted)
+    assert _det_bareiss(m) == det_cofactor(m) == P({0: 87})
+    assert pivots == [[(0, 1)]] * 7 + [[(0, 2)]] * 6 + [[(0, -29)]]
+    assert len(catch_ups) == 6
+
+
+def _sparse_kernel_matrix(rng, n, modulus):
+    """A seeded sparse n x n matrix with Fraction coefficients over Q and
+    negative exponents: each row has an entry on the diagonal and one or two
+    more, and about a third of the rows are +-t^k times an earlier row plus
+    a diagonal entry, so that updates cancel to zero."""
+    zero = LaurentPoly.zero(modulus)
+
+    def entry():
+        p = zero
+        while p.is_zero():
+            p = random_laurent(rng, modulus, denominators=(1, 2, 3))
+        return p
+
+    rows = []
+    for i in range(n):
+        if i and rng.random() < 0.35:
+            unit = P({rng.randint(-1, 1): rng.choice((1, -1))}, modulus)
+            row = [unit * e for e in rows[rng.randrange(i)]]
+            row[i] = row[i] + entry()
+        else:
+            row = [zero] * n
+            for j in {i, *rng.sample(range(n), min(n, rng.randint(1, 2)))}:
+                row[j] = entry()
+        rows.append(row)
+    return rows
+
+
+def _at(p, t0, q):
+    """p at the unit t0 of F_q."""
+    return sum(c * pow(t0, e, q) for e, c in p.coeffs.items()) % q
+
+
+def _det_at(mat, t0):
+    """det(mat evaluated at t0), by row_reduce: over Q, or over F_q at a unit t0."""
+    q = mat.modulus
+    if q is None:
+        return rational_det(mat.evaluate(t0))
+    _, pivots, product = row_reduce([[_at(a, t0, q) for a in row] for row in mat.entries],
+                                    mat.cols, q)
+    return product if len(pivots) == mat.rows else 0
+
+
+@pytest.mark.parametrize("modulus", [None, 2, 5, 101])
+def test_sparse_kernel_matches_both_oracles(modulus, monkeypatch):
+    # det, the unpeeled kernel and the Cramer pair on seeded sparse matrices,
+    # against cofactor expansion at sizes 1-7 and against row_reduce after
+    # evaluation at sizes 8-14.  Rows that are +-t^k times an earlier row
+    # plus one entry make updates cancel to zero; then a row is made t times
+    # another, in the matrix and in the vector, so that elimination empties
+    # it and the determinant and both Cramer minors vanish
+    rng = random.Random(f"sparse-kernel/{modulus}")
+    zero = LaurentPoly.zero(modulus)
+    points = ((Fraction(3, 5), Fraction(-7, 2), Fraction(2)) if modulus is None
+              else sorted({1, 2 % modulus, 3 % modulus} - {0}))
+
+    def value(p, t0):
+        return p.evaluate(t0) if modulus is None else _at(p, t0, modulus)
+
+    updates = {"cancelled": 0, "row lacks": 0, "pivot row lacks": 0}
+    entry = laurent._bareiss_entry
+
+    def counted(a, b, c, d, prev):
+        out = entry(a, b, c, d, prev)
+        if c:
+            updates["cancelled"] += not out
+            updates["row lacks"] += not a
+            updates["pivot row lacks"] += not d
+        return out
+
+    monkeypatch.setattr(laurent, "_bareiss_entry", counted)
+
+    nonzero = 0
+    for n in range(1, 15):
+        for _ in range(3 if n <= 7 else 2):
+            rows = _sparse_kernel_matrix(rng, n, modulus)
+            m = RingMatrix(rows, modulus, cols=n)
+            col = rng.randrange(n)
+            vector = [P({rng.randint(-1, 1): 1}, modulus) if rng.random() < 0.6 else zero
+                      for _ in range(n)]
+            replaced = _replaced(m, col, vector)
+            whole, other = det(m), det(replaced)
+            assert whole == _det_bareiss(m), m
+            assert column_replaced_dets(m, col, vector) == (whole, other), (m, col, vector)
+            if n <= 7:
+                assert (whole, other) == (det_cofactor(m), det_cofactor(replaced)), m
+            else:
+                for t0 in points:
+                    assert value(whole, t0) == _det_at(m, t0), (m, t0)
+                    assert value(other, t0) == _det_at(replaced, t0), (replaced, t0)
+            nonzero += not whole.is_zero()
+            if n >= 2:
+                i, j = rng.sample(range(n), 2)
+                rows[i] = [P({1: 1}, modulus) * e for e in rows[j]]
+                vector[i] = P({1: 1}, modulus) * vector[j]
+                m = RingMatrix(rows, modulus, cols=n)
+                assert column_replaced_dets(m, col, vector) == (zero, zero), (m, col, vector)
+                assert det(m).is_zero() and _det_bareiss(m).is_zero()
+    # every kind of update happened: a cancellation to zero, an update of a
+    # column the row lacks (a empty) and of one the pivot row lacks (d empty)
+    assert nonzero >= 20 and min(updates.values()) >= 100, (nonzero, updates)
 
 
 def _replaced(mat, col, vector):
@@ -1074,21 +1207,29 @@ def test_column_replaced_dets_refuse_mismatched_input():
         column_replaced_dets(RingMatrix([[P({0: 1}), P({})]], cols=2), 0, [P({})])
 
 
+def _dense_entry(a, b, c, d, prev):
+    """_bareiss_entry on dense coefficient lists, prepared as the kernel does."""
+    def pairs(x):
+        return _operand(x)[0] if x else []
+
+    return _bareiss_entry(a, pairs(b), pairs(c), pairs(d), _operand(prev))
+
+
 def test_bareiss_entry_rejects_inexact_division():
     # (1 - t^2) / (1 + t) = 1 - t
-    assert _bareiss_entry([1, 0, -1], [1], [], [], [1, 1]) == [1, -1]
+    assert _dense_entry([1, 0, -1], [1], [], [], [1, 1]) == [1, -1]
     # 1 + t^2 = (t - 1)(t + 1) + 2: each leading division is exact, the
     # remainder is not
     with pytest.raises(AssertionError):
-        _bareiss_entry([1, 0, 1], [1], [], [], [1, 1])
+        _dense_entry([1, 0, 1], [1], [], [], [1, 1])
     with pytest.raises(AssertionError):
-        _bareiss_entry([0, 2], [1], [], [], [3])
+        _dense_entry([0, 2], [1], [], [], [3])
     # one-term divisors: a coefficient of num below the divisor's degree, or
     # one that the divisor's coefficient does not divide
     for num, prev in (([1, 0, 1], [0, 1]), ([0, 1, 0, 2], [0, 0, 1]),
                       ([0, 0, 4], [0, 0, -3]), ([0, 0, 3, 2], [0, 0, -3])):
         with pytest.raises(AssertionError):
-            _bareiss_entry(num, [1], [], [], prev)
+            _dense_entry(num, [1], [], [], prev)
 
 
 def _dense_product(x, y):
@@ -1119,9 +1260,10 @@ def test_bareiss_entry_divides_products_with_zero_coefficients(prev):
         while want and not want[-1]:
             want.pop()
         a, c = _dense_product(prev, x), _dense_product(prev, y) if y else []
-        assert _bareiss_entry(a, b, c, d, prev) == want, (x, b, y, d)
-    # a*b = c*d: the quotient is the empty list
-    assert _bareiss_entry([0, 0, 2], [1, 1], [0, 0, 1], [2, 2], prev) == []
+        assert _dense_entry(a, b, c, d, prev) == want, (x, b, y, d)
+    # a*b = c*d: the quotient is the empty list; a = 0: it is -c*d / prev
+    assert _dense_entry([0, 0, 2], [1, 1], [0, 0, 1], [2, 2], prev) == []
+    assert _dense_entry([], [1], _dense_product(prev, [0, 3]), [1, 2], prev) == [0, -3, -6]
 
 
 @pytest.mark.parametrize("modulus", [None, 2, 5, 101])
@@ -1135,7 +1277,7 @@ def test_kernel_on_one_term_and_zero_laden_entries_matches_cofactor(modulus, mon
     entry_fn = laurent._bareiss_entry
 
     def counted(a, b, c, d, prev):
-        divisors["long" if any(prev[:-1]) else "one-term"] += 1
+        divisors["one-term" if prev[3] else "long"] += 1
         return entry_fn(a, b, c, d, prev)
 
     monkeypatch.setattr(laurent, "_bareiss_entry", counted)
