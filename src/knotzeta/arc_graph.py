@@ -11,7 +11,7 @@ in the twisted layer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 
 from .knot_model import DiagramError, KnotDiagram, Tangle
@@ -21,23 +21,24 @@ from .laurent import CoefficientError, LaurentPoly, RingMatrix, _same_domain, de
 LABELS = ("T1", "T2", "S1", "S2")
 
 
-@dataclass(frozen=True)
-class GraphEdge:
-    """A directed edge src -> dst with its symbolic label."""
+class GraphEdge(namedtuple("GraphEdge", "src dst label")):
+    """A directed edge src -> dst with its symbolic label, as an immutable
+    tuple of the three."""
 
-    src: int | str
-    dst: int | str
-    label: str
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ArcGraph:
+class ArcGraph(namedtuple("ArcGraph", "vertices edges")):
     """Arc diagram of a tangle: one vertex per arc and two out-edges per
     underpass, with cached views of them: the vertex index and the out- and
-    in-edges of every vertex, in edge order."""
+    in-edges of every vertex, in edge order.
 
-    vertices: tuple
-    edges: tuple[GraphEdge, ...]
+    An immutable tuple of vertices and edges.  The views are kept in the
+    instance dict, which cached_property writes directly; every other
+    attribute assignment raises."""
+
+    def __setattr__(self, *a):
+        raise AttributeError("ArcGraph is immutable")
 
     @cached_property
     def index(self):

@@ -21,7 +21,6 @@ import os
 import sys
 import time
 from fractions import Fraction
-from importlib import resources
 from pathlib import Path
 
 from .alexander import alexander_polynomial, determinant_of, knot_determinant
@@ -58,10 +57,12 @@ class InputError(ValueError):
 
 
 def corpus_root():
+    """KNOTZETA_CORPUS when set, else the corpus directory beside this module
+    in the installed package (a zip import has none)."""
     override = os.environ.get("KNOTZETA_CORPUS")
     if override:
         return Path(override)
-    return resources.files("knotzeta") / "corpus"
+    return Path(__file__).with_name("corpus")
 
 
 def corpus_names():

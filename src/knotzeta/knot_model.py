@@ -18,7 +18,7 @@ crossings, and `_strand` walks that map.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 
 class DiagramError(ValueError):
@@ -81,59 +81,54 @@ def _strand(succ, start):
     return walk
 
 
-@dataclass(frozen=True)
-class Crossing:
-    """One crossing of a diagram.
+class Crossing(namedtuple("Crossing", "sign over under_in under_out")):
+    """One crossing of a diagram: an immutable tuple of its four fields.
 
-    `under_out` continues the under strand after the crossing, so in a closed
-    diagram it is the orientation successor of `under_in`.  A reduced kink can
-    legitimately repeat one arc in all three roles.
+    `sign` is the int 1 or -1.  `under_out` continues the under strand after
+    the crossing, so in a closed diagram it is the orientation successor of
+    `under_in`.  A reduced kink can legitimately repeat one arc in all three
+    roles.
     """
 
-    sign: int
-    over: int | str
-    under_in: int | str
-    under_out: int | str
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.sign not in (1, -1):
-            raise DiagramError(f"crossing sign must be +1 or -1, got {self.sign!r}")
+    def __new__(cls, sign, over, under_in, under_out):
+        if type(sign) is not int or sign not in (1, -1):
+            raise DiagramError(f"crossing sign must be the int 1 or -1, got {sign!r}")
+        return tuple.__new__(cls, (sign, over, under_in, under_out))
 
     def relabel(self, mapping):
         return Crossing(self.sign, mapping[self.over], mapping[self.under_in],
                         mapping[self.under_out])
 
 
-@dataclass(frozen=True)
-class KnotDiagram:
-    """A closed oriented diagram with arcs 1..n_arcs.
+class KnotDiagram(namedtuple("KnotDiagram", "n_arcs crossings components")):
+    """A closed oriented diagram with arcs 1..n_arcs: an immutable tuple of
+    n_arcs, crossings and components, built from the first two.
 
-    Crossings are kept sorted by `under_in`, which is unique per crossing, so
-    equal diagrams compare equal regardless of input order.  `components`
-    lists the arc ranges (start, end) of the link components, the `_strand`
-    walks of the successor map.
+    `n_arcs` is an int >= 1.  Crossings are kept sorted by `under_in`, which
+    is unique per crossing, so equal diagrams compare equal regardless of
+    input order.  `components` lists the arc ranges (start, end) of the link
+    components, the `_strand` walks of the successor map.
     """
 
-    n_arcs: int
-    crossings: tuple[Crossing, ...]
-    components: tuple[tuple[int, int], ...] = field(init=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not isinstance(self.n_arcs, int) or self.n_arcs < 1:
-            raise DiagramError("a diagram needs at least one arc")
-        for c in self.crossings:
+    def __new__(cls, n_arcs, crossings):
+        if type(n_arcs) is not int or n_arcs < 1:
+            raise DiagramError(f"a diagram needs an int count of arcs >= 1, got {n_arcs!r}")
+        for c in crossings:
             for a in (c.over, c.under_in, c.under_out):
-                if type(a) is not int or not 1 <= a <= self.n_arcs:
-                    raise DiagramError(f"arc reference {a!r} outside 1..{self.n_arcs}")
-        crossings = tuple(sorted(self.crossings, key=lambda c: c.under_in))
-        object.__setattr__(self, "crossings", crossings)
+                if type(a) is not int or not 1 <= a <= n_arcs:
+                    raise DiagramError(f"arc reference {a!r} outside 1..{n_arcs}")
+        crossings = tuple(sorted(crossings, key=lambda c: c.under_in))
         succ = _successors(crossings)
         stray = succ.keys() ^ set(succ.values())
         if stray:
             raise DiagramError(f"under strand does not close up at arcs {sorted(stray)}")
         # a component is a cycle of succ or a circle arc, numbered consecutively
         blocks, a = [], 1
-        while a <= self.n_arcs:
+        while a <= n_arcs:
             walk = _strand(succ, a)
             for cur, nxt in zip(walk, walk[1:]):
                 if nxt != cur + 1:
@@ -141,7 +136,11 @@ class KnotDiagram:
                         f"arcs are not numbered consecutively: {cur} is followed by {nxt}")
             blocks.append((a, walk[-1]))
             a = walk[-1] + 1
-        object.__setattr__(self, "components", tuple(blocks))
+        return tuple.__new__(cls, (n_arcs, crossings, tuple(blocks)))
+
+    def __getnewargs__(self):
+        """The arguments of __new__, so that copy and pickle rebuild it."""
+        return self.n_arcs, self.crossings
 
     @property
     def arcs(self):
@@ -207,16 +206,13 @@ def render_diagram(diagram):
 
 # -- Wirtinger presentation ---------------------------------------------------
 
-# A group word is a tuple of (generator, exponent) letters with exponent +-1.
-GroupWord = tuple
 
+class Presentation(namedtuple("Presentation", "generators relators")):
+    """Finitely presented group: one generator per arc, one relator per
+    crossing; an immutable tuple of the two.  A relator is a group word, a
+    tuple of (generator, exponent) letters with exponent +-1."""
 
-@dataclass(frozen=True)
-class Presentation:
-    """Finitely presented group: one generator per arc, one relator per crossing."""
-
-    generators: tuple
-    relators: tuple[GroupWord, ...]
+    __slots__ = ()
 
 
 def wirtinger_presentation(diagram):
@@ -242,9 +238,9 @@ def wirtinger_presentation(diagram):
 # -- tangles ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Tangle:
-    """A diagram cut open along some arcs.
+class Tangle(namedtuple("Tangle", "arcs crossings cut_pairs")):
+    """A diagram cut open along some arcs: an immutable tuple of its arc
+    labels, its crossings and its (initial, terminal) cut pairs.
 
     Arc labels are strings.  Each cut produces an (initial, terminal) pair of
     half-arcs: the initial half keeps the cut arc's underpass exit (its
@@ -254,28 +250,26 @@ class Tangle:
     walk of the successor map from its initial arc.
     """
 
-    arcs: tuple[str, ...]
-    crossings: tuple[Crossing, ...]
-    cut_pairs: tuple[tuple[str, str], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        arcset = set(self.arcs)
-        if len(arcset) != len(self.arcs):
+    def __new__(cls, arcs, crossings, cut_pairs):
+        arcset = set(arcs)
+        if len(arcset) != len(arcs):
             raise DiagramError("duplicate arc labels in tangle")
-        if not self.cut_pairs:
+        if not cut_pairs:
             raise DiagramError("a tangle needs at least one cut pair")
-        for c in self.crossings:
+        for c in crossings:
             for a in (c.over, c.under_in, c.under_out):
                 if a not in arcset:
                     raise DiagramError(f"crossing references unknown arc {a!r}")
-        succ = _successors(self.crossings)
+        succ = _successors(crossings)
         exits = set(succ.values())
-        inits = [p for p, _ in self.cut_pairs]
-        terms = [q for _, q in self.cut_pairs]
+        inits = [p for p, _ in cut_pairs]
+        terms = [q for _, q in cut_pairs]
         if len(set(inits)) != len(inits) or len(set(terms)) != len(terms):
             raise DiagramError("cut pairs reuse an endpoint")
         on_strand = set()
-        for p, q in self.cut_pairs:
+        for p, q in cut_pairs:
             if p not in arcset or q not in arcset:
                 raise DiagramError(f"cut pair ({p!r}, {q!r}) references unknown arcs")
             if p in exits:
@@ -290,6 +284,7 @@ class Tangle:
         for a in sorted(arcset - on_strand):
             if (a in succ) != (a in exits):
                 raise DiagramError(f"arc {a!r} is neither on a strand nor on a closed loop")
+        return tuple.__new__(cls, (arcs, crossings, cut_pairs))
 
     def strand_pair(self):
         if len(self.cut_pairs) != 1:

@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 
@@ -361,18 +361,16 @@ def _inv_scalar(c, modulus):
 # -- canonical form ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CanonicalPoly:
-    """A Laurent polynomial split as unit_coeff * t^unit_exp * poly.
+class CanonicalPoly(namedtuple("CanonicalPoly", "poly unit_coeff unit_exp")):
+    """A Laurent polynomial split as unit_coeff * t^unit_exp * poly, as an
+    immutable tuple of the three.
 
     `poly` has minimum exponent 0 and positive leading rational coefficient
     (monic over a prime field).  The unit factor is what was divided out, so
     associate polynomials share the same `poly`.
     """
 
-    poly: LaurentPoly
-    unit_coeff: object
-    unit_exp: int
+    __slots__ = ()
 
     def unit_str(self):
         if self.poly.modulus is None:
@@ -448,17 +446,16 @@ def poly_gcd(a, b):
     return a.scale(_inv_scalar(a.leading(), a.modulus))
 
 
-@dataclass(frozen=True)
-class PolyFraction:
-    """A reduced ratio of Laurent polynomials.
+class PolyFraction(namedtuple("PolyFraction", "numerator denominator")):
+    """A reduced ratio of Laurent polynomials, as an immutable tuple of
+    numerator and denominator.
 
     The denominator is canonical (min exponent 0, positive leading or monic)
     and coprime to the numerator; a denominator of 1 means the quotient is an
     honest polynomial.
     """
 
-    numerator: LaurentPoly
-    denominator: LaurentPoly
+    __slots__ = ()
 
     @property
     def is_polynomial(self):

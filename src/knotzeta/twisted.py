@@ -18,15 +18,14 @@ Alexander polynomial divided by t - 1.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 
 from .alexander import alexander_minor, exponent_sum, fox_gradient
 from .arc_graph import build_arc_graph
-from .knot_model import DiagramError, KnotDiagram, Presentation, \
-    wirtinger_presentation
-from .laurent import LaurentPoly, PolyFraction, RingMatrix, canonicalize, det, \
-    divide_exact, linear_combination, row_reduce
+from .knot_model import DiagramError, wirtinger_presentation
+from .laurent import LaurentPoly, RingMatrix, canonicalize, det, divide_exact, \
+    linear_combination, row_reduce
 from .verdict import Verdict
 from .zeta import power_traces, prime_cycles
 
@@ -156,13 +155,11 @@ def verify_representation(presentation, rep):
 # -- Fox colorings and dihedral representations -------------------------------
 
 
-@dataclass(frozen=True)
-class ColoringSpace:
-    """All arc colorings mod p satisfying twice-over = in + out at each crossing."""
+class ColoringSpace(namedtuple("ColoringSpace", "prime arcs basis")):
+    """All arc colorings mod p satisfying twice-over = in + out at each
+    crossing, as an immutable tuple of the prime, the arc count and a basis."""
 
-    prime: int
-    arcs: int
-    basis: tuple
+    __slots__ = ()
 
     @property
     def dim(self):
@@ -306,23 +303,23 @@ def twisted_alexander_matrix(presentation, rep):
                                    for grad in map(fox_gradient, presentation.relators)])
 
 
-@dataclass(frozen=True)
-class TwistedChain:
+class TwistedChain(namedtuple("TwistedChain", "diagram rep presentation verdict")):
     """One diagram twisted by one representation, each piece built once.
 
-    `verdict` says that every Wirtinger relator maps to the identity.  The
-    other pieces are built on first read and kept: the twisted Fox block of
-    each (relator, generator) pair, from one Fox gradient per relator (the
-    generators a relator lacks share one zero block), the blocks
-    t rho(x_k) - I, the arc graph, and B as a grid of blocks, flattened on
-    first read.  A quotient reads only its minor's Fox blocks and its own
-    denominator, so it never builds the arc graph.
+    An immutable tuple of the diagram, the representation, the Wirtinger
+    presentation and `verdict`, which says that every relator maps to the
+    identity.  The other pieces are built on first read and kept in the
+    instance dict, which cached_property writes directly: the twisted Fox
+    block of each (relator, generator) pair, from one Fox gradient per
+    relator (the generators a relator lacks share one zero block), the
+    blocks t rho(x_k) - I, the arc graph, and B as a grid of blocks,
+    flattened on first read.  A quotient reads only its minor's Fox blocks
+    and its own denominator, so it never builds the arc graph.  Every other
+    attribute assignment raises.
     """
 
-    diagram: KnotDiagram
-    rep: Representation
-    presentation: Presentation
-    verdict: Verdict
+    def __setattr__(self, *a):
+        raise AttributeError("TwistedChain is immutable")
 
     @cached_property
     def _images(self):
@@ -410,18 +407,16 @@ def twisted_chain(diagram, rep):
     return TwistedChain(diagram, rep, pres, check)
 
 
-@dataclass(frozen=True)
-class TwistedPolynomial:
-    """A twisted Alexander polynomial as a reduced fraction over F_q[t, 1/t].
+class TwistedPolynomial(namedtuple("TwistedPolynomial", "fraction column field dim")):
+    """A twisted Alexander polynomial as a reduced fraction over F_q[t, 1/t],
+    with the generator of its column, the field order and the dimension of
+    the representation, as an immutable tuple of the four.
 
     Both parts are defined only up to units (+-t^s and field scalars); the
     canonical forms in to_json pin one choice.
     """
 
-    fraction: PolyFraction
-    column: int
-    field: int
-    dim: int
+    __slots__ = ()
 
     def to_json(self):
         return {

@@ -2,16 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 
-@dataclass
-class Verdict:
-    """Outcome of one named check, with free-form diagnostic detail."""
+class Verdict(namedtuple("Verdict", "name passed detail")):
+    """Outcome of one named check, with a dict of free-form diagnostic
+    detail, as an immutable tuple of the three."""
 
-    name: str
-    passed: bool
-    detail: dict = field(default_factory=dict)
+    __slots__ = ()
 
     def to_json(self):
         return {"name": self.name, "passed": self.passed, "detail": self.detail}

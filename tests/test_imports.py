@@ -6,9 +6,15 @@ src/knotzeta/*.py and tests/*.py by AST: a name bound by an import must
 occur as a loaded name somewhere in the same file, or be listed in its
 `__all__`.  `__future__` imports and lines marked `# noqa: F401` (an import
 kept for its side effect) are exempt.
+
+Every command runs in a fresh process, so the cold import of the CLI is
+gated too: it must not load the heavy standard modules that the package
+does not need.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -53,3 +59,18 @@ def test_every_imported_name_is_read():
     found = {path.relative_to(ROOT).as_posix(): unused_imports(path.read_text())
              for path in SOURCES}
     assert {path: names for path, names in found.items() if names} == {}
+
+
+# stdlib modules whose import costs more than the work of a typical query;
+# `dataclasses` brings `inspect`, and `importlib.resources` brings `typing`
+COLD_IMPORT_REFUSED = ("dataclasses", "inspect", "typing", "importlib.resources")
+
+
+def test_cold_cli_import_loads_no_heavy_stdlib_module():
+    # -S: `site` may preload some of these through installed packages; -E:
+    # no PYTHONPATH or start-up file from the environment
+    script = (f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); import knotzeta.cli; "
+              f"print(sorted(m for m in {COLD_IMPORT_REFUSED!r} if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-S", "-E", "-c", script],
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout == "[]\n"

@@ -45,6 +45,19 @@ def test_crossing_sign_validated():
         Crossing(2, 1, 2, 3)
 
 
+@pytest.mark.parametrize("build", [lambda: KnotDiagram(True, ()),
+                                   lambda: Crossing(1.0, 1, 1, 1),
+                                   lambda: Crossing(True, 1, 1, 1)],
+                         ids=["arcs-True", "sign-1.0", "sign-True"])
+def test_value_types_refuse_look_alike_numbers(build, corpus):
+    # True == 1 and 1.0 == 1, but the text format has no way to write them:
+    # a diagram with `arcs True` would render text that parse refuses
+    with pytest.raises(DiagramError):
+        build()
+    for d in corpus.values():
+        assert parse_diagram(render_diagram(d)) == d
+
+
 def test_diagram_rejects_out_of_range_arcs():
     with pytest.raises(DiagramError):
         KnotDiagram(2, (Crossing(1, 3, 1, 2), Crossing(1, 1, 2, 1)))
