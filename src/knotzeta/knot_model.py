@@ -400,8 +400,8 @@ def cable(tangle, n):
     A tangle with an arc off the strand, on a closed component, is refused,
     and so is a cable of more than MAX_ARCS arcs, before it is built.
     """
-    if not isinstance(n, int) or n < 1:
-        raise DiagramError("cable order must be a positive integer")
+    if type(n) is not int or n < 1:
+        raise DiagramError(f"cable order must be a positive int, got {n!r}")
     init, term = tangle.strand_pair()
     strand = _strand(_successors(tangle.crossings), init)
     off = sorted(set(tangle.arcs) - set(strand))

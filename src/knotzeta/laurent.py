@@ -20,11 +20,14 @@ no out-edges).  What remains goes to one fraction-free (Bareiss) kernel over
 Z[t], on lists of int coefficients, after each row is cleared of negative
 powers of t and of denominators; an F_q determinant is the reduced integer
 determinant of the residues.  Each row is kept as a map of its nonzero
-entries, so every step touches only those.  Each step pivots on the row
-with the fewest entries among those that reach the pivot column, and leaves
-the rows that miss it as they are: the factor such a row would gain at each
-step telescopes, so one exact division per entry brings it up to date when
-it is next needed.  Each entry update (_bareiss_entry) pays only for
+entries, and the kernel's callers build those maps from the nonzero entries
+they know of, so every step touches only those.  Each step pivots on the
+row with the fewest entries among those that reach the pivot column, and
+changes only the entries that elimination changes: those of a row that
+reaches the pivot column in the pivot row's columns.  Every other entry
+would only gain the step's factor p_k / p_(k-1), so it is left as it is;
+the factors telescope, and one exact division brings an entry up to date
+when it is next read.  Each entry update (_bareiss_entry) pays only for
 nonzero coefficients: its operands other than the entry it updates come as
 (position, coefficient) pairs of their nonzero coefficients, prepared once
 per step or per row, a one-term pivot c * t^d divides in one pass, and long
@@ -152,6 +155,10 @@ class LaurentPoly:
 
     def __setattr__(self, *a):
         raise AttributeError("LaurentPoly is immutable")
+
+    def __reduce__(self):
+        """Copy and pickle rebuild through the constructor."""
+        return LaurentPoly, (self._c, self.modulus)
 
     # -- constructors ------------------------------------------------------
 
@@ -522,6 +529,10 @@ class RingMatrix:
     def __setattr__(self, *a):
         raise AttributeError("RingMatrix is immutable")
 
+    def __reduce__(self):
+        """Copy and pickle rebuild through the constructor."""
+        return RingMatrix, (self.entries, self.modulus, self.cols)
+
     @classmethod
     def identity(cls, n, modulus=None):
         one = LaurentPoly.one(modulus)
@@ -745,15 +756,17 @@ def _bareiss_entry(a, b, c, d, prev):
     return out
 
 
-def _bareiss(rows, q):
+def _bareiss(rows, width, q):
     """Fraction-free (Bareiss) elimination on rows kept as sparse maps.
 
-    Takes n rows of n + e entries and returns the e + 1 minors of order n
-    built from the first n - 1 columns and one of the last e + 1: the
-    determinant alone when e = 0, and a Cramer pair from one elimination
-    of the bordered matrix when e = 1.  Eliminating the first n - 1 columns
-    serves every minor; what the last row is left with in the last e + 1
-    columns are the minors, by Sylvester's identity.
+    Takes n rows, each a map {column: coefficient dict, as a LaurentPoly
+    keeps it} of its nonzero entries among columns 0 to width - 1, where
+    width = n + e, and returns the e + 1 minors of order n built from the
+    first n - 1 columns and one of the last e + 1: the determinant alone
+    when e = 0, and a Cramer pair from one elimination of the bordered
+    matrix when e = 1.  Eliminating the first n - 1 columns serves every
+    minor; what the last row is left with in the last e + 1 columns are the
+    minors, by Sylvester's identity.
 
     Each row is first multiplied by a power of t and by the lcm of its
     denominators (1 over F_q, whose residues are read as ints), so that its
@@ -766,21 +779,24 @@ def _bareiss(rows, q):
 
     Step k takes as its pivot row, among the rows with an entry in column k,
     the one with the fewest entries right of column k, then the one whose
-    entry in column k is shortest, then the first.  A row without an entry in
-    column k would only gain the factor p_k / p_(k-1), where p_k is the pivot
-    of step k and p_(-1) = 1, so it is skipped; level[i] is the step whose
-    entries row i holds.  When the row is needed again at step k, as the
-    pivot, as a row with an entry in column k, or as the last row, the
-    factors telescope: one exact division per entry, of the entry times
-    p_(k-1) by p_(s-1), brings it from level s to level k.  Every entry at
-    every level is a minor of the matrix, so the division is exact.  Such a
-    catch-up changes an entry's degree by deg p_(k-1) - deg p_(s-1), which
-    the row rule adds to the length of an entry not yet caught up.
+    entry in column k is shortest, then the first.  It takes the entry a of
+    row i in column j to (a * p_k - c * d) / p_(k-1), where p_k is the pivot
+    of step k and p_(-1) = 1, c is row i's entry in column k and d the pivot
+    row's in column j.  When c or d is zero, a only gains the factor
+    p_k / p_(k-1), so it is left alone: levels[i][j] is the step whose value
+    entry (i, j) holds.  An entry is brought to the current step k only when
+    it is read: in the pivot row, in the pivot column, as the a of an
+    update, or in the last row.  The factors telescope, so one exact
+    division, of the entry times p_(k-1) by p_(s-1), brings it from level s
+    to level k; every entry at every level is a minor of the matrix, so the
+    division is exact.  Such a catch-up changes an entry's degree by
+    deg p_(k-1) - deg p_(s-1), which the row rule adds to the length of a
+    pivot-column entry not yet caught up.
 
     The work follows the nonzero entries: a row's map holds only columns at
-    or right of the current step, so the row rule reads its length, a
-    catch-up runs over its entries, and an update over the columns of the
-    row and of the pivot row, dropping an entry that cancels to zero.  The
+    or right of the current step, so the row rule reads its length, and a
+    row with an entry in the pivot column is updated over the columns of
+    the pivot row only, dropping an entry that cancels to zero.  The
     operands of _bareiss_entry are prepared once: each pivot, and each
     entry of the pivot row, once per step, and each row's entry in the
     pivot column once per row.
@@ -788,14 +804,12 @@ def _bareiss(rows, q):
     n = len(rows)
     if not n:
         return [LaurentPoly.one(q)]
-    width = len(rows[0])
     work, shift_back, scale = [], 0, 1
     for row in rows:
-        live = [(j, e._c) for j, e in enumerate(row) if e._c]
-        k = min((next(iter(c)) for _, c in live), default=0)
-        m = math.lcm(*(v.denominator for _, c in live for v in c.values()))
+        k = min((next(iter(c)) for c in row.values()), default=0)
+        m = math.lcm(*(v.denominator for c in row.values() for v in c.values()))
         sparse = {}
-        for j, c in live:
+        for j, c in row.items():
             d = sparse[j] = [0] * (max(c) - k + 1)
             for x, v in c.items():
                 d[x - k] = v.numerator * (m // v.denominator)
@@ -803,46 +817,44 @@ def _bareiss(rows, q):
         shift_back += k
         scale *= m
     # pivots[s] is the pivot of step s - 1, as an _operand, so that pivots[0] = 1
-    sign, pivots, level = 1, [_operand([1])], [0] * n
+    sign, pivots, levels = 1, [_operand([1])], [dict.fromkeys(row, 0) for row in work]
 
-    def catch_up(i, k):
-        if level[i] != k:
-            row, num, den = work[i], pivots[k][0], pivots[level[i]]
-            for j, e in row.items():
-                row[j] = _bareiss_entry(e, num, (), (), den)
-            level[i] = k
+    def caught_up(i, j, k):
+        """Entry (i, j), brought to level k."""
+        e, s = work[i][j], levels[i][j]
+        if s != k:
+            e = work[i][j] = _bareiss_entry(e, pivots[k][0], (), (), pivots[s])
+            levels[i][j] = k
+        return e
 
     for k in range(n - 1):
-        keys = [(len(work[r]), len(work[r][k]) + pivots[k][1] - pivots[level[r]][1], r)
+        keys = [(len(work[r]), len(work[r][k]) + pivots[k][1] - pivots[levels[r][k]][1], r)
                 for r in range(k, n) if k in work[r]]
         if not keys:
             return [LaurentPoly.zero(q)] * (width - n + 1)
         best = min(keys)[2]
         if best != k:
             work[k], work[best] = work[best], work[k]
-            level[k], level[best] = level[best], level[k]
+            levels[k], levels[best] = levels[best], levels[k]
             sign = -sign
-        catch_up(k, k)
-        prev, pivot = pivots[k], _operand(work[k][k])
-        top = {j: _operand(e)[0] for j, e in work[k].items() if j != k}
+        prev, pivot = pivots[k], _operand(caught_up(k, k, k))
+        top = {j: _operand(caught_up(k, j, k))[0] for j in work[k] if j != k}
         for i in range(k + 1, n):
-            row = work[i]
+            row, level = work[i], levels[i]
             if k in row:
-                catch_up(i, k)
-                c = _operand(row.pop(k))[0]
-                for j in top.keys() | row.keys():
-                    e = _bareiss_entry(row.get(j, ()), pivot[0], c, top.get(j, ()), prev)
+                c = _operand(caught_up(i, k, k))[0]
+                del row[k], level[k]
+                for j, d in top.items():
+                    e = _bareiss_entry(caught_up(i, j, k) if j in row else (), pivot[0], c, d, prev)
                     if e:
-                        row[j] = e
+                        row[j], level[j] = e, k + 1
                     else:
-                        del row[j]
-                level[i] = k + 1
+                        del row[j], level[j]
         pivots.append(pivot)
-    catch_up(n - 1, n - 1)
-    last = work[-1]
+    last = [caught_up(n - 1, j, n - 1) if j in work[-1] else () for j in range(n - 1, width)]
     return [LaurentPoly({e + shift_back: sign * c if scale == 1 else Fraction(sign * c, scale)
-                         for e, c in enumerate(last.get(j, ()))}, q)
-            for j in range(n - 1, width)]
+                         for e, c in enumerate(entry)}, q)
+            for entry in last]
 
 
 def _det_bareiss(mat):
@@ -851,7 +863,8 @@ def _det_bareiss(mat):
     It runs the same row rule and catch-ups as det, so it checks the peel
     only; det_cofactor, and row_reduce after evaluation, check the kernel.
     """
-    (out,) = _bareiss(mat.entries, mat.modulus)
+    (out,) = _bareiss([{j: e._c for j, e in enumerate(row) if e._c} for row in mat.entries],
+                      mat.cols, mat.modulus)
     return out
 
 
@@ -901,8 +914,9 @@ def det(mat):
             row_nz[ii].discard(j)
             if live_rows[ii] and len(row_nz[ii]) < 2:
                 todo.append((True, ii))
-    cols = [j for j in range(n) if live_cols[j]]
-    (out,) = _bareiss([[ents[i][j] for j in cols] for i in range(n) if live_rows[i]], q)
+    renumbered = {j: x for x, j in enumerate(j for j in range(n) if live_cols[j])}
+    (out,) = _bareiss([{renumbered[j]: ents[i][j]._c for j in row_nz[i]}
+                       for i in range(n) if live_rows[i]], len(renumbered), q)
     for a in factors:
         if not a.is_one():
             out = out * a
@@ -924,8 +938,9 @@ def column_replaced_dets(mat, col, vector):
         raise IndexError(f"column {col} outside 0..{mat.cols - 1}")
     for v in vector:
         _same_domain(mat.modulus, v.modulus)
-    rows = [[*row[:col], *row[col + 1:], row[col], v] for row, v in zip(mat.entries, vector)]
-    whole, replaced = _bareiss(rows, mat.modulus)
+    rows = [{j: e._c for j, e in enumerate((*row[:col], *row[col + 1:], row[col], v)) if e._c}
+            for row, v in zip(mat.entries, vector)]
+    whole, replaced = _bareiss(rows, mat.cols + 1, mat.modulus)
     if (mat.cols - 1 - col) % 2:
         return -whole, -replaced
     return whole, replaced

@@ -86,7 +86,8 @@ class Representation:
 
     Only the free-group data lives here; whether the images satisfy the
     crossing relations is a separate question answered by
-    verify_representation.
+    verify_representation.  Two representations with the same field and
+    images are equal.
     """
 
     __slots__ = ("field", "dim", "images", "_inverses")
@@ -121,6 +122,18 @@ class Representation:
 
     def __setattr__(self, *a):
         raise AttributeError("Representation is immutable")
+
+    def __reduce__(self):
+        """Copy and pickle rebuild through the constructor."""
+        return Representation, (self.field, self.images)
+
+    def __eq__(self, other):
+        if not isinstance(other, Representation):
+            return NotImplemented
+        return self.field == other.field and self.images == other.images
+
+    def __hash__(self):
+        return hash((self.field, frozenset(self.images.items())))
 
     def word_image(self, word):
         out = _mat_identity(self.dim)

@@ -211,8 +211,11 @@ def test_cable_crossing_count(trefoil):
 
 
 def test_cable_rejects_bad_order(trefoil):
-    with pytest.raises(DiagramError):
-        cable(cut(trefoil, [1]), 0)
+    # an order must be an int of at least 1: True is an int to isinstance,
+    # and would build the 1-cable
+    for order in (0, -2, True, False, 2.0, "2"):
+        with pytest.raises(DiagramError, match="cable order must be a positive int"):
+            cable(cut(trefoil, [1]), order)
 
 
 def test_cable_rejects_closed_components():

@@ -1,15 +1,18 @@
 """Exact Laurent arithmetic, canonical forms, and matrix determinants."""
 
+import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from knotzeta import laurent, zeta
 from knotzeta.alexander import alexander_matrix
-from knotzeta.arc_graph import alexander_spec, build_arc_graph, tangle_matrix
-from knotzeta.knot_model import cable, compose_tangles, cut, wirtinger_presentation
+from knotzeta.arc_graph import alexander_spec, build_arc_graph, laplacian, tangle_matrix
+from knotzeta.knot_model import cable, compose_tangles, cut, parse_diagram, \
+    wirtinger_presentation
 from knotzeta.laurent import CanonicalPoly, CoefficientError, LaurentPoly, \
     PolyFraction, RingMatrix, _bareiss_entry, _det_bareiss, _operand, canonicalize, \
     column_replaced_dets, det, det_cofactor, div_exact, divide_exact, linear_combination, poly_divmod, poly_gcd, \
@@ -791,7 +794,7 @@ def test_peeled_det_matches_both_oracles_on_sparse_matrices(modulus, monkeypatch
     handed = []
     kernel = laurent._bareiss
     monkeypatch.setattr(laurent, "_bareiss",
-                        lambda rows, q: handed.append(rows) or kernel(rows, q))
+                        lambda rows, width, q: handed.append((rows, width)) or kernel(rows, width, q))
 
     def entry():
         p = zero
@@ -814,10 +817,13 @@ def test_peeled_det_matches_both_oracles_on_sparse_matrices(modulus, monkeypatch
                                 for i in range(n)], modulus, cols=n)
                 handed.clear()
                 d = det(m)
-                # peeling stops only when no row or column has fewer than two entries
-                for rows in handed:
-                    for line in list(rows) + list(zip(*rows)):
-                        assert sum(not e.is_zero() for e in line) >= 2, (shape, m)
+                # peeling stops only when no row or column has fewer than two
+                # entries; the kernel is handed the nonzero ones only
+                for rows, width in handed:
+                    assert width == len(rows), (shape, m)
+                    for line in rows + [[j for row in rows if j in row] for j in range(width)]:
+                        assert len(line) >= 2, (shape, m)
+                    assert all(c for row in rows for c in row.values()), (shape, m)
                 assert d == _det_bareiss(m) == det_cofactor(m), (shape, m)
                 shapes[shape] = shapes.get(shape, 0) + (not d.is_zero())
     # every shape that can have a nonzero determinant had some
@@ -829,9 +835,9 @@ def test_det_hands_the_kernel_only_what_peeling_leaves(monkeypatch, corpus):
     sizes = []
     kernel = laurent._bareiss
 
-    def counted(rows, q):
+    def counted(rows, width, q):
         sizes.append(len(rows))
-        return kernel(rows, q)
+        return kernel(rows, width, q)
 
     monkeypatch.setattr(laurent, "_bareiss", counted)
     # a cascade peels to nothing: a triangular matrix under a row swap
@@ -972,58 +978,120 @@ def test_kernel_finds_singularity_only_elimination_shows(domain):
             assert det_cofactor(m).is_zero()
 
 
-def test_kernel_work_on_the_figure8_3_cable(corpus, monkeypatch):
-    # the multiplications _bareiss_entry performs on figure8's 3-cable I - W,
-    # len(b) per nonzero coefficient of a and len(c) * len(d), now that b, c
-    # and d are pairs of nonzero coefficients: 5,493 (9,191 when b and d
-    # were dense lists, 15,388 by list lengths alone with the sparsest pivot
-    # row and telescoped scaling, 22,900 when every row below the pivot is
-    # scaled at every step, 63,507 with the first row that has an entry as
-    # the pivot, 69,525 with both); 179 of its 389 calls divide by a
-    # one-term pivot in one pass, and the other 210 by long division
-    work = {"products": 0, "calls": 0, "long": 0}
+# the pivot of each step that eliminates, as a dense coefficient list of the
+# kernel's scaled rows, recorded before entries were caught up one at a time
+KERNEL_PIVOTS = json.loads((Path(__file__).parent / "data" / "kernel_pivots.json").read_text())
+
+# the closure of the 3-braid (s1 s2)^10, the torus knot T(3,10) of 20
+# crossings: the benchmark's largest torus knot on three strands
+T3_10 = "".join(f"X+ {a} {b} {c}\n" for a, b, c in (
+    (20, 13, 14), (20, 6, 7), (14, 7, 8), (14, 20, 1), (8, 1, 2), (8, 14, 15), (2, 15, 16),
+    (2, 8, 9), (16, 9, 10), (16, 2, 3), (10, 3, 4), (10, 16, 17), (4, 17, 18), (4, 10, 11),
+    (18, 11, 12), (18, 4, 5), (12, 5, 6), (12, 18, 19), (6, 19, 20), (6, 12, 13)))
+
+
+def _kernel_spy(monkeypatch):
+    """Spy on _bareiss_entry: the work of its calls, counted as in
+    test_kernel_work_on_the_figure8_3_cable, and the pivot of each step
+    that eliminates, as a dense coefficient list, in step order."""
+    work, pivots, last = {"products": 0, "calls": 0, "long": 0}, [], []
     entry = laurent._bareiss_entry
 
     def counted(a, b, c, d, prev):
         work["products"] += sum(len(b) for x in a if x) + len(c) * len(d)
         work["calls"] += 1
         work["long"] += not prev[3]
+        # every update of one step multiplies by the same pivot list
+        if c and not (last and last[-1] is b):
+            last.append(b)
+            dense = [0] * (b[-1][0] + 1)
+            for i, x in b:
+                dense[i] = x
+            pivots.append(dense)
         return entry(a, b, c, d, prev)
 
     monkeypatch.setattr(laurent, "_bareiss_entry", counted)
+    return work, pivots
+
+
+def test_kernel_work_on_the_figure8_3_cable(corpus, monkeypatch):
+    # the multiplications _bareiss_entry performs on figure8's 3-cable I - W,
+    # len(b) per nonzero coefficient of a and len(c) * len(d), now that b, c
+    # and d are pairs of nonzero coefficients: 3,554 now that an entry is
+    # caught up only when read (5,493 when a row was caught up whole and
+    # every entry of an updated row scaled, 9,191 when b and d were dense
+    # lists, 15,388 by list lengths alone with the sparsest pivot row and
+    # telescoped scaling, 22,900 when every row below the pivot is scaled at
+    # every step, 63,507 with the first row that has an entry as the pivot,
+    # 69,525 with both); 105 of its 220 calls (179 of 389 before) divide by
+    # a one-term pivot in one pass, and the other 115 (210) by long
+    # division.  The pivots are those of the kernel that caught up whole rows
+    work, pivots = _kernel_spy(monkeypatch)
     m = tangle_matrix(build_arc_graph(cable(cut(corpus["figure8"], [1]), 3)), alexander_spec())
     assert det(m) == P({-3: -1, 0: 3, 3: -1})
-    assert work["calls"] == 389, work
-    assert work["products"] <= 5_770 and work["long"] <= 220, work
+    assert work["calls"] == 220, work
+    assert work["products"] <= 3_730 and work["long"] <= 115, work
+    assert pivots == KERNEL_PIVOTS["figure8 3-cable"]
+
+
+def test_kernel_work_on_a_braid_closure_laplacian_minor(monkeypatch):
+    # the matrix-tree route on a closure of the size the benchmark runs:
+    # det of T(3,10)'s arc-graph Laplacian without the row and column of arc
+    # 1 takes 217 entry updates (433 when rows were caught up whole), with
+    # 3,631 products (5,894) and 89 long divisions (222), on the same pivots
+    work, pivots = _kernel_spy(monkeypatch)
+    g = build_arc_graph(parse_diagram(T3_10))
+    minor = det(laplacian(g, alexander_spec(), (1,)))
+    assert canonicalize(minor).poly == P(dict.fromkeys((0, 3, 6, 9, 12, 15, 18), 1)
+                                         | dict.fromkeys((1, 4, 7, 11, 14, 17), -1))
+    assert work["calls"] == 217, work
+    assert work["products"] <= 3_813 and work["long"] <= 89, work
+    assert pivots == KERNEL_PIVOTS["T(3,10) root 1"]
 
 
 def test_kernel_drops_cancelled_entries_from_its_row_maps(monkeypatch):
     # step 0 cancels row 1's entry in column 2, so at step 1 row 1 has two
     # entries and ties row 2, which wins only if the cancelled entry is still
-    # counted; updates reach columns the pivot row lacks (row 1, column 3 at
-    # step 0) and columns the row lacks (row 4, columns 1 and 2 at step 0),
-    # and step 3's pivot row has no entry right of its pivot.  Worked by
-    # hand: 7, 4, 2 and 1 updates at steps 0-3 on the pivots 1, 2, 2 and
-    # -29, 6 catch-up divisions, one swap (at step 2) and det = 87
+    # counted; updates fill columns the row lacks (row 4, columns 1 and 2 at
+    # step 0), entries in columns the pivot row lacks are left alone (row 1,
+    # column 3 at step 0, caught up as a pivot-row entry at step 1), and
+    # step 3's pivot row has no entry right of its pivot.  Worked by hand,
+    # each call as (kind, result) with the pivots 1, 2, 2 and -29 of steps
+    # 0-3: 4, 2, 2 and 0 updates, 11 catch-ups (row 3's three entries, each
+    # 1 at level 0, become 2 at level 2 as step 2's pivot row), one swap (at
+    # step 2) and det = 87
     m = M([[1, 1, 1, 0, 0],
            [1, 3, 1, 5, 0],
            [0, 7, 0, 3, 0],
            [0, 0, 1, 1, 1],
            [2, 0, 0, 4, 1]])
-    pivots, catch_ups = [], []
+    calls, pivots = [], []
     entry = laurent._bareiss_entry
 
     def counted(a, b, c, d, prev):
+        out = entry(a, b, c, d, prev)
         if c:
             pivots.append(b)
-        else:
-            catch_ups.append(a)
-        return entry(a, b, c, d, prev)
+        calls.append(("update" if c else "catch-up", out[0] if out else 0))
+        return out
 
     monkeypatch.setattr(laurent, "_bareiss_entry", counted)
     assert _det_bareiss(m) == det_cofactor(m) == P({0: 87})
-    assert pivots == [[(0, 1)]] * 7 + [[(0, 2)]] * 6 + [[(0, -29)]]
-    assert len(catch_ups) == 6
+    assert pivots == [[(0, 1)]] * 4 + [[(0, 2)]] * 4
+    assert calls == [
+        # step 0, pivot 1: row 1 in columns 1 and 2 (cancelled), row 4 filled
+        ("update", 2), ("update", 0), ("update", -2), ("update", -2),
+        # step 1, pivot 2: row 1's column 3 as a pivot-row entry; row 2's
+        # pivot-column entry and its column 3; row 4's column 3
+        ("catch-up", 5), ("catch-up", 7), ("catch-up", 3), ("update", -29),
+        ("catch-up", 4), ("update", 18),
+        # step 2, pivot 2, after swapping rows 2 and 3: the pivot row from
+        # level 0; row 4's pivot-column entry from level 1, its column 4
+        # from level 0
+        ("catch-up", 2), ("catch-up", 2), ("catch-up", 2), ("catch-up", -4),
+        ("update", 22), ("catch-up", 2), ("update", 6),
+        # step 3, pivot -29: the pivot, and no update; the last row's entry
+        ("catch-up", -29), ("catch-up", -87)]
 
 
 def _sparse_kernel_matrix(rng, n, modulus):
@@ -1084,15 +1152,26 @@ def test_sparse_kernel_matches_both_oracles(modulus, monkeypatch):
     def value(p, t0):
         return p.evaluate(t0) if modulus is None else _at(p, t0, modulus)
 
-    updates = {"cancelled": 0, "row lacks": 0, "pivot row lacks": 0}
+    updates = {"cancelled": 0, "row lacks": 0, "multi-level catch-up": 0}
     entry = laurent._bareiss_entry
+    # each pivot's coefficient pairs, by id, numbered in the order the kernel
+    # first uses them, and kept alive so that no id is reused
+    first_use, used = {}, []
 
     def counted(a, b, c, d, prev):
         out = entry(a, b, c, d, prev)
+        for pivot in (prev[0], b):
+            if id(pivot) not in first_use:
+                first_use[id(pivot)] = len(used)
+                used.append(pivot)
         if c:
             updates["cancelled"] += not out
             updates["row lacks"] += not a
-            updates["pivot row lacks"] += not d
+        else:
+            # a catch-up from level s to level k multiplies by p_(k-1) and
+            # divides by p_(s-1); pivots used in between are counted, so
+            # this counts from below those with k - s >= 2
+            updates["multi-level catch-up"] += first_use[id(b)] - first_use[id(prev[0])] >= 2
         return out
 
     monkeypatch.setattr(laurent, "_bareiss_entry", counted)
@@ -1124,7 +1203,8 @@ def test_sparse_kernel_matches_both_oracles(modulus, monkeypatch):
                 assert column_replaced_dets(m, col, vector) == (zero, zero), (m, col, vector)
                 assert det(m).is_zero() and _det_bareiss(m).is_zero()
     # every kind of update happened: a cancellation to zero, an update of a
-    # column the row lacks (a empty) and of one the pivot row lacks (d empty)
+    # column the row lacks (a empty), and a catch-up of an entry left alone
+    # at two or more steps
     assert nonzero >= 20 and min(updates.values()) >= 100, (nonzero, updates)
 
 
@@ -1295,7 +1375,7 @@ def test_kernel_on_one_term_and_zero_laden_entries_matches_cofactor(modulus, mon
 
     nonzero = 0
     for n in range(1, 7):
-        for _ in range(5):
+        for _ in range(6):
             m = RingMatrix([[entry() for _ in range(n)] for _ in range(n)], modulus)
             want = det_cofactor(m)
             assert det(m) == _det_bareiss(m) == want, m

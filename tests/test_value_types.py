@@ -2,8 +2,9 @@
 
 Each type is built the way its callers build it, by position and by
 keyword, and must compare and hash like the tuple of its fields, refuse
-attribute assignment and print in the `Type(field=value, ...)` form; those
-whose fields copy and pickle must survive both.  `ArcGraph` and
+attribute assignment, print in the `Type(field=value, ...)` form and
+survive copy and pickle, as must the three classes they hold that are not
+tuples: `LaurentPoly`, `RingMatrix` and `Representation`.  `ArcGraph` and
 `TwistedChain` also keep views built on first read, which must be built
 once.
 """
@@ -11,6 +12,7 @@ once.
 import ast
 import copy
 import pickle
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -18,10 +20,11 @@ import pytest
 from knotzeta.arc_graph import ArcGraph, GraphEdge, build_arc_graph
 from knotzeta.knot_model import Crossing, KnotDiagram, Presentation, Tangle, cut, \
     wirtinger_presentation
-from knotzeta.laurent import CanonicalPoly, LaurentPoly, PolyFraction, canonicalize, \
-    divide_exact
-from knotzeta.twisted import ColoringSpace, TwistedChain, TwistedPolynomial, fox_colorings, \
-    trivial_representation, twisted_alexander_polynomial, twisted_chain
+from knotzeta.laurent import CanonicalPoly, LaurentPoly, PolyFraction, RingMatrix, \
+    canonicalize, divide_exact
+from knotzeta.twisted import ColoringSpace, Representation, TwistedChain, TwistedPolynomial, \
+    dihedral_rep, fox_colorings, trivial_representation, \
+    twisted_alexander_polynomial, twisted_chain
 from knotzeta.verdict import Verdict
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "knotzeta"
@@ -59,10 +62,6 @@ TYPES = (GraphEdge, ArcGraph, Crossing, KnotDiagram, Presentation, Tangle, Canon
          PolyFraction, ColoringSpace, TwistedChain, TwistedPolynomial, Verdict)
 # a dict field (a verdict's detail) makes a value unhashable, as it did
 UNHASHABLE = (TwistedChain, Verdict)
-# LaurentPoly and Representation refuse the attribute writes that copy and
-# pickle rebuild them with, so only the types that hold neither are copied
-COPIED = (GraphEdge, ArcGraph, Crossing, KnotDiagram, Presentation, Tangle, ColoringSpace,
-          Verdict)
 
 
 @pytest.mark.parametrize("cls", TYPES, ids=lambda cls: cls.__name__)
@@ -84,9 +83,32 @@ def test_value_type_is_an_immutable_checked_tuple(cls, corpus):
     assert getattr(by_position, cls._fields[0]) is args[0]
     shown = ", ".join(f"{name}={getattr(by_position, name)!r}" for name in cls._fields)
     assert repr(by_position) == f"{cls.__name__}({shown})"
-    if cls in COPIED:
-        assert copy.copy(by_position) == by_position
-        assert pickle.loads(pickle.dumps(by_position)) == by_position
+    assert_copies(by_position)
+
+
+def assert_copies(value):
+    """copy.copy, copy.deepcopy and a pickle round trip give an equal value
+    of the same type."""
+    for other in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(other) is type(value) and other == value, (value, other)
+
+
+def test_ring_classes_copy_and_pickle(corpus):
+    # the classes that refuse attribute writes rebuild through their
+    # constructors: Laurent polynomials over Q and F_q, matrices with and
+    # without rows, and the trivial and a dihedral representation
+    trefoil = corpus["trefoil"]
+    rational = LaurentPoly({-2: Fraction(1, 3), 0: 1, 4: -5})
+    residue = LaurentPoly({1: 3, 2: 1}, 7)
+    for value in (rational, residue, LaurentPoly.zero(),
+                  RingMatrix([[rational, 1], [0, rational]]),
+                  RingMatrix([[residue, 0, 2]], 7), RingMatrix.zeros(0, 3),
+                  trivial_representation((1, 2, 3)),
+                  dihedral_rep(trefoil, 3, fox_colorings(trefoil, 3).nonconstant())):
+        assert_copies(value)
+    assert pickle.loads(pickle.dumps(RingMatrix.zeros(0, 3))).cols == 3
+    rep = Representation(7, {1: ((2,),), 2: ((3,),)})
+    assert pickle.loads(pickle.dumps(rep)).word_image(((2, -1),)) == ((5,),)
 
 
 def test_crossing_prints_field_by_field():
