@@ -108,16 +108,19 @@ def abelianize(elem):
 
 def alexander_matrix(presentation):
     """Abelianized Fox Jacobian: one row per relator, one column per
-    generator, from one gradient per relator; the generators a relator
-    lacks share one zero.  The entries come from abelianize, so the matrix
+    generator, from one gradient per relator, whose map holds an entry only
+    for the generators the relator names (a derivative that abelianizes to
+    zero is not stored).  The entries come from abelianize, so the matrix
     is assembled unchecked."""
-    zero = LaurentPoly.zero()
-    rows = []
+    column = {g: k for k, g in enumerate(presentation.generators)}
+    maps = []
     for r in presentation.relators:
-        grad = fox_gradient(r)
-        rows.append([abelianize(grad[g]) if g in grad else zero
-                     for g in presentation.generators])
-    return RingMatrix._of(rows, None, len(presentation.generators))
+        row = {}
+        for g, elem in fox_gradient(r).items():
+            if entry := abelianize(elem):
+                row[column[g]] = entry
+        maps.append(row)
+    return RingMatrix._of(maps, None, len(column))
 
 
 def _last_minor(mat):
@@ -163,18 +166,17 @@ def fox_equals_arcgraph_check(diagram):
     pres = wirtinger_presentation(diagram)
     fox = alexander_matrix(pres)
     iw = tangle_matrix(build_arc_graph(diagram), alexander_spec())
+    zero = LaurentPoly.zero()
     mismatches = []
     arc_row = {c.under_in: r for r, c in enumerate(diagram.crossings)}
     for i, arc in enumerate(diagram.arcs):
-        if arc in arc_row:
-            expect = fox.entries[arc_row[arc]]
-        else:
-            expect = RingMatrix.identity(diagram.n_arcs).entries[i]
-        for j in range(diagram.n_arcs):
-            if iw.entries[i][j] != expect[j]:
+        expect = fox.row_maps[arc_row[arc]] if arc in arc_row else {i: LaurentPoly.one()}
+        got = iw.row_maps[i]
+        for j in sorted(expect.keys() | got.keys()):
+            if expect.get(j, zero) != got.get(j, zero):
                 mismatches.append({"arc": arc, "column": j + 1,
-                                   "fox": str(expect[j]),
-                                   "graph": str(iw.entries[i][j])})
+                                   "fox": str(expect.get(j, zero)),
+                                   "graph": str(got.get(j, zero))})
     return Verdict("fox_equals_arcgraph", not mismatches,
                    {"mismatches": mismatches})
 

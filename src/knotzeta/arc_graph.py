@@ -119,42 +119,45 @@ def _check_weights(g, spec):
 
 
 def weight_matrix(g, spec):
-    """Adjacency-style matrix W with W[u][v] = weight of the edge u -> v."""
+    """Adjacency-style matrix W with W[u][v] = weight of the edge u -> v,
+    written from the edge list into one map per row; a zero weight is not
+    stored."""
     _check_weights(g, spec)
     index = g.index
-    zero = LaurentPoly.zero()
-    n = len(index)
-    rows = [[zero] * n for _ in range(n)]
+    maps = [{} for _ in index]
     for e in g.edges:
-        i, j = index[e.src], index[e.dst]
-        assert rows[i][j].is_zero(), "duplicate edge survived construction"
-        rows[i][j] = spec[e.label]
-    return RingMatrix(rows, cols=n)
+        row, j = maps[index[e.src]], index[e.dst]
+        assert j not in row, "duplicate edge survived construction"
+        if spec[e.label]:
+            row[j] = spec[e.label]
+    return RingMatrix._of(maps, None, len(maps))
 
 
 def _diagonal_minus_weights(g, spec, vertices, diagonal):
     """D - W over the given vertices from the edge list, D the diagonal
-    matrix of `diagonal`.  Entries off the diagonal and the edges are one
-    shared zero, and each label's negated weight is built once."""
+    matrix of `diagonal`, written into one map per row of its nonzero
+    entries: a diagonal entry that a self-loop cancels, or a zero weight, is
+    not stored.  Each label's negated weight is built once."""
     index = {v: i for i, v in enumerate(vertices)}
-    zero = LaurentPoly.zero()
-    n = len(vertices)
-    rows = [[zero] * n for _ in range(n)]
-    for i, d in enumerate(diagonal):
-        rows[i][i] = d
+    diagonal = list(diagonal)
+    maps = [{} for _ in vertices]
     negated = {}
     for e in g.edges:
         i, j = index.get(e.src), index.get(e.dst)
         if i is None or j is None:
             continue
         if i == j:
-            rows[i][i] = rows[i][i] - spec[e.label]
+            diagonal[i] = diagonal[i] - spec[e.label]
             continue
-        assert rows[i][j] is zero, "duplicate edge survived construction"
+        assert j not in maps[i], "duplicate edge survived construction"
         if e.label not in negated:
             negated[e.label] = -spec[e.label]
-        rows[i][j] = negated[e.label]
-    return RingMatrix(rows, cols=n)
+        if negated[e.label]:
+            maps[i][j] = negated[e.label]
+    for i, d in enumerate(diagonal):
+        if d:
+            maps[i][i] = d
+    return RingMatrix._of(maps, None, len(maps))
 
 
 def laplacian(g, spec, roots):

@@ -26,8 +26,9 @@ class DiagramError(ValueError):
 
 
 # the most arcs that a parsed diagram or a cable may have; the matrices of
-# every invariant are dense in the arcs, and the largest diagram in use, a
-# corpus cable, has 57
+# every invariant have n rows in n arcs and keep only their nonzero entries,
+# at most three per row, but enumerations and the determinant kernel's fill
+# grow faster, and the largest diagram in use, a corpus cable, has 57
 MAX_ARCS = 1000
 
 

@@ -12,32 +12,38 @@ products of two coefficient dicts into a third, under polynomial products,
 matrix products and product traces.  Sums, differences and negations are
 linear combinations, and shifts and scalings products by one term.
 
+A matrix over this ring keeps one map per row, {column: entry}, of its
+nonzero entries only: I - W, the Laplacian minors and the abelianized Fox
+matrix have at most three per row, so builders write, and products, copies
+and determinants read, O(n) entries, not n x n.  A dense view of the rows
+is built only for callers that index densely.
+
 Matrices over this ring have exact determinants by one path for every size
-and both domains.  Rows and columns with a single nonzero entry are peeled
-off first, by Laplace expansion along them, until none is left; the walk
-matrices of cut strands have many (a source arc has no in-edges, a sink arc
-no out-edges).  What remains goes to one fraction-free (Bareiss) kernel over
-Z[t], on lists of int coefficients, after each row is cleared of negative
-powers of t and of denominators; an F_q determinant is the reduced integer
-determinant of the residues.  Each row is kept as a map of its nonzero
-entries, and the kernel's callers build those maps from the nonzero entries
-they know of, so every step touches only those.  Each step pivots on the
-row with the fewest entries among those that reach the pivot column, and
-changes only the entries that elimination changes: those of a row that
-reaches the pivot column in the pivot row's columns.  Every other entry
-would only gain the step's factor p_k / p_(k-1), so it is left as it is;
-the factors telescope, and one exact division brings an entry up to date
-when it is next read.  Each entry update (_bareiss_entry) pays only for
-nonzero coefficients: its operands other than the entry it updates come as
-(position, coefficient) pairs of their nonzero coefficients, prepared once
-per step or per row, a one-term pivot c * t^d divides in one pass, and long
-division skips zero quotient terms.  The kernel also takes a bordered
-matrix, n rows of n + 1 entries, and returns both minors that share its
-first n - 1 columns: column_replaced_dets gets the pair det(A), det(A with
-one column replaced) of Cramer's rule from one elimination.  Cofactor
-expansion, and Gauss-Jordan elimination after evaluation at points, are the
-kernel's independent oracles; the unpeeled kernel is the peel's, and two
-calls of det are column_replaced_dets'.
+and both domains.  Rows and columns with a single nonzero entry, read off the
+keys of the row maps, are peeled off first, by Laplace expansion along them,
+until none is left; the walk matrices of cut strands have many (a source arc
+has no in-edges, a sink arc no out-edges).  What remains goes to one
+fraction-free (Bareiss) kernel over Z[t], on lists of int coefficients, after
+each row is cleared of negative powers of t and of denominators; an F_q
+determinant is the reduced integer determinant of the residues.  The kernel,
+too, keeps each row as a map of its nonzero entries, which its callers build
+from the matrix's row maps, so every step touches only those.  Each step
+pivots on the row with the fewest entries among those that reach the pivot
+column, and changes only the entries that elimination changes: those of a row
+that reaches the pivot column in the pivot row's columns.  Every other entry
+would only gain the step's factor p_k / p_(k-1), so it is left as it is; the
+factors telescope, and one exact division brings an entry up to date when it
+is next read.  Each entry update (_bareiss_entry) pays only for nonzero
+coefficients: its operands other than the entry it updates come as (position,
+coefficient) pairs of their nonzero coefficients, prepared once per step or
+per row, a one-term pivot c * t^d divides in one pass, and long division
+skips zero quotient terms.  The kernel also takes a bordered matrix, n rows
+of n + 1 entries, and returns both minors that share its first n - 1 columns:
+column_replaced_dets gets the pair det(A), det(A with one column replaced) of
+Cramer's rule from one elimination.  Cofactor expansion, and Gauss-Jordan
+elimination after evaluation at points, are the kernel's independent oracles;
+the unpeeled kernel is the peel's, and two calls of det are
+column_replaced_dets'.
 
 Matrices of plain rationals or residues mod q have one Gauss-Jordan
 elimination, row_reduce, which serves determinants and solves over Q and
@@ -492,42 +498,67 @@ def divide_exact(num, den):
 
 
 class RingMatrix:
-    """An immutable matrix over the Laurent polynomial ring."""
+    """An immutable matrix over the Laurent polynomial ring that keeps only
+    its nonzero entries.
 
-    __slots__ = ("rows", "cols", "entries", "modulus")
+    `row_maps` holds one map per row, {column: entry}, of the nonzero
+    entries; `rows`, `cols` and `modulus` give the shape and the domain.
+    Builders, arithmetic and det read and write those maps, so their work
+    follows the nonzero entries (a walk matrix has at most three per row).
+    `entries`, the rows as tuples with one shared zero wherever a map has no
+    entry, is a view built on its first read, for callers that index densely.
+    """
+
+    __slots__ = ("rows", "cols", "modulus", "row_maps", "_entries")
 
     def __init__(self, entries, modulus=None, cols=None):
-        rows = []
+        """The matrix of rows of entries from outside: each entry a
+        LaurentPoly of the domain or a scalar, every row of length cols
+        (that of the first row when cols is None, 0 without rows)."""
+        maps = []
+        width = cols
         for row in entries:
-            rows.append(tuple(
-                e if isinstance(e, LaurentPoly) else LaurentPoly({0: e}, modulus)
-                for e in row))
-        object.__setattr__(self, "entries", tuple(rows))
-        object.__setattr__(self, "rows", len(rows))
-        ncols = len(rows[0]) if rows else (0 if cols is None else cols)
-        for row in rows:
-            if len(row) != ncols:
-                raise ValueError("ragged rows in matrix")
-        for row in rows:
+            row = [e if isinstance(e, LaurentPoly) else LaurentPoly({0: e}, modulus)
+                   for e in row]
+            if width is None:
+                width = len(row)
+            elif len(row) != width:
+                raise ValueError("ragged rows in matrix" if cols is None else
+                                 f"a row of {len(row)} entries in a matrix of {cols} columns")
             for e in row:
                 _same_domain(modulus, e.modulus)
-        object.__setattr__(self, "cols", ncols)
+            maps.append({j: e for j, e in enumerate(row) if e._c})
+        object.__setattr__(self, "row_maps", tuple(maps))
+        object.__setattr__(self, "rows", len(maps))
+        object.__setattr__(self, "cols", width or 0)
         object.__setattr__(self, "modulus", modulus)
 
     @classmethod
-    def _of(cls, rows, modulus, cols):
-        """A matrix from rows of LaurentPoly entries that arithmetic on
-        matrices of this shape and domain produced, so unchecked."""
+    def _of(cls, maps, modulus, cols):
+        """A matrix from maps {column: nonzero LaurentPoly entry}, one per
+        row, that a builder or arithmetic produced, so unchecked."""
         m = object.__new__(cls)
-        entries = tuple(map(tuple, rows))
-        object.__setattr__(m, "entries", entries)
-        object.__setattr__(m, "rows", len(entries))
+        maps = tuple(maps)
+        object.__setattr__(m, "row_maps", maps)
+        object.__setattr__(m, "rows", len(maps))
         object.__setattr__(m, "cols", cols)
         object.__setattr__(m, "modulus", modulus)
         return m
 
     def __setattr__(self, *a):
         raise AttributeError("RingMatrix is immutable")
+
+    @property
+    def entries(self):
+        """The rows as tuples of cols entries, zeros included, built once."""
+        try:
+            return self._entries
+        except AttributeError:
+            zero = LaurentPoly.zero(self.modulus)
+            dense = tuple(tuple(row.get(j, zero) for j in range(self.cols))
+                          for row in self.row_maps)
+            object.__setattr__(self, "_entries", dense)
+            return dense
 
     def __reduce__(self):
         """Copy and pickle rebuild through the constructor."""
@@ -536,63 +567,76 @@ class RingMatrix:
     @classmethod
     def identity(cls, n, modulus=None):
         one = LaurentPoly.one(modulus)
-        zero = LaurentPoly.zero(modulus)
-        return cls([[one if i == j else zero for j in range(n)] for i in range(n)], modulus)
+        return cls._of([{i: one} for i in range(n)], modulus, n)
 
     @classmethod
     def zeros(cls, rows, cols, modulus=None):
-        zero = LaurentPoly.zero(modulus)
-        return cls([[zero] * cols for _ in range(rows)], modulus, cols=cols)
+        return cls._of([{} for _ in range(rows)], modulus, cols)
 
     @classmethod
     def from_blocks(cls, blocks):
         """Assemble from a 2-d grid of equally sized square RingMatrix blocks.
 
         The blocks were checked when they were built, so each block's shape
-        and modulus is checked here, not each entry."""
+        and modulus is checked here, not each entry; only the entries of
+        the blocks are placed, so a zero block costs nothing."""
         if not blocks or not blocks[0]:
             raise ValueError("empty block grid")
         m = blocks[0][0].rows
         modulus = blocks[0][0].modulus
         width = len(blocks[0])
-        rows = []
+        maps = []
         for brow in blocks:
             if len(brow) != width:
                 raise ValueError("ragged rows in block grid")
-            for b in brow:
+            out = [{} for _ in range(m)]
+            for c, b in enumerate(brow):
                 if b.rows != m or b.cols != m:
                     raise ValueError("blocks must share one square size")
                 _same_domain(modulus, b.modulus)
-            for r in range(m):
-                rows.append([e for b in brow for e in b.entries[r]])
-        return cls._of(rows, modulus, width * m)
+                for row, block_row in zip(out, b.row_maps):
+                    for j, e in block_row.items():
+                        row[c * m + j] = e
+            maps += out
+        return cls._of(maps, modulus, width * m)
 
     def __eq__(self, other):
         if not isinstance(other, RingMatrix):
             return NotImplemented
         return (self.modulus == other.modulus and self.rows == other.rows
-                and self.cols == other.cols and self.entries == other.entries)
+                and self.cols == other.cols and self.row_maps == other.row_maps)
 
     def __repr__(self):
         body = "; ".join(", ".join(str(e) for e in row) for row in self.entries)
         return f"RingMatrix[{self.rows}x{self.cols}]({body})"
 
-    def __add__(self, other):
-        """The entrywise sum; an entry whose partner is zero is kept as it is."""
+    def _entrywise(self, other, sign):
+        """self + sign * other over the maps: an entry without a partner is
+        kept as it is, or negated, and a pair that cancels is dropped."""
         self._same_shape(other)
-        return RingMatrix._of(
-            [[a + b if a._c and b._c else a if a._c else b
-              for a, b in zip(r1, r2)] for r1, r2 in zip(self.entries, other.entries)],
-            self.modulus, self.cols)
+        maps = []
+        for r1, r2 in zip(self.row_maps, other.row_maps):
+            row = dict(r1)
+            for j, b in r2.items():
+                a = row.get(j)
+                if a is None:
+                    row[j] = b if sign > 0 else -b
+                elif (s := linear_combination(((1, a), (sign, b)), self.modulus))._c:
+                    row[j] = s
+                else:
+                    del row[j]
+            maps.append(row)
+        return RingMatrix._of(maps, self.modulus, self.cols)
+
+    def __add__(self, other):
+        return self._entrywise(other, 1)
 
     def __sub__(self, other):
-        self._same_shape(other)
-        return RingMatrix._of(
-            [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.entries, other.entries)],
-            self.modulus, self.cols)
+        return self._entrywise(other, -1)
 
     def __neg__(self):
-        return RingMatrix._of([[-a for a in row] for row in self.entries], self.modulus, self.cols)
+        return RingMatrix._of([{j: -a for j, a in row.items()} for row in self.row_maps],
+                              self.modulus, self.cols)
 
     def _same_shape(self, other):
         if self.rows != other.rows or self.cols != other.cols:
@@ -602,29 +646,22 @@ class RingMatrix:
     def __matmul__(self, other):
         """The matrix product over the nonzeros of both factors.
 
-        Row i sums a[i][k] * b[k][j] over nonzero a[i][k] and b[k][j] only,
-        so the cost follows the nonzero terms (a walk matrix has at most two
-        per row).  Each reached entry's coefficients are summed in one dict;
-        entries no term reaches are one shared zero.
+        Row i sums a[i][k] * b[k][j] over the entries a[i][k] of row i's map
+        and b[k][j] of row k's, so the cost follows the nonzero terms (a
+        walk matrix has at most two per row).  Each reached entry's
+        coefficients are summed in one dict; one that cancels is dropped.
         """
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
         _same_domain(self.modulus, other.modulus)
-        zero = LaurentPoly.zero(self.modulus)
-        other_rows = [[(j, b._c) for j, b in enumerate(row) if b._c] for row in other.entries]
-        out = []
-        for row in self.entries:
+        maps = []
+        for row in self.row_maps:
             acc = {}
-            for k, a in enumerate(row):
-                if not a._c:
-                    continue
-                for j, bc in other_rows[k]:
-                    _convolve(acc.setdefault(j, {}), a._c, bc)
-            out_row = [zero] * other.cols
-            for j, d in acc.items():
-                out_row[j] = _normal_form(d, self.modulus)
-            out.append(out_row)
-        return RingMatrix._of(out, self.modulus, other.cols)
+            for k, a in row.items():
+                for j, b in other.row_maps[k].items():
+                    _convolve(acc.setdefault(j, {}), a._c, b._c)
+            maps.append({j: p for j, d in acc.items() if (p := _normal_form(d, self.modulus))._c})
+        return RingMatrix._of(maps, self.modulus, other.cols)
 
     def power(self, k):
         if self.rows != self.cols:
@@ -641,21 +678,23 @@ class RingMatrix:
     def trace(self):
         if self.rows != self.cols:
             raise ValueError("trace needs a square matrix")
-        return linear_combination(((1, row[i]) for i, row in enumerate(self.entries)),
+        return linear_combination(((1, row[i]) for i, row in enumerate(self.row_maps) if i in row),
                                   self.modulus)
 
     def product_trace(self, other):
         """tr(self @ other) without forming the product: the terms
-        self[i][k] * other[k][i], summed in one coefficient dict (a zero
-        entry adds none)."""
+        self[i][k] * other[k][i] over the entries of both maps, summed in
+        one coefficient dict."""
         if self.cols != other.rows or self.rows != other.cols:
             raise ValueError(f"no square product of {self.rows}x{self.cols} "
                              f"and {other.rows}x{other.cols}")
         _same_domain(self.modulus, other.modulus)
         acc = {}
-        for i, row in enumerate(self.entries):
-            for k, a in enumerate(row):
-                _convolve(acc, a._c, other.entries[k][i]._c)
+        for i, row in enumerate(self.row_maps):
+            for k, a in row.items():
+                b = other.row_maps[k].get(i)
+                if b is not None:
+                    _convolve(acc, a._c, b._c)
         return _normal_form(acc, self.modulus)
 
     def delete(self, rows, cols):
@@ -667,9 +706,10 @@ class RingMatrix:
         for c in cset:
             if not 0 <= c < self.cols:
                 raise IndexError(f"column index {c} out of range")
-        ents = [[self.entries[i][j] for j in range(self.cols) if j not in cset]
-                for i in range(self.rows) if i not in rset]
-        return RingMatrix._of(ents, self.modulus, self.cols - len(cset))
+        renumbered = {j: x for x, j in enumerate(j for j in range(self.cols) if j not in cset)}
+        maps = [{renumbered[j]: e for j, e in row.items() if j not in cset}
+                for i, row in enumerate(self.row_maps) if i not in rset]
+        return RingMatrix._of(maps, self.modulus, len(renumbered))
 
     def evaluate(self, t0):
         """Entrywise exact evaluation at a rational point."""
@@ -683,13 +723,10 @@ def det_cofactor(mat):
     n = mat.rows
     if n == 0:
         return LaurentPoly.one(mat.modulus)
-    if n == 1:
-        return mat.entries[0][0]
     acc = LaurentPoly.zero(mat.modulus)
-    for j in range(n):
-        a = mat.entries[0][j]
-        if a.is_zero():
-            continue
+    if n == 1:
+        return mat.row_maps[0].get(0, acc)
+    for j, a in mat.row_maps[0].items():
         term = a * det_cofactor(mat.delete(rows=(0,), cols=(j,)))
         acc = acc + term if j % 2 == 0 else acc - term
     return acc
@@ -863,7 +900,7 @@ def _det_bareiss(mat):
     It runs the same row rule and catch-ups as det, so it checks the peel
     only; det_cofactor, and row_reduce after evaluation, check the kernel.
     """
-    (out,) = _bareiss([{j: e._c for j, e in enumerate(row) if e._c} for row in mat.entries],
+    (out,) = _bareiss([{j: e._c for j, e in row.items()} for row in mat.row_maps],
                       mat.cols, mat.modulus)
     return out
 
@@ -882,8 +919,8 @@ def det(mat):
     """
     if mat.rows != mat.cols:
         raise ValueError("determinant needs a square matrix")
-    n, q, ents = mat.rows, mat.modulus, mat.entries
-    row_nz = [{j for j, e in enumerate(row) if e._c} for row in ents]
+    n, q, maps = mat.rows, mat.modulus, mat.row_maps
+    row_nz = [set(row) for row in maps]
     col_nz = [set() for _ in range(n)]
     for i, js in enumerate(row_nz):
         for j in js:
@@ -902,7 +939,7 @@ def det(mat):
             return LaurentPoly.zero(q)
         (y,) = line
         i, j = (x, y) if is_row else (y, x)
-        factors.append(ents[i][j])
+        factors.append(maps[i][j])
         if (sum(live_rows[:i]) + sum(live_cols[:j])) % 2:
             sign = -sign
         live_rows[i] = live_cols[j] = False
@@ -915,7 +952,7 @@ def det(mat):
             if live_rows[ii] and len(row_nz[ii]) < 2:
                 todo.append((True, ii))
     renumbered = {j: x for x, j in enumerate(j for j in range(n) if live_cols[j])}
-    (out,) = _bareiss([{renumbered[j]: ents[i][j]._c for j in row_nz[i]}
+    (out,) = _bareiss([{renumbered[j]: maps[i][j]._c for j in row_nz[i]}
                        for i in range(n) if live_rows[i]], len(renumbered), q)
     for a in factors:
         if not a.is_one():
@@ -929,8 +966,8 @@ def column_replaced_dets(mat, col, vector):
 
     The kernel takes the n x (n + 1) matrix of mat's other columns in order,
     then column col, then vector, and returns the two minors that share the
-    first n - 1 columns.  Moving column col to position n - 1 flips the sign
-    of both alike.
+    first n - 1 columns; the move renumbers the keys of each row's map.
+    Moving column col to position n - 1 flips the sign of both alike.
     """
     if mat.rows != mat.cols or len(vector) != mat.rows:
         raise ValueError("a Cramer pair needs a square matrix and a vector of its size")
@@ -938,10 +975,15 @@ def column_replaced_dets(mat, col, vector):
         raise IndexError(f"column {col} outside 0..{mat.cols - 1}")
     for v in vector:
         _same_domain(mat.modulus, v.modulus)
-    rows = [{j: e._c for j, e in enumerate((*row[:col], *row[col + 1:], row[col], v)) if e._c}
-            for row, v in zip(mat.entries, vector)]
-    whole, replaced = _bareiss(rows, mat.cols + 1, mat.modulus)
-    if (mat.cols - 1 - col) % 2:
+    n = mat.cols
+    rows = []
+    for row, v in zip(mat.row_maps, vector):
+        moved = {n - 1 if j == col else j - (j > col): e._c for j, e in row.items()}
+        if v._c:
+            moved[n] = v._c
+        rows.append(moved)
+    whole, replaced = _bareiss(rows, n + 1, mat.modulus)
+    if (n - 1 - col) % 2:
         return -whole, -replaced
     return whole, replaced
 

@@ -298,8 +298,8 @@ def _twisted_element(rep, elem):
         for row, image_row in zip(sums, rep.word_image(word)):
             for d, x in zip(row, image_row):
                 d[k] = d.get(k, 0) + coeff * x
-    return RingMatrix([[LaurentPoly(d, rep.field) for d in row] for row in sums],
-                      rep.field, cols=m)
+    return RingMatrix._of([{j: p for j, d in enumerate(row) if (p := LaurentPoly(d, rep.field))}
+                           for row in sums], rep.field, m)
 
 
 def twisted_alexander_matrix(presentation, rep):
@@ -588,7 +588,8 @@ def twisted_trace_check(chain):
                 prime_terms[m].append((len(p), power.product_trace(block)))
             else:
                 power = block if power is None else power @ block
-                prime_terms[m] += ((len(p), row[i]) for i, row in enumerate(power.entries))
+                prime_terms[m] += ((len(p), row[i]) for i, row in enumerate(power.row_maps)
+                                   if i in row)
     failures = []
     for m, tr in enumerate(power_traces(chain.weights, TRACE_POWER), 1):
         prime_sum = linear_combination(prime_terms[m], chain.rep.field)

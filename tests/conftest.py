@@ -1,7 +1,10 @@
+import copy
+import pickle
+
 import pytest
 
 from knotzeta.cli import corpus_names, load_corpus
-from knotzeta.laurent import LaurentPoly
+from knotzeta.laurent import LaurentPoly, RingMatrix
 
 # small twist knots get exercised everywhere; bigger corpus entries only in
 # the tests that need breadth
@@ -60,6 +63,19 @@ def traces_of_repeated_products(w, max_power):
             power = power @ w
         traces.append(sum((power.entries[i][i] for i in range(w.rows)), zero))
     return traces
+
+
+def assert_sparse_rows(m):
+    """m stores one map per row holding exactly its nonzero entries, and
+    compares, prints, copies and pickles like the matrix that the validating
+    constructor builds from its dense rows."""
+    assert len(m.row_maps) == m.rows
+    assert all(e for row in m.row_maps for e in row.values()), m
+    assert list(m.row_maps) == [{j: e for j, e in enumerate(row) if e} for row in m.entries]
+    rebuilt = RingMatrix(m.entries, m.modulus, m.cols)
+    for other in (m, copy.copy(m), pickle.loads(pickle.dumps(m))):
+        assert type(other) is RingMatrix and other == rebuilt, m
+        assert repr(other) == repr(rebuilt)
 
 
 @pytest.fixture(scope="session")

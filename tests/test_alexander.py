@@ -4,14 +4,16 @@ import random
 
 import pytest
 
-from knotzeta.alexander import abelianize, alexander_matrix, alexander_minor, \
+from knotzeta import alexander
+from knotzeta.alexander import _last_minor, abelianize, alexander_matrix, alexander_minor, \
     alexander_polynomial, exponent_sum, fox_derivative, \
     fox_equals_arcgraph_check, fox_gradient, free_reduce, knot_determinant, \
     multiplicativity_check, split_check
+from knotzeta.arc_graph import alexander_spec, build_arc_graph, tangle_matrix
 from knotzeta.knot_model import DiagramError, cable, close_tangle, connected_sum, cut, \
-    wirtinger_presentation
-from knotzeta.laurent import LaurentPoly, canonicalize, det
-from tests.conftest import KNOWN_DET, KNOWN_POLY
+    split_union, wirtinger_presentation
+from knotzeta.laurent import LaurentPoly, RingMatrix, canonicalize, det
+from tests.conftest import KNOWN_DET, KNOWN_POLY, assert_sparse_rows
 
 X, Y = "x", "y"
 
@@ -109,6 +111,23 @@ def test_alexander_matrix_shape(trefoil):
         assert total.is_zero()
 
 
+def test_alexander_matrices_keep_only_nonzero_entries(corpus):
+    # each relator's row holds the generators it names, never a zero, on
+    # every corpus diagram, a split union (its circle arcs have no relator)
+    # and figure8's closed 3-cable; the last minor keeps it so
+    diagrams = list(corpus.values())
+    diagrams += [split_union(corpus["trefoil"], corpus["unknot"]),
+                 close_tangle(cable(cut(corpus["figure8"], [1]), 3))]
+    for d in diagrams:
+        pres = wirtinger_presentation(d)
+        mat = alexander_matrix(pres)
+        assert (mat.rows, mat.cols) == (len(pres.relators), len(pres.generators))
+        for row, r in zip(mat.row_maps, pres.relators):
+            assert {pres.generators[j] for j in row} <= {g for g, _ in r}
+        assert_sparse_rows(mat)
+        assert_sparse_rows(_last_minor(mat))
+
+
 def test_known_polynomials(corpus):
     for name, coeffs in KNOWN_POLY.items():
         assert alexander_polynomial(corpus[name]).poly.coeffs == coeffs, name
@@ -157,6 +176,22 @@ def test_fox_equals_arcgraph_everywhere(corpus):
     for name, d in corpus.items():
         v = fox_equals_arcgraph_check(d)
         assert v.passed, (name, v.detail)
+
+
+def test_fox_equals_arcgraph_names_each_mismatched_entry(monkeypatch, trefoil):
+    # the graph side with arc 1's diagonal changed and one of its edges
+    # dropped: the verdict names both entries, in column order
+    iw = tangle_matrix(build_arc_graph(trefoil), alexander_spec())
+    rows = [list(row) for row in iw.entries]
+    j = max(iw.row_maps[0].keys() - {0})
+    dropped = rows[0][j]
+    rows[0][0], rows[0][j] = LaurentPoly({0: 2}), LaurentPoly.zero()
+    monkeypatch.setattr(alexander, "tangle_matrix", lambda g, spec: RingMatrix(rows))
+    v = fox_equals_arcgraph_check(trefoil)
+    assert not v.passed
+    assert v.detail["mismatches"] == [
+        {"arc": 1, "column": 1, "fox": "1", "graph": "2"},
+        {"arc": 1, "column": j + 1, "fox": str(dropped), "graph": "0"}]
 
 
 def test_multiplicativity(trefoil, figure8):

@@ -8,6 +8,7 @@ from knotzeta.arc_graph import alexander_spec, build_arc_graph, constant_spec, \
     laplacian, tangle_determinant, tangle_matrix, weight_matrix
 from knotzeta.knot_model import DiagramError, cut, parse_diagram
 from knotzeta.laurent import CoefficientError, LaurentPoly, RingMatrix, det
+from tests.conftest import assert_sparse_rows
 
 
 def test_two_edges_per_crossing(trefoil):
@@ -171,20 +172,29 @@ def _dense_laplacian(g, spec, roots):
     return RingMatrix(rows, cols=n).delete(rows=drop, cols=drop)
 
 
-@pytest.mark.parametrize("spec", [alexander_spec(), constant_spec(3)],
-                         ids=["alexander", "constant"])
+@pytest.mark.parametrize("spec", [alexander_spec(), constant_spec(3), constant_spec(1),
+                                  constant_spec(0)],
+                         ids=["alexander", "constant", "unit", "zero"])
 def test_matrices_from_edges_equal_the_dense_forms(corpus, spec):
-    # every cut and every closed diagram, over several vertex subsets and orders
+    # every cut and every closed diagram, over several vertex subsets and
+    # orders; each matrix keeps only its nonzero entries, so under unit
+    # weights a kink's diagonal 1 - 1 is not stored, and under zero weights
+    # no edge is
     graphs = [build_arc_graph(d) for d in corpus.values()]
     graphs += [build_arc_graph(cut(d, [arc])) for d in corpus.values() for arc in d.arcs]
     assert any(e.src == e.dst for g in graphs for e in g.edges)  # kink self-loops
     for g in graphs:
+        assert_sparse_rows(weight_matrix(g, spec))
         vs = list(g.vertices)
         for keep in (vs, vs[:-1], vs[::2], vs[::-1]):
-            assert tangle_matrix(g, spec, keep) == _dense_tangle_matrix(g, spec, keep)
+            m = tangle_matrix(g, spec, keep)
+            assert m == _dense_tangle_matrix(g, spec, keep)
+            assert_sparse_rows(m)
         assert tangle_matrix(g, spec) == _dense_tangle_matrix(g, spec, g.vertices)
         for roots in ((), (vs[0],), (vs[-1], vs[0])):
-            assert laplacian(g, spec, roots) == _dense_laplacian(g, spec, roots)
+            m = laplacian(g, spec, roots)
+            assert m == _dense_laplacian(g, spec, roots)
+            assert_sparse_rows(m)
 
 
 def test_constant_spec_counts_walks(trefoil):

@@ -9,14 +9,16 @@ from pathlib import Path
 import pytest
 
 from knotzeta import laurent, zeta
-from knotzeta.alexander import alexander_matrix
-from knotzeta.arc_graph import alexander_spec, build_arc_graph, laplacian, tangle_matrix
-from knotzeta.knot_model import cable, compose_tangles, cut, parse_diagram, \
+from knotzeta.alexander import _last_minor, alexander_matrix, alexander_minor
+from knotzeta.arc_graph import alexander_spec, build_arc_graph, laplacian, tangle_determinant, \
+    tangle_matrix
+from knotzeta.knot_model import cable, close_tangle, compose_tangles, cut, parse_diagram, \
     wirtinger_presentation
 from knotzeta.laurent import CanonicalPoly, CoefficientError, LaurentPoly, \
     PolyFraction, RingMatrix, _bareiss_entry, _det_bareiss, _operand, canonicalize, \
     column_replaced_dets, det, det_cofactor, div_exact, divide_exact, linear_combination, poly_divmod, poly_gcd, \
     rational_det, rational_solve, row_reduce
+from tests.conftest import assert_sparse_rows
 
 
 def P(coeffs, modulus=None):
@@ -280,6 +282,28 @@ def test_matrix_shape_and_immutability():
 def test_matrix_ragged_rejected():
     with pytest.raises(ValueError):
         M([[1, 2], [3]])
+
+
+def test_matrix_refuses_cols_that_disagree_with_its_rows():
+    # cols was once read only when there were no rows
+    for rows, cols in (([[1, 2]], 5), ([[1, 2], [3, 4]], 1), ([[]], 2)):
+        with pytest.raises(ValueError, match=f"in a matrix of {cols} columns"):
+            RingMatrix(rows, cols=cols)
+    empty = RingMatrix([], cols=3)
+    assert (empty.rows, empty.cols, empty.row_maps, empty.entries) == (0, 3, (), ())
+    assert RingMatrix([[1, 0]], cols=2) == RingMatrix([[1, 0]])
+
+
+def test_matrix_arithmetic_drops_entries_that_cancel():
+    # sums, differences, negations and products store no zero: entries that
+    # cancel leave the row maps, and the zero matrix has empty ones
+    a = M([[1, {1: 1}], [0, 2]])
+    b = M([[{0: -1, 1: 1}, {1: -1}], [3, 0]])
+    for m, maps in ((a - a, [{}, {}]), (a + -a, [{}, {}]),
+                    (a + b, [{0: T}, {0: P({0: 3}), 1: P({0: 2})}]),
+                    (M([[1, 1]]) @ M([[1], [-1]]), [{}]), (a @ RingMatrix.zeros(2, 3), [{}, {}])):
+        assert list(m.row_maps) == maps, m
+        assert_sparse_rows(m)
 
 
 def test_matrix_ring_ops():
@@ -1047,6 +1071,34 @@ def test_kernel_work_on_a_braid_closure_laplacian_minor(monkeypatch):
     assert work["calls"] == 217, work
     assert work["products"] <= 3_813 and work["long"] <= 89, work
     assert pivots == KERNEL_PIVOTS["T(3,10) root 1"]
+
+
+def test_routes_to_the_kernel_build_no_dense_view(corpus, monkeypatch):
+    # the builders, delete, the peel and the Cramer pair read and write the
+    # row maps only, so no n x n pass lies on the way to the kernel: on
+    # figure8's 3-cable (a cut strand of 39 arcs, and its closure, a link of
+    # 36) and on T(3,10) (20 arcs), nothing reads the dense view
+    reads = []
+    dense = RingMatrix.entries
+    monkeypatch.setattr(RingMatrix, "entries",
+                        property(lambda m: reads.append(m.rows) or dense.fget(m)))
+    cable3 = cable(cut(corpus["figure8"], [1]), 3)
+    torus = parse_diagram(T3_10)
+    spec = alexander_spec()
+    routes = []
+    for strand, closed in ((cable3, close_tangle(cable3)), (cut(torus, [1]), torus)):
+        routes.append([
+            tangle_determinant(build_arc_graph(strand), spec),
+            det(laplacian(build_arc_graph(closed), spec, (closed.arcs[0],))),
+            # alexander_minor less its knot check, which the 3-cable's closure fails
+            det(_last_minor(alexander_matrix(wirtinger_presentation(closed)))),
+            zeta.strand_walk_sum(cut(closed, [closed.arcs[0]]))[1]])
+    assert alexander_minor(torus) == routes[1][2]
+    assert reads == []
+    # the cable's det(I - W), and T(3,10)'s three minors alike up to units
+    assert routes[0][0] == P({-3: -1, 0: 3, 3: -1})
+    assert len({canonicalize(d).poly for d in routes[1][:3]}) == 1
+    assert RingMatrix.identity(2).entries and reads == [2]
 
 
 def test_kernel_drops_cancelled_entries_from_its_row_maps(monkeypatch):

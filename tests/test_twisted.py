@@ -20,7 +20,7 @@ from knotzeta.twisted import Representation, \
     twisted_block_identity_check, twisted_chain, twisted_row_identity_check, \
     twisted_trace_check, twisted_weight_graph, verify_representation
 from knotzeta.zeta import closed_walks, power_traces, prime_cycles
-from tests.conftest import traces_of_repeated_products
+from tests.conftest import assert_sparse_rows, traces_of_repeated_products
 
 
 @pytest.fixture(scope="module")
@@ -260,6 +260,31 @@ def test_twisted_element_is_the_sum_of_its_word_images(corpus, dihedral_chains):
                 blocks += 1
     # 111 on the dihedral chains and 128 on the trivial ones
     assert blocks == 239
+
+
+def test_block_matrices_keep_only_nonzero_entries(corpus, dihedral_chains):
+    # every block a chain builds (Fox blocks, the shared zero block,
+    # denominators and B's blocks), B flattened, the quotients' minors and
+    # the whole Jacobian, on the trivial chains of the corpus and the
+    # dihedral chains of trefoil (p = 3) and figure8 (p = 5)
+    chains = [dihedral_chains["trefoil"], dihedral_chains["figure8"]]
+    chains += [twisted_chain(d, trivial_representation(tuple(d.arcs))) for d in corpus.values()]
+    for chain in chains:
+        pres = chain.presentation
+        n = len(pres.generators)
+        matrices = [chain.zero_block, chain.weights]
+        matrices += [chain.fox_block(r, k) for r in range(len(pres.relators)) for k in range(n)]
+        matrices += [chain.denominator(k) for k in range(n)]
+        matrices += [b for row in chain.weight_blocks for b in row]
+        if pres.relators:
+            matrices.append(twisted_alexander_matrix(pres, chain.rep))
+            rows = range(len(pres.relators) - (len(pres.relators) == n))
+            matrices += [RingMatrix.from_blocks([[chain.fox_block(r, k) for k in range(n)
+                                                  if k != pos] for r in rows])
+                         for pos in range(n) if rows and len(rows) >= n - 1]
+        for m in matrices:
+            assert m.modulus == chain.rep.field
+            assert_sparse_rows(m)
 
 
 def test_block_identity_dihedral(dihedral_chains):
