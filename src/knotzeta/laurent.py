@@ -574,31 +574,28 @@ class RingMatrix:
         return cls._of([{} for _ in range(rows)], modulus, cols)
 
     @classmethod
-    def from_blocks(cls, blocks):
-        """Assemble from a 2-d grid of equally sized square RingMatrix blocks.
+    def from_blocks(cls, block_rows, cols, size, modulus):
+        """Assemble from square blocks of one size, given by block row as
+        maps {block column: block} over cols block columns; a block column
+        that a map lacks holds the zero block.
 
         The blocks were checked when they were built, so each block's shape
         and modulus is checked here, not each entry; only the entries of
         the blocks are placed, so a zero block costs nothing."""
-        if not blocks or not blocks[0]:
-            raise ValueError("empty block grid")
-        m = blocks[0][0].rows
-        modulus = blocks[0][0].modulus
-        width = len(blocks[0])
         maps = []
-        for brow in blocks:
-            if len(brow) != width:
-                raise ValueError("ragged rows in block grid")
-            out = [{} for _ in range(m)]
-            for c, b in enumerate(brow):
-                if b.rows != m or b.cols != m:
+        for brow in block_rows:
+            out = [{} for _ in range(size)]
+            for c, b in brow.items():
+                if not 0 <= c < cols:
+                    raise IndexError(f"block column {c} outside 0..{cols - 1}")
+                if b.rows != size or b.cols != size:
                     raise ValueError("blocks must share one square size")
                 _same_domain(modulus, b.modulus)
                 for row, block_row in zip(out, b.row_maps):
                     for j, e in block_row.items():
-                        row[c * m + j] = e
+                        row[c * size + j] = e
             maps += out
-        return cls._of(maps, modulus, width * m)
+        return cls._of(maps, modulus, cols * size)
 
     def __eq__(self, other):
         if not isinstance(other, RingMatrix):
@@ -733,10 +730,11 @@ def det_cofactor(mat):
 
 
 def _operand(entry):
-    """A nonzero dense coefficient list as the entry updates read it, built
-    once for all of them: (pairs, degree, lead, one_term), where pairs are
-    its nonzero (position, coefficient) pairs, lead its leading coefficient
-    and one_term whether it has one nonzero coefficient."""
+    """A pivot, a nonzero dense coefficient list, as the entry updates read
+    it, built once for all of them: (pairs, degree, lead, one_term), where
+    pairs are its nonzero (position, coefficient) pairs, lead its leading
+    coefficient and one_term whether it has one nonzero coefficient.  The
+    other operands are read only as pairs, which the kernel builds alone."""
     pairs = [(i, x) for i, x in enumerate(entry) if x]
     return pairs, len(entry) - 1, entry[-1], len(pairs) == 1
 
@@ -834,63 +832,107 @@ def _bareiss(rows, width, q):
     or right of the current step, so the row rule reads its length, and a
     row with an entry in the pivot column is updated over the columns of
     the pivot row only, dropping an entry that cancels to zero.  The
-    operands of _bareiss_entry are prepared once: each pivot, and each
-    entry of the pivot row, once per step, and each row's entry in the
-    pivot column once per row.
+    bookkeeping is paid per row and step, not per entry read: the row rule
+    reads each row's map once, keeps a running best and notes the rows
+    that reach the pivot column, the only ones updated; the pivot row is
+    brought to level k in place, in one pass over its entries; and a level
+    is checked where its entry is read.  The operands of _bareiss_entry are
+    prepared once: the pivot, all of whose fields a division reads, and the
+    (position, coefficient) pairs of each other entry of the pivot row once
+    per step, and of each row's entry in the pivot column once per row.
+    Rows of int coefficients, all of them over F_q, skip the pass over
+    denominators, and the minors are built in normal form as arithmetic
+    builds its results, without the constructor's checks.
     """
     n = len(rows)
     if not n:
         return [LaurentPoly.one(q)]
     work, shift_back, scale = [], 0, 1
     for row in rows:
-        k = min((next(iter(c)) for c in row.values()), default=0)
-        m = math.lcm(*(v.denominator for c in row.values() for v in c.values()))
-        sparse = {}
+        # a coefficient dict is sorted, so its first key is its lowest power
+        # and its last its highest
+        k = min(next(iter(c)) for c in row.values()) if row else 0
+        sparse, fractional = {}, False
         for j, c in row.items():
-            d = sparse[j] = [0] * (max(c) - k + 1)
+            d = sparse[j] = [0] * (next(reversed(c)) - k + 1)
             for x, v in c.items():
-                d[x - k] = v.numerator * (m // v.denominator)
+                d[x - k] = v
+                if type(v) is not int:
+                    fractional = True
+        if fractional:
+            m = math.lcm(*(v.denominator for c in row.values() for v in c.values()))
+            for d in sparse.values():
+                for x, v in enumerate(d):
+                    if v:
+                        d[x] = v.numerator * (m // v.denominator)
+            scale *= m
         work.append(sparse)
         shift_back += k
-        scale *= m
-    # pivots[s] is the pivot of step s - 1, as an _operand, so that pivots[0] = 1
-    sign, pivots, levels = 1, [_operand([1])], [dict.fromkeys(row, 0) for row in work]
-
-    def caught_up(i, j, k):
-        """Entry (i, j), brought to level k."""
-        e, s = work[i][j], levels[i][j]
-        if s != k:
-            e = work[i][j] = _bareiss_entry(e, pivots[k][0], (), (), pivots[s])
-            levels[i][j] = k
-        return e
-
+    # pivots[s] is the pivot of step s - 1, as an _operand, so that pivots[0]
+    # = 1, and degrees[s] its degree
+    sign, pivots, degrees = 1, [_operand([1])], [0]
+    levels = [dict.fromkeys(row, 0) for row in work]
     for k in range(n - 1):
-        keys = [(len(work[r]), len(work[r][k]) + pivots[k][1] - pivots[levels[r][k]][1], r)
-                for r in range(k, n) if k in work[r]]
-        if not keys:
+        # the row rule: fewest entries, then the shortest pivot-column entry
+        # at level k, then the first row
+        best, best_size, best_length, degree, holders = -1, 0, 0, degrees[k], []
+        for r in range(k, n):
+            row = work[r]
+            e = row.get(k)
+            if e is not None:
+                holders.append(r)
+                size = len(row)
+                if best < 0 or size <= best_size:
+                    length = len(e) + degree - degrees[levels[r][k]]
+                    if best < 0 or size < best_size or length < best_length:
+                        best, best_size, best_length = r, size, length
+        if best < 0:
             return [LaurentPoly.zero(q)] * (width - n + 1)
-        best = min(keys)[2]
         if best != k:
             work[k], work[best] = work[best], work[k]
             levels[k], levels[best] = levels[best], levels[k]
             sign = -sign
-        prev, pivot = pivots[k], _operand(caught_up(k, k, k))
-        top = {j: _operand(caught_up(k, j, k))[0] for j in work[k] if j != k}
-        for i in range(k + 1, n):
+        # the rows below the pivot row that reach column k, in order
+        below = sorted(best if r == k else r for r in holders if r != best)
+        # the pivot row, brought to level k in place in one pass
+        prev = pivots[k]
+        prev_pairs, row, level = prev[0], work[k], levels[k]
+        for j, s in level.items():
+            if s != k:
+                row[j] = _bareiss_entry(row[j], prev_pairs, (), (), pivots[s])
+                level[j] = k
+        pivot = _operand(row[k])
+        pivot_pairs = pivot[0]
+        top = [(j, [(x, v) for x, v in enumerate(e) if v]) for j, e in row.items() if j != k]
+        for i in below:
             row, level = work[i], levels[i]
-            if k in row:
-                c = _operand(caught_up(i, k, k))[0]
-                del row[k], level[k]
-                for j, d in top.items():
-                    e = _bareiss_entry(caught_up(i, j, k) if j in row else (), pivot[0], c, d, prev)
-                    if e:
-                        row[j], level[j] = e, k + 1
-                    else:
-                        del row[j], level[j]
+            c, s = row.pop(k), level.pop(k)
+            if s != k:
+                c = _bareiss_entry(c, prev_pairs, (), (), pivots[s])
+            c = [(x, v) for x, v in enumerate(c) if v]
+            for j, d in top:
+                s = level.get(j)
+                if s is None:
+                    a = ()
+                else:
+                    a = row[j]
+                    if s != k:
+                        a = _bareiss_entry(a, prev_pairs, (), (), pivots[s])
+                e = _bareiss_entry(a, pivot_pairs, c, d, prev)
+                if e:
+                    row[j], level[j] = e, k + 1
+                else:
+                    del row[j], level[j]
         pivots.append(pivot)
-    last = [caught_up(n - 1, j, n - 1) if j in work[-1] else () for j in range(n - 1, width)]
-    return [LaurentPoly({e + shift_back: sign * c if scale == 1 else Fraction(sign * c, scale)
-                         for e, c in enumerate(entry)}, q)
+        degrees.append(pivot[1])
+    row, level, last = work[-1], levels[-1], []
+    for j in range(n - 1, width):
+        e = row.get(j, ())
+        if e and level[j] != n - 1:
+            e = _bareiss_entry(e, pivots[-1][0], (), (), pivots[level[j]])
+        last.append(e)
+    return [_normal_form({x + shift_back: sign * v if scale == 1 else Fraction(sign * v, scale)
+                          for x, v in enumerate(entry)}, q)
             for entry in last]
 
 
@@ -905,17 +947,42 @@ def _det_bareiss(mat):
     return out
 
 
+def _live_lines(n):
+    """A Fenwick tree over n lines, every one live: entry x counts the
+    x & -x lines that end at line x - 1."""
+    return [x & -x for x in range(n + 1)]
+
+
+def _live_before(tree, i):
+    """The number of live lines before line i, in O(log n)."""
+    count = 0
+    while i:
+        count += tree[i]
+        i &= i - 1
+    return count
+
+
+def _retire(tree, i):
+    """Take line i out of the live lines, in O(log n)."""
+    i += 1
+    while i < len(tree):
+        tree[i] -= 1
+        i += i & -i
+
+
 def det(mat):
     """Exact determinant: peel single-entry rows and columns, then run the
     fraction-free kernel on what remains.
 
     A row or column of the current submatrix with one nonzero entry a at
     current position (i, j) is removed together with that entry's column or
-    row, and (-1)^(i+j) a joins a factor (Laplace expansion along it).  Each
-    removal can leave new single-entry lines, so peeling repeats until none
-    is left; an empty row or column makes the determinant zero at once.
-    Only the factors other than 1 are multiplied in: most peeled lines of a
-    cut strand's I - W meet it on the unit diagonal.
+    row, and (-1)^(i+j) a joins a factor (Laplace expansion along it).  The
+    current position counts the live rows above the entry and the live
+    columns left of it, which a Fenwick tree of each gives in O(log n).
+    Each removal can leave new single-entry lines, so peeling repeats until
+    none is left; an empty row or column makes the determinant zero at
+    once.  Only the factors other than 1 are multiplied in: most peeled
+    lines of a cut strand's I - W meet it on the unit diagonal.
     """
     if mat.rows != mat.cols:
         raise ValueError("determinant needs a square matrix")
@@ -926,6 +993,7 @@ def det(mat):
         for j in js:
             col_nz[j].add(i)
     live_rows, live_cols = [True] * n, [True] * n
+    rows_before, cols_before = _live_lines(n), _live_lines(n)
     # (is a row, index) of lines that may hold at most one entry
     todo = [(True, i) for i in range(n) if len(row_nz[i]) < 2]
     todo += [(False, j) for j in range(n) if len(col_nz[j]) < 2]
@@ -940,9 +1008,11 @@ def det(mat):
         (y,) = line
         i, j = (x, y) if is_row else (y, x)
         factors.append(maps[i][j])
-        if (sum(live_rows[:i]) + sum(live_cols[:j])) % 2:
+        if (_live_before(rows_before, i) + _live_before(cols_before, j)) % 2:
             sign = -sign
         live_rows[i] = live_cols[j] = False
+        _retire(rows_before, i)
+        _retire(cols_before, j)
         for jj in row_nz[i]:
             col_nz[jj].discard(i)
             if live_cols[jj] and len(col_nz[jj]) < 2:

@@ -311,9 +311,11 @@ def twisted_alexander_matrix(presentation, rep):
     """
     if not presentation.relators:
         raise DiagramError("presentation has no relators")
-    return RingMatrix.from_blocks([[_twisted_element(rep, grad.get(g, {}))
-                                    for g in presentation.generators]
-                                   for grad in map(fox_gradient, presentation.relators)])
+    gens = presentation.generators
+    return RingMatrix.from_blocks([{k: _twisted_element(rep, grad[g])
+                                    for k, g in enumerate(gens) if g in grad}
+                                   for grad in map(fox_gradient, presentation.relators)],
+                                  len(gens), rep.dim, rep.field)
 
 
 class TwistedChain(namedtuple("TwistedChain", "diagram rep presentation verdict")):
@@ -325,10 +327,10 @@ class TwistedChain(namedtuple("TwistedChain", "diagram rep presentation verdict"
     instance dict, which cached_property writes directly: the twisted Fox
     block of each (relator, generator) pair, from one Fox gradient per
     relator (the generators a relator lacks share one zero block), the
-    blocks t rho(x_k) - I, the arc graph, and B as a grid of blocks,
-    flattened on first read.  A quotient reads only its minor's Fox blocks
-    and its own denominator, so it never builds the arc graph.  Every other
-    attribute assignment raises.
+    blocks t rho(x_k) - I, the arc graph, and B as its nonzero blocks, one
+    map per block row, flattened on first read.  A quotient reads only its
+    minor's Fox blocks and its own denominator, so it never builds the arc
+    graph.  Every other attribute assignment raises.
     """
 
     def __setattr__(self, *a):
@@ -377,13 +379,15 @@ class TwistedChain(namedtuple("TwistedChain", "diagram rep presentation verdict"
 
     @cached_property
     def weight_blocks(self):
-        """B as a grid of m x m blocks, in the arc graph's vertex order."""
+        """B's nonzero m x m blocks, one map {block column: block} per block
+        row, in the arc graph's vertex order."""
         return _weight_blocks(self.graph, self.diagram.crossings, self.rep)
 
     @cached_property
     def weights(self):
         """B, the block weight matrix on the arc graph, flattened."""
-        return RingMatrix.from_blocks(self.weight_blocks)
+        return RingMatrix.from_blocks(self.weight_blocks, len(self.weight_blocks),
+                                      self.rep.dim, self.rep.field)
 
     def quotient(self, pos):
         """Wada's determinant quotient at generator position pos.
@@ -404,7 +408,8 @@ class TwistedChain(namedtuple("TwistedChain", "diagram rep presentation verdict"
         if len(rows) < len(cols):
             num = LaurentPoly.zero(self.rep.field)
         elif rows:
-            num = det(RingMatrix.from_blocks([[self.fox_block(r, k) for k in cols] for r in rows]))
+            minor = [{x: self.fox_block(r, k) for x, k in enumerate(cols)} for r in rows]
+            num = det(RingMatrix.from_blocks(minor, len(cols), self.rep.dim, self.rep.field))
         else:
             num = LaurentPoly.one(self.rep.field)
         return divide_exact(num, det(self.denominator(pos)))
@@ -477,22 +482,24 @@ def _crossing_blocks(rep, crossing):
 
 
 def _weight_blocks(graph, crossings, rep):
-    """B on the arc graph of the crossings as a grid of m x m blocks, in vertex order.
+    """B on the arc graph of the crossings as its nonzero m x m blocks, one
+    map {block column: block} per block row, in vertex order.
 
     Block row a holds the two blocks of the crossing under which arc a ends,
-    at the block columns of the under-out and over arcs; every other block
-    is zero.  Arcs of crossing-free components contribute zero rows.
+    at the block columns of the under-out and over arcs; neither is zero,
+    since each is an invertible image times a power of t, or a difference
+    of two at different powers of t.  Every other block is zero and not
+    stored, so arcs of crossing-free components have empty maps.
     """
-    n, index = len(graph.vertices), graph.index
-    zero = RingMatrix.zeros(rep.dim, rep.dim, rep.field)
-    grid = [[zero] * n for _ in range(n)]
+    index = graph.index
+    rows = [{} for _ in graph.vertices]
     for c in crossings:
-        # the arc graph has one edge per ordered pair: no cell is set twice
+        # the arc graph has one edge per ordered pair: no block is set twice
         under, jump = _crossing_blocks(rep, c)
-        row = grid[index[c.under_in]]
+        row = rows[index[c.under_in]]
         row[index[c.under_out]] = under
         row[index[c.over]] = jump
-    return tuple(map(tuple, grid))
+    return tuple(rows)
 
 
 def twisted_weight_graph(diagram, rep):
@@ -501,8 +508,8 @@ def twisted_weight_graph(diagram, rep):
     Setting t = 1 and the representation trivial recovers the plain walk
     matrix.
     """
-    return RingMatrix.from_blocks(
-        _weight_blocks(build_arc_graph(diagram), diagram.crossings, rep))
+    blocks = _weight_blocks(build_arc_graph(diagram), diagram.crossings, rep)
+    return RingMatrix.from_blocks(blocks, len(blocks), rep.dim, rep.field)
 
 
 def twisted_block_identity_check(chain):
@@ -519,7 +526,8 @@ def twisted_block_identity_check(chain):
         row = chain.weight_blocks[index[c.under_in]]
         for gpos, gen in enumerate(chain.presentation.generators):
             left = chain.fox_block(ridx, gpos)
-            right = ident - row[index[gen]] if gen == c.under_in else -row[index[gen]]
+            block = row.get(index[gen], chain.zero_block)
+            right = ident - block if gen == c.under_in else -block
             if left != right:
                 mismatches.append({"relator": ridx, "generator": gen,
                                    "jacobian": repr(left), "graph": repr(right)})
@@ -570,7 +578,7 @@ def twisted_trace_check(chain):
     normalized once.  tr(B^m) comes from power_traces, which forms B^m only
     up to m = ceil(TRACE_POWER / 2).
     """
-    grid, index = chain.weight_blocks, chain.graph.index
+    blocks, index = chain.weight_blocks, chain.graph.index
     # the block product of every walk prefix built so far, by its edges
     products = {}
     prime_terms = [[] for _ in range(TRACE_POWER + 1)]
@@ -578,7 +586,7 @@ def twisted_trace_check(chain):
         block = None
         for i, e in enumerate(p, 1):
             if p[:i] not in products:
-                step = grid[index[e.src]][index[e.dst]]
+                step = blocks[index[e.src]][index[e.dst]]
                 products[p[:i]] = step if block is None else block @ step
             block = products[p[:i]]
         power = None

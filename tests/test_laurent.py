@@ -1,7 +1,9 @@
 """Exact Laurent arithmetic, canonical forms, and matrix determinants."""
 
+import functools
 import json
 import math
+import operator
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -320,22 +322,26 @@ def test_matrix_delete_and_block():
     m = M([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
     d = m.delete(rows=(1,), cols=(2,))
     assert [[e.coeffs[0] for e in row] for row in d.entries] == [[1, 2], [7, 8]]
-    big = RingMatrix.from_blocks([[M([[1]]), M([[2]])], [M([[3]]), M([[4]])]])
+    big = RingMatrix.from_blocks([{0: M([[1]]), 1: M([[2]])}, {0: M([[3]]), 1: M([[4]])}],
+                                 2, 1, None)
     assert big.delete(rows=(0,), cols=(1,)) == M([[3]])
     assert big.rows == 2 and big.cols == 2
 
 
 def test_from_blocks_rejects_mixed_sizes():
     with pytest.raises(ValueError):
-        RingMatrix.from_blocks([[M([[1]]), M([[1, 0], [0, 1]])]])
-    with pytest.raises(ValueError, match="ragged rows in block grid"):
-        RingMatrix.from_blocks([[M([[1]]), M([[2]])], [M([[3]])]])
+        RingMatrix.from_blocks([{0: M([[1]]), 1: M([[1, 0], [0, 1]])}], 2, 1, None)
+    # a block row's map places a block outside the block columns
+    with pytest.raises(IndexError, match="block column 2 outside 0..1"):
+        RingMatrix.from_blocks([{0: M([[1]]), 1: M([[2]])}, {2: M([[3]])}], 2, 1, None)
+    # a block column that a map lacks holds the zero block
+    assert RingMatrix.from_blocks([{1: M([[2]])}, {}], 2, 1, None) == M([[0, 2], [0, 0]])
 
 
 def test_matrices_refuse_mixed_domains_with_one_message():
     q, q7 = RingMatrix.zeros(2, 2), RingMatrix.zeros(2, 2, 7)
     for build in (lambda: RingMatrix([[P({0: 1}, 7)]]), lambda: q + q7, lambda: q @ q7,
-                  lambda: RingMatrix.from_blocks([[q, q], [q, q7]])):
+                  lambda: RingMatrix.from_blocks([{0: q, 1: q}, {0: q, 1: q7}], 2, 2, None)):
         with pytest.raises(CoefficientError, match="mixed coefficient domains: None vs 7"):
             build()
 
@@ -874,6 +880,55 @@ def test_det_hands_the_kernel_only_what_peeling_leaves(monkeypatch, corpus):
     assert sizes == [0, i_minus_w.rows - 2, i_minus_w.rows]
 
 
+def _inversions(perm):
+    """The number of pairs out of order in perm, whose parity is its sign's."""
+    return sum(perm[a] > perm[b] for a in range(len(perm)) for b in range(a + 1, len(perm)))
+
+
+@pytest.mark.parametrize("modulus", [None, 7])
+def test_permutation_matrices_peel_whole_with_their_sign(modulus, monkeypatch):
+    # sizes 1-40: a diagonal and a lower bidiagonal matrix, each under
+    # random row and column permutations.  The first has one entry in each
+    # row and column; the second exposes one single-entry line after
+    # another, in an order that both permutations steer.  det peels either
+    # whole and hands the kernel nothing.  Entries are units (+-1, +-t^k)
+    # or not (2, 1 + t, 1/2 t^-1); the determinant is the product of the
+    # diagonal times the signs of both permutations, by counting
+    # inversions, and det_cofactor's where cofactor expansion is cheap
+    # (every permutation matrix, the bidiagonal ones up to size 8)
+    rng = random.Random(f"permutations/{modulus}")
+    handed = []
+    kernel = laurent._bareiss
+    monkeypatch.setattr(laurent, "_bareiss",
+                        lambda rows, width, q: handed.append(len(rows)) or kernel(rows, width, q))
+    units = [P({0: 1}, modulus), P({0: -1}, modulus), P({2: 1}, modulus), P({-1: -1}, modulus)]
+    others = [P({0: 2}, modulus), P({0: 1, 1: 1}, modulus),
+              P({-1: 4 if modulus else Fraction(1, 2)}, modulus)]
+
+    def entry():
+        return rng.choice(units if rng.random() < 0.7 else others)
+
+    zero, signs = LaurentPoly.zero(modulus), []
+    for n in range(1, 41):
+        for _ in range(3):
+            rows, cols = rng.sample(range(n), n), rng.sample(range(n), n)
+            diagonal = {(rows[i], cols[i]): entry() for i in range(n)}
+            bidiagonal = diagonal | {(rows[i + 1], cols[i]): entry() for i in range(n - 1)}
+            want = functools.reduce(operator.mul, diagonal.values())
+            parity = (_inversions(rows) + _inversions(cols)) % 2
+            want = -want if parity else want
+            for cells in (diagonal, bidiagonal):
+                m = RingMatrix([[cells.get((i, j), zero) for j in range(n)] for i in range(n)],
+                               modulus, cols=n)
+                handed.clear()
+                assert det(m) == want, (rows, cols, cells)
+                assert handed == [0], (rows, cols, handed)
+                if cells is diagonal or n <= 8:
+                    assert det_cofactor(m) == want, (rows, cols, cells)
+            signs.append(parity)
+    assert min(signs.count(0), signs.count(1)) >= 40, signs
+
+
 def test_det_swaps_rows_for_zero_pivots():
     # the first and the second pivots are zero; a swap is needed for each
     m = M([[0, 0, 2, 0, {1: 1}],
@@ -1146,17 +1201,18 @@ def test_kernel_drops_cancelled_entries_from_its_row_maps(monkeypatch):
         ("catch-up", -29), ("catch-up", -87)]
 
 
-def _sparse_kernel_matrix(rng, n, modulus):
-    """A seeded sparse n x n matrix with Fraction coefficients over Q and
-    negative exponents: each row has an entry on the diagonal and one or two
-    more, and about a third of the rows are +-t^k times an earlier row plus
-    a diagonal entry, so that updates cancel to zero."""
+def _sparse_kernel_matrix(rng, n, modulus, denominators=(1, 2, 3)):
+    """A seeded sparse n x n matrix with Fraction coefficients over Q (of the
+    given denominators) and negative exponents: each row has an entry on the
+    diagonal and one or two more, and about a third of the rows are +-t^k
+    times an earlier row plus a diagonal entry, so that updates cancel to
+    zero."""
     zero = LaurentPoly.zero(modulus)
 
     def entry():
         p = zero
         while p.is_zero():
-            p = random_laurent(rng, modulus, denominators=(1, 2, 3))
+            p = random_laurent(rng, modulus, denominators=denominators)
         return p
 
     rows = []
@@ -1264,6 +1320,78 @@ def _replaced(mat, col, vector):
     """mat with column col replaced by vector."""
     return RingMatrix([[*row[:col], v, *row[col + 1:]] for row, v in zip(mat.entries, vector)],
                       mat.modulus, cols=mat.cols)
+
+
+# a seeded family of sparse matrices for the kernel's pins: over Z, over Q
+# with denominators, over F_2 and over F_101, square at sizes 2-16 and
+# bordered n x (n + 1), as column_replaced_dets hands the kernel a Cramer pair
+FAMILY_DOMAINS = {"Z": (None, (1,)), "Q": (None, (1, 2, 3, 5)), "F2": (2, (1,)),
+                  "F101": (101, (1,))}
+
+
+def _kernel_family():
+    """(key, matrix, column, vector) for each matrix of the family, keyed as
+    in kernel_pivots.json; column and vector are None for a square one."""
+    rng = random.Random("kernel-family")
+    for domain, (q, denominators) in FAMILY_DOMAINS.items():
+        for n in (2, 4, 6, 9, 12, 16, 5, 11):
+            m = RingMatrix(_sparse_kernel_matrix(rng, n, q, denominators), q, cols=n)
+            if n in (5, 11):
+                vector = [random_laurent(rng, q, denominators) for _ in range(n)]
+                yield f"family {domain} {n}x{n + 1}", m, rng.randrange(n), vector
+            else:
+                yield f"family {domain} {n}x{n}", m, None, None
+
+
+def _run_family_case(m, col, vector):
+    """The kernel's minors of one family matrix: det(m) unpeeled, or the
+    Cramer pair of column col and vector."""
+    if col is None:
+        return (_det_bareiss(m),)
+    return column_replaced_dets(m, col, vector)
+
+
+def test_kernel_work_on_a_seeded_sparse_family(monkeypatch):
+    # the exact number of entry updates and the pivot of every eliminating
+    # step, on 24 square matrices and 8 bordered ones, recorded before the
+    # kernel's bookkeeping was rewritten; the minors against det's
+    work, pivots = _kernel_spy(monkeypatch)
+    keys = []
+    for key, m, col, vector in _kernel_family():
+        work["calls"] = 0
+        pivots.clear()
+        minors = _run_family_case(m, col, vector)
+        assert {"calls": work["calls"], "pivots": pivots} == KERNEL_PIVOTS[key], key
+        want = (det(m),) if col is None else (det(m), det(_replaced(m, col, vector)))
+        assert minors == want, key
+        keys.append(key)
+    assert len(keys) == 32
+    assert sorted(keys) == sorted(k for k in KERNEL_PIVOTS if k.startswith("family "))
+
+
+def test_kernel_results_are_built_in_normal_form(monkeypatch):
+    # every polynomial the kernel returns, on the family through det, the
+    # unpeeled kernel and the Cramer pair, stores what the validating
+    # constructor would: no zero coefficient, integral Fractions as ints,
+    # residues reduced mod q, exponents sorted
+    results = []
+    kernel = laurent._bareiss
+
+    def kept(rows, width, q):
+        out = kernel(rows, width, q)
+        results.extend((p, q) for p in out)
+        return out
+
+    monkeypatch.setattr(laurent, "_bareiss", kept)
+    kinds = {"fraction": 0, "residue": 0}
+    for _, m, col, vector in _kernel_family():
+        _run_family_case(m, col, vector)
+        det(m)
+    for p, q in results:
+        assert_normal_form(p, q)
+        kinds["fraction"] += any(type(v) is Fraction for v in p.coeffs.values())
+        kinds["residue"] += q is not None and not p.is_zero()
+    assert min(kinds.values()) >= 5 and len(results) >= 40, (kinds, len(results))
 
 
 def assert_cramer_pair(mat, col, vector):

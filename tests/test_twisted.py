@@ -275,16 +275,23 @@ def test_block_matrices_keep_only_nonzero_entries(corpus, dihedral_chains):
         matrices = [chain.zero_block, chain.weights]
         matrices += [chain.fox_block(r, k) for r in range(len(pres.relators)) for k in range(n)]
         matrices += [chain.denominator(k) for k in range(n)]
-        matrices += [b for row in chain.weight_blocks for b in row]
+        matrices += [b for row in chain.weight_blocks for b in row.values()]
         if pres.relators:
             matrices.append(twisted_alexander_matrix(pres, chain.rep))
             rows = range(len(pres.relators) - (len(pres.relators) == n))
-            matrices += [RingMatrix.from_blocks([[chain.fox_block(r, k) for k in range(n)
-                                                  if k != pos] for r in rows])
-                         for pos in range(n) if rows and len(rows) >= n - 1]
+            matrices += [RingMatrix.from_blocks(
+                [dict(enumerate(chain.fox_block(r, k) for k in range(n) if k != pos))
+                 for r in rows], n - 1, chain.rep.dim, chain.rep.field)
+                for pos in range(n) if rows and len(rows) >= n - 1]
         for m in matrices:
             assert m.modulus == chain.rep.field
             assert_sparse_rows(m)
+    # B stores its nonzero blocks only: two per crossing, under which one
+    # arc ends, and no zero block; figure8's dihedral B has 4 x 4 block cells
+    figure8 = dihedral_chains["figure8"]
+    assert len(figure8.weight_blocks) ** 2 == 16
+    assert sum(map(len, figure8.weight_blocks)) == 8
+    assert all(any(b.row_maps) for row in figure8.weight_blocks for b in row.values())
 
 
 def test_block_identity_dihedral(dihedral_chains):
@@ -330,7 +337,8 @@ def test_block_walk_sums_equal_the_per_walk_products(dihedral_chains, monkeypatc
     # sums of their traces, as tr(B^m) does
     for name, chain in dihedral_chains.items():
         g, grid, rep = chain.graph, chain.weight_blocks, chain.rep
-        assert RingMatrix.from_blocks(grid) == twisted_weight_graph(chain.diagram, rep)
+        assert RingMatrix.from_blocks(grid, len(grid), rep.dim, rep.field) \
+            == twisted_weight_graph(chain.diagram, rep)
         identity = RingMatrix.identity(rep.dim, rep.field)
         walk_sums = []
         for length in range(1, twisted.TRACE_POWER + 1):
