@@ -1070,26 +1070,34 @@ T3_10 = "".join(f"X+ {a} {b} {c}\n" for a, b, c in (
 
 
 def _kernel_spy(monkeypatch):
-    """Spy on _bareiss_entry: the work of its calls, counted as in
-    test_kernel_work_on_the_figure8_3_cable, and the pivot of each step
-    that eliminates, as a dense coefficient list, in step order."""
-    work, pivots, last = {"products": 0, "calls": 0, "long": 0}, [], []
-    entry = laurent._bareiss_entry
+    """Spy on the kernel: the work of its _bareiss_entry calls, counted as
+    in test_kernel_work_on_the_figure8_3_cable, and the pivot of every
+    eliminating step, as a dense coefficient list, in step order.  Each
+    step makes its pivot an _operand once, whether or not an update reads
+    it; the first _operand of a run is p_(-1) = 1, no step's pivot."""
+    work, pivots = {"products": 0, "calls": 0, "long": 0}, []
+    entry, operand, kernel = laurent._bareiss_entry, laurent._operand, laurent._bareiss
 
     def counted(a, b, c, d, prev):
         work["products"] += sum(len(b) for x in a if x) + len(c) * len(d)
         work["calls"] += 1
         work["long"] += not prev[3]
-        # every update of one step multiplies by the same pivot list
-        if c and not (last and last[-1] is b):
-            last.append(b)
-            dense = [0] * (b[-1][0] + 1)
-            for i, x in b:
-                dense[i] = x
-            pivots.append(dense)
         return entry(a, b, c, d, prev)
 
+    def recorded(e):
+        pivots.append(list(e))
+        return operand(e)
+
+    def run(rows, width, q):
+        start = len(pivots)
+        out = kernel(rows, width, q)
+        if rows:
+            assert pivots.pop(start) == [1]
+        return out
+
     monkeypatch.setattr(laurent, "_bareiss_entry", counted)
+    monkeypatch.setattr(laurent, "_operand", recorded)
+    monkeypatch.setattr(laurent, "_bareiss", run)
     return work, pivots
 
 
@@ -1353,8 +1361,10 @@ def _run_family_case(m, col, vector):
 
 def test_kernel_work_on_a_seeded_sparse_family(monkeypatch):
     # the exact number of entry updates and the pivot of every eliminating
-    # step, on 24 square matrices and 8 bordered ones, recorded before the
-    # kernel's bookkeeping was rewritten; the minors against det's
+    # step, on 24 square matrices and 8 bordered ones; the counts were
+    # recorded before the kernel's bookkeeping was rewritten, and the
+    # pivots again once the spy saw the steps that update no row too (228
+    # pivots, 98 before); the minors against det's
     work, pivots = _kernel_spy(monkeypatch)
     keys = []
     for key, m, col, vector in _kernel_family():
