@@ -23,9 +23,13 @@ and both domains.  Rows and columns with a single nonzero entry, read off the
 keys of the row maps, are peeled off first, by Laplace expansion along them,
 until none is left; the walk matrices of cut strands have many (a source arc
 has no in-edges, a sink arc no out-edges).  What remains goes to one
-fraction-free (Bareiss) kernel over Z[t], on lists of int coefficients, after
-each row is cleared of negative powers of t and of denominators; an F_q
-determinant is the reduced integer determinant of the residues.  The kernel,
+fraction-free (Bareiss) kernel over Z[t], its columns sparsest first: by their
+count of nonzero entries, ties in index order (the column-count preorder that
+sparse LU codes apply before elimination), so the early steps eliminate short
+columns and cause little fill.  The kernel works on lists of int
+coefficients, after each row is cleared of negative powers of t and of
+denominators; an F_q determinant is the reduced integer determinant of the
+residues.  The kernel,
 too, keeps each row as a map of its nonzero entries, which its callers build
 from the matrix's row maps, so every step touches only those.  Each step
 pivots on the row with the fewest entries among those that reach the pivot
@@ -40,9 +44,10 @@ per row, a one-term pivot c * t^d divides in one pass, and long division
 skips zero quotient terms.  The kernel also takes a bordered matrix, n rows
 of n + 1 entries, and returns both minors that share its first n - 1 columns:
 column_replaced_dets gets the pair det(A), det(A with one column replaced) of
-Cramer's rule from one elimination.  Cofactor expansion, and Gauss-Jordan
-elimination after evaluation at points, are the kernel's independent oracles;
-the unpeeled kernel is the peel's, and two calls of det are
+Cramer's rule from one elimination, in index order.  Cofactor expansion, and
+Gauss-Jordan elimination after evaluation at points, are the kernel's
+independent oracles; the kernel unpeeled and in index order is the oracle of
+the peel and of the column order, and two calls of det are
 column_replaced_dets'.
 
 Matrices of plain rationals or residues mod q have one Gauss-Jordan
@@ -937,10 +942,12 @@ def _bareiss(rows, width, q):
 
 
 def _det_bareiss(mat):
-    """The kernel on the whole matrix, without peeling: the peel's oracle.
+    """The kernel on the whole matrix, without peeling and with its columns
+    in index order: the oracle of det's peel and column order.
 
     It runs the same row rule and catch-ups as det, so it checks the peel
-    only; det_cofactor, and row_reduce after evaluation, check the kernel.
+    and the order's sign only; det_cofactor, and row_reduce after
+    evaluation, check the kernel.
     """
     (out,) = _bareiss([{j: e._c for j, e in row.items()} for row in mat.row_maps],
                       mat.cols, mat.modulus)
@@ -983,6 +990,14 @@ def det(mat):
     none is left; an empty row or column makes the determinant zero at
     once.  Only the factors other than 1 are multiplied in: most peeled
     lines of a cut strand's I - W meet it on the unit diagonal.
+
+    The kernel then gets the live columns sparsest first: by their count of
+    live entries, read off the peel's column sets, ties in index order.  A
+    column moved ahead of the live columns left of it passes them, so the
+    column tree gives the permutation's sign as it gives the peel's.  The
+    pivot row is still the kernel's choice; the order fixes which column
+    each step eliminates, and the sparse ones, eliminated first, leave
+    fewer and shorter entries for the steps after them.
     """
     if mat.rows != mat.cols:
         raise ValueError("determinant needs a square matrix")
@@ -1021,7 +1036,14 @@ def det(mat):
             row_nz[ii].discard(j)
             if live_rows[ii] and len(row_nz[ii]) < 2:
                 todo.append((True, ii))
-    renumbered = {j: x for x, j in enumerate(j for j in range(n) if live_cols[j])}
+    # the live columns go to the kernel sparsest first, ties in index order;
+    # moving each in turn ahead of the live columns left of it passes them
+    order = sorted((j for j in range(n) if live_cols[j]), key=lambda j: len(col_nz[j]))
+    for j in order:
+        if _live_before(cols_before, j) % 2:
+            sign = -sign
+        _retire(cols_before, j)
+    renumbered = {j: x for x, j in enumerate(order)}
     (out,) = _bareiss([{renumbered[j]: maps[i][j]._c for j in row_nz[i]}
                        for i in range(n) if live_rows[i]], len(renumbered), q)
     for a in factors:

@@ -884,8 +884,9 @@ def test_verify_passes_repeat_without_replaying(det_calls):
 
 def test_verify_pass_work_counts(monkeypatch):
     # one verify all --seed 0 pass: 213 kernel runs (243 while each path sum
-    # took N and D from two eliminations), 2,383 entry updates in them
-    # (3,053 while a row was caught up whole and an updated row's entries
+    # took N and D from two eliminations), 2,164 entry updates in them
+    # (2,383 while det handed the kernel its columns in index order, 3,053
+    # while a row was caught up whole and an updated row's entries
     # outside the pivot row's columns were scaled at every step), 64
     # cuts (145 while each composition check cut both of its diagrams), and
     # 226 evaluations (799 before the path sums screened their samples for
@@ -919,7 +920,7 @@ def test_verify_pass_work_counts(monkeypatch):
             monkeypatch.setattr(module, "cut", counted_cut)
     code, _ = run("verify", "all", "--seed", "0", "--json")
     assert code == EXIT_OK
-    assert counts["entry"] == 2_383, counts
+    assert counts["entry"] == 2_164, counts
     assert counts["kernel"] <= 213 and counts["cut"] <= 64 and counts["evaluate"] <= 226, counts
 
 

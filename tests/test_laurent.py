@@ -929,6 +929,93 @@ def test_permutation_matrices_peel_whole_with_their_sign(modulus, monkeypatch):
     assert min(signs.count(0), signs.count(1)) >= 40, signs
 
 
+def _kernel_column_counts(rows, width):
+    """The number of rows that reach each column of what the kernel is handed."""
+    return [sum(j in row for row in rows) for j in range(width)]
+
+
+@pytest.mark.parametrize("modulus", [None, 7])
+def test_det_orders_columns_by_count_with_their_sign(modulus, monkeypatch):
+    # no line peels; the columns count 3, 2 and 3 entries, so det hands the
+    # kernel column 1 first, then 0 and 2: one transposition, whose sign
+    # det folds in.  Against cofactor expansion and the kernel in index
+    # order, with entries that are not units and with t^-1 in them
+    rng = random.Random(f"column-order/{modulus}")
+    handed = []
+    kernel = laurent._bareiss
+    monkeypatch.setattr(laurent, "_bareiss",
+                        lambda rows, width, q: handed.append(rows) or kernel(rows, width, q))
+    zero = LaurentPoly.zero(modulus)
+
+    def entry():
+        p = zero
+        while p.is_zero():
+            p = random_laurent(rng, modulus, denominators=(1, 2, 3))
+        return p
+
+    nonzero = 0
+    for _ in range(20):
+        a, b, c, d, e, f, g, h = (entry() for _ in range(8))
+        m = RingMatrix([[a, b, c], [d, zero, e], [f, g, h]], modulus)
+        handed.clear()
+        got = det(m)
+        assert [sorted(row) for row in handed[0]] == [[0, 1, 2], [1, 2], [0, 1, 2]]
+        assert _kernel_column_counts(handed[0], 3) == [2, 3, 3]
+        assert handed[0][1] == {1: d._c, 2: e._c}
+        assert got == det_cofactor(m) == _det_bareiss(m), m
+        nonzero += not got.is_zero()
+    assert nonzero >= 15
+
+
+def test_det_hands_the_kernel_its_columns_sparsest_first(corpus, monkeypatch):
+    # on the corpus routes (the Fox minor, a Laplacian minor and the cut
+    # strand's I - W of each diagram, figure8's 3-cable and T(3,10)'s minor)
+    # and on the seeded family through det, the kernel's columns have
+    # nondecreasing live counts
+    counts = []
+    kernel = laurent._bareiss
+
+    def spied(rows, width, q):
+        counts.append(_kernel_column_counts(rows, width))
+        return kernel(rows, width, q)
+
+    monkeypatch.setattr(laurent, "_bareiss", spied)
+    spec = alexander_spec()
+    for name, diagram in corpus.items():
+        strand = cut(diagram, [diagram.arcs[0]])
+        det(laplacian(build_arc_graph(diagram), spec, (diagram.arcs[0],)))
+        det(tangle_matrix(build_arc_graph(strand), spec))
+        if diagram.is_knot():
+            alexander_minor(diagram)
+    det(tangle_matrix(build_arc_graph(cable(cut(corpus["figure8"], [1]), 3)), spec))
+    det(laplacian(build_arc_graph(parse_diagram(T3_10)), spec, (1,)))
+    for _, m, _, _ in _kernel_family():
+        det(m)
+    assert len(counts) >= 60
+    for c in counts:
+        assert c == sorted(c), c
+    assert sum(len(set(c)) > 1 for c in counts) >= 30, counts
+
+
+def test_det_of_a_matrix_with_an_empty_line_is_zero_without_the_kernel(monkeypatch):
+    # an empty row or column, there from the start or left by peeling (two
+    # rows, or two columns, whose one entry shares a line), makes det 0 at
+    # once: no column order is taken and the kernel is never run
+    handed = []
+    kernel = laurent._bareiss
+    monkeypatch.setattr(laurent, "_bareiss",
+                        lambda rows, width, q: handed.append(rows) or kernel(rows, width, q))
+    for modulus in (None, 7):
+        for rows in ([[1, 2, 0], [{1: 3}, 1, 0], [2, 0, 0]],
+                     [[1, 2, 3], [0, 0, 0], [{-1: 1}, 1, 2]],
+                     [[2, 0, 0, 0], [{1: 1}, 0, 0, 0], [1, 2, 3, 0], [4, 5, 6, 7]],
+                     [[2, {1: 1}, 1, 4], [0, 0, 2, 5], [0, 0, 3, 6], [0, 0, 0, 7]]):
+            m = M(rows, modulus)
+            handed.clear()
+            assert det(m).is_zero() and det_cofactor(m).is_zero(), rows
+            assert handed == [], rows
+
+
 def test_det_swaps_rows_for_zero_pivots():
     # the first and the second pivots are zero; a swap is needed for each
     m = M([[0, 0, 2, 0, {1: 1}],
@@ -1058,7 +1145,9 @@ def test_kernel_finds_singularity_only_elimination_shows(domain):
 
 
 # the pivot of each step that eliminates, as a dense coefficient list of the
-# kernel's scaled rows, recorded before entries were caught up one at a time
+# kernel's scaled rows: for the matrices det hands the kernel, recorded with
+# its columns sparsest first; the seeded family reaches the kernel unpeeled
+# and in index order, so its entries pin the kernel alone
 KERNEL_PIVOTS = json.loads((Path(__file__).parent / "data" / "kernel_pivots.json").read_text())
 
 # the closure of the 3-braid (s1 s2)^10, the torus knot T(3,10) of 20
@@ -1104,35 +1193,38 @@ def _kernel_spy(monkeypatch):
 def test_kernel_work_on_the_figure8_3_cable(corpus, monkeypatch):
     # the multiplications _bareiss_entry performs on figure8's 3-cable I - W,
     # len(b) per nonzero coefficient of a and len(c) * len(d), now that b, c
-    # and d are pairs of nonzero coefficients: 3,554 now that an entry is
-    # caught up only when read (5,493 when a row was caught up whole and
+    # and d are pairs of nonzero coefficients: 407 now that det hands the
+    # kernel its columns sparsest first (3,554 in index order with an
+    # entry caught up only when read, 5,493 when a row was caught up whole and
     # every entry of an updated row scaled, 9,191 when b and d were dense
     # lists, 15,388 by list lengths alone with the sparsest pivot row and
     # telescoped scaling, 22,900 when every row below the pivot is scaled at
     # every step, 63,507 with the first row that has an entry as the pivot,
-    # 69,525 with both); 105 of its 220 calls (179 of 389 before) divide by
-    # a one-term pivot in one pass, and the other 115 (210) by long
-    # division.  The pivots are those of the kernel that caught up whole rows
+    # 69,525 with both); 142 of its 143 calls (105 of 220 in index order,
+    # 179 of 389 before that) divide by a one-term pivot in one pass, and
+    # the other 1 (115, 210) by long division.  The pivots are those of the
+    # column order
     work, pivots = _kernel_spy(monkeypatch)
     m = tangle_matrix(build_arc_graph(cable(cut(corpus["figure8"], [1]), 3)), alexander_spec())
     assert det(m) == P({-3: -1, 0: 3, 3: -1})
-    assert work["calls"] == 220, work
-    assert work["products"] <= 3_730 and work["long"] <= 115, work
+    assert work["calls"] == 143, work
+    assert work["products"] <= 407 and work["long"] <= 1, work
     assert pivots == KERNEL_PIVOTS["figure8 3-cable"]
 
 
 def test_kernel_work_on_a_braid_closure_laplacian_minor(monkeypatch):
     # the matrix-tree route on a closure of the size the benchmark runs:
     # det of T(3,10)'s arc-graph Laplacian without the row and column of arc
-    # 1 takes 217 entry updates (433 when rows were caught up whole), with
-    # 3,631 products (5,894) and 89 long divisions (222), on the same pivots
+    # 1 takes 170 entry updates with its columns sparsest first (217 in
+    # index order, 433 when rows were caught up whole), with 1,199 products
+    # (3,631, 5,894) and 35 long divisions (89, 222), on the pinned pivots
     work, pivots = _kernel_spy(monkeypatch)
     g = build_arc_graph(parse_diagram(T3_10))
     minor = det(laplacian(g, alexander_spec(), (1,)))
     assert canonicalize(minor).poly == P(dict.fromkeys((0, 3, 6, 9, 12, 15, 18), 1)
                                          | dict.fromkeys((1, 4, 7, 11, 14, 17), -1))
-    assert work["calls"] == 217, work
-    assert work["products"] <= 3_813 and work["long"] <= 89, work
+    assert work["calls"] == 170, work
+    assert work["products"] <= 1_199 and work["long"] <= 35, work
     assert pivots == KERNEL_PIVOTS["T(3,10) root 1"]
 
 
